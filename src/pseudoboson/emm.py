@@ -168,15 +168,17 @@ def model_emm_eigenpairs(p: ModelParams) -> EmmSolution:
     beta+rho with (1+rho, 0, 0, -gamma); vectors unnormalized (the
     pseudo-boson normalization is applied only when building operators).
     The eigenvectors mix one creation with the opposite annihilation and are
-    exactly the pseudo-boson ladder directions.
+    exactly the pseudo-boson ladder directions. At gamma = 0 each vector is
+    the gamma -> 0 limit of its direction, a coordinate axis: e3 for
+    -beta-rho, e4 for beta-rho, e2 for -beta+rho, e1 for beta+rho.
     """
     rho = p.rho
     beta = p.beta
     gamma = p.gamma
     if gamma == 0:
         raw = [
-            (-beta - rho, np.array([0.0, 0.0, 0.0, 1.0])),
-            (beta - rho, np.array([0.0, 0.0, 1.0, 0.0])),
+            (-beta - rho, np.array([0.0, 0.0, 1.0, 0.0])),
+            (beta - rho, np.array([0.0, 0.0, 0.0, 1.0])),
             (-beta + rho, np.array([0.0, 1.0, 0.0, 0.0])),
             (beta + rho, np.array([1.0, 0.0, 0.0, 0.0])),
         ]

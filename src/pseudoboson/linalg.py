@@ -4,7 +4,9 @@ Provides the numerical backends used by every other module: a nonsymmetric
 eigensolver (Householder Hessenberg reduction followed by shifted QR
 iteration, Francis double shift for real matrices and Wilkinson single shift
 for complex ones), a symmetric tridiagonal eigensolver (implicit-shift QL),
-a partial-pivoting LU solver, residual and biorthonormalization utilities.
+a partial-pivoting LU solver, inverse iteration for eigenvectors (dense, or
+O(n) per vector on a tridiagonal), residual and biorthonormalization
+utilities.
 
 numpy is used as the array substrate only; no numpy.linalg factorizations or
 eigensolvers are called here, so results can be cross-checked against an
@@ -13,6 +15,7 @@ independent library route in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +26,7 @@ __all__ = [
     "EigenReport",
     "eig_dense",
     "eig_sym_tridiag",
+    "tridiag_eigenvectors",
     "solve",
     "residual",
     "biorthonormalize",
@@ -413,24 +417,97 @@ def residual(M, lam, v) -> float:
     return _norm2(A @ vec - lam * vec) / nv
 
 
-def _inverse_iteration(A: NDArray, lam: complex, norm_scale: float) -> tuple[NDArray, float]:
-    n = A.shape[0]
+def _tridiag_lu_factor(sub, diag, sup):
+    """Partial-pivoting LU of a tridiagonal matrix in O(n), LAPACK gttrf style.
+
+    A row swap at step i moves the superdiagonal of row i + 1 up and leaves
+    fill in a second superdiagonal, so U has three diagonals (d, du, du2).
+    Pivots are chosen as in `_lu_factor`, and a pivot that is singular to
+    working precision gets the fallback of `_lu_factor(fix_singular=True)`:
+    the larger of the two candidates is raised to a tiny value, keeping its
+    phase, and the row swap it implies is kept.
+    """
+    d = [complex(x) for x in diag]
+    dl = [complex(x) for x in sub]
+    du = [complex(x) for x in sup]
+    n = len(d)
+    du2 = [0j] * max(n - 2, 0)
+    swapped = [False] * max(n - 1, 0)
+    scale = max(max(map(abs, d), default=0.0), max(map(abs, dl), default=0.0),
+                max(map(abs, du), default=0.0))
+    tiny = 8.0 * n * _EPS * scale if scale > 0.0 else _EPS
+    for i in range(n):
+        below = abs(dl[i]) if i < n - 1 else 0.0
+        swap = below > abs(d[i])
+        if max(abs(d[i]), below) <= tiny:
+            if swap:
+                dl[i] = dl[i] / abs(dl[i]) * tiny
+            else:
+                d[i] = tiny if d[i] == 0 else d[i] / abs(d[i]) * tiny
+        if i == n - 1:
+            break
+        if not swap:
+            fact = dl[i] / d[i]
+            dl[i] = fact
+            d[i + 1] -= fact * du[i]
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            dl[i] = fact
+            du[i], d[i + 1] = d[i + 1], du[i] - fact * d[i + 1]
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du[i + 1]
+            swapped[i] = True
+    return dl, d, du, du2, swapped
+
+
+def _tridiag_lu_solve(factor, rhs) -> NDArray:
+    dl, d, du, du2, swapped = factor
+    n = len(d)
+    x = [complex(v) for v in rhs]
+    for i in range(n - 1):
+        if swapped[i]:
+            x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
+        else:
+            x[i + 1] -= dl[i] * x[i]
+    x[n - 1] /= d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / d[i]
+    return np.array(x, dtype=complex)
+
+
+def _tridiag_matvec(sub: NDArray, diag: NDArray, sup: NDArray, x: NDArray) -> NDArray:
+    y = diag * x
+    y[1:] += sub * x[:-1]
+    y[:-1] += sup * x[1:]
+    return y
+
+
+def _inverse_iteration(n: int, factor_shifted, matvec, lam: complex,
+                       norm_scale: float) -> tuple[NDArray, float]:
+    """Best unit vector for lam over a schedule of slightly perturbed shifts.
+
+    factor_shifted(shift) returns a solver for (A - shift I) w = v and
+    matvec(v) returns A v, so dense and tridiagonal inputs share the loop.
+    """
     start = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
     start /= _norm2(start)
     best = start
     best_res = math.inf
     delta = INVERSE_ITER_SHIFT * max(norm_scale, 1.0)
     for _ in range(4):
-        shifted = A - (lam + delta) * np.eye(n)
-        factor = _lu_factor(shifted, fix_singular=True)
+        solve_shifted = factor_shifted(lam + delta)
         v = start
         for _ in range(5):
-            w = _lu_solve(factor, v)
+            w = solve_shifted(v)
             wn = _norm2(w)
             if wn == 0.0 or not np.isfinite(wn):
                 break
             v = w / wn
-            res = _norm2(A @ v - lam * v)
+            res = _norm2(matvec(v) - lam * v)
             if res < best_res:
                 best_res = res
                 best = v.copy()
@@ -440,6 +517,23 @@ def _inverse_iteration(A: NDArray, lam: complex, norm_scale: float) -> tuple[NDA
             break
         delta *= 100.0
     return best, best_res
+
+
+def _attach_vectors(report: EigenReport, n: int, factor_shifted, matvec,
+                    norm_scale: float) -> EigenReport:
+    """Inverse-iterate every value of the report and apply the residual
+    contract: converged turns False when a pair's residual exceeds 1e-8 times
+    the matrix norm."""
+    vecs = np.zeros((n, len(report.values)), dtype=complex)
+    res = np.zeros(len(report.values))
+    for i, lam in enumerate(report.values):
+        vecs[:, i], res[i] = _inverse_iteration(n, factor_shifted, matvec, lam,
+                                                norm_scale)
+    report.vectors = vecs
+    report.residuals = res
+    if np.any(res > 1e-8 * max(norm_scale, _EPS)):
+        report.converged = False
+    return report
 
 
 def eig_dense(M, want_vectors: bool = False) -> EigenReport:
@@ -475,18 +569,44 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     report = EigenReport(values=values, iterations=sweeps, converged=ok)
     if want_vectors:
         A = np.array(A0, dtype=complex)
-        norm_scale = _frobenius(A)
-        vecs = np.zeros((n, n), dtype=complex)
-        res = np.zeros(n)
-        for i, lam in enumerate(values):
-            v, r = _inverse_iteration(A, lam, norm_scale)
-            vecs[:, i] = v
-            res[i] = r
-        report.vectors = vecs
-        report.residuals = res
-        if np.any(res > 1e-8 * max(norm_scale, _EPS)):
-            report.converged = False
+        eye = np.eye(n)
+
+        def factor_shifted(shift):
+            return functools.partial(
+                _lu_solve, _lu_factor(A - shift * eye, fix_singular=True))
+
+        _attach_vectors(report, n, factor_shifted, lambda v: A @ v, _frobenius(A))
     return report
+
+
+def tridiag_eigenvectors(sub, diag, sup, values) -> EigenReport:
+    """Eigenvectors of a tridiagonal matrix for the given eigenvalues only.
+
+    sub, diag and sup are the three diagonals; values are eigenvalues found
+    elsewhere (say by `eig_dense`). Each vector comes from the inverse
+    iteration of `eig_dense`, with an O(n) tridiagonal LU in place of the
+    dense one, so the cost grows linearly in the dimension and in the number
+    of values asked for. The report carries the values unchanged, unit
+    vectors column-wise and their residuals; converged is False when a pair
+    misses the residual contract of `eig_dense`.
+    """
+    d = np.asarray(diag)
+    lower = np.asarray(sub)
+    upper = np.asarray(sup)
+    n = d.shape[0]
+    if n == 0 or lower.shape != (n - 1,) or upper.shape != (n - 1,):
+        raise ValueError(
+            f"expected a diagonal of length n >= 1 and off-diagonals of length "
+            f"n - 1, got {d.shape}, {lower.shape}, {upper.shape}")
+    report = EigenReport(values=np.asarray(values, dtype=complex))
+    norm_scale = math.sqrt(_norm2(d) ** 2 + _norm2(lower) ** 2 + _norm2(upper) ** 2)
+
+    def factor_shifted(shift):
+        return functools.partial(
+            _tridiag_lu_solve, _tridiag_lu_factor(lower, d - shift, upper))
+
+    return _attach_vectors(report, n, factor_shifted,
+                           lambda v: _tridiag_matvec(lower, d, upper, v), norm_scale)
 
 
 def eig_sym_tridiag(diag, offdiag) -> EigenReport:

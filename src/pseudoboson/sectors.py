@@ -37,7 +37,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .fock import Operator, TruncationSpec, build_ladder_ops, identity_op
-from .linalg import eig_dense, eig_sym_tridiag, multiset_distance
+from .linalg import (_tridiag_matvec, eig_dense, eig_sym_tridiag,
+                     multiset_distance, tridiag_eigenvectors)
 from .model import ModelParams, build_hamiltonian
 
 __all__ = [
@@ -324,8 +325,11 @@ def lowest_weight_residuals(spec: SectorSpec, gamma: float) -> tuple[float, floa
 class SectorSpectrum:
     """Lowest eigenvalues of one sector finite section against closed form.
 
-    residuals are the eigensolver's per-pair relative residuals for the kept
-    eigenvalues, aligned with `values`.
+    residuals are the inverse-iteration residuals ||J x - lambda x|| /
+    max(||J||_F, 1) of the kept pairs for unit x, taken at the QR values
+    before refinement, and conditions their eigenvalue condition numbers
+    ||x|| ||y|| / |y^T x| with the left eigenvector y = D x; both are aligned
+    with `values`.
     """
 
     k: int
@@ -334,6 +338,7 @@ class SectorSpectrum:
     targets: NDArray[np.float64]
     errors: NDArray[np.float64]
     residuals: NDArray[np.float64]
+    conditions: NDArray[np.float64]
 
     @property
     def max_error(self) -> float:
@@ -344,6 +349,14 @@ def sector_spectrum(spec: SectorSpec, p: ModelParams, n_eigs: int = 3) -> Sector
     """Lowest n_eigs eigenvalues of the sector matrix (by real part) next to
     the closed-form targets beta k + rho (|k| + 1 + 2j).
 
+    Values-only QR finds the whole spectrum; eigenvectors are computed for the
+    kept levels only, by inverse iteration on the tridiagonal. The phase
+    similarity J^T = D J D^-1 makes y = D x a left eigenvector for free, so
+    each kept value is refined by the two-sided Rayleigh quotient
+    y^T J x / y^T x, whose error is quadratic in that of x. Only the kept
+    pairs are held to the residual contract: the upper spectrum of a deep
+    section is too non-normal for its vectors to meet it.
+
     Finite-section eigenvalues converge to the closed form from within as the
     depth grows; shallow sections can also show complex artifact pairs, which
     land at large real part and stay clear of the lowest levels.
@@ -351,19 +364,37 @@ def sector_spectrum(spec: SectorSpec, p: ModelParams, n_eigs: int = 3) -> Sector
     if n_eigs < 1 or n_eigs > spec.depth:
         raise ValueError("n_eigs must be between 1 and the sector depth")
     m = pseudo_jacobi(spec, p)
-    report = eig_dense(m, want_vectors=True)
+    report = eig_dense(m)
     if not report.converged:
         raise RuntimeError(
             f"eigensolver did not converge on sector k={spec.k} depth "
             f"{spec.depth} after {report.iterations} sweeps")
-    values = report.values[:n_eigs]
-    norm = float(np.sqrt(np.sum(np.abs(m) ** 2)))
-    residuals = report.residuals[:n_eigs] / max(norm, 1.0)
+    kept = report.values[:n_eigs]
+    sub, diag, sup = np.diag(m, -1), np.diag(m), np.diag(m, 1)
+    pairs = tridiag_eigenvectors(sub, diag, sup, kept)
+    if not pairs.converged:
+        raise RuntimeError(
+            f"inverse iteration missed the residual contract on sector "
+            f"k={spec.k} depth {spec.depth} (worst residual "
+            f"{pairs.residuals.max():.3g})")
+    x = pairs.vectors
+    jx = np.column_stack([_tridiag_matvec(sub, diag, sup, x[:, i])
+                          for i in range(n_eigs)])
+    y = sector_phase_vector(spec)[:, None] * x
+    overlap = np.sum(y * x, axis=0)
+    values = np.sum(y * jx, axis=0) / overlap
+    # a real value of the real J has a real eigenvector, so its quotient is
+    # real; only the sign of the zero imaginary part is left to rounding
+    values = np.where(kept.imag == 0, values.real + 0j, values)
+    conditions = np.sum(np.abs(x) ** 2, axis=0) / np.abs(overlap)
+    norm = float(np.sqrt(np.sum(sub ** 2) + np.sum(diag ** 2) + np.sum(sup ** 2)))
+    residuals = pairs.residuals / max(norm, 1.0)
     j = np.arange(n_eigs, dtype=float)
     targets = p.beta * spec.k + p.rho * (abs(spec.k) + 1.0 + 2.0 * j)
     errors = np.abs(values - targets)
     return SectorSpectrum(k=spec.k, depth=spec.depth, values=values,
-                          targets=targets, errors=errors, residuals=residuals)
+                          targets=targets, errors=errors, residuals=residuals,
+                          conditions=conditions)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudoboson
 from pseudoboson.cli import main
 
 
@@ -72,6 +77,27 @@ def test_sectors_small_run(capsys):
     payload = json.loads(out)
     assert [s["k"] for s in payload["sectors"]] == [0, 1]
     assert payload["sectors"][0]["depths"] == [8, 16, 32]
+
+
+def test_sectors_deep_run_passes(capsys):
+    code, out, err = run(capsys, "sectors", "--k-range", "1", "1",
+                         "--depth", "240")
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+    assert "Traceback" not in err
+
+
+def test_module_runs_as_program(capsys):
+    argv = ["spectrum", "--m-max", "1", "--n-max", "1"]
+    src = str(Path(pseudoboson.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-m", "pseudoboson", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert proc.stdout == out
 
 
 def test_stability_both_regimes(capsys):

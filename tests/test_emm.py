@@ -171,10 +171,17 @@ def test_repeated_values_flag_at_coincidence():
 
 
 def test_degenerate_limit_uses_coordinate_axes():
-    sol = model_emm_eigenpairs(ModelParams(0.5, 0.0))
-    assert sol.degenerate
-    stacked = np.array([pair.combination.stacked for pair in sol.pairs])
-    assert np.abs(np.abs(stacked).sum(axis=1) - 1.0).max() == 0.0
+    # at gamma = 0 the matrix is diag(1+beta, 1-beta, -(1+beta), -(1-beta)),
+    # so each axis must carry the value on its own diagonal entry
+    for beta in (-1.0, -0.5, 0.5, 1.0):
+        p = ModelParams(beta, 0.0)
+        sol = model_emm_eigenpairs(p)
+        assert sol.degenerate
+        stacked = np.array([pair.combination.stacked for pair in sol.pairs])
+        assert np.abs(np.abs(stacked).sum(axis=1) - 1.0).max() == 0.0
+        matrix = model_emm_matrix(p)
+        for pair in sol.pairs:
+            assert residual(matrix, pair.value, pair.combination.stacked) < 1e-14
 
 
 def test_secular_matrix_shape_and_asymmetry():

@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 
 from pseudoboson.linalg import (
+    _lu_factor,
+    _lu_solve,
+    _tridiag_lu_factor,
+    _tridiag_lu_solve,
     biorthonormalize,
     eig_dense,
     eig_sym_tridiag,
     multiset_distance,
     residual,
     solve,
+    tridiag_eigenvectors,
 )
 
 
@@ -103,6 +108,87 @@ def test_solve_matches_lapack_on_complex_system():
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     assert np.abs(solve(m, rhs) - np.linalg.solve(m, rhs)).max() < 1e-10
+
+
+def _dense_tridiag(sub, diag, sup):
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+def test_tridiag_solve_matches_dense_solve():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 8, 12):
+        for sub_scale in (0.1, 10.0):
+            # a large subdiagonal forces row swaps and fill in the second
+            # superdiagonal of U; it also makes the condition number grow
+            # like sub_scale^n, hence the small sizes
+            sub = sub_scale * rng.standard_normal(n - 1)
+            diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            sup = rng.standard_normal(n - 1)
+            rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            factor = _tridiag_lu_factor(sub, diag, sup)
+            if n > 2 and sub_scale > 1.0:
+                assert any(factor[4])
+                assert np.abs(factor[3]).max() > 0.0
+            ours = _tridiag_lu_solve(factor, rhs)
+            m = _dense_tridiag(sub, diag, sup)
+            dense = solve(m, rhs)
+            # both are backward stable, so they agree to eps times the
+            # condition number
+            bound = 1e-13 * np.linalg.cond(m) * np.abs(dense).max()
+            assert np.abs(ours - dense).max() < bound
+
+
+def test_tridiag_solve_at_an_eigenvalue_uses_tiny_pivot():
+    # [[2,1,0],[1,2,1],[0,1,2]] has eigenvalue 2 with vector (1, 0, -1);
+    # shifting by it leaves an exactly zero last pivot
+    sub = sup = np.ones(2)
+    shifted = np.zeros(3)
+    with pytest.raises(ValueError, match="singular"):
+        solve(_dense_tridiag(sub, shifted, sup), np.ones(3))
+    w = _tridiag_lu_solve(_tridiag_lu_factor(sub, shifted, sup),
+                          np.ones(3) + 1e-3 * np.arange(3))
+    assert np.all(np.isfinite(w))
+    v = w / np.sqrt((np.abs(w) ** 2).sum())
+    assert residual(_dense_tridiag(sub, 2.0 * np.ones(3), sup), 2.0, v) < 1e-10
+
+
+def test_tridiag_tiny_pivot_fallback_matches_dense():
+    # both candidates of the first pivot are below the tiny threshold and the
+    # subdiagonal one is larger: the dense LU raises it and swaps the rows,
+    # and so must the tridiagonal one
+    sub = np.array([1e-20, 1.0])
+    diag = np.array([0.0, 1.0, 1.0])
+    sup = np.array([1.0, 1.0])
+    rhs = np.array([1.0, 2.0, 3.0])
+    factor = _tridiag_lu_factor(sub, diag, sup)
+    assert factor[4][0]
+    ours = _tridiag_lu_solve(factor, rhs)
+    dense = _lu_solve(_lu_factor(_dense_tridiag(sub, diag, sup), fix_singular=True),
+                      rhs)
+    assert np.abs(ours - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_tridiag_eigenvectors_meet_residual_contract():
+    rng = np.random.default_rng(43)
+    for n in (2, 9, 30):
+        off = rng.uniform(0.5, 1.5, n - 1)
+        sub, diag, sup = off, rng.standard_normal(n), -off
+        m = _dense_tridiag(sub, diag, sup)
+        values = eig_dense(m).values[:3]
+        report = tridiag_eigenvectors(sub, diag, sup, values)
+        assert report.converged
+        assert report.vectors.shape == (n, len(values))
+        scale = np.sqrt((np.abs(m) ** 2).sum())
+        for i, lam in enumerate(values):
+            v = report.vectors[:, i]
+            assert abs(np.sqrt((np.abs(v) ** 2).sum()) - 1.0) < 1e-12
+            assert residual(m, lam, v) < 1e-8 * scale
+            assert report.residuals[i] < 1e-8 * scale
+
+
+def test_tridiag_eigenvectors_rejects_mismatched_diagonals():
+    with pytest.raises(ValueError):
+        tridiag_eigenvectors(np.ones(3), np.ones(3), np.ones(2), [1.0])
 
 
 def test_sym_tridiag_trivial_diagonal():

@@ -225,6 +225,28 @@ def test_sector_spectrum_decoupled_exact():
     assert spectrum.max_error < 1e-12
 
 
+def test_deep_sector_matches_closed_form_and_oracle():
+    # at depth 240 most upper eigenpairs are too non-normal for the residual
+    # contract; only the kept levels are held to it
+    spec = SectorSpec(1, 240)
+    spectrum = sector_spectrum(spec, P)
+    assert spectrum.max_error < 1e-12
+    assert max(spectrum.residuals) < 1e-8
+    oracle = np.linalg.eigvals(pseudo_jacobi(spec, P))
+    for value in spectrum.values:
+        assert np.abs(oracle - value).min() < 1e-10
+
+
+@pytest.mark.parametrize("beta,gamma", [(0.5, 0.75), (0.2, 2.0)])
+def test_ground_level_condition_number_closed_form(beta, gamma):
+    # kappa_0 = rho^(|k|+1): the left/right overlap of the lowest level
+    p = ModelParams(beta, gamma)
+    for k in (-2, 0, 1, 3):
+        spectrum = sector_spectrum(SectorSpec(k, 60), p)
+        assert spectrum.conditions[0] == pytest.approx(p.rho ** (abs(k) + 1),
+                                                       rel=1e-6)
+
+
 def test_sector_spectrum_validates_n_eigs():
     with pytest.raises(ValueError):
         sector_spectrum(SectorSpec(0, 4), P, n_eigs=9)
