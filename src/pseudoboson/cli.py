@@ -5,10 +5,13 @@ Every numeric in a report comes from a library call; the CLI only assembles
 output and compares deviations against tolerances. Reports are deterministic:
 fixed key order, floats rounded to 15 significant digits, no timestamps.
 JSON reports carry a top-level {"schema": "1"}; CSV column sets are documented
-in the README.
+in the README. Each subcommand returns its payload, CSV rows and checks, and
+`main` renders the report; verify-all reruns the subcommands' own checks.
 
-Exit codes: 0 when every check in the selected suite passes, 1 on the first
-tolerance failure (named on stderr), 2 for unusable flags or inputs.
+Exit codes: 0 when every check in the selected suite passes; 1 on the first
+failing check, named on stderr, including checks that yield no value (a
+failed "precondition", a "solver" that does not converge); 2 for unusable
+flags or inputs, non-finite or overflowing parameters among them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -90,7 +94,10 @@ class Check:
                 "passed": self.passed}
 
 
-def _emit(args, payload: dict, csv_header: list, csv_rows: list) -> None:
+def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
+    """Write the report; return the exit code, naming a failed check on stderr."""
+    payload["checks"] = [c.as_json() for c in checks]
+    payload["all_passed"] = all(c.passed for c in checks)
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -104,12 +111,6 @@ def _emit(args, payload: dict, csv_header: list, csv_rows: list) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _finish(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
-    payload["checks"] = [c.as_json() for c in checks]
-    payload["all_passed"] = all(c.passed for c in checks)
-    _emit(args, payload, csv_header, csv_rows)
     for c in checks:
         if not c.passed:
             rel = ">" if c.mode == "le" else "<"
@@ -120,21 +121,30 @@ def _finish(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
     return 0
 
 
+def _worst(name: str, checks: list, tol: float, mode: str = "le") -> Check:
+    """The worst of several checks of one kind (for 'ge' checks, the smallest)."""
+    pick = min if mode == "ge" else max
+    return Check(name, pick(c.value for c in checks), tol, mode)
+
+
 def _params(args) -> ModelParams:
     return ModelParams(beta=args.beta, gamma=args.gamma)
 
 
+def _pinned(args, **flags) -> argparse.Namespace:
+    """verify-all's flags for a subcommand: the model point, the rest pinned."""
+    return argparse.Namespace(beta=args.beta, gamma=args.gamma, **flags)
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, csv header, csv rows, checks)
 
 
-def run_spectrum(args) -> int:
+def run_spectrum(args):
     p = _params(args)
     grid = energy_grid(p, args.m_max, args.n_max)
     blocks = block_layout(p, args.m_max, args.n_max)
     payload = {
-        "schema": SCHEMA,
-        "command": "spectrum",
         "beta": _fmt(p.beta),
         "gamma": _fmt(p.gamma),
         "rho": _fmt(p.rho),
@@ -144,24 +154,31 @@ def run_spectrum(args) -> int:
         "blocks": [[_fmt(e) for e in row] for row in blocks],
     }
     rows = [[m, n, f"{_fmt(e):.15g}"] for m, n, e in grid]
-    return _finish(args, payload, ["m", "n", "energy"], rows, [])
+    return payload, ["m", "n", "energy"], rows, []
 
 
-def run_sectors(args) -> int:
-    p = _params(args)
+def run_sectors(args):
     if args.depth % 4 or args.depth < 8:
         raise UsageError("--depth must be a multiple of 4 and at least 8 "
                          "(the convergence protocol samples depth/4 and depth/2)")
-    k_lo, k_hi = args.k_range
-    if k_lo > k_hi:
+    if args.k_range[0] > args.k_range[1]:
         raise UsageError("--k-range expects MIN <= MAX")
+    return _sector_report(args)[0]
+
+
+def _sector_report(args):
+    """The sectors report without the flag checks of `run_sectors`, and the
+    converged spectra behind it, keyed by k."""
+    p = _params(args)
     checks = []
     sectors_payload = []
     csv_rows = []
-    for k in range(k_lo, k_hi + 1):
+    convs = {}
+    for k in range(args.k_range[0], args.k_range[1] + 1):
         conv = converged_sector_spectrum(
             k, p, n_eigs=args.n_eigs, start_depth=args.depth // 4,
             doublings=2, tol=args.step_tol)
+        convs[k] = conv
         errors = np.abs(conv.values - conv.targets)
         sectors_payload.append({
             "k": k,
@@ -182,8 +199,6 @@ def run_sectors(args) -> int:
                              f"{_fmt(conv.targets[level]):.15g}",
                              f"{_fmt(errors[level]):.15g}"])
     payload = {
-        "schema": SCHEMA,
-        "command": "sectors",
         "beta": _fmt(p.beta),
         "gamma": _fmt(p.gamma),
         "depth": args.depth,
@@ -191,10 +206,10 @@ def run_sectors(args) -> int:
         "sectors": sectors_payload,
     }
     header = ["k", "level", "depth", "value_re", "value_im", "target", "abs_error"]
-    return _finish(args, payload, header, csv_rows, checks)
+    return (payload, header, csv_rows, checks), convs
 
 
-def run_biorth(args) -> int:
+def run_biorth(args):
     p = _params(args)
     trunc = TruncationSpec(args.trunc, args.trunc)
     report = biorthogonality_matrix(p, args.m_max, args.n_max, trunc)
@@ -203,8 +218,6 @@ def run_biorth(args) -> int:
         Check("biorth_max_diag_error", report.max_diag_error, args.tol),
     ]
     payload = {
-        "schema": SCHEMA,
-        "command": "biorth",
         "beta": _fmt(p.beta),
         "gamma": _fmt(p.gamma),
         "trunc": args.trunc,
@@ -223,10 +236,10 @@ def run_biorth(args) -> int:
             csv_rows.append([m, n, q_m, q_n,
                              f"{_fmt(z.real):.15g}", f"{_fmt(z.imag):.15g}"])
     header = ["m", "n", "p", "q", "re", "im"]
-    return _finish(args, payload, header, csv_rows, checks)
+    return payload, header, csv_rows, checks
 
 
-def run_commutators(args) -> int:
+def run_commutators(args):
     p = _params(args)
     trunc = TruncationSpec(args.trunc, args.trunc)
     report = commutation_report(p, trunc)
@@ -237,8 +250,6 @@ def run_commutators(args) -> int:
     diag_dev = diagonal_form_check(p, trunc)
     checks.append(Check("diagonal_form", diag_dev, args.tol))
     payload = {
-        "schema": SCHEMA,
-        "command": "commutators",
         "beta": _fmt(p.beta),
         "gamma": _fmt(p.gamma),
         "trunc": args.trunc,
@@ -247,10 +258,10 @@ def run_commutators(args) -> int:
     }
     csv_rows = [[name, f"{_fmt(dev):.15g}"] for name, dev in report.items()]
     csv_rows.append(["diagonal_form", f"{_fmt(diag_dev):.15g}"])
-    return _finish(args, payload, ["check", "deviation"], csv_rows, checks)
+    return payload, ["check", "deviation"], csv_rows, checks
 
 
-def run_emm(args) -> int:
+def run_emm(args):
     p = _params(args)
     matrix = model_emm_matrix(p)
     solution = model_emm_eigenpairs(p)
@@ -279,8 +290,6 @@ def run_emm(args) -> int:
         Check("secular_residual", secular_res, 1e-12),
     ]
     payload = {
-        "schema": SCHEMA,
-        "command": "emm",
         "beta": _fmt(p.beta),
         "gamma": _fmt(p.gamma),
         "matrix": [[_fmt(x) for x in row] for row in matrix],
@@ -297,10 +306,10 @@ def run_emm(args) -> int:
         "secular_degenerate": secular.degenerate,
     }
     csv_rows = [[c.name, f"{_fmt(c.value):.15g}"] for c in checks]
-    return _finish(args, payload, ["check", "deviation"], csv_rows, checks)
+    return payload, ["check", "deviation"], csv_rows, checks
 
 
-def run_stability(args) -> int:
+def run_stability(args):
     if len(args.depths) < 2:
         raise UsageError("--depths needs at least two values")
     scan = hermitian_variant_scan(args.k, args.beta, args.lam, args.depths)
@@ -312,8 +321,6 @@ def run_stability(args) -> int:
         checks.append(Check("instability_witness", scan.final_drop,
                             args.drop, mode="ge"))
     payload = {
-        "schema": SCHEMA,
-        "command": "stability",
         "k": args.k,
         "beta": _fmt(args.beta),
         "lam": _fmt(args.lam),
@@ -324,41 +331,37 @@ def run_stability(args) -> int:
         "bounded": scan.bounded,
     }
     csv_rows = [[d, f"{_fmt(v):.15g}"] for d, v in zip(scan.depths, scan.lowest)]
-    return _finish(args, payload, ["depth", "lowest"], csv_rows, checks)
+    return payload, ["depth", "lowest"], csv_rows, checks
 
 
-def run_theorem1(args) -> int:
-    matrix = _read_matrix(args.input)
+def run_theorem1(args):
+    return _similarity_report(args, _read_matrix(args.input))
+
+
+def _similarity_report(args, matrix: np.ndarray):
+    """The theorem1 report for one matrix; a violated precondition is a
+    failing check of its own."""
     try:
         report = verify_similarity(matrix, real_tol=args.real_tol)
     except ValueError as exc:
-        sys.stderr.write(f"first failing check: precondition ({exc})\n")
-        return 1
+        raise CheckFailure("precondition", exc) from exc
     checks = [
         Check("similarity_error", report.similarity_error, args.sim_tol),
         Check("biorth_error", report.biorth_error, args.biorth_tol),
         Check("spectrum_match", report.spectrum_match, 1e-8),
     ]
+    # the scalar fields, in the order both formats list them
+    fields = {name: _fmt(getattr(report, name))
+              for name in ("max_imag", "spectrum_match", "biorth_error",
+                           "similarity_error", "unitarity_defect")}
     payload = {
-        "schema": SCHEMA,
-        "command": "theorem1",
         "n": matrix.shape[0],
         "spectrum_real": report.spectrum_real,
-        "max_imag": _fmt(report.max_imag),
-        "spectrum_match": _fmt(report.spectrum_match),
-        "biorth_error": _fmt(report.biorth_error),
-        "similarity_error": _fmt(report.similarity_error),
-        "unitarity_defect": _fmt(report.unitarity_defect),
+        **fields,
         "transform": [[_cnum(z) for z in row] for row in report.transform],
     }
-    csv_rows = [
-        ["max_imag", f"{_fmt(report.max_imag):.15g}"],
-        ["spectrum_match", f"{_fmt(report.spectrum_match):.15g}"],
-        ["biorth_error", f"{_fmt(report.biorth_error):.15g}"],
-        ["similarity_error", f"{_fmt(report.similarity_error):.15g}"],
-        ["unitarity_defect", f"{_fmt(report.unitarity_defect):.15g}"],
-    ]
-    return _finish(args, payload, ["field", "value"], csv_rows, checks)
+    csv_rows = [[name, f"{value:.15g}"] for name, value in fields.items()]
+    return payload, ["field", "value"], csv_rows, checks
 
 
 def _random_similarity_batch(count: int, size: int):
@@ -376,7 +379,9 @@ def _random_similarity_batch(count: int, size: int):
     return out
 
 
-def run_verify_all(args) -> int:
+def run_verify_all(args):
+    """Every invariant suite at pinned points and tolerances. A suite that a
+    subcommand also computes is the worst of that subcommand's checks."""
     p = _params(args)
     suites = []
 
@@ -384,40 +389,23 @@ def run_verify_all(args) -> int:
         suites.append(Check(name, value, tol, mode))
 
     # equation-of-motion layer
-    matrix = model_emm_matrix(p)
-    solution = model_emm_eigenpairs(p)
-    closed = np.array([pair.value for pair in solution.pairs])
-    suite("emm_eigenvalue_multiset",
-          multiset_distance(eig_dense(matrix).values, closed), 1e-10)
-    suite("emm_closed_form_residual",
-          max(residual(matrix, pr.value, pr.combination.stacked)
-              for pr in solution.pairs), 1e-12)
-    pairing_dev = max(abs((pi.value + pj.value)
-                          * symplectic_pairing(pi.combination, pj.combination))
-                      for pi in solution.pairs for pj in solution.pairs)
-    suite("emm_pairing_identity", pairing_dev, 1e-12)
-    secular = su11_secular(p.gamma)
-    suite("secular_residual",
-          max(residual(secular.matrix, val, vec) for val, vec in secular.pairs),
-          1e-12)
+    suites += run_emm(_pinned(args, tol=1e-10))[3]
 
     # pseudo-boson algebra at small truncation (deviations are interior-exact)
-    small = TruncationSpec(8, 8)
-    comm = commutation_report(p, small)
-    suite("wh_commutators",
-          max(v for k, v in comm.items() if not k.startswith("[H,")), 1e-10)
-    suite("hamiltonian_action",
-          max(v for k, v in comm.items() if k.startswith("[H,")), 1e-9)
-    suite("diagonal_form", diagonal_form_check(p, small), 1e-10)
+    comm = run_commutators(_pinned(args, trunc=8, tol=1e-10, action_tol=1e-9))[3]
+    action = [c for c in comm if c.name.startswith("[H,")]
+    diagonal = [c for c in comm if c.name == "diagonal_form"]
+    suites.append(_worst("wh_commutators",
+                         [c for c in comm if c not in action + diagonal], 1e-10))
+    suites.append(_worst("hamiltonian_action", action, 1e-9))
+    suites.append(_worst("diagonal_form", diagonal, 1e-10))
 
     # eigenvector families at deep truncation
-    deep = TruncationSpec(args.trunc, args.trunc)
-    rows = eigen_residuals(p, deep, 3, 3)
+    rows = eigen_residuals(p, TruncationSpec(args.trunc, args.trunc), 3, 3)
     suite("eigen_residuals", max(r["residual"] for r in rows), 1e-8)
     suite("adjoint_residuals", max(r["adjoint_residual"] for r in rows), 1e-8)
-    bio = biorthogonality_matrix(p, 4, 4, deep)
-    suite("biorthogonality",
-          max(bio.max_offdiag, bio.max_diag_error), 1e-9)
+    bio = run_biorth(_pinned(args, trunc=args.trunc, m_max=4, n_max=4, tol=1e-9))[3]
+    suites.append(_worst("biorthogonality", bio, 1e-9))
 
     # similarity layer
     suite("phase_similarity", similarity_check(p, TruncationSpec(6, 6)), 1e-13)
@@ -426,26 +414,16 @@ def run_verify_all(args) -> int:
               for k in range(-2, 3)), 1e-13)
 
     # sector spectra and the full-space cross-check
-    step_dev = 0.0
-    closed_dev = 0.0
-    cross_dev = 0.0
-    convs = {}
-    for k in range(-3, 4):
-        conv = converged_sector_spectrum(k, p, n_eigs=4,
-                                         start_depth=args.depth // 4,
-                                         doublings=2, tol=1e-8)
-        convs[k] = conv
-        step_dev = max(step_dev, conv.max_step)
-        closed_dev = max(closed_dev,
-                         float(np.abs(conv.values - conv.targets).max()))
-    for m in range(4):
-        for n in range(4):
-            conv = convs[m - n]
-            cross_dev = max(cross_dev,
-                            abs(energy(p, m, n) - conv.values[min(m, n)]))
-    suite("sector_depth_step", step_dev, 1e-8)
-    suite("sector_closed_form", closed_dev, 1e-6)
-    suite("sector_energy_cross_check", cross_dev, 1e-6)
+    (_, _, _, sector_checks), convs = _sector_report(_pinned(
+        args, k_range=(-3, 3), depth=args.depth, n_eigs=4, tol=1e-6,
+        step_tol=1e-8))
+    steps = [c for c in sector_checks if c.name.endswith("_depth_step")]
+    suites.append(_worst("sector_depth_step", steps, 1e-8))
+    suites.append(_worst("sector_closed_form",
+                         [c for c in sector_checks if c not in steps], 1e-6))
+    suite("sector_energy_cross_check",
+          max(abs(energy(p, m, n) - convs[m - n].values[min(m, n)])
+              for m in range(4) for n in range(4)), 1e-6)
     union = full_vs_sector_check(p, TruncationSpec(10, 10))
     suite("full_vs_sector_union", union.distance, 1e-8)
 
@@ -469,11 +447,12 @@ def run_verify_all(args) -> int:
     suite("lowest_weight", weight_dev, 1e-8)
 
     # stability contrast
-    bounded = hermitian_variant_scan(0, p.beta, 0.6, [30, 60])
-    suite("stability_bounded",
-          abs(bounded.lowest[-1] - bounded.predicted), 1e-6)
-    unbounded = hermitian_variant_scan(0, p.beta, 1.2, [40, 80])
-    suite("instability_witness", unbounded.final_drop, 1.0, mode="ge")
+    bounded = run_stability(_pinned(args, k=0, lam=0.6, depths=[30, 60],
+                                    tol=1e-6, drop=1.0))[3]
+    suites.append(_worst("stability_bounded", bounded, 1e-6))
+    unbounded = run_stability(_pinned(args, k=0, lam=1.2, depths=[40, 80],
+                                      tol=1e-6, drop=1.0))[3]
+    suites.append(_worst("instability_witness", unbounded, 1.0, mode="ge"))
 
     # similarity construction on general matrices
     hand = verify_similarity(np.array([[1.0, 1.0], [0.0, 2.0]]))
@@ -481,18 +460,15 @@ def run_verify_all(args) -> int:
     suite("similarity_hand_case",
           float(np.abs(hand.transform - target).max()), 1e-10)
     suite("similarity_hand_nonunitary", hand.unitarity_defect, 1.0, mode="ge")
-    sim_dev = 0.0
-    bio_dev = 0.0
-    for m in _random_similarity_batch(5, 5):
-        rep = verify_similarity(m)
-        sim_dev = max(sim_dev, rep.similarity_error)
-        bio_dev = max(bio_dev, rep.biorth_error)
-    suite("similarity_random_batch", sim_dev, 1e-8)
-    suite("similarity_random_biorth", bio_dev, 1e-10)
+    flags = _pinned(args, real_tol=1e-8, sim_tol=1e-8, biorth_tol=1e-10)
+    batch = [c for m in _random_similarity_batch(5, 5)
+             for c in _similarity_report(flags, m)[3]]
+    suites.append(_worst("similarity_random_batch",
+                         [c for c in batch if c.name == "similarity_error"], 1e-8))
+    suites.append(_worst("similarity_random_biorth",
+                         [c for c in batch if c.name == "biorth_error"], 1e-10))
 
     payload = {
-        "schema": SCHEMA,
-        "command": "verify-all",
         "beta": _fmt(p.beta),
         "gamma": _fmt(p.gamma),
         "trunc": args.trunc,
@@ -502,7 +478,7 @@ def run_verify_all(args) -> int:
     csv_rows = [[c.name, f"{_fmt(c.value):.15g}", f"{_fmt(c.tol):.15g}",
                  "pass" if c.passed else "FAIL"] for c in suites]
     header = ["suite", "max_deviation", "tolerance", "status"]
-    return _finish(args, payload, header, csv_rows, suites)
+    return payload, header, csv_rows, suites
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +487,14 @@ def run_verify_all(args) -> int:
 
 class UsageError(Exception):
     """Flag combinations that argparse cannot catch on its own."""
+
+
+class CheckFailure(Exception):
+    """A check that fails before it yields a value, e.g. a violated precondition."""
+
+    def __init__(self, check: str, reason):
+        super().__init__(str(reason))
+        self.check = check
 
 
 def _read_matrix(path: str) -> np.ndarray:
@@ -667,19 +651,28 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.runner(args)
-    except UsageError as exc:
-        sys.stderr.write(f"{parser.prog}: error: {exc}\n")
-        return 2
-    except ValueError as exc:
+        for flag in ("beta", "gamma", "lam"):
+            if not math.isfinite(getattr(args, flag, 0.0)):
+                raise UsageError(f"--{flag} must be finite")
+        payload, csv_header, csv_rows, checks = args.runner(args)
+    except (UsageError, ValueError) as exc:
         # Parameter combinations the library rejects (negative coupling,
-        # truncation too shallow, ...) are usage errors, not check failures.
+        # truncation too shallow, a coupling whose square overflows, ...) are
+        # usage errors, not check failures.
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
+    except (CheckFailure, RuntimeError) as exc:
+        # A check that yields no value: a violated precondition, or a solver
+        # that did not converge (RuntimeError).
+        name = exc.check if isinstance(exc, CheckFailure) else "solver"
+        sys.stderr.write(f"first failing check: {name} ({exc})\n")
+        return 1
     except SystemExit as exc:
         # argparse already wrote its message; fold its exit into the return
         # value so callers of main() never see the exception.
         return exc.code if isinstance(exc.code, int) else 2
+    report = {"schema": SCHEMA, "command": args.command, **payload}
+    return _render(args, report, csv_header, csv_rows, checks)
 
 
 if __name__ == "__main__":

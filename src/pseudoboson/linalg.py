@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -60,7 +60,6 @@ class EigenReport:
     residuals: NDArray[np.float64] | None = None
     iterations: int = 0
     converged: bool = True
-    extras: dict = field(default_factory=dict)
 
 
 def _as_square(M) -> NDArray:

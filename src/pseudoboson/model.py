@@ -56,8 +56,7 @@ __all__ = [
     "diagonal_form_check",
     "eigen_residuals",
     "build_vacua",
-    "eigenstate",
-    "adjoint_eigenstate",
+    "eigenvector_families",
     "energy",
     "biorthogonality_matrix",
     "phase_similarity",
@@ -78,7 +77,8 @@ class ModelParams:
     pseudo-boson normalization norm_scale = (2 gamma rho)^(-1/2), defined only
     for gamma > 0. Negative gamma is rejected: the normalization would be
     imaginary, and the model at -gamma is unitarily equivalent anyway (negate
-    gamma and conjugate by the diagonal phase used in `similarity_check`).
+    gamma and conjugate by the diagonal phase used in `similarity_check`). So
+    is a gamma whose square overflows.
     """
 
     beta: float
@@ -89,6 +89,9 @@ class ModelParams:
             raise ValueError(
                 "gamma must be nonnegative; for a negative coupling negate gamma "
                 "and conjugate states by the diagonal phase similarity")
+        if not math.isfinite(self.gamma * self.gamma):
+            raise ValueError(f"gamma = {self.gamma:g} is too large: gamma^2 "
+                             "overflows in rho = sqrt(1 + gamma^2)")
 
     @property
     def rho(self) -> float:
@@ -236,41 +239,36 @@ def build_vacua(p: ModelParams, trunc: TruncationSpec) -> tuple[FockVector, Fock
     return FockVector(trunc, coeffs), FockVector(trunc, coeffs_p)
 
 
-def _check_state_depth(p: ModelParams, m: int, n: int, trunc: TruncationSpec):
-    if m < 0 or n < 0:
-        raise ValueError("quantum numbers must be nonnegative")
-    if m > trunc.n_max_a or n > trunc.n_max_b:
+def eigenvector_families(p: ModelParams, trunc: TruncationSpec, m_max: int,
+                         n_max: int) -> tuple[dict, dict]:
+    """Eigenvectors of H and of its adjoint over the (m, n) grid, keyed by (m, n).
+
+    Member (m, n) of the first family is c"^m d"^n applied to the vacuum, an
+    eigenvector of H with eigenvalue energy(p, m, n); member (m, n) of the
+    second applies the adjoints of c and d to the adjoint-family vacuum and is
+    an eigenvector of the adjoint. Raw raising powers, no factorial
+    normalization. The ladder set and the vacua are built once for the whole
+    grid; every member is raised d-first, then c, so each vector is the same
+    sequence of operator applications whatever the grid size.
+    """
+    if m_max > trunc.n_max_a or n_max > trunc.n_max_b:
         raise ValueError(
-            f"truncation too shallow for state ({m},{n}): "
-            f"need n_max_a >= {m} and n_max_b >= {n}")
-
-
-def eigenstate(p: ModelParams, m: int, n: int, trunc: TruncationSpec) -> FockVector:
-    """Eigenvector of H with eigenvalue energy(p, m, n): raw raising powers
-    applied to the vacuum (no factorial normalization)."""
-    _check_state_depth(p, m, n, trunc)
+            f"truncation too shallow for a ({m_max},{n_max}) grid: "
+            f"need n_max_a >= {m_max} and n_max_b >= {n_max}")
     ops = build_pseudoboson_ops(p, trunc)
-    v, _ = build_vacua(p, trunc)
-    for _ in range(n):
-        v = apply(ops.d_ddag, v)
-    for _ in range(m):
-        v = apply(ops.c_ddag, v)
-    return v
 
+    def family(raise_m: Operator, raise_n: Operator, vacuum: FockVector) -> dict:
+        columns = [vacuum]
+        for _ in range(n_max):
+            columns.append(apply(raise_n, columns[-1]))
+        rows = [columns]
+        for _ in range(m_max):
+            rows.append([apply(raise_m, v) for v in rows[-1]])
+        return {(m, n): v for m, row in enumerate(rows) for n, v in enumerate(row)}
 
-def adjoint_eigenstate(p: ModelParams, m: int, n: int, trunc: TruncationSpec) -> FockVector:
-    """Eigenvector of the adjoint Hamiltonian, built with the adjoints of the
-    lowering operators applied to the adjoint-family vacuum."""
-    _check_state_depth(p, m, n, trunc)
-    ops = build_pseudoboson_ops(p, trunc)
-    _, vp = build_vacua(p, trunc)
-    c_star = ops.c.adjoint()
-    d_star = ops.d.adjoint()
-    for _ in range(n):
-        vp = apply(d_star, vp)
-    for _ in range(m):
-        vp = apply(c_star, vp)
-    return vp
+    vac, vac_p = build_vacua(p, trunc)
+    return (family(ops.c_ddag, ops.d_ddag, vac),
+            family(ops.c.adjoint(), ops.d.adjoint(), vac_p))
 
 
 def energy(p: ModelParams, m: int, n: int) -> float:
@@ -290,13 +288,14 @@ def eigen_residuals(p: ModelParams, trunc: TruncationSpec,
     with the geometric truncation tail, so a deep enough truncation is the
     caller's responsibility (see `biorthogonality_matrix` for the heuristic).
     """
+    states, adj_states = eigenvector_families(p, trunc, m_max, n_max)
     H, H_adj = build_hamiltonian(p, trunc)
     rows = []
     for m in range(m_max + 1):
         for n in range(n_max + 1):
             e = energy(p, m, n)
-            v = eigenstate(p, m, n, trunc)
-            w = adjoint_eigenstate(p, m, n, trunc)
+            v = states[m, n]
+            w = adj_states[m, n]
             rv = apply(H, v).coeffs - e * v.coeffs
             rw = apply(H_adj, w).coeffs - e * w.coeffs
             res = float(np.sqrt((np.abs(rv) ** 2).sum())) / v.norm()
@@ -317,20 +316,22 @@ def biorthogonality_matrix(p: ModelParams, m_max: int, n_max: int,
     depth_budget = min(trunc.n_max_a, trunc.n_max_b) - m_max - n_max
     if p.alpha > 0:
         if depth_budget <= 0 or p.alpha ** depth_budget >= 1e-12:
+            if p.alpha == 1.0:
+                raise ValueError(f"gamma = {p.gamma:g} is too large: alpha rounds "
+                                 "to 1, so no truncation holds the vacuum tail")
             need = m_max + n_max + max(1, math.ceil(-12.0 / math.log10(p.alpha)))
             raise ValueError(
                 f"truncation too shallow for a ({m_max},{n_max}) grid: "
                 f"need both cutoffs >= {need}")
     labels = [(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
-    states = [eigenstate(p, m, n, trunc) for (m, n) in labels]
-    adj_states = [adjoint_eigenstate(p, m, n, trunc) for (m, n) in labels]
+    states, adj_states = eigenvector_families(p, trunc, m_max, n_max)
     size = len(labels)
     gram = np.zeros((size, size), dtype=complex)
-    for row, st in enumerate(states):
-        for col, ad in enumerate(adj_states):
-            gram[row, col] = inner_product(ad, st)
-    vac, vac_p = build_vacua(p, trunc)
-    scale = inner_product(vac_p, vac)
+    for row, st in enumerate(labels):
+        for col, ad in enumerate(labels):
+            gram[row, col] = inner_product(adj_states[ad], states[st])
+    # the (0, 0) members are the two vacua
+    scale = inner_product(adj_states[0, 0], states[0, 0])
     max_off = 0.0
     max_diag = 0.0
     for row, (m, n) in enumerate(labels):
@@ -344,11 +345,15 @@ def biorthogonality_matrix(p: ModelParams, m_max: int, n_max: int,
                         max_diag_error=max_diag, labels=labels)
 
 
+def _occupation_phases(states) -> NDArray[np.complex128]:
+    """(-i)^(m + n) for each occupation pair (m, n), read from an exact table."""
+    return np.array([_PHASES[(m + n) % 4] for m, n in states])
+
+
 def phase_similarity(trunc: TruncationSpec) -> Operator:
     """Diagonal phase operator with (-i)^(m+n) on |m, n>; unitary, and it
     conjugates H into its adjoint by flipping the sign of the coupling."""
-    phases = np.array([_PHASES[(m + n) % 4] for m, n in trunc.states()])
-    return Operator(trunc, np.diag(phases))
+    return Operator(trunc, np.diag(_occupation_phases(trunc.states())))
 
 
 def similarity_check(p: ModelParams, trunc: TruncationSpec) -> float:
@@ -358,7 +363,7 @@ def similarity_check(p: ModelParams, trunc: TruncationSpec) -> float:
     (rounding level) at any truncation.
     """
     H, H_adj = build_hamiltonian(p, trunc)
-    phases = np.array([_PHASES[(m + n) % 4] for m, n in trunc.states()])
+    phases = np.diag(phase_similarity(trunc).entries)
     conjugated = np.outer(phases, phases.conj()) * H.entries
     return float(np.abs(H_adj.entries - conjugated).max())
 

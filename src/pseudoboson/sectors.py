@@ -39,7 +39,7 @@ from numpy.typing import NDArray
 from .fock import Operator, TruncationSpec, build_ladder_ops, identity_op
 from .linalg import (_tridiag_matvec, eig_dense, eig_sym_tridiag,
                      multiset_distance, tridiag_eigenvectors)
-from .model import ModelParams, build_hamiltonian
+from .model import ModelParams, _occupation_phases, build_hamiltonian
 
 __all__ = [
     "SectorSpec",
@@ -73,9 +73,6 @@ __all__ = [
     "predicted_hermitian_lowest",
     "hermitian_variant_scan",
 ]
-
-_PHASES = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])
-
 
 @dataclass(frozen=True)
 class SectorSpec:
@@ -257,7 +254,7 @@ def pseudo_jacobi(spec: SectorSpec, p: ModelParams) -> NDArray[np.float64]:
 def sector_phase_vector(spec: SectorSpec) -> NDArray[np.complex128]:
     """Diagonal phases (-i)^(n_a + n_b) restricted to the sector: the sector
     slice of the full-space phase similarity."""
-    return np.array([_PHASES[(na + nb) % 4] for na, nb in sector_basis(spec)])
+    return _occupation_phases(sector_basis(spec))
 
 
 def transpose_similarity_check(spec: SectorSpec, p: ModelParams) -> float:

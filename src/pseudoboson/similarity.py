@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import eig_dense, multiset_distance, solve_matrix
+from .linalg import biorthonormalize, eig_dense, multiset_distance, solve_matrix
 
 __all__ = ["SimilarityReport", "verify_similarity"]
 
@@ -96,21 +96,9 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     # adjoint eigenvalue is the conjugate of the i-th direct one.
     spectrum_match = multiset_distance(direct.values, adjoint.values.conj())
 
-    phi = np.empty((n, n), dtype=complex)
-    psi = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        phi[:, i] = _largest_component_one(direct.vectors[:, i])
-        psi[:, i] = _largest_component_one(adjoint.vectors[:, i])
-        g = np.vdot(psi[:, i], phi[:, i])
-        if abs(g) <= 1e-12 * float(np.sqrt(np.sum(np.abs(psi[:, i]) ** 2))
-                                   * np.sqrt(np.sum(np.abs(phi[:, i]) ** 2))):
-            raise ValueError(
-                f"eigenvector pair {i} is numerically orthogonal; "
-                "the two families cannot be paired (matrix too non-normal "
-                "for this tolerance or eigenvalues misordered)")
-        psi[:, i] = psi[:, i] / np.conj(g)
-
-    gram = psi.conj().T @ phi
+    phi = np.column_stack([_largest_component_one(v) for v in direct.vectors.T])
+    psi = np.column_stack([_largest_component_one(v) for v in adjoint.vectors.T])
+    phi, psi, gram = biorthonormalize(phi, psi)
     off = gram - np.diag(np.diag(gram))
     biorth_error = float(np.abs(off).max())
 

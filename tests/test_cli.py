@@ -179,6 +179,25 @@ def test_bad_parameters_are_exit_two(capsys):
     assert run(capsys, "no-such-command")[0] == 2
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["spectrum", "--beta", "nan"], 2),
+    (["spectrum", "--gamma", "1e300"], 2),
+    (["emm", "--gamma", "1e200"], 2),
+    (["stability", "--lam", "inf"], 2),
+    (["sectors", "--beta", "nan", "--k-range", "0", "0", "--depth", "16"], 2),
+    (["sectors", "--gamma", "1e200", "--k-range", "0", "0", "--depth", "16"], 2),
+    (["biorth", "--gamma", "1e154", "--trunc", "20", "--m-max", "1",
+      "--n-max", "1"], 2),
+    (["sectors", "--gamma", "1e154", "--k-range", "0", "0", "--depth", "16"], 1),
+])
+def test_extreme_parameters_end_without_traceback(capsys, argv, code):
+    result, _, err = run(capsys, *argv)
+    assert result == code
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("first failing check: solver (")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "spectrum", "--out", str(target))
@@ -202,3 +221,11 @@ def test_verify_all_reduced(capsys):
     assert "emm_eigenvalue_multiset" in names
     assert "instability_witness" in names
     assert all(s["passed"] for s in payload["suites"])
+
+
+def test_verify_all_accepts_depths_sectors_rejects(capsys):
+    # sectors wants a multiple of 4; verify-all samples depth // 4 as given
+    code, out, _ = run(capsys, "verify-all", "--gamma", "0.15", "--trunc", "20",
+                       "--depth", "30")
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True

@@ -16,7 +16,7 @@ from pseudoboson.model import (
     commutation_report,
     diagonal_form_check,
     eigen_residuals,
-    eigenstate,
+    eigenvector_families,
     energy,
     energy_grid,
     phase_similarity,
@@ -146,7 +146,45 @@ def test_eigen_residuals_deep_truncation():
 
 def test_eigenstate_rejects_occupation_beyond_cutoff():
     with pytest.raises(ValueError, match="too shallow"):
-        eigenstate(P, 5, 3, TruncationSpec(4, 4))
+        eigenvector_families(P, TruncationSpec(4, 4), 5, 3)
+
+
+def test_families_are_ladder_powers_on_the_vacua():
+    trunc = TruncationSpec(12, 12)
+    ops = build_pseudoboson_ops(P, trunc)
+    vac, vac_adj = build_vacua(P, trunc)
+    states, adj_states = eigenvector_families(P, trunc, 2, 3)
+    assert list(states) == [(m, n) for m in range(3) for n in range(4)]
+    v, w = vac, vac_adj
+    for _ in range(3):
+        v = apply(ops.d_ddag, v)
+        w = apply(ops.d.adjoint(), w)
+    for _ in range(2):
+        v = apply(ops.c_ddag, v)
+        w = apply(ops.c.adjoint(), w)
+    # raised d first, then c, as the grid does: the same bits
+    assert np.array_equal(states[2, 3].coeffs, v.coeffs)
+    assert np.array_equal(adj_states[2, 3].coeffs, w.coeffs)
+    # a member does not depend on the size of the grid it was built in
+    small, small_adj = eigenvector_families(P, trunc, 1, 1)
+    assert np.array_equal(small[1, 1].coeffs, states[1, 1].coeffs)
+    assert np.array_equal(small_adj[1, 1].coeffs, adj_states[1, 1].coeffs)
+
+
+@pytest.mark.parametrize("grid_check", [
+    lambda trunc: eigen_residuals(P, trunc, 3, 3),
+    lambda trunc: biorthogonality_matrix(P, 4, 4, trunc),
+], ids=["eigen_residuals", "biorthogonality_matrix"])
+def test_grid_checks_build_the_ladder_set_once(monkeypatch, grid_check):
+    calls = []
+
+    def counted(p, trunc):
+        calls.append(trunc)
+        return build_pseudoboson_ops(p, trunc)
+
+    monkeypatch.setattr("pseudoboson.model.build_pseudoboson_ops", counted)
+    grid_check(TruncationSpec(34, 34))
+    assert len(calls) == 1
 
 
 def test_biorthogonality_gram_values():
