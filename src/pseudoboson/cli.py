@@ -335,7 +335,10 @@ def run_stability(args):
 
 
 def run_theorem1(args):
-    return _similarity_report(args, _read_matrix(args.input))
+    matrix = _read_matrix(args.input)
+    if not np.all(np.isfinite(matrix)):
+        raise UsageError(f"{args.input}: matrix entries must be finite")
+    return _similarity_report(args, matrix)
 
 
 def _similarity_report(args, matrix: np.ndarray):

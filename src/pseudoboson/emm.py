@@ -168,7 +168,8 @@ def model_emm_eigenpairs(p: ModelParams) -> EmmSolution:
     beta+rho with (1+rho, 0, 0, -gamma); vectors unnormalized (the
     pseudo-boson normalization is applied only when building operators).
     The eigenvectors mix one creation with the opposite annihilation and are
-    exactly the pseudo-boson ladder directions. At gamma = 0 each vector is
+    exactly the pseudo-boson ladder directions; rho - 1 is evaluated as
+    gamma^2 / (1 + rho), free of cancellation. At gamma = 0 each vector is
     the gamma -> 0 limit of its direction, a coordinate axis: e3 for
     -beta-rho, e4 for beta-rho, e2 for -beta+rho, e1 for beta+rho.
     """
@@ -184,8 +185,8 @@ def model_emm_eigenpairs(p: ModelParams) -> EmmSolution:
         ]
     else:
         raw = [
-            (-beta - rho, np.array([0.0, -1.0 + rho, gamma, 0.0])),
-            (beta - rho, np.array([-1.0 + rho, 0.0, 0.0, gamma])),
+            (-beta - rho, np.array([0.0, gamma * gamma / (1.0 + rho), gamma, 0.0])),
+            (beta - rho, np.array([gamma * gamma / (1.0 + rho), 0.0, 0.0, gamma])),
             (-beta + rho, np.array([0.0, 1.0 + rho, -gamma, 0.0])),
             (beta + rho, np.array([1.0 + rho, 0.0, 0.0, -gamma])),
         ]
@@ -234,8 +235,9 @@ class Su11Secular:
 
 def su11_secular(gamma: float) -> Su11Secular:
     """Eigenpairs of the secular matrix: -2 rho, 0, 2 rho with vectors
-    ((rho-1)/gamma, gamma/(rho-1), 1), (gamma, -gamma, 1) and
-    ((1+rho)/gamma, gamma/(1+rho), -1) for gamma != 0.
+    (alpha, 1/alpha, 1), (gamma, -gamma, 1) and (1/alpha, alpha, -1) for
+    gamma != 0, where alpha = gamma/(1+rho) = (rho-1)/gamma; the first form
+    avoids the cancellation in rho - 1 at small gamma.
 
     The +-2 rho vectors are the coefficient triples of the tilted sector
     ladder operators. The matrix is not symmetric, so left and right
@@ -252,7 +254,7 @@ def su11_secular(gamma: float) -> Su11Secular:
     rho = float(np.sqrt(1.0 + gamma ** 2))
     pairs = [
         (complex(-2.0 * rho),
-         np.array([(-1.0 + rho) / gamma, gamma / (-1.0 + rho), 1.0], dtype=complex)),
+         np.array([gamma / (1.0 + rho), (1.0 + rho) / gamma, 1.0], dtype=complex)),
         (complex(0.0), np.array([gamma, -gamma, 1.0], dtype=complex)),
         (complex(2.0 * rho),
          np.array([(1.0 + rho) / gamma, gamma / (1.0 + rho), -1.0], dtype=complex)),

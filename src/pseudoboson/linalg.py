@@ -52,7 +52,9 @@ class EigenReport:
     values are sorted by (real part, imaginary part). residuals, when
     computed, are two-norm residuals ||M v - lambda v|| for unit-norm v,
     aligned with values; the convergence contract compares them against
-    1e-8 times the matrix norm. iterations counts QR sweeps.
+    1e-8 times the matrix norm, and converged is False when a pair misses
+    it (from `eig_sym_tridiag`, when QL stalls). iterations counts QR
+    sweeps; QR that does not converge raises RuntimeError instead.
     """
 
     values: NDArray[np.complex128]
@@ -71,33 +73,51 @@ def _as_square(M) -> NDArray:
     return A
 
 
-def _frobenius(A: NDArray) -> float:
-    return float(np.sqrt((np.abs(A) ** 2).sum()))
-
-
 def _norm2(x) -> float:
-    return float(np.sqrt((np.abs(np.asarray(x)) ** 2).sum()))
+    """Euclidean norm: the plain sum of squares, rescaled by the largest entry
+    when that sum under- or overflows."""
+    a = np.abs(np.asarray(x))
+    norm = float(np.sqrt((a ** 2).sum()))
+    if 1e-150 < norm < 1e150:
+        return norm
+    big = float(a.max(initial=0.0))
+    if big == 0.0 or not math.isfinite(big):
+        return norm
+    return big * float(np.sqrt(((a / big) ** 2).sum()))
+
+
+def _householder(x) -> NDArray | None:
+    """Unit v with (I - 2 v v^H) x along e_1, or None when x is zero."""
+    xnorm = _norm2(x)
+    if xnorm == 0.0:
+        return None
+    v = np.array(x)
+    phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
+    v[0] += phase * xnorm
+    return v / _norm2(v)
+
+
+def _apply_reflector(B: NDArray, k: int, col, m: int) -> bool:
+    """Apply, on rows and columns k .. k + len(col) - 1 of the m x m block B,
+    the Householder similarity that maps col onto its first axis; False when
+    col is zero and nothing was applied."""
+    v = _householder(col)
+    if v is None:
+        return False
+    w = len(col)
+    r0 = max(k - 1, 0)
+    B[k:k + w, r0:] -= 2.0 * np.outer(v, v.conj() @ B[k:k + w, r0:])
+    r1 = min(k + w + 1, m)
+    B[:r1, k:k + w] -= 2.0 * np.outer(B[:r1, k:k + w] @ v, v.conj())
+    return True
 
 
 def _hessenberg(A: NDArray) -> NDArray:
     """In-place reduction to upper Hessenberg form by Householder reflectors."""
     n = A.shape[0]
     for k in range(n - 2):
-        x = A[k + 1:, k]
-        xnorm = _norm2(x)
-        if xnorm == 0.0:
-            continue
-        v = x.copy()
-        pivot = v[0]
-        phase = pivot / abs(pivot) if pivot != 0 else 1.0
-        v[0] += phase * xnorm
-        vnorm = _norm2(v)
-        if vnorm == 0.0:
-            continue
-        v = v / vnorm
-        A[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ A[k + 1:, k:])
-        A[:, k + 1:] -= 2.0 * np.outer(A[:, k + 1:] @ v, v.conj())
-        A[k + 2:, k] = 0.0
+        if _apply_reflector(A, k + 1, A[k + 1:, k], n):
+            A[k + 2:, k] = 0.0
     return A
 
 
@@ -127,42 +147,6 @@ def _eig2_complex(a, b, c, d) -> tuple[complex, complex]:
     elif l2 != 0:
         l1 = det / l2
     return complex(l1), complex(l2)
-
-
-def _apply_reflector_3(B: NDArray, k: int, x, y, z, m: int) -> None:
-    """Apply the Householder similarity that zeroes (y, z) against x at column k."""
-    col = np.array([x, y, z])
-    cn = _norm2(col)
-    if cn == 0.0:
-        return
-    v = col.copy()
-    phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
-    v[0] += phase * cn
-    vn = _norm2(v)
-    if vn == 0.0:
-        return
-    v = v / vn
-    r0 = max(k - 1, 0)
-    B[k:k + 3, r0:] -= 2.0 * np.outer(v, v.conj() @ B[k:k + 3, r0:])
-    r1 = min(k + 4, m)
-    B[:r1, k:k + 3] -= 2.0 * np.outer(B[:r1, k:k + 3] @ v, v.conj())
-
-
-def _apply_reflector_2(B: NDArray, k: int, x, y, m: int) -> None:
-    col = np.array([x, y])
-    cn = _norm2(col)
-    if cn == 0.0:
-        return
-    v = col.copy()
-    phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
-    v[0] += phase * cn
-    vn = _norm2(v)
-    if vn == 0.0:
-        return
-    v = v / vn
-    r0 = max(k - 1, 0)
-    B[k:k + 2, r0:] -= 2.0 * np.outer(v, v.conj() @ B[k:k + 2, r0:])
-    B[:m, k:k + 2] -= 2.0 * np.outer(B[:m, k:k + 2] @ v, v.conj())
 
 
 def _shift_pair(a: float, b: float, c: float, d: float):
@@ -196,17 +180,21 @@ def _first_column(H: NDArray, k: int, rt1r, rt1i, rt2r, rt2i):
     return x, y, z
 
 
-def _real_qr_eigenvalues(H: NDArray, max_sweeps: int) -> tuple[list[complex], int, bool]:
-    """Francis implicit double-shift QR on a real upper Hessenberg matrix."""
+def _qr_eigenvalues(H: NDArray, max_sweeps: int, sweep,
+                    block2=None) -> tuple[list[complex], int]:
+    """Eigenvalues of an upper Hessenberg matrix by shifted QR, in place.
+
+    Deflates 1x1 blocks from the bottom, and 2x2 blocks through block2 when
+    given; otherwise sweep(H, lo, hi, stall) runs one QR sweep on the
+    unreduced block lo..hi, stall counting sweeps since the last deflation.
+    Raises RuntimeError when max_sweeps sweeps leave values undeflated.
+    """
     n = H.shape[0]
     eigs: list[complex] = []
     hi = n - 1
     sweeps = 0
     stall = 0
     while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(H[0, 0]))
-            break
         lo = hi
         while lo > 0:
             s = abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])
@@ -221,56 +209,54 @@ def _real_qr_eigenvalues(H: NDArray, max_sweeps: int) -> tuple[list[complex], in
             hi -= 1
             stall = 0
             continue
-        if lo == hi - 1:
-            eigs.extend(_eig2_real(H[hi - 1, hi - 1], H[hi - 1, hi],
-                                   H[hi, hi - 1], H[hi, hi]))
+        if block2 is not None and lo == hi - 1:
+            eigs.extend(block2(H[hi - 1, hi - 1], H[hi - 1, hi],
+                               H[hi, hi - 1], H[hi, hi]))
             hi -= 2
             stall = 0
             continue
         if sweeps >= max_sweeps:
-            # everything not yet deflated contributes its diagonal entry so
-            # the report still carries one value per dimension
-            for i in range(hi + 1):
-                eigs.append(complex(H[i, i]))
-            return eigs, sweeps, False
+            raise RuntimeError(
+                f"QR iteration did not converge on a {n}x{n} matrix after "
+                f"{sweeps} sweeps")
         sweeps += 1
         stall += 1
-        if stall % 11 == 0:
-            # exceptional shift pair after repeated stalls (ad hoc EISPACK choice)
-            w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
-            rt1r, rt1i, rt2r, rt2i = 1.75 * w, 0.0, -0.25 * w, 0.0
-        else:
-            rt1r, rt1i, rt2r, rt2i = _shift_pair(
-                H[hi - 1, hi - 1], H[hi - 1, hi], H[hi, hi - 1], H[hi, hi])
-        # a tiny interior subdiagonal kills the bulge as it passes, so the
-        # shifts never reach the bottom; start below any such entry instead
-        # (two-consecutive-small-subdiagonals test)
-        start = lo
-        k = hi - 2
-        while k > lo:
-            x, y, z = _first_column(H, k, rt1r, rt1i, rt2r, rt2i)
-            s = abs(x) + abs(y) + abs(z)
-            if s != 0.0:
-                x, y, z = x / s, y / s, z / s
-            anchor = abs(x) * (abs(H[k - 1, k - 1]) + abs(H[k, k])
-                               + abs(H[k + 1, k + 1]))
-            if anchor + abs(H[k, k - 1]) * (abs(y) + abs(z)) == anchor:
-                start = k
-                break
-            k -= 1
-        B = H[start:hi + 1, start:hi + 1]
-        m = B.shape[0]
-        x, y, z = _first_column(H, start, rt1r, rt1i, rt2r, rt2i)
-        for k in range(m - 2):
-            _apply_reflector_3(B, k, x, y, z, m)
-            x = B[k + 1, k]
-            y = B[k + 2, k]
-            if k < m - 3:
-                z = B[k + 3, k]
-            else:
-                z = 0.0
-        _apply_reflector_2(B, m - 2, x, y, m)
-    return eigs, sweeps, True
+        sweep(H, lo, hi, stall)
+    return eigs, sweeps
+
+
+def _francis_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
+    """One Francis implicit double-shift sweep on a real Hessenberg block."""
+    if stall % 11 == 0:
+        # exceptional shift pair after repeated stalls (ad hoc EISPACK choice)
+        w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
+        rt1r, rt1i, rt2r, rt2i = 1.75 * w, 0.0, -0.25 * w, 0.0
+    else:
+        rt1r, rt1i, rt2r, rt2i = _shift_pair(
+            H[hi - 1, hi - 1], H[hi - 1, hi], H[hi, hi - 1], H[hi, hi])
+    # a tiny interior subdiagonal kills the bulge as it passes, so the
+    # shifts never reach the bottom; start below any such entry instead
+    # (two-consecutive-small-subdiagonals test)
+    start = lo
+    k = hi - 2
+    while k > lo:
+        x, y, z = _first_column(H, k, rt1r, rt1i, rt2r, rt2i)
+        s = abs(x) + abs(y) + abs(z)
+        if s != 0.0:
+            x, y, z = x / s, y / s, z / s
+        anchor = abs(x) * (abs(H[k - 1, k - 1]) + abs(H[k, k])
+                           + abs(H[k + 1, k + 1]))
+        if anchor + abs(H[k, k - 1]) * (abs(y) + abs(z)) == anchor:
+            start = k
+            break
+        k -= 1
+    B = H[start:hi + 1, start:hi + 1]
+    m = B.shape[0]
+    # the bulge column is three long until the last step, which takes two
+    col = _first_column(H, start, rt1r, rt1i, rt2r, rt2i)
+    for k in range(m - 1):
+        _apply_reflector(B, k, col, m)
+        col = B[k + 1:k + 4, k]
 
 
 def _givens(f, g) -> tuple[float, complex]:
@@ -286,64 +272,35 @@ def _givens(f, g) -> tuple[float, complex]:
     return c, complex(s)
 
 
-def _complex_qr_eigenvalues(H: NDArray, max_sweeps: int) -> tuple[list[complex], int, bool]:
-    """Single-shift implicit QR with Wilkinson shifts on a complex Hessenberg matrix."""
-    n = H.shape[0]
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    stall = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(H[0, 0]))
-            break
-        lo = hi
-        while lo > 0:
-            s = abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])
-            if s == 0.0:
-                s = 1.0
-            if abs(H[lo, lo - 1]) <= DEFLATION_TOL * s:
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(H[hi, hi]))
-            hi -= 1
-            stall = 0
-            continue
-        if sweeps >= max_sweeps:
-            for i in range(lo, hi + 1):
-                eigs.append(complex(H[i, i]))
-            return eigs, sweeps, False
-        sweeps += 1
-        stall += 1
-        B = H[lo:hi + 1, lo:hi + 1]
-        m = B.shape[0]
-        if stall % 11 == 0:
-            sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
-        else:
-            e1, e2 = _eig2_complex(B[m - 2, m - 2], B[m - 2, m - 1],
-                                   B[m - 1, m - 2], B[m - 1, m - 1])
-            corner = B[m - 1, m - 1]
-            sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
-        x = B[0, 0] - sigma
-        z = B[1, 0]
-        for k in range(m - 1):
-            c, s = _givens(x, z)
-            r0 = max(k - 1, 0)
-            rk = B[k, r0:].copy()
-            rk1 = B[k + 1, r0:].copy()
-            B[k, r0:] = c * rk + s * rk1
-            B[k + 1, r0:] = -np.conj(s) * rk + c * rk1
-            r1 = min(k + 2, m - 1)
-            ck = B[:r1 + 1, k].copy()
-            ck1 = B[:r1 + 1, k + 1].copy()
-            B[:r1 + 1, k] = c * ck + np.conj(s) * ck1
-            B[:r1 + 1, k + 1] = -s * ck + c * ck1
-            if k < m - 2:
-                x = B[k + 1, k]
-                z = B[k + 2, k]
-    return eigs, sweeps, True
+def _wilkinson_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
+    """One implicit single-shift sweep with a Wilkinson shift on a complex
+    Hessenberg block, by Givens rotations."""
+    B = H[lo:hi + 1, lo:hi + 1]
+    m = B.shape[0]
+    if stall % 11 == 0:
+        sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
+    else:
+        e1, e2 = _eig2_complex(B[m - 2, m - 2], B[m - 2, m - 1],
+                               B[m - 1, m - 2], B[m - 1, m - 1])
+        corner = B[m - 1, m - 1]
+        sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
+    x = B[0, 0] - sigma
+    z = B[1, 0]
+    for k in range(m - 1):
+        c, s = _givens(x, z)
+        r0 = max(k - 1, 0)
+        rk = B[k, r0:].copy()
+        rk1 = B[k + 1, r0:].copy()
+        B[k, r0:] = c * rk + s * rk1
+        B[k + 1, r0:] = -np.conj(s) * rk + c * rk1
+        r1 = min(k + 2, m - 1)
+        ck = B[:r1 + 1, k].copy()
+        ck1 = B[:r1 + 1, k + 1].copy()
+        B[:r1 + 1, k] = c * ck + np.conj(s) * ck1
+        B[:r1 + 1, k + 1] = -s * ck + c * ck1
+        if k < m - 2:
+            x = B[k + 1, k]
+            z = B[k + 2, k]
 
 
 def _lu_factor(A: NDArray, fix_singular: bool = False):
@@ -543,12 +500,14 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     single-shift Wilkinson QR. Eigenvectors, when requested, are recovered by
     inverse iteration with a slightly perturbed shift. Every reported pair
     satisfies the residual contract (relative residual <= 1e-8 times the
-    matrix norm) or the report is flagged converged=False.
+    matrix norm) or the report is flagged converged=False. Raises
+    RuntimeError when QR needs more than MAX_SWEEPS_PER_DIM sweeps per
+    dimension.
     """
     A0 = _as_square(M)
     n = A0.shape[0]
     if n == 0:
-        return EigenReport(values=np.zeros(0, complex), converged=True)
+        return EigenReport(values=np.zeros(0, complex))
     is_real = not np.iscomplexobj(A0) or not np.any(A0.imag)
     if n == 1:
         values = np.array([complex(A0[0, 0])])
@@ -558,14 +517,14 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     max_sweeps = MAX_SWEEPS_PER_DIM * n
     if is_real:
         H = _hessenberg(np.array(A0.real, dtype=float, copy=True))
-        eigs, sweeps, ok = _real_qr_eigenvalues(H, max_sweeps)
+        eigs, sweeps = _qr_eigenvalues(H, max_sweeps, _francis_sweep, _eig2_real)
     else:
         H = _hessenberg(np.array(A0, dtype=complex, copy=True))
-        eigs, sweeps, ok = _complex_qr_eigenvalues(H, max_sweeps)
+        eigs, sweeps = _qr_eigenvalues(H, max_sweeps, _wilkinson_sweep)
     values = np.array(eigs, dtype=complex)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
-    report = EigenReport(values=values, iterations=sweeps, converged=ok)
+    report = EigenReport(values=values, iterations=sweeps)
     if want_vectors:
         A = np.array(A0, dtype=complex)
         eye = np.eye(n)
@@ -574,7 +533,7 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
             return functools.partial(
                 _lu_solve, _lu_factor(A - shift * eye, fix_singular=True))
 
-        _attach_vectors(report, n, factor_shifted, lambda v: A @ v, _frobenius(A))
+        _attach_vectors(report, n, factor_shifted, lambda v: A @ v, _norm2(A))
     return report
 
 

@@ -159,8 +159,10 @@ def build_pseudoboson_ops(p: ModelParams, trunc: TruncationSpec) -> PseudoBosonS
 
     c = N ((rho-1) b' + gamma a),  d = N ((rho-1) a' + gamma b),
     d" = N ((rho+1) b' - gamma a),  c" = N ((rho+1) a' - gamma b),
-    with N = (2 gamma rho)^(-1/2). At gamma = 0 the construction degenerates
-    (N diverges); the ordinary bosons are returned with the degenerate flag.
+    with N = (2 gamma rho)^(-1/2). rho - 1 is evaluated as gamma^2 / (1 + rho),
+    which keeps small gamma free of cancellation. At gamma = 0 the
+    construction degenerates (N diverges); the ordinary bosons are returned
+    with the degenerate flag.
     """
     a, b, a_dag, b_dag = build_ladder_ops(trunc)
     if p.gamma == 0:
@@ -168,8 +170,8 @@ def build_pseudoboson_ops(p: ModelParams, trunc: TruncationSpec) -> PseudoBosonS
     N = p.norm_scale
     rho = p.rho
     g = p.gamma
-    c = N * ((-1.0 + rho) * b_dag + g * a)
-    d = N * ((-1.0 + rho) * a_dag + g * b)
+    c = N * ((g * g / (1.0 + rho)) * b_dag + g * a)
+    d = N * ((g * g / (1.0 + rho)) * a_dag + g * b)
     d_ddag = N * ((1.0 + rho) * b_dag - g * a)
     c_ddag = N * ((1.0 + rho) * a_dag - g * b)
     return PseudoBosonSet(c=c, d=d, c_ddag=c_ddag, d_ddag=d_ddag)
@@ -287,6 +289,7 @@ def eigen_residuals(p: ModelParams, trunc: TruncationSpec,
     adjoint_residual the same for the adjoint family under H'. Both decay
     with the geometric truncation tail, so a deep enough truncation is the
     caller's responsibility (see `biorthogonality_matrix` for the heuristic).
+    A member that underflows to zero at tiny gamma raises ValueError.
     """
     states, adj_states = eigenvector_families(p, trunc, m_max, n_max)
     H, H_adj = build_hamiltonian(p, trunc)
@@ -298,8 +301,11 @@ def eigen_residuals(p: ModelParams, trunc: TruncationSpec,
             w = adj_states[m, n]
             rv = apply(H, v).coeffs - e * v.coeffs
             rw = apply(H_adj, w).coeffs - e * w.coeffs
-            res = float(np.sqrt((np.abs(rv) ** 2).sum())) / v.norm()
-            res_adj = float(np.sqrt((np.abs(rw) ** 2).sum())) / w.norm()
+            norm_v, norm_w = v.norm(), w.norm()
+            if norm_v == 0.0 or norm_w == 0.0:
+                raise ValueError(f"gamma too small: eigenvector ({m},{n}) underflows")
+            res = float(np.sqrt((np.abs(rv) ** 2).sum())) / norm_v
+            res_adj = float(np.sqrt((np.abs(rw) ** 2).sum())) / norm_w
             rows.append({"m": m, "n": n, "energy": e,
                          "residual": res, "adjoint_residual": res_adj})
     return rows

@@ -44,7 +44,6 @@ from .model import ModelParams, _occupation_phases, build_hamiltonian
 __all__ = [
     "SectorSpec",
     "Su11Generators",
-    "PseudoSu11Generators",
     "SectorSpectrum",
     "SectorConvergence",
     "FullSectorComparison",
@@ -88,30 +87,11 @@ class SectorSpec:
 
 @dataclass(frozen=True)
 class Su11Generators:
-    """An su(1,1) triple as depth x depth matrices.
+    """An su(1,1) triple as depth x depth matrices, with [minus, plus] = zero
+    and [zero, plus] = 2 plus.
 
-    variant "lowest" is the self-adjoint sector representation (raising is the
-    transpose of lowering, diagonal positive, annihilated from below);
-    variant "highest" swaps raising with lowering and negates the diagonal,
-    giving the mirrored representation whose raising operator kills the j = 0
-    state. Both satisfy [lowering, raising] = diagonal and
-    [diagonal, raising] = 2 raising.
-    """
-
-    plus: NDArray[np.float64]
-    minus: NDArray[np.float64]
-    zero: NDArray[np.float64]
-    variant: str = "lowest"
-
-
-@dataclass(frozen=True)
-class PseudoSu11Generators:
-    """The tilted (non-self-adjoint) su(1,1) triple of sector k.
-
-    Same commutation relations and Casimir value as the self-adjoint triple,
-    but raising and lowering are no longer transposes of each other and the
-    diagonal generator is full tridiagonal: zero = (sector Hamiltonian at
-    beta = 0) / rho.
+    `su11_generators` builds the self-adjoint sector representation and its
+    mirror, `pseudo_su11_generators` the tilted, non-self-adjoint one.
     """
 
     plus: NDArray[np.float64]
@@ -176,18 +156,23 @@ def _interior_max(x: NDArray, margin: int) -> float:
 
 
 def su11_generators(spec: SectorSpec, variant: str = "lowest") -> Su11Generators:
-    """The sector su(1,1) triple; see the class docstring for the variants."""
+    """The sector su(1,1) triple.
+
+    variant "lowest" is the self-adjoint sector representation (raising is the
+    transpose of lowering, diagonal positive, annihilated from below);
+    variant "highest" swaps raising with lowering and negates the diagonal,
+    giving the mirrored representation whose raising operator kills the j = 0
+    state.
+    """
     j = np.arange(1, spec.depth, dtype=float)
     coeff = np.sqrt(j * (abs(spec.k) + j))
     raising = np.diag(coeff, -1)
     lowering = raising.T.copy()
     diagonal = np.diag(abs(spec.k) + 1.0 + 2.0 * np.arange(spec.depth, dtype=float))
     if variant == "lowest":
-        return Su11Generators(plus=raising, minus=lowering, zero=diagonal,
-                              variant=variant)
+        return Su11Generators(plus=raising, minus=lowering, zero=diagonal)
     if variant == "highest":
-        return Su11Generators(plus=lowering, minus=raising, zero=-diagonal,
-                              variant=variant)
+        return Su11Generators(plus=lowering, minus=raising, zero=-diagonal)
     raise ValueError(f"unknown variant {variant!r}; expected 'lowest' or 'highest'")
 
 
@@ -266,18 +251,24 @@ def transpose_similarity_check(spec: SectorSpec, p: ModelParams) -> float:
     return float(np.abs(m.T - conjugated).max())
 
 
-def pseudo_su11_generators(spec: SectorSpec, gamma: float) -> PseudoSu11Generators:
+def pseudo_su11_generators(spec: SectorSpec, gamma: float) -> Su11Generators:
     """The tilted su(1,1) triple of sector k at coupling gamma.
 
-    With rho = sqrt(1 + gamma^2) and the self-adjoint triple (R, L, Z):
+    Same commutation relations and Casimir value as the self-adjoint triple,
+    but raising and lowering are no longer transposes of each other and the
+    diagonal generator is full tridiagonal: zero = (sector Hamiltonian at
+    beta = 0) / rho. With rho = sqrt(1 + gamma^2), alpha = gamma / (1 + rho)
+    and the self-adjoint triple (R, L, Z):
 
-        plus  = (gamma / 2 rho) ( ((1+rho)/gamma) R + (gamma/(1+rho)) L - Z )
-        minus = (gamma / 2 rho) ( ((rho-1)/gamma) R + (gamma/(rho-1)) L + Z )
+        plus  = (gamma / 2 rho) ( R / alpha + alpha L - Z )
+        minus = (gamma / 2 rho) ( alpha R + L / alpha + Z )
         zero  = (1/rho) ( Z + gamma (R - L) )
 
     The coefficient triples of plus and minus are the +-2 rho eigenvectors of
-    the sector secular matrix (see `emm.su11_secular`). Undefined at
-    gamma = 0, where the tilt degenerates to the self-adjoint triple.
+    the sector secular matrix (see `emm.su11_secular`); alpha = (rho - 1) /
+    gamma is computed without that cancellation, so small gamma stays
+    accurate. Undefined at gamma = 0, where the tilt degenerates to the
+    self-adjoint triple.
     """
     if gamma == 0:
         raise ValueError("tilted triple undefined at gamma = 0; "
@@ -287,9 +278,9 @@ def pseudo_su11_generators(spec: SectorSpec, gamma: float) -> PseudoSu11Generato
     r, el, z = base.plus, base.minus, base.zero
     front = gamma / (2.0 * rho)
     plus = front * (((1.0 + rho) / gamma) * r + (gamma / (1.0 + rho)) * el - z)
-    minus = front * (((-1.0 + rho) / gamma) * r + (gamma / (-1.0 + rho)) * el + z)
+    minus = front * ((gamma / (1.0 + rho)) * r + ((1.0 + rho) / gamma) * el + z)
     zero = (z + gamma * (r - el)) / rho
-    return PseudoSu11Generators(plus=plus, minus=minus, zero=zero)
+    return Su11Generators(plus=plus, minus=minus, zero=zero)
 
 
 def lowest_weight_vector(spec: SectorSpec, gamma: float) -> NDArray[np.float64]:
@@ -361,12 +352,7 @@ def sector_spectrum(spec: SectorSpec, p: ModelParams, n_eigs: int = 3) -> Sector
     if n_eigs < 1 or n_eigs > spec.depth:
         raise ValueError("n_eigs must be between 1 and the sector depth")
     m = pseudo_jacobi(spec, p)
-    report = eig_dense(m)
-    if not report.converged:
-        raise RuntimeError(
-            f"eigensolver did not converge on sector k={spec.k} depth "
-            f"{spec.depth} after {report.iterations} sweeps")
-    kept = report.values[:n_eigs]
+    kept = eig_dense(m).values[:n_eigs]
     sub, diag, sup = np.diag(m, -1), np.diag(m), np.diag(m, 1)
     pairs = tridiag_eigenvectors(sub, diag, sup, kept)
     if not pairs.converged:

@@ -154,6 +154,35 @@ def test_theorem1_precondition_failure_is_exit_one(tmp_path, capsys):
     assert "first failing check: precondition" in err
 
 
+@pytest.mark.parametrize("name, text", [
+    ("nan.json", '{"n": 2, "re": [[1.0, NaN], [0.0, 2.0]]}'),
+    ("inf.json", '{"n": 2, "re": [[1.0, 0.0], [0.0, 2.0]], '
+                 '"im": [[0.0, Infinity], [0.0, 0.0]]}'),
+    ("nan.csv", "1.0,0.0,nan,0.0\n0.0,0.0,2.0,0.0\n"),
+    ("inf.csv", "1.0,0.0,1.0,-inf\n0.0,0.0,2.0,0.0\n"),
+], ids=["nan-json", "inf-json", "nan-csv", "inf-csv"])
+def test_theorem1_non_finite_input_is_exit_two(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "theorem1", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_theorem1_qr_non_convergence_is_solver_failure(tmp_path, capsys):
+    # entries near 1e300 overflow the 2x2 shift, so QR never deflates; that
+    # is solver trouble, not a precondition failure of the matrix
+    rng = np.random.default_rng(5)
+    m = 1e300 * (rng.uniform(0.5, 1.0, (3, 3)) + 1j * rng.uniform(0.5, 1.0, (3, 3)))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 3, "re": m.real.tolist(), "im": m.imag.tolist()}))
+    code, out, err = run(capsys, "theorem1", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("first failing check: solver (")
+
+
 def test_theorem1_malformed_input_is_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,3.0\n")
@@ -189,6 +218,14 @@ def test_bad_parameters_are_exit_two(capsys):
     (["biorth", "--gamma", "1e154", "--trunc", "20", "--m-max", "1",
       "--n-max", "1"], 2),
     (["sectors", "--gamma", "1e154", "--k-range", "0", "0", "--depth", "16"], 1),
+    # rho - 1 rounds to 0 (or loses its digits) at small gamma; the closed
+    # forms avoid that difference, and norms rescale once squares underflow
+    (["emm", "--gamma", "1e-7"], 0),
+    (["emm", "--gamma", "1e-9"], 0),
+    (["emm", "--gamma", "1e-160"], 0),
+    (["emm", "--gamma", "1e-300"], 0),
+    (["verify-all", "--gamma", "1e-9", "--trunc", "20", "--depth", "32"], 0),
+    (["verify-all", "--gamma", "1e-100", "--trunc", "20", "--depth", "32"], 2),
 ])
 def test_extreme_parameters_end_without_traceback(capsys, argv, code):
     result, _, err = run(capsys, *argv)

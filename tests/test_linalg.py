@@ -6,10 +6,14 @@ where the hand-rolled QR/QL/LU routines are compared against it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pseudoboson import linalg
 from pseudoboson.linalg import (
     _lu_factor,
     _lu_solve,
+    _norm2,
     _tridiag_lu_factor,
     _tridiag_lu_solve,
     biorthonormalize,
@@ -89,6 +93,62 @@ def test_eig_dense_vectors_satisfy_residual_contract():
         assert abs(np.sqrt((np.abs(v) ** 2).sum()) - 1.0) < 1e-12
         assert residual(m, lam, v) < 1e-8 * scale
         assert report.residuals[i] < 1e-8 * scale
+
+
+def _test_matrix(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "complex":
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = rng.standard_normal((n, n))
+    if kind == "hessenberg":
+        # some subdiagonal entries zero, so the matrix splits into blocks
+        sub = np.arange(n - 1)
+        m = np.triu(m, -1)
+        m[sub + 1, sub] *= rng.integers(0, 2, n - 1)
+    elif kind == "pseudo_jacobi":
+        off = rng.uniform(0.1, 2.0, n - 1)
+        m = np.diag(m.diagonal()) + np.diag(off, -1) - np.diag(off, 1)
+    elif kind == "graded":
+        grade = 10.0 ** -rng.uniform(0.0, 1.5)
+        m = m * np.outer(grade ** np.arange(n), grade ** np.arange(n))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["real", "complex", "hessenberg", "pseudo_jacobi",
+                             "graded"]),
+       n=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_eig_dense_values_have_small_backward_error(kind, n, seed):
+    # judged by the backward error sigma_min(A - lambda I), which a backward
+    # stable QR keeps at eps ||A|| however ill-conditioned the eigenvalue
+    m = _test_matrix(kind, n, seed)
+    values = eig_dense(m).values
+    assert values.shape == (n,)
+    bound = 100 * n * np.finfo(float).eps * np.sqrt((np.abs(m) ** 2).sum())
+    for lam in values:
+        sigma = np.linalg.svd(m - lam * np.eye(n), compute_uv=False)
+        assert sigma[-1] <= bound
+
+
+@pytest.mark.parametrize("dtype, split", [(float, 1), (complex, 2)])
+def test_eig_dense_raises_at_the_sweep_cap(monkeypatch, dtype, split):
+    # a zero subdiagonal splits off a block that still needs sweeps; at the
+    # cap both paths raise instead of returning undeflated diagonal entries
+    rng = np.random.default_rng(47)
+    m = np.triu(rng.standard_normal((4, 4)), -1).astype(dtype)
+    if dtype is complex:
+        m += 1j * np.triu(rng.standard_normal((4, 4)), -1)
+    m[split, split - 1] = 0.0
+    monkeypatch.setattr(linalg, "MAX_SWEEPS_PER_DIM", 0)
+    with pytest.raises(RuntimeError, match="4x4 matrix after 0 sweeps"):
+        eig_dense(m)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norm2_rescales_past_under_and_overflow(scale):
+    assert _norm2([3.0 * scale, 4.0 * scale]) == pytest.approx(5.0 * scale,
+                                                               rel=1e-15, abs=0.0)
+    assert _norm2(np.zeros(3)) == 0.0
 
 
 def test_eig_dense_rejects_nonsquare():
