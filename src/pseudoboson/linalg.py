@@ -27,6 +27,7 @@ __all__ = [
     "eig_dense",
     "eig_sym_tridiag",
     "tridiag_eigenvectors",
+    "tridiag_rayleigh_iteration",
     "solve",
     "residual",
     "biorthonormalize",
@@ -39,6 +40,10 @@ DEFLATION_TOL = 1e-14
 MAX_SWEEPS_PER_DIM = 40
 #: relative shift offset for inverse iteration
 INVERSE_ITER_SHIFT = 1e-10
+#: residual contract: ||A v - lambda v|| for unit v, relative to ||A||_F
+RESIDUAL_TOL = 1e-8
+#: cap on the rounds of `tridiag_rayleigh_iteration`
+QUOTIENT_ROUNDS = 4
 #: hard cap on accepted matrix dimension
 DIM_CAP = 4096
 
@@ -49,12 +54,14 @@ _EPS = float(np.finfo(np.float64).eps)
 class EigenReport:
     """Eigensolver output.
 
-    values are sorted by (real part, imaginary part). residuals, when
-    computed, are two-norm residuals ||M v - lambda v|| for unit-norm v,
+    values are sorted by (real part, imaginary part), except from the
+    tridiagonal solvers for given values, which keep their order. residuals,
+    when computed, are two-norm residuals ||M v - lambda v|| for unit-norm v,
     aligned with values; the convergence contract compares them against
-    1e-8 times the matrix norm, and converged is False when a pair misses
-    it (from `eig_sym_tridiag`, when QL stalls). iterations counts QR
-    sweeps; QR that does not converge raises RuntimeError instead.
+    RESIDUAL_TOL times the matrix norm, and converged is False when a pair
+    misses it (from `eig_sym_tridiag`, when QL stalls). iterations counts QR
+    sweeps (quotient rounds from `tridiag_rayleigh_iteration`); QR that does
+    not converge raises RuntimeError instead.
     """
 
     values: NDArray[np.complex128]
@@ -478,8 +485,8 @@ def _inverse_iteration(n: int, factor_shifted, matvec, lam: complex,
 def _attach_vectors(report: EigenReport, n: int, factor_shifted, matvec,
                     norm_scale: float) -> EigenReport:
     """Inverse-iterate every value of the report and apply the residual
-    contract: converged turns False when a pair's residual exceeds 1e-8 times
-    the matrix norm."""
+    contract: converged turns False when a pair's residual exceeds
+    RESIDUAL_TOL times the matrix norm."""
     vecs = np.zeros((n, len(report.values)), dtype=complex)
     res = np.zeros(len(report.values))
     for i, lam in enumerate(report.values):
@@ -487,7 +494,7 @@ def _attach_vectors(report: EigenReport, n: int, factor_shifted, matvec,
                                                 norm_scale)
     report.vectors = vecs
     report.residuals = res
-    if np.any(res > 1e-8 * max(norm_scale, _EPS)):
+    if np.any(res > RESIDUAL_TOL * max(norm_scale, _EPS)):
         report.converged = False
     return report
 
@@ -557,14 +564,59 @@ def tridiag_eigenvectors(sub, diag, sup, values) -> EigenReport:
             f"expected a diagonal of length n >= 1 and off-diagonals of length "
             f"n - 1, got {d.shape}, {lower.shape}, {upper.shape}")
     report = EigenReport(values=np.asarray(values, dtype=complex))
-    norm_scale = math.sqrt(_norm2(d) ** 2 + _norm2(lower) ** 2 + _norm2(upper) ** 2)
 
     def factor_shifted(shift):
         return functools.partial(
             _tridiag_lu_solve, _tridiag_lu_factor(lower, d - shift, upper))
 
     return _attach_vectors(report, n, factor_shifted,
-                           lambda v: _tridiag_matvec(lower, d, upper, v), norm_scale)
+                           lambda v: _tridiag_matvec(lower, d, upper, v),
+                           _tridiag_norm(lower, d, upper))
+
+
+def _tridiag_norm(sub, diag, sup) -> float:
+    return math.sqrt(_norm2(diag) ** 2 + _norm2(sub) ** 2 + _norm2(sup) ** 2)
+
+
+def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
+    """Eigenpairs of a real tridiagonal J near the given shifts, by two-sided
+    Rayleigh-quotient iteration in O(n) per round.
+
+    left is the diagonal of a D with J^T = D J D^-1, so y = D x is a left
+    eigenvector for every right eigenvector x, and the two-sided quotient
+    y^T J x / y^T x has an error quadratic in that of x. Each round
+    inverse-iterates at the current values (`tridiag_eigenvectors`) and
+    replaces each value by its quotient. The rounds stop once no value moves
+    by more than eps times its size, or after QUOTIENT_ROUNDS. The quotient
+    is summed in numpy's extended precision where the platform has one, so a
+    settled value is a fixed point rather than a walk over its last digits.
+    A real shift keeps its value real: a real eigenvalue of a real J has a
+    real eigenvector. The report carries the final values, their unit
+    vectors, the residuals at the final values and the rounds run;
+    converged is False when a pair misses the residual contract.
+    """
+    if np.iscomplexobj(sub) or np.iscomplexobj(diag) or np.iscomplexobj(sup):
+        raise ValueError("tridiag_rayleigh_iteration expects a real tridiagonal")
+    wide = [np.asarray(a, dtype=np.longdouble)[:, None] for a in (sub, diag, sup)]
+    left_diag = np.asarray(left, dtype=np.clongdouble)[:, None]
+    values = np.asarray(shifts, dtype=complex)
+    real = values.imag == 0
+    for rounds in range(1, QUOTIENT_ROUNDS + 1):
+        report = tridiag_eigenvectors(sub, diag, sup, values)
+        x = report.vectors.astype(np.clongdouble)
+        jx = _tridiag_matvec(*wide, x)
+        y = left_diag * x
+        quotient = (np.sum(y * jx, axis=0) / np.sum(y * x, axis=0)).astype(complex)
+        quotient = np.where(real, quotient.real + 0j, quotient)
+        settled = np.all(np.abs(quotient - values) <= _EPS * np.abs(quotient))
+        values = quotient
+        if settled:
+            break
+    res = np.array([_norm2(col) for col in (jx - values * x).T], dtype=float)
+    norm_scale = _tridiag_norm(sub, diag, sup)
+    return EigenReport(values=values, vectors=report.vectors, residuals=res,
+                       iterations=rounds,
+                       converged=bool(np.all(res <= RESIDUAL_TOL * max(norm_scale, _EPS))))
 
 
 def eig_sym_tridiag(diag, offdiag) -> EigenReport:

@@ -78,7 +78,8 @@ class ModelParams:
     for gamma > 0. Negative gamma is rejected: the normalization would be
     imaginary, and the model at -gamma is unitarily equivalent anyway (negate
     gamma and conjugate by the diagonal phase used in `similarity_check`). So
-    is a gamma whose square overflows.
+    is a gamma whose square overflows, and a positive gamma for which 2 / gamma
+    does.
     """
 
     beta: float
@@ -92,6 +93,9 @@ class ModelParams:
         if not math.isfinite(self.gamma * self.gamma):
             raise ValueError(f"gamma = {self.gamma:g} is too large: gamma^2 "
                              "overflows in rho = sqrt(1 + gamma^2)")
+        if self.gamma > 0 and not math.isfinite(2.0 / self.gamma):
+            raise ValueError(f"gamma = {self.gamma:g} is too small: "
+                             "(1 + rho) / gamma overflows")
 
     @property
     def rho(self) -> float:
@@ -185,6 +189,11 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     then the adjoint action of H on each ladder operator against its
     closed-form multiple: [H, c"] = (beta+rho) c", [H, d"] = (rho-beta) d",
     [H, c] = -(beta+rho) c, [H, d] = -(rho-beta) d.
+
+    The ladder operators carry the normalization norm_scale, which grows like
+    gamma^(-1/2) at small gamma, and the adjoint-action deviations grow with
+    it; those four are divided by max(1, norm_scale), so they stay relative
+    to the operators they measure.
     """
     ops = build_pseudoboson_ops(p, trunc)
     ident = identity_op(trunc)
@@ -201,10 +210,11 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     H, _ = build_hamiltonian(p, trunc)
     up = p.beta + p.rho
     down = p.rho - p.beta
+    scale = 1.0 if p.gamma == 0 else max(1.0, p.norm_scale)
     for name, op, coeff in [("c_ddag", ops.c_ddag, up), ("d_ddag", ops.d_ddag, down),
                             ("c", ops.c, -up), ("d", ops.d, -down)]:
         diff = commutator(H, op) - coeff * op
-        report[f"[H,{name}]"] = interior_deviation(diff, margin=1)
+        report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale
     return report
 
 

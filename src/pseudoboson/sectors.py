@@ -37,8 +37,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .fock import Operator, TruncationSpec, build_ladder_ops, identity_op
-from .linalg import (_tridiag_matvec, eig_dense, eig_sym_tridiag,
-                     multiset_distance, tridiag_eigenvectors)
+from .linalg import (eig_dense, eig_sym_tridiag, multiset_distance,
+                     tridiag_rayleigh_iteration)
 from .model import ModelParams, _occupation_phases, build_hamiltonian
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "su11_commutation_check",
     "casimir_matrix",
     "casimir_check",
+    "pseudo_jacobi_diagonals",
     "pseudo_jacobi",
     "sector_phase_vector",
     "transpose_similarity_check",
@@ -218,22 +219,26 @@ def casimir_reduction_check(spec: SectorSpec, gamma: float) -> tuple[float, floa
     return tilted, plain
 
 
-def pseudo_jacobi(spec: SectorSpec, p: ModelParams) -> NDArray[np.float64]:
-    """The sector Hamiltonian: a real tridiagonal pseudo-Jacobi matrix.
-
-    diag_j = beta k + |k| + 1 + 2j, superdiag_j = -gamma sqrt((j+1)(|k|+j+1)),
-    subdiag_j = +gamma sqrt((j+1)(|k|+j+1)). Built entrywise; the identity
-    with diagonal + beta k + gamma (raising - lowering) from the su(1,1)
-    triple is checked in tests rather than assumed.
+def pseudo_jacobi_diagonals(spec: SectorSpec,
+                            p: ModelParams) -> tuple[NDArray, NDArray, NDArray]:
+    """(sub, diag, sup) of the sector Hamiltonian, a real tridiagonal
+    pseudo-Jacobi matrix: diag_j = beta k + |k| + 1 + 2j and
+    sub_j = -sup_j = gamma sqrt((j+1)(|k|+j+1)), the Hermitian cousin's
+    entries at lam = gamma with the superdiagonal negated. Built entrywise;
+    the identity with diagonal + beta k + gamma (raising - lowering) from the
+    su(1,1) triple is checked in tests rather than assumed.
     """
-    d = spec.depth
-    j = np.arange(d, dtype=float)
-    diag = p.beta * spec.k + abs(spec.k) + 1.0 + 2.0 * j
-    off = np.sqrt((j[:-1] + 1.0) * (abs(spec.k) + j[:-1] + 1.0))
-    m = np.diag(diag)
-    m += np.diag(-p.gamma * off, 1)
-    m += np.diag(+p.gamma * off, -1)
-    return m
+    diag, off = hermitian_sector_tridiag(spec, p.beta, p.gamma)
+    return off, diag, -off
+
+
+def pseudo_jacobi(spec: SectorSpec, p: ModelParams) -> NDArray[np.float64]:
+    """The sector Hamiltonian as a dense matrix, from `pseudo_jacobi_diagonals`."""
+    return _dense(*pseudo_jacobi_diagonals(spec, p))
+
+
+def _dense(sub, diag, sup) -> NDArray:
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
 def sector_phase_vector(spec: SectorSpec) -> NDArray[np.complex128]:
@@ -313,11 +318,10 @@ def lowest_weight_residuals(spec: SectorSpec, gamma: float) -> tuple[float, floa
 class SectorSpectrum:
     """Lowest eigenvalues of one sector finite section against closed form.
 
-    residuals are the inverse-iteration residuals ||J x - lambda x|| /
-    max(||J||_F, 1) of the kept pairs for unit x, taken at the QR values
-    before refinement, and conditions their eigenvalue condition numbers
-    ||x|| ||y|| / |y^T x| with the left eigenvector y = D x; both are aligned
-    with `values`.
+    residuals are the residuals ||J x - lambda x|| / max(||J||_F, 1) of the
+    kept pairs for unit x, taken at the final (refined) values, and
+    conditions their eigenvalue condition numbers ||x|| ||y|| / |y^T x| with
+    the left eigenvector y = D x; both are aligned with `values`.
     """
 
     k: int
@@ -333,56 +337,86 @@ class SectorSpectrum:
         return float(self.errors.max()) if self.errors.size else 0.0
 
 
+def _refined_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
+                      shifts) -> tuple[SectorSpectrum, bool]:
+    """Kept levels from `shifts` by two-sided Rayleigh-quotient iteration on
+    the section's diagonals, with the free left eigenvector y = D x of the
+    phase similarity J^T = D J D^-1; also whether every final pair meets the
+    residual contract."""
+    sub, diag, sup = diagonals
+    phases = sector_phase_vector(spec)
+    report = tridiag_rayleigh_iteration(sub, diag, sup, phases, shifts)
+    x = report.vectors
+    conditions = (np.sum(np.abs(x) ** 2, axis=0)
+                  / np.abs(np.sum(phases[:, None] * x * x, axis=0)))
+    norm = float(np.sqrt(np.sum(sub ** 2) + np.sum(diag ** 2) + np.sum(sup ** 2)))
+    j = np.arange(len(shifts), dtype=float)
+    targets = p.beta * spec.k + p.rho * (abs(spec.k) + 1.0 + 2.0 * j)
+    spectrum = SectorSpectrum(
+        k=spec.k, depth=spec.depth, values=report.values, targets=targets,
+        errors=np.abs(report.values - targets),
+        residuals=report.residuals / max(norm, 1.0), conditions=conditions)
+    return spectrum, report.converged
+
+
+def _qr_levels(spec: SectorSpec, p: ModelParams, n_eigs: int,
+               diagonals) -> tuple[SectorSpectrum, NDArray[np.float64]]:
+    """`sector_spectrum`, and the distance from each kept value to the
+    nearest other eigenvalue of the section."""
+    if n_eigs < 1 or n_eigs > spec.depth:
+        raise ValueError("n_eigs must be between 1 and the sector depth")
+    everything = eig_dense(_dense(*diagonals)).values
+    kept = everything[:n_eigs]
+    spectrum, converged = _refined_spectrum(spec, p, diagonals, kept)
+    if not converged:
+        raise RuntimeError(
+            f"inverse iteration missed the residual contract on sector "
+            f"k={spec.k} depth {spec.depth} (worst residual "
+            f"{spectrum.residuals.max():.3g})")
+    distances = np.abs(everything[None, :] - kept[:, None])
+    distances[np.arange(n_eigs), np.arange(n_eigs)] = np.inf
+    return spectrum, distances.min(axis=1)
+
+
 def sector_spectrum(spec: SectorSpec, p: ModelParams, n_eigs: int = 3) -> SectorSpectrum:
     """Lowest n_eigs eigenvalues of the sector matrix (by real part) next to
     the closed-form targets beta k + rho (|k| + 1 + 2j).
 
-    Values-only QR finds the whole spectrum; eigenvectors are computed for the
-    kept levels only, by inverse iteration on the tridiagonal. The phase
-    similarity J^T = D J D^-1 makes y = D x a left eigenvector for free, so
-    each kept value is refined by the two-sided Rayleigh quotient
-    y^T J x / y^T x, whose error is quadratic in that of x. Only the kept
-    pairs are held to the residual contract: the upper spectrum of a deep
-    section is too non-normal for its vectors to meet it.
+    Values-only QR finds the whole spectrum; the kept values then seed a
+    two-sided Rayleigh-quotient iteration on the tridiagonal
+    (`linalg.tridiag_rayleigh_iteration`): inverse iteration gives the kept
+    vectors only, and the phase similarity J^T = D J D^-1 makes y = D x a
+    left eigenvector for free, so each value is refined by y^T J x / y^T x,
+    whose error is quadratic in that of x, until it stops moving. Only the
+    kept pairs are held to the residual contract, at the refined values: the
+    upper spectrum of a deep section is too non-normal for its vectors to
+    meet it. Raises RuntimeError when a kept pair misses it.
 
     Finite-section eigenvalues converge to the closed form from within as the
     depth grows; shallow sections can also show complex artifact pairs, which
     land at large real part and stay clear of the lowest levels.
     """
-    if n_eigs < 1 or n_eigs > spec.depth:
-        raise ValueError("n_eigs must be between 1 and the sector depth")
-    m = pseudo_jacobi(spec, p)
-    kept = eig_dense(m).values[:n_eigs]
-    sub, diag, sup = np.diag(m, -1), np.diag(m), np.diag(m, 1)
-    pairs = tridiag_eigenvectors(sub, diag, sup, kept)
-    if not pairs.converged:
-        raise RuntimeError(
-            f"inverse iteration missed the residual contract on sector "
-            f"k={spec.k} depth {spec.depth} (worst residual "
-            f"{pairs.residuals.max():.3g})")
-    x = pairs.vectors
-    jx = np.column_stack([_tridiag_matvec(sub, diag, sup, x[:, i])
-                          for i in range(n_eigs)])
-    y = sector_phase_vector(spec)[:, None] * x
-    overlap = np.sum(y * x, axis=0)
-    values = np.sum(y * jx, axis=0) / overlap
-    # a real value of the real J has a real eigenvector, so its quotient is
-    # real; only the sign of the zero imaginary part is left to rounding
-    values = np.where(kept.imag == 0, values.real + 0j, values)
-    conditions = np.sum(np.abs(x) ** 2, axis=0) / np.abs(overlap)
-    norm = float(np.sqrt(np.sum(sub ** 2) + np.sum(diag ** 2) + np.sum(sup ** 2)))
-    residuals = pairs.residuals / max(norm, 1.0)
-    j = np.arange(n_eigs, dtype=float)
-    targets = p.beta * spec.k + p.rho * (abs(spec.k) + 1.0 + 2.0 * j)
-    errors = np.abs(values - targets)
-    return SectorSpectrum(k=spec.k, depth=spec.depth, values=values,
-                          targets=targets, errors=errors, residuals=residuals,
-                          conditions=conditions)
+    return _qr_levels(spec, p, n_eigs, pseudo_jacobi_diagonals(spec, p))[0]
+
+
+def _continued_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
+                        previous, gaps) -> SectorSpectrum | None:
+    """The kept levels of a deeper section, refined from the previous depth's
+    values; None when the continuation cannot be trusted."""
+    if np.any(previous.imag != 0):
+        return None
+    spectrum, converged = _refined_spectrum(spec, p, diagonals, previous)
+    moved = np.abs(spectrum.values - previous)
+    trusted = (converged and np.all(moved <= gaps / 4.0)
+               and np.all(np.diff(spectrum.values.real) > 0.0))
+    return spectrum if trusted else None
 
 
 @dataclass(frozen=True)
 class SectorConvergence:
-    """Depth-doubling record for one sector's lowest eigenvalues."""
+    """Depth-doubling record for one sector's lowest eigenvalues; continued
+    marks, per depth, the values continued from the depth before rather
+    than found by dense QR."""
 
     k: int
     depths: list = field(default_factory=list)
@@ -391,6 +425,7 @@ class SectorConvergence:
     targets: NDArray[np.float64] = None
     max_step: float = float("inf")
     converged: bool = False
+    continued: list = field(default_factory=list)
 
 
 def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
@@ -398,22 +433,39 @@ def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
                               tol: float = 1e-8) -> SectorConvergence:
     """Compute the sector's lowest eigenvalues at start_depth, then double the
     depth `doublings` times; converged means the last two depths agree to tol
-    on every kept eigenvalue."""
+    on every kept eigenvalue.
+
+    Only the start depth runs dense values-only QR, as `sector_spectrum`. Each
+    deeper depth takes the previous depth's values as shifts, never the
+    closed form, and refines them by the same O(n) two-sided
+    Rayleigh-quotient iteration on its tridiagonal, without forming the
+    dense matrix. A depth falls back to dense QR when a shift is non-real,
+    a value moves by more than a quarter of its gap (the distance to the
+    nearest other eigenvalue at the latest depth that ran QR), the values
+    lose their order, or a final pair misses the residual contract.
+    """
     depths = [start_depth * (2 ** i) for i in range(doublings + 1)]
     history = []
-    targets = None
+    continued = []
+    gaps = None
     for depth in depths:
         spec = SectorSpec(k=k, depth=depth)
-        result = sector_spectrum(spec, p, n_eigs=n_eigs)
-        history.append(result.values)
-        targets = result.targets
+        diagonals = pseudo_jacobi_diagonals(spec, p)
+        spectrum = None
+        if history:
+            spectrum = _continued_spectrum(spec, p, diagonals, history[-1], gaps)
+        continued.append(spectrum is not None)
+        if spectrum is None:
+            spectrum, gaps = _qr_levels(spec, p, n_eigs, diagonals)
+        history.append(spectrum.values)
     if len(history) > 1:
         max_step = float(np.abs(history[-1] - history[-2]).max())
     else:
         max_step = 0.0
     return SectorConvergence(k=k, depths=depths, history=history,
-                             values=history[-1], targets=targets,
-                             max_step=max_step, converged=max_step < tol)
+                             values=history[-1], targets=spectrum.targets,
+                             max_step=max_step, converged=max_step < tol,
+                             continued=continued)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ import pytest
 
 import pseudoboson
 from pseudoboson.cli import main
+from pseudoboson.model import ModelParams
+from pseudoboson.sectors import SectorSpec, pseudo_jacobi
 
 
 def run(capsys, *argv):
@@ -79,12 +81,29 @@ def test_sectors_small_run(capsys):
     assert payload["sectors"][0]["depths"] == [8, 16, 32]
 
 
-def test_sectors_deep_run_passes(capsys):
-    code, out, err = run(capsys, "sectors", "--k-range", "1", "1",
-                         "--depth", "240")
+def _deep_sectors_pass(capsys, k_lo, k_hi, depth):
+    # the deeper depths are continued from the start depth's QR values; the
+    # numpy oracle checks them on the full section
+    code, out, err = run(capsys, "sectors", "--k-range", str(k_lo), str(k_hi),
+                         "--depth", str(depth))
     assert code == 0
-    assert json.loads(out)["all_passed"] is True
+    payload = json.loads(out)
+    assert payload["all_passed"] is True
     assert "Traceback" not in err
+    for sector in payload["sectors"]:
+        assert max(sector["abs_errors"]) < 1e-12
+        m = pseudo_jacobi(SectorSpec(sector["k"], depth), ModelParams(0.5, 0.75))
+        oracle = np.sort_complex(np.linalg.eigvals(m))[:3]
+        values = np.array([v["re"] + 1j * v["im"] for v in sector["values"]])
+        assert np.abs(values - oracle).max() < 1e-8 * np.abs(oracle).max()
+
+
+def test_sectors_deep_run_passes(capsys):
+    _deep_sectors_pass(capsys, 1, 1, 240)
+
+
+def test_sectors_depth_480_run_passes(capsys):
+    _deep_sectors_pass(capsys, -1, 1, 480)
 
 
 def test_module_runs_as_program(capsys):
@@ -226,6 +245,15 @@ def test_bad_parameters_are_exit_two(capsys):
     (["emm", "--gamma", "1e-300"], 0),
     (["verify-all", "--gamma", "1e-9", "--trunc", "20", "--depth", "32"], 0),
     (["verify-all", "--gamma", "1e-100", "--trunc", "20", "--depth", "32"], 2),
+    # the [H, .] deviations are relative to the ladder normalization, which
+    # grows like gamma^(-1/2)
+    (["commutators", "--gamma", "1e-12", "--trunc", "8"], 0),
+    (["commutators", "--gamma", "1e-20", "--trunc", "8"], 0),
+    (["verify-all", "--gamma", "1e-12", "--trunc", "20", "--depth", "32"], 0),
+    # (1 + rho) / gamma overflows
+    (["emm", "--gamma", "1e-310"], 2),
+    (["emm", "--gamma", "5e-324"], 2),
+    (["commutators", "--gamma", "1e-310", "--trunc", "8"], 2),
 ])
 def test_extreme_parameters_end_without_traceback(capsys, argv, code):
     result, _, err = run(capsys, *argv)

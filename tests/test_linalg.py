@@ -23,6 +23,7 @@ from pseudoboson.linalg import (
     residual,
     solve,
     tridiag_eigenvectors,
+    tridiag_rayleigh_iteration,
 )
 
 
@@ -244,6 +245,31 @@ def test_tridiag_eigenvectors_meet_residual_contract():
             assert abs(np.sqrt((np.abs(v) ** 2).sum()) - 1.0) < 1e-12
             assert residual(m, lam, v) < 1e-8 * scale
             assert report.residuals[i] < 1e-8 * scale
+
+
+def test_tridiag_rayleigh_iteration_settles_on_the_eigenvalues():
+    # pseudo-Jacobi: J^T = D J D^-1 with D = diag((-1)^j), so y = D x is the
+    # left eigenvector; from shifts off by 1e-4 the quotient settles on the
+    # eigenvalues, real shifts stay real and the residuals are at the final values
+    rng = np.random.default_rng(5)
+    n = 40
+    off = rng.uniform(0.2, 0.6, n - 1)
+    sub, diag, sup = off, 2.0 * np.arange(n) + rng.uniform(0, 0.2, n), -off
+    m = _dense_tridiag(sub, diag, sup)
+    exact = np.sort_complex(np.linalg.eigvals(m))[:3]
+    assert np.all(exact.imag == 0)
+    left = (-1.0) ** np.arange(n)
+    report = tridiag_rayleigh_iteration(sub, diag, sup, left, exact.real + 1e-4)
+    assert report.converged
+    assert 1 < report.iterations <= linalg.QUOTIENT_ROUNDS
+    assert np.all(report.values.imag == 0)
+    assert np.abs(report.values - exact).max() < 1e-12
+    for i, lam in enumerate(report.values):
+        # at the shifts the residuals would be about 1e-4
+        assert report.residuals[i] == pytest.approx(
+            residual(m, lam, report.vectors[:, i]), abs=1e-12)
+    with pytest.raises(ValueError):
+        tridiag_rayleigh_iteration(sub + 0j, diag, sup, left, exact)
 
 
 def test_tridiag_eigenvectors_rejects_mismatched_diagonals():

@@ -3,8 +3,12 @@ their spectra, the tilted generator triple, and the Hermitian cousin."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, example, given, settings
+from hypothesis import strategies as st
 
+from pseudoboson import sectors
 from pseudoboson.fock import TruncationSpec, commutator
+from pseudoboson.linalg import eig_dense
 from pseudoboson.model import ModelParams, build_hamiltonian, energy
 from pseudoboson.sectors import (
     SectorSpec,
@@ -22,9 +26,11 @@ from pseudoboson.sectors import (
     number_difference,
     predicted_hermitian_lowest,
     pseudo_jacobi,
+    pseudo_jacobi_diagonals,
     pseudo_su11_generators,
     sector_basis,
     sector_indices,
+    sector_phase_vector,
     sector_sizes,
     sector_spectrum,
     su11_commutation_check,
@@ -137,6 +143,11 @@ def test_pseudo_jacobi_assembles_from_generators():
         built = (gens.zero + P.beta * spec.k * np.eye(spec.depth)
                  + P.gamma * (gens.plus - gens.minus))
         assert np.abs(pseudo_jacobi(spec, P) - built).max() == 0.0
+        # the continuation reads the diagonals without the dense matrix
+        sub, diag, sup = pseudo_jacobi_diagonals(spec, P)
+        assert np.array_equal(sub, np.diag(built, -1))
+        assert np.array_equal(diag, np.diag(built))
+        assert np.array_equal(sup, np.diag(built, 1))
 
 
 def test_pseudo_jacobi_symmetric_without_coupling():
@@ -260,6 +271,62 @@ def test_convergence_protocol():
     assert conv.converged
     assert conv.max_step < 1e-8
     assert np.abs(conv.values - conv.targets).max() < 1e-6
+
+
+def test_deeper_depths_skip_dense_qr(monkeypatch):
+    # at the sectors subcommand's flags only the start depth runs QR; the
+    # deeper sections are continued on their tridiagonals
+    dims = []
+
+    def counted(m, *args, **kwargs):
+        dims.append(len(m))
+        return eig_dense(m, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "eig_dense", counted)
+    conv = converged_sector_spectrum(1, P, n_eigs=3, start_depth=60)
+    assert dims == [60]
+    assert conv.continued == [False, True, True]
+    assert conv.max_step < 1e-14
+    assert np.abs(conv.values - conv.targets).max() < 1e-14
+
+
+@settings(max_examples=30)
+@given(beta=st.floats(-1.5, 1.5), gamma=st.floats(0.05, 3.0),
+       k=st.integers(-3, 3), start_depth=st.integers(3, 30),
+       n_eigs=st.sampled_from([3, 4]))
+@example(beta=0.5, gamma=3.0, k=0, start_depth=3, n_eigs=3)
+@example(beta=0.5, gamma=0.75, k=1, start_depth=15, n_eigs=4)
+def test_continued_levels_match_dense_qr(beta, gamma, k, start_depth, n_eigs):
+    # every depth's kept values, continued or not, are the lowest n_eigs of
+    # values-only QR on the same section, up to the first-order bound
+    # kappa * (backward error 100 n eps ||J||_F); the draws take both the
+    # continuation and the dense fallback (complex start values at large
+    # gamma and shallow depth)
+    assume(n_eigs <= start_depth)
+    p = ModelParams(beta, gamma)
+    conv = converged_sector_spectrum(k, p, n_eigs=n_eigs, start_depth=start_depth)
+    event("continued" if all(conv.continued[1:]) else "fell back")
+    eps = np.finfo(float).eps
+    for depth, values in zip(conv.depths, conv.history):
+        spec = SectorSpec(k, depth)
+        m = pseudo_jacobi(spec, p)
+        dense = eig_dense(m).values[:n_eigs]
+        w, vecs = np.linalg.eig(m)
+        phases = sector_phase_vector(spec)
+        backward = 100 * depth * eps * np.sqrt(np.sum(m ** 2))
+        for value, lam in zip(values, dense):
+            x = vecs[:, np.argmin(np.abs(w - lam))]
+            kappa = np.sum(np.abs(x) ** 2) / abs(np.sum(phases * x * x))
+            assert abs(value - lam) <= kappa * backward
+
+
+def test_continuation_falls_back_on_complex_shifts():
+    # at depth 3 and gamma 3 the kept values include a complex pair, so no
+    # deeper depth may take them as shifts
+    conv = converged_sector_spectrum(0, ModelParams(0.5, 3.0), n_eigs=3,
+                                     start_depth=3)
+    assert np.any(conv.history[0].imag != 0)
+    assert conv.continued[1] is False
 
 
 def test_full_space_decomposes_into_sectors():
