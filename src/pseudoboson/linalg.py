@@ -8,6 +8,12 @@ a partial-pivoting LU solver, inverse iteration for eigenvectors (dense, or
 O(n) per vector on a tridiagonal), residual and biorthonormalization
 utilities.
 
+Inverse iteration runs all values of a block together: one loop steps every
+value through its own shift schedule, and the dense path factors the shifted
+matrices of a block as one (b, n, n) stacked LU. `solve`, `solve_matrix` and
+the inverse iteration share one forward and back substitution, which sweeps
+all right-hand sides at once.
+
 numpy is used as the array substrate only; no numpy.linalg factorizations or
 eigensolvers are called here, so results can be cross-checked against an
 independent library route in the test suite.
@@ -15,7 +21,6 @@ independent library route in the test suite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +47,9 @@ MAX_SWEEPS_PER_DIM = 40
 INVERSE_ITER_SHIFT = 1e-10
 #: residual contract: ||A v - lambda v|| for unit v, relative to ||A||_F
 RESIDUAL_TOL = 1e-8
+#: byte budget of one block of stacked dense LU factors in eigenvector
+#: inverse iteration: max(1, STACK_BYTES // (16 n^2)) values per block
+STACK_BYTES = 2 ** 18
 #: cap on the rounds of `tridiag_rayleigh_iteration`
 QUOTIENT_ROUNDS = 4
 #: hard cap on accepted matrix dimension
@@ -80,17 +88,21 @@ def _as_square(M) -> NDArray:
     return A
 
 
-def _norm2(x) -> float:
-    """Euclidean norm: the plain sum of squares, rescaled by the largest entry
-    when that sum under- or overflows."""
+def _norm2(x, axis=None):
+    """Euclidean norm, or with axis=-1 the norm of each row of a 2-D x: the
+    plain sum of squares, rescaled by the largest entry of the row where that
+    sum under- or overflows."""
     a = np.abs(np.asarray(x))
-    norm = float(np.sqrt((a ** 2).sum()))
-    if 1e-150 < norm < 1e150:
-        return norm
-    big = float(a.max(initial=0.0))
-    if big == 0.0 or not math.isfinite(big):
-        return norm
-    return big * float(np.sqrt(((a / big) ** 2).sum()))
+    norm = np.sqrt((a ** 2).sum(axis=axis))
+    if axis is None:
+        if 1e-150 < norm < 1e150:
+            return float(norm)
+        a, norm = np.ravel(a, "K")[None], np.array([norm])
+    for i in np.flatnonzero((norm <= 1e-150) | (norm >= 1e150)):
+        big = float(a[i].max(initial=0.0))
+        if big != 0.0 and math.isfinite(big):
+            norm[i] = big * float(np.sqrt(((a[i] / big) ** 2).sum()))
+    return float(norm[0]) if axis is None else norm
 
 
 def _householder(x) -> NDArray | None:
@@ -311,46 +323,57 @@ def _wilkinson_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
 
 
 def _lu_factor(A: NDArray, fix_singular: bool = False):
-    """Partial-pivoting LU. Raises on a pivot that is singular to working precision,
-    unless fix_singular is set, in which case the pivot is replaced by a tiny value
-    (the standard inverse-iteration fallback)."""
-    LU = np.array(A, dtype=complex, copy=True)
-    n = LU.shape[0]
-    piv = np.arange(n)
-    scale = float(np.abs(LU).max()) if n else 0.0
-    tiny = 8.0 * n * _EPS * scale
-    if scale == 0.0:
-        if not fix_singular:
-            raise ValueError("matrix is singular to working precision")
-        tiny = _EPS
+    """Partial-pivoting LU of a matrix, or of each matrix of a (b, n, n)
+    stack with one Python step per column for the whole stack.
+
+    Raises on a pivot that is singular to working precision, unless
+    fix_singular is set, in which case the pivot is replaced by a tiny value
+    (the standard inverse-iteration fallback). Returns the (b, n, n) factors
+    and the (b, n) row permutations.
+    """
+    LU = np.array(A, dtype=complex, copy=True, ndmin=3)
+    b, n = LU.shape[0], LU.shape[-1]
+    items = np.arange(b)
+    piv = np.tile(np.arange(n), (b, 1))
+    scale = np.abs(LU).max(axis=(1, 2), initial=0.0)
+    if not fix_singular and np.any(scale == 0.0):
+        raise ValueError("matrix is singular to working precision")
+    tiny = np.where(scale == 0.0, _EPS, 8.0 * n * _EPS * scale)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(LU[k:, k])))
-        if abs(LU[p, k]) <= tiny:
+        p = k + np.argmax(np.abs(LU[:, k:, k]), axis=1)
+        for i in np.flatnonzero(np.abs(LU[items, p, k]) <= tiny):
             if not fix_singular:
                 raise ValueError("matrix is singular to working precision")
-            LU[p, k] = tiny if LU[p, k] == 0 else LU[p, k] / abs(LU[p, k]) * tiny
-        if p != k:
-            LU[[k, p], :] = LU[[p, k], :]
-            piv[[k, p]] = piv[[p, k]]
-        LU[k + 1:, k] /= LU[k, k]
-        if k + 1 < n:
-            LU[k + 1:, k + 1:] -= np.outer(LU[k + 1:, k], LU[k, k + 1:])
+            pivot = LU[i, p[i], k]
+            LU[i, p[i], k] = (float(tiny[i]) if pivot == 0
+                              else pivot / abs(pivot) * float(tiny[i]))
+        LU[items, k], LU[items, p] = LU[items, p], LU[items, k]
+        piv[items, k], piv[items, p] = piv[items, p], piv[items, k]
+        LU[:, k + 1:, k] /= LU[:, k, k, None]
+        LU[:, k + 1:, k + 1:] -= LU[:, k + 1:, k, None] * LU[:, k, None, k + 1:]
     return LU, piv
 
 
-def _lu_solve(factor, rhs: NDArray) -> NDArray:
+def _lu_solve(factor, rhs) -> NDArray:
+    """Forward and back substitution with the factors of `_lu_factor`, for a
+    single vector or for a stack of row vectors, one per factor or all for
+    one factor. Each step is one stacked row product (b, 1, k) @ (b, k, 1)
+    for every right-hand side at once."""
     LU, piv = factor
-    n = LU.shape[0]
-    x = np.asarray(rhs, dtype=complex)[piv].copy()
+    rhs = np.asarray(rhs, dtype=complex)
+    x = np.take_along_axis(np.atleast_2d(rhs), piv, axis=1)
+    n = x.shape[1]
     for k in range(1, n):
-        x[k] -= LU[k, :k] @ x[:k]
+        x[:, k] -= (LU[:, k:k + 1, :k] @ x[:, :k, None])[:, 0, 0]
     for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - LU[k, k + 1:] @ x[k + 1:]) / LU[k, k]
-    return x
+        x[:, k] = ((x[:, k] - (LU[:, k:k + 1, k + 1:] @ x[:, k + 1:, None])[:, 0, 0])
+                   / LU[:, k, k])
+    return x[0] if rhs.ndim == 1 else x
 
 
 def solve(M, rhs) -> NDArray[np.complex128]:
-    """Solve M x = rhs by partial-pivoting LU.
+    """Solve M x = rhs by partial-pivoting LU; a 2-D rhs is solved as by
+    `solve_matrix`.
 
     Raises ValueError when M is singular to working precision.
     """
@@ -358,16 +381,14 @@ def solve(M, rhs) -> NDArray[np.complex128]:
     b = np.asarray(rhs)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
-    return _lu_solve(_lu_factor(A), b)
+    return np.ascontiguousarray(_lu_solve(_lu_factor(A), b.T).T)
 
 
 def solve_matrix(M, B) -> NDArray[np.complex128]:
-    """Solve M X = B for a matrix right-hand side with a single factorization."""
-    A = _as_square(M)
-    B = np.asarray(B)
-    factor = _lu_factor(A)
-    cols = [_lu_solve(factor, B[:, j]) for j in range(B.shape[1])]
-    return np.column_stack(cols)
+    """Solve M X = B for a matrix right-hand side with a single factorization;
+    each substitution step sweeps all columns of B at once."""
+    factor = _lu_factor(_as_square(M))
+    return np.ascontiguousarray(_lu_solve(factor, np.asarray(B).T).T)
 
 
 def residual(M, lam, v) -> float:
@@ -449,49 +470,63 @@ def _tridiag_matvec(sub: NDArray, diag: NDArray, sup: NDArray, x: NDArray) -> ND
     return y
 
 
-def _inverse_iteration(n: int, factor_shifted, matvec, lam: complex,
-                       norm_scale: float) -> tuple[NDArray, float]:
-    """Best unit vector for lam over a schedule of slightly perturbed shifts.
+def _inverse_iteration(n: int, factor_shifted, matvec, lams: NDArray,
+                       norm_scale: float) -> tuple[NDArray, NDArray]:
+    """Best unit vector for each value of lams, as rows, and its residual.
 
-    factor_shifted(shift) returns a solver for (A - shift I) w = v and
-    matvec(v) returns A v, so dense and tridiagonal inputs share the loop.
+    Every value runs its own schedule of slightly perturbed shifts, and all
+    values run it together: factor_shifted(shifts) returns
+    solve(items, V), which solves (A - shifts[i] I) w = v for each row v of
+    V and i in items, and matvec(V) returns the rows A v, so dense and
+    tridiagonal inputs share the loop. A value leaves the inner steps on a
+    vanishing or non-finite iterate or a small enough residual, and the
+    shift schedule once its residual meets the looser bound.
     """
     start = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
     start /= _norm2(start)
-    best = start
-    best_res = math.inf
+    best = np.tile(start, (len(lams), 1))
+    best_res = np.full(len(lams), math.inf)
     delta = INVERSE_ITER_SHIFT * max(norm_scale, 1.0)
+    todo = np.arange(len(lams))
     for _ in range(4):
-        solve_shifted = factor_shifted(lam + delta)
-        v = start
-        for _ in range(5):
-            w = solve_shifted(v)
-            wn = _norm2(w)
-            if wn == 0.0 or not np.isfinite(wn):
-                break
-            v = w / wn
-            res = _norm2(matvec(v) - lam * v)
-            if res < best_res:
-                best_res = res
-                best = v.copy()
-            if best_res <= 1e-13 * max(norm_scale, 1.0):
-                break
-        if best_res <= 1e-9 * max(norm_scale, 1.0):
+        if not todo.size:
             break
+        solve_shifted = factor_shifted(lams[todo] + delta)
+        v = np.tile(start, (todo.size, 1))
+        live = np.arange(todo.size)
+        for _ in range(5):
+            w = solve_shifted(live, v[live])
+            wn = _norm2(w, axis=-1)
+            ok = (wn != 0.0) & np.isfinite(wn)
+            live = live[ok]
+            if not live.size:
+                break
+            v[live] = unit = w[ok] / wn[ok, None]
+            idx = todo[live]
+            res = _norm2(matvec(unit) - lams[idx, None] * unit, axis=-1)
+            better = res < best_res[idx]
+            best_res[idx[better]] = res[better]
+            best[idx[better]] = unit[better]
+            live = live[best_res[idx] > 1e-13 * max(norm_scale, 1.0)]
+            if not live.size:
+                break
+        todo = todo[best_res[todo] > 1e-9 * max(norm_scale, 1.0)]
         delta *= 100.0
     return best, best_res
 
 
 def _attach_vectors(report: EigenReport, n: int, factor_shifted, matvec,
-                    norm_scale: float) -> EigenReport:
-    """Inverse-iterate every value of the report and apply the residual
-    contract: converged turns False when a pair's residual exceeds
-    RESIDUAL_TOL times the matrix norm."""
-    vecs = np.zeros((n, len(report.values)), dtype=complex)
-    res = np.zeros(len(report.values))
-    for i, lam in enumerate(report.values):
-        vecs[:, i], res[i] = _inverse_iteration(n, factor_shifted, matvec, lam,
-                                                norm_scale)
+                    norm_scale: float, block: int) -> EigenReport:
+    """Inverse-iterate the values of the report, block values at a time, and
+    apply the residual contract: converged turns False when a pair's
+    residual exceeds RESIDUAL_TOL times the matrix norm."""
+    count = len(report.values)
+    vecs = np.zeros((n, count), dtype=complex)
+    res = np.zeros(count)
+    for lo in range(0, count, block):
+        rows, res[lo:lo + block] = _inverse_iteration(
+            n, factor_shifted, matvec, report.values[lo:lo + block], norm_scale)
+        vecs[:, lo:lo + block] = rows.T
     report.vectors = vecs
     report.residuals = res
     if np.any(res > RESIDUAL_TOL * max(norm_scale, _EPS)):
@@ -505,7 +540,10 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     Real input goes through Francis double-shift QR (complex pairs come out of
     irreducible 2x2 blocks of the real Schur form); complex input through
     single-shift Wilkinson QR. Eigenvectors, when requested, are recovered by
-    inverse iteration with a slightly perturbed shift. Every reported pair
+    inverse iteration with a slightly perturbed shift, all values of a block
+    together: the shifted matrices of up to max(1, STACK_BYTES // (16 n^2))
+    values are factored as one stacked LU, and every substitution step
+    serves the whole block. Every reported pair
     satisfies the residual contract (relative residual <= 1e-8 times the
     matrix norm) or the report is flagged converged=False. Raises
     RuntimeError when QR needs more than MAX_SWEEPS_PER_DIM sweeps per
@@ -536,11 +574,13 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
         A = np.array(A0, dtype=complex)
         eye = np.eye(n)
 
-        def factor_shifted(shift):
-            return functools.partial(
-                _lu_solve, _lu_factor(A - shift * eye, fix_singular=True))
+        def factor_shifted(shifts):
+            LU, piv = _lu_factor(A - shifts[:, None, None] * eye, fix_singular=True)
+            return lambda items, V: _lu_solve((LU[items], piv[items]), V)
 
-        _attach_vectors(report, n, factor_shifted, lambda v: A @ v, _norm2(A))
+        _attach_vectors(report, n, factor_shifted,
+                        lambda V: (A @ V[:, :, None])[:, :, 0], _norm2(A),
+                        max(1, STACK_BYTES // (16 * n * n)))
     return report
 
 
@@ -548,10 +588,11 @@ def tridiag_eigenvectors(sub, diag, sup, values) -> EigenReport:
     """Eigenvectors of a tridiagonal matrix for the given eigenvalues only.
 
     sub, diag and sup are the three diagonals; values are eigenvalues found
-    elsewhere (say by `eig_dense`). Each vector comes from the inverse
-    iteration of `eig_dense`, with an O(n) tridiagonal LU in place of the
-    dense one, so the cost grows linearly in the dimension and in the number
-    of values asked for. The report carries the values unchanged, unit
+    elsewhere (say by `eig_dense`). The vectors come from the inverse
+    iteration loop of `eig_dense`, which runs all the values together, with
+    one O(n) tridiagonal LU per value in place of the stacked dense one, so
+    the cost grows linearly in the dimension and in the number of values
+    asked for. The report carries the values unchanged, unit
     vectors column-wise and their residuals; converged is False when a pair
     misses the residual contract of `eig_dense`.
     """
@@ -565,13 +606,15 @@ def tridiag_eigenvectors(sub, diag, sup, values) -> EigenReport:
             f"n - 1, got {d.shape}, {lower.shape}, {upper.shape}")
     report = EigenReport(values=np.asarray(values, dtype=complex))
 
-    def factor_shifted(shift):
-        return functools.partial(
-            _tridiag_lu_solve, _tridiag_lu_factor(lower, d - shift, upper))
+    def factor_shifted(shifts):
+        factors = [_tridiag_lu_factor(lower, d - shift, upper) for shift in shifts]
+        return lambda items, V: np.array(
+            [_tridiag_lu_solve(factors[i], v) for i, v in zip(items, V)])
 
+    columns = [a[:, None] for a in (lower, d, upper)]
     return _attach_vectors(report, n, factor_shifted,
-                           lambda v: _tridiag_matvec(lower, d, upper, v),
-                           _tridiag_norm(lower, d, upper))
+                           lambda V: _tridiag_matvec(*columns, V.T).T,
+                           _tridiag_norm(lower, d, upper), max(1, len(report.values)))
 
 
 def _tridiag_norm(sub, diag, sup) -> float:
@@ -625,16 +668,17 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
     Implicit-shift QL iteration on the (diagonal, offdiagonal) arrays; output
     is real and sorted ascending.
     """
-    d = np.asarray(diag, dtype=float).copy()
+    d_in = np.asarray(diag, dtype=float)
     e_in = np.asarray(offdiag, dtype=float)
-    n = d.shape[0]
+    n = d_in.shape[0]
     if e_in.shape[0] != max(n - 1, 0):
         raise ValueError(
             f"offdiagonal length {e_in.shape[0]} does not match diagonal length {n}")
     if n == 0:
         return EigenReport(values=np.zeros(0, complex))
-    e = np.zeros(n)
-    e[:n - 1] = e_in
+    # the loop runs on Python floats, which round as float64 scalars do
+    d = d_in.tolist()
+    e = e_in.tolist() + [0.0]
     total_iter = 0
     converged = True
     for l in range(n):
@@ -681,7 +725,7 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    values = np.sort(d).astype(complex)
+    values = np.sort(np.array(d)).astype(complex)
     return EigenReport(values=values, iterations=total_iter, converged=converged)
 
 

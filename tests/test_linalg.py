@@ -4,6 +4,8 @@ The library itself never imports numpy.linalg; these tests are the one place
 where the hand-rolled QR/QL/LU routines are compared against it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from pseudoboson.linalg import (
     multiset_distance,
     residual,
     solve,
+    solve_matrix,
     tridiag_eigenvectors,
     tridiag_rayleigh_iteration,
 )
@@ -150,6 +153,11 @@ def test_norm2_rescales_past_under_and_overflow(scale):
     assert _norm2([3.0 * scale, 4.0 * scale]) == pytest.approx(5.0 * scale,
                                                                rel=1e-15, abs=0.0)
     assert _norm2(np.zeros(3)) == 0.0
+    # row norms of a block: only the row whose sum under- or overflows is
+    # rescaled, and a zero row stays zero
+    block = np.array([[3.0 * scale, 4.0 * scale], [3.0, 4.0], [0.0, 0.0]])
+    assert _norm2(block, axis=-1) == pytest.approx([5.0 * scale, 5.0, 0.0],
+                                                   rel=1e-15, abs=0.0)
 
 
 def test_eig_dense_rejects_nonsquare():
@@ -169,6 +177,72 @@ def test_solve_matches_lapack_on_complex_system():
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     assert np.abs(solve(m, rhs) - np.linalg.solve(m, rhs)).max() < 1e-10
+
+
+def test_solve_matrix_matches_lapack_on_a_wide_complex_block():
+    rng = np.random.default_rng(53)
+    m = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    rhs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    ours = solve_matrix(m, rhs)
+    assert ours.shape == (7, 3)
+    assert np.abs(ours - np.linalg.solve(m, rhs)).max() < 1e-10
+    # every column goes through the same sweep as a single right-hand side
+    assert all(np.array_equal(ours[:, j], solve(m, rhs[:, j])) for j in range(3))
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    with pytest.raises(ValueError, match="singular"):
+        solve_matrix(singular, np.eye(2))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("per_block", [1, 2])
+def test_eig_dense_vectors_do_not_depend_on_the_block_size(monkeypatch, kind,
+                                                           per_block):
+    # tier-1 matrices fit in one block of stacked factors; a budget of one or
+    # two values per block splits a 12x12 into 12 or 6 blocks
+    m = _test_matrix(kind, 12, 59)
+    whole = eig_dense(m, want_vectors=True)
+    monkeypatch.setattr(linalg, "STACK_BYTES", 16 * 12 * 12 * per_block)
+    split = eig_dense(m, want_vectors=True)
+    assert split.vectors.tobytes() == whole.vectors.tobytes()
+    assert split.residuals.tobytes() == whole.residuals.tobytes()
+    assert split.converged == whole.converged
+
+
+def _near_pair_upper_triangular() -> np.ndarray:
+    # diagonal 1, 2, 3, 3 + delta, 5 with delta the first inverse-iteration
+    # shift offset: shifting by 3 + delta leaves an exactly zero fourth pivot
+    m = np.triu(np.ones((5, 5)), 1) + np.diag([1.0, 2.0, 3.0, 3.0, 5.0])
+    for _ in range(3):
+        m[3, 3] = 3.0 + linalg.INVERSE_ITER_SHIFT * _norm2(m)
+    return m
+
+
+@pytest.mark.parametrize("m", [
+    pytest.param(np.array([[2.0, 1.0], [0.0, 2.0]]), id="jordan"),
+    pytest.param(np.zeros((3, 3)), id="zero"),
+    pytest.param(np.diag([1.0, 1.0, 3.0]), id="repeated"),
+    pytest.param(_near_pair_upper_triangular(), id="tiny-pivot"),
+])
+def test_stacked_inverse_iteration_edge_cases(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = eig_dense(m, want_vectors=True)
+    n = m.shape[0]
+    assert report.vectors.shape == (n, n) and np.all(np.isfinite(report.vectors))
+    bound = linalg.RESIDUAL_TOL * max(_norm2(m), np.finfo(float).eps)
+    assert report.converged == bool(np.all(report.residuals <= bound))
+    for i, lam in enumerate(report.values):
+        assert report.residuals[i] == pytest.approx(
+            residual(m, lam, report.vectors[:, i]), rel=1e-12, abs=1e-300)
+    if n == 5:
+        # the fallback fires in the stack item for 3 and in no other
+        delta = linalg.INVERSE_ITER_SHIFT * _norm2(m)
+        shifted = m - (report.values + delta)[:, None, None] * np.eye(n)
+        lu, _ = _lu_factor(shifted, fix_singular=True)
+        tiny = 8 * n * np.finfo(float).eps * np.abs(shifted).max(axis=(1, 2))
+        pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
+        assert list(np.any(pivots == tiny[:, None], axis=1)) == [
+            False, False, True, False, False]
 
 
 def _dense_tridiag(sub, diag, sup):
