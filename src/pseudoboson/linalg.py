@@ -8,6 +8,16 @@ a partial-pivoting LU solver, inverse iteration for eigenvectors (dense, or
 O(n) per vector on a tridiagonal), residual and biorthonormalization
 utilities.
 
+At the sizes used here QR time goes to Python and numpy calls, not to flops,
+so each step makes few calls. A 3-row Francis bulge step builds its
+Householder vector from Python floats and applies it with two matrix-vector
+products and two broadcast rank-one updates: 16 numpy calls in all, indexing
+included, where array code makes 57. The deflation scan of the driver and the
+start-row scan of the Francis sweep read Python-float copies of the
+diagonals, so they make no numpy call per row. A Wilkinson step computes its
+two new rows and columns from views. Every floating-point operation keeps its
+operands and their order, so these paths give the same bits as array code.
+
 Inverse iteration runs all values of a block together: one loop steps every
 value through its own shift schedule, and the dense path factors the shifted
 matrices of a block as one (b, n, n) stacked LU. `solve`, `solve_matrix` and
@@ -91,7 +101,19 @@ def _as_square(M) -> NDArray:
 def _norm2(x, axis=None):
     """Euclidean norm, or with axis=-1 the norm of each row of a 2-D x: the
     plain sum of squares, rescaled by the largest entry of the row where that
-    sum under- or overflows."""
+    sum under- or overflows.
+
+    A list of fewer than 8 real floats, such as the two or three entries of a
+    bulge column, is summed on Python floats. numpy sums fewer than 8 entries
+    left to right too, so both paths give the same bits; a list that needs
+    the rescale takes the array path."""
+    if isinstance(x, list) and len(x) < 8:
+        sq = 0.0
+        for t in x:
+            sq += t * t
+        norm = math.sqrt(sq)
+        if 1e-150 < norm < 1e150:
+            return norm
     a = np.abs(np.asarray(x))
     norm = np.sqrt((a ** 2).sum(axis=axis))
     if axis is None:
@@ -106,28 +128,32 @@ def _norm2(x, axis=None):
 
 
 def _householder(x) -> NDArray | None:
-    """Unit v with (I - 2 v v^H) x along e_1, or None when x is zero."""
+    """Unit v with (I - 2 v v^H) x along e_1, or None when x is zero. x is an
+    array, or a list of real floats whose vector is built on floats."""
     xnorm = _norm2(x)
     if xnorm == 0.0:
         return None
-    v = np.array(x)
+    v = x.copy()
     phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
     v[0] += phase * xnorm
-    return v / _norm2(v)
+    vnorm = _norm2(v)
+    return np.array([t / vnorm for t in v]) if isinstance(v, list) else v / vnorm
 
 
 def _apply_reflector(B: NDArray, k: int, col, m: int) -> bool:
     """Apply, on rows and columns k .. k + len(col) - 1 of the m x m block B,
     the Householder similarity that maps col onto its first axis; False when
-    col is zero and nothing was applied."""
+    col is zero and nothing was applied. Each side is one matrix-vector
+    product and one broadcast rank-one update."""
     v = _householder(col)
     if v is None:
         return False
-    w = len(col)
-    r0 = max(k - 1, 0)
-    B[k:k + w, r0:] -= 2.0 * np.outer(v, v.conj() @ B[k:k + w, r0:])
-    r1 = min(k + w + 1, m)
-    B[:r1, k:k + w] -= 2.0 * np.outer(B[:r1, k:k + w] @ v, v.conj())
+    vc = v.conj()
+    w = len(v)
+    R = B[k:k + w, max(k - 1, 0):]
+    R -= 2.0 * (v[:, None] * (vc @ R))
+    C = B[:min(k + w + 1, m), k:k + w]
+    C -= 2.0 * ((C @ v)[:, None] * vc)
     return True
 
 
@@ -180,23 +206,25 @@ def _shift_pair(a: float, b: float, c: float, d: float):
     return half_tr, sq, half_tr, -sq
 
 
-def _first_column(H: NDArray, k: int, rt1r, rt1i, rt2r, rt2i):
-    """First column of the double-shift polynomial at row k, in factored form.
+def _first_column(d, sub, sup, k: int, rt1r, rt1i, rt2r, rt2i) -> list:
+    """First column of the double-shift polynomial at row k of the Hessenberg
+    matrix with diagonal d, subdiagonal sub and superdiagonal sup, in
+    factored form; a list, so that `_householder` builds on floats.
 
     The expanded polynomial (H - s1)(H - s2) e_k cancels catastrophically for
     eigenvalue clusters tight relative to eps * |H|; keeping the differences
     (H[k, k] - rt) explicit preserves the bulge direction there.
     """
-    s = abs(H[k, k] - rt2r) + abs(rt2i) + abs(H[k + 1, k])
+    s = abs(d[k] - rt2r) + abs(rt2i) + abs(sub[k])
     if s == 0.0:
-        return 0.0, 0.0, 0.0
-    h21s = H[k + 1, k] / s
-    x = (h21s * H[k, k + 1]
-         + (H[k, k] - rt1r) * ((H[k, k] - rt2r) / s)
+        return [0.0, 0.0, 0.0]
+    h21s = sub[k] / s
+    x = (h21s * sup[k]
+         + (d[k] - rt1r) * ((d[k] - rt2r) / s)
          - rt1i * (rt2i / s))
-    y = h21s * (H[k, k] + H[k + 1, k + 1] - rt1r - rt2r)
-    z = h21s * H[k + 2, k + 1]
-    return x, y, z
+    y = h21s * (d[k] + d[k + 1] - rt1r - rt2r)
+    z = h21s * sub[k + 1]
+    return [x, y, z]
 
 
 def _qr_eigenvalues(H: NDArray, max_sweeps: int, sweep,
@@ -207,8 +235,16 @@ def _qr_eigenvalues(H: NDArray, max_sweeps: int, sweep,
     given; otherwise sweep(H, lo, hi, stall) runs one QR sweep on the
     unreduced block lo..hi, stall counting sweeps since the last deflation.
     Raises RuntimeError when max_sweeps sweeps leave values undeflated.
+
+    The deflation scan reads copies of the diagonal and subdiagonal, Python
+    floats for a real H, and each sweep recopies only its block. Complex
+    entries stay numpy scalars, whose abs overflows to inf where Python's
+    raises.
     """
     n = H.shape[0]
+    copy = np.ndarray.tolist if H.dtype.kind == "f" else list
+    views = H.diagonal(), H.diagonal(-1)
+    d, sub = copy(views[0]), copy(views[1])
     eigs: list[complex] = []
     hi = n - 1
     sweeps = 0
@@ -216,21 +252,20 @@ def _qr_eigenvalues(H: NDArray, max_sweeps: int, sweep,
     while hi >= 0:
         lo = hi
         while lo > 0:
-            s = abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])
+            s = abs(d[lo - 1]) + abs(d[lo])
             if s == 0.0:
                 s = 1.0
-            if abs(H[lo, lo - 1]) <= DEFLATION_TOL * s:
-                H[lo, lo - 1] = 0.0
+            if abs(sub[lo - 1]) <= DEFLATION_TOL * s:
+                H[lo, lo - 1] = sub[lo - 1] = 0.0
                 break
             lo -= 1
         if lo == hi:
-            eigs.append(complex(H[hi, hi]))
+            eigs.append(complex(d[hi]))
             hi -= 1
             stall = 0
             continue
         if block2 is not None and lo == hi - 1:
-            eigs.extend(block2(H[hi - 1, hi - 1], H[hi - 1, hi],
-                               H[hi, hi - 1], H[hi, hi]))
+            eigs.extend(block2(d[hi - 1], H[hi - 1, hi], sub[hi - 1], d[hi]))
             hi -= 2
             stall = 0
             continue
@@ -241,41 +276,47 @@ def _qr_eigenvalues(H: NDArray, max_sweeps: int, sweep,
         sweeps += 1
         stall += 1
         sweep(H, lo, hi, stall)
+        d[lo:hi + 1] = copy(views[0][lo:hi + 1])
+        sub[lo:hi] = copy(views[1][lo:hi])
     return eigs, sweeps
 
 
 def _francis_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
-    """One Francis implicit double-shift sweep on a real Hessenberg block."""
+    """One Francis implicit double-shift sweep on a real Hessenberg block.
+
+    The shift and start-row scans read Python-float copies of the block's
+    three diagonals, and each bulge step reads its column as floats."""
+    B = H[lo:hi + 1, lo:hi + 1]
+    d, sub, sup = (B.diagonal(i).tolist() for i in (0, -1, 1))
+    b = hi - lo
     if stall % 11 == 0:
         # exceptional shift pair after repeated stalls (ad hoc EISPACK choice)
-        w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
+        w = abs(sub[b - 1]) + abs(sub[b - 2])
         rt1r, rt1i, rt2r, rt2i = 1.75 * w, 0.0, -0.25 * w, 0.0
     else:
-        rt1r, rt1i, rt2r, rt2i = _shift_pair(
-            H[hi - 1, hi - 1], H[hi - 1, hi], H[hi, hi - 1], H[hi, hi])
+        rt1r, rt1i, rt2r, rt2i = _shift_pair(d[b - 1], sup[b - 1], sub[b - 1], d[b])
     # a tiny interior subdiagonal kills the bulge as it passes, so the
     # shifts never reach the bottom; start below any such entry instead
     # (two-consecutive-small-subdiagonals test)
-    start = lo
-    k = hi - 2
-    while k > lo:
-        x, y, z = _first_column(H, k, rt1r, rt1i, rt2r, rt2i)
+    start = 0
+    k = b - 2
+    while k > 0:
+        x, y, z = _first_column(d, sub, sup, k, rt1r, rt1i, rt2r, rt2i)
         s = abs(x) + abs(y) + abs(z)
         if s != 0.0:
             x, y, z = x / s, y / s, z / s
-        anchor = abs(x) * (abs(H[k - 1, k - 1]) + abs(H[k, k])
-                           + abs(H[k + 1, k + 1]))
-        if anchor + abs(H[k, k - 1]) * (abs(y) + abs(z)) == anchor:
+        anchor = abs(x) * (abs(d[k - 1]) + abs(d[k]) + abs(d[k + 1]))
+        if anchor + abs(sub[k - 1]) * (abs(y) + abs(z)) == anchor:
             start = k
             break
         k -= 1
-    B = H[start:hi + 1, start:hi + 1]
+    B = B[start:, start:]
     m = B.shape[0]
     # the bulge column is three long until the last step, which takes two
-    col = _first_column(H, start, rt1r, rt1i, rt2r, rt2i)
+    col = _first_column(d, sub, sup, start, rt1r, rt1i, rt2r, rt2i)
     for k in range(m - 1):
         _apply_reflector(B, k, col, m)
-        col = B[k + 1:k + 4, k]
+        col = B[k + 1:k + 4, k].tolist()
 
 
 def _givens(f, g) -> tuple[float, complex]:
@@ -307,16 +348,12 @@ def _wilkinson_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
     z = B[1, 0]
     for k in range(m - 1):
         c, s = _givens(x, z)
-        r0 = max(k - 1, 0)
-        rk = B[k, r0:].copy()
-        rk1 = B[k + 1, r0:].copy()
-        B[k, r0:] = c * rk + s * rk1
-        B[k + 1, r0:] = -np.conj(s) * rk + c * rk1
-        r1 = min(k + 2, m - 1)
-        ck = B[:r1 + 1, k].copy()
-        ck1 = B[:r1 + 1, k + 1].copy()
-        B[:r1 + 1, k] = c * ck + np.conj(s) * ck1
-        B[:r1 + 1, k + 1] = -s * ck + c * ck1
+        sh = s.conjugate()
+        # both new rows, then both new columns, from views of the old ones
+        rk, rk1 = B[k, max(k - 1, 0):], B[k + 1, max(k - 1, 0):]
+        rk[:], rk1[:] = c * rk + s * rk1, -sh * rk + c * rk1
+        ck, ck1 = B[:min(k + 3, m), k], B[:min(k + 3, m), k + 1]
+        ck[:], ck1[:] = c * ck + sh * ck1, -s * ck + c * ck1
         if k < m - 2:
             x = B[k + 1, k]
             z = B[k + 2, k]
@@ -543,7 +580,9 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     inverse iteration with a slightly perturbed shift, all values of a block
     together: the shifted matrices of up to max(1, STACK_BYTES // (16 n^2))
     values are factored as one stacked LU, and every substitution step
-    serves the whole block. Every reported pair
+    serves the whole block. A 3-row Francis bulge step makes 16 numpy
+    calls, and the deflation and start-row scans run on Python floats
+    (see the module docstring). Every reported pair
     satisfies the residual contract (relative residual <= 1e-8 times the
     matrix norm) or the report is flagged converged=False. Raises
     RuntimeError when QR needs more than MAX_SWEEPS_PER_DIM sweeps per

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pseudoboson
+from pseudoboson import cli
 from pseudoboson.cli import main
 from pseudoboson.model import ModelParams
 from pseudoboson.sectors import SectorSpec, pseudo_jacobi
@@ -138,6 +139,22 @@ def test_stability_needs_two_depths(capsys):
     code, _, err = run(capsys, "stability", "--depths", "30")
     assert code == 2
     assert "two" in err
+
+
+@pytest.mark.parametrize("first, plain", [
+    (["sectors", "--k-range", "1", "1"], ["sectors"]),
+    (["stability", "--depths", "40", "80"], ["stability"]),
+])
+def test_parser_kept_across_calls_gives_single_call_reports(capsys, first, plain):
+    # main builds its parser once per process: a list flag given to one call
+    # must not reach the next, and no call may change a list default in place
+    singles = []
+    for argv in (first, plain):
+        cli._parser.cache_clear()
+        singles.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in (first, plain, plain)] == [
+        singles[0], singles[1], singles[1]]
 
 
 def test_theorem1_json_input(tmp_path, capsys):

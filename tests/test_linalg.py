@@ -4,6 +4,7 @@ The library itself never imports numpy.linalg; these tests are the one place
 where the hand-rolled QR/QL/LU routines are compared against it.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -158,6 +159,120 @@ def test_norm2_rescales_past_under_and_overflow(scale):
     block = np.array([[3.0 * scale, 4.0 * scale], [3.0, 4.0], [0.0, 0.0]])
     assert _norm2(block, axis=-1) == pytest.approx([5.0 * scale, 5.0, 0.0],
                                                    rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("entries", [
+    [math.nextafter(1e150, 0.0), 0.0],
+    [1e150, 0.0],
+    [6e149, 8e149, 1e-300],
+    [math.nextafter(1e-150, 1.0), 0.0, 0.0],
+    [6e-151, 8e-151],
+    [1.0, 1e-16, 1e-16],
+])
+def test_norm2_short_list_matches_the_array_path(entries):
+    # a bulge column reaches _norm2 as a list of floats; on either side of the
+    # rescale bounds it gives the array path's bits
+    assert _norm2(entries) == _norm2(np.array(entries))
+
+
+# Reference copy of the bulge step as it was before the chase ran on floats:
+# numpy arrays and scalars throughout, a unit Householder vector, 2.0 * np.outer
+# updates and a Givens rotation from copied rows and columns. The sweeps must
+# give the same bits.
+
+def _reference_reflector(B, k, col, m):
+    x = np.array(col)
+    xnorm = _norm2(x)
+    if xnorm == 0.0:
+        return
+    v = x.copy()
+    v[0] += (v[0] / abs(v[0]) if v[0] != 0 else 1.0) * xnorm
+    v = v / _norm2(v)
+    w, r0, r1 = len(v), max(k - 1, 0), min(k + len(v) + 1, m)
+    B[k:k + w, r0:] -= 2.0 * np.outer(v, v.conj() @ B[k:k + w, r0:])
+    B[:r1, k:k + w] -= 2.0 * np.outer(B[:r1, k:k + w] @ v, v.conj())
+
+
+def _reference_francis_sweep(H, lo, hi, stall):
+    if stall % 11 == 0:
+        w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
+        shifts = 1.75 * w, 0.0, -0.25 * w, 0.0
+    else:
+        shifts = linalg._shift_pair(H[hi - 1, hi - 1], H[hi - 1, hi],
+                                    H[hi, hi - 1], H[hi, hi])
+    diagonals = H.diagonal(), H.diagonal(-1), H.diagonal(1)
+    start = lo
+    for k in range(hi - 2, lo, -1):
+        x, y, z = linalg._first_column(*diagonals, k, *shifts)
+        s = abs(x) + abs(y) + abs(z)
+        if s != 0.0:
+            x, y, z = x / s, y / s, z / s
+        anchor = abs(x) * (abs(H[k - 1, k - 1]) + abs(H[k, k]) + abs(H[k + 1, k + 1]))
+        if anchor + abs(H[k, k - 1]) * (abs(y) + abs(z)) == anchor:
+            start = k
+            break
+    B = H[start:hi + 1, start:hi + 1]
+    m = B.shape[0]
+    col = linalg._first_column(*diagonals, start, *shifts)
+    for k in range(m - 1):
+        _reference_reflector(B, k, col, m)
+        col = B[k + 1:k + 4, k]
+
+
+def _reference_wilkinson_sweep(H, lo, hi, stall):
+    B = H[lo:hi + 1, lo:hi + 1]
+    m = B.shape[0]
+    if stall % 11 == 0:
+        sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
+    else:
+        e1, e2 = linalg._eig2_complex(B[m - 2, m - 2], B[m - 2, m - 1],
+                                      B[m - 1, m - 2], B[m - 1, m - 1])
+        corner = B[m - 1, m - 1]
+        sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
+    x, z = B[0, 0] - sigma, B[1, 0]
+    for k in range(m - 1):
+        c, s = linalg._givens(x, z)
+        r0, r1 = max(k - 1, 0), min(k + 2, m - 1)
+        rk, rk1 = B[k, r0:].copy(), B[k + 1, r0:].copy()
+        B[k, r0:] = c * rk + s * rk1
+        B[k + 1, r0:] = -np.conj(s) * rk + c * rk1
+        ck, ck1 = B[:r1 + 1, k].copy(), B[:r1 + 1, k + 1].copy()
+        B[:r1 + 1, k] = c * ck + np.conj(s) * ck1
+        B[:r1 + 1, k + 1] = -s * ck + c * ck1
+        if k < m - 2:
+            x, z = B[k + 1, k], B[k + 2, k]
+
+
+@pytest.mark.parametrize("stall", [1, 11])
+@pytest.mark.parametrize("case", ["graded", "1e+120", "1e-120", "split"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
+    # one sweep on the unreduced block 1..12 of a seeded 14x14 Hessenberg
+    # matrix; "split" has two small consecutive subdiagonals, below which the
+    # Francis bulge starts under the exceptional shift (stall 11)
+    rng = np.random.default_rng(53)
+    n = 14
+    m = rng.standard_normal((n, n))
+    if dtype is complex:
+        m = m + 1j * rng.standard_normal((n, n))
+    m = np.triu(m, -1)
+    if case == "graded":
+        grade = 0.3 ** np.arange(n)
+        m *= np.outer(grade, grade)
+    elif case == "split":
+        m[6, 5] = m[7, 6] = 1e-9
+    else:
+        m *= float(case)
+    m[1, 0] = m[13, 12] = 0.0
+    ours, ref = m.copy(), m.copy()
+    if dtype is float:
+        linalg._francis_sweep(ours, 1, 12, stall)
+        _reference_francis_sweep(ref, 1, 12, stall)
+    else:
+        linalg._wilkinson_sweep(ours, 1, 12, stall)
+        _reference_wilkinson_sweep(ref, 1, 12, stall)
+    assert not np.array_equal(ours, m)
+    assert np.array_equal(ours, ref)
 
 
 def test_eig_dense_rejects_nonsquare():
