@@ -2,7 +2,7 @@
 diagonalization, biorthogonal eigenbases, sector reduction, and the
 similarity-to-adjoint machinery, all in truncated Fock spaces."""
 
-from .fock import FockVector, InteriorMask, Operator, TruncationSpec
+from .fock import FockVector, Operator, TruncationSpec
 from .linalg import EigenReport, eig_dense, eig_sym_tridiag, multiset_distance
 from .model import (
     BiorthReport,
@@ -22,7 +22,6 @@ __all__ = [
     "BiorthReport",
     "EigenReport",
     "FockVector",
-    "InteriorMask",
     "ModelParams",
     "Operator",
     "PseudoBosonSet",

@@ -517,13 +517,16 @@ def _read_matrix(path: str) -> np.ndarray:
     re_part = np.asarray(obj["re"], dtype=float)
     if re_part.shape != (n, n):
         raise UsageError(f'{path}: "re" must be an {n} x {n} grid')
+    # the parts are assigned, not summed as re + 1j * im, so an infinite
+    # entry reaches the finiteness check instead of turning into 0 * inf
+    matrix = np.zeros((n, n), dtype=complex)
+    matrix.real = re_part
     if "im" in obj and obj["im"] is not None:
         im_part = np.asarray(obj["im"], dtype=float)
         if im_part.shape != (n, n):
             raise UsageError(f'{path}: "im" must be an {n} x {n} grid')
-    else:
-        im_part = np.zeros((n, n))
-    return re_part + 1j * im_part
+        matrix.imag = im_part
+    return matrix
 
 
 def _parse_csv_matrix(path: str, text: str) -> np.ndarray:
@@ -541,7 +544,7 @@ def _parse_csv_matrix(path: str, text: str) -> np.ndarray:
             raise UsageError(
                 f"{path}: line {i + 1} has {len(tokens)} numbers, expected "
                 f"{2 * n} (re,im pairs for an {n} x {n} matrix)")
-        out[i] = np.array(tokens[0::2]) + 1j * np.array(tokens[1::2])
+        out[i].real, out[i].imag = tokens[0::2], tokens[1::2]
     return out
 
 

@@ -77,10 +77,6 @@ class QuadraticHamiltonian:
         object.__setattr__(self, "creation_block", u)
         object.__setattr__(self, "annihilation_block", v)
 
-    @property
-    def n_modes(self) -> int:
-        return self.number_block.shape[0]
-
 
 @dataclass(frozen=True)
 class LadderCombination:

@@ -5,7 +5,7 @@ convention. States |m, n> carry the occupation of mode a first and mode b
 second, stored row-major: index = m * (n_max_b + 1) + n. The basis is
 orthonormal; ladder actions that would leave the truncation map to zero
 (projection truncation). Boundary artifacts of truncated operator products
-are absorbed by interior masks.
+are excluded by measuring deviations on the interior only.
 
 All containers are treated as immutable after construction and every
 operation is a pure function, so concurrent evaluation needs no coordination.
@@ -22,13 +22,11 @@ __all__ = [
     "TruncationSpec",
     "Operator",
     "FockVector",
-    "InteriorMask",
     "build_ladder_ops",
     "identity_op",
     "commutator",
     "inner_product",
     "apply",
-    "vacuum_state",
     "basis_state",
     "interior_deviation",
 ]
@@ -120,30 +118,6 @@ class FockVector:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} inconsistent with dim {self.trunc.dim}")
 
-    def norm(self) -> float:
-        return float(np.sqrt((np.abs(self.coeffs) ** 2).sum()))
-
-
-@dataclass(frozen=True)
-class InteriorMask:
-    """Selects states with m <= n_max_a - margin and n <= n_max_b - margin."""
-
-    margin: int
-
-    def __post_init__(self):
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
-
-    def selector(self, trunc: TruncationSpec) -> NDArray[np.bool_]:
-        if self.margin > min(trunc.n_max_a, trunc.n_max_b):
-            raise ValueError(
-                f"margin {self.margin} exceeds truncation {trunc}")
-        sel = np.zeros(trunc.dim, dtype=bool)
-        for m, n in trunc.states():
-            if m <= trunc.n_max_a - self.margin and n <= trunc.n_max_b - self.margin:
-                sel[trunc.index(m, n)] = True
-        return sel
-
 
 def _single_mode_lowering(n_max: int) -> NDArray[np.float64]:
     """Single-mode annihilation matrix: <n-1| A |n> = sqrt(n)."""
@@ -190,11 +164,6 @@ def apply(X: Operator, v: FockVector) -> FockVector:
     return FockVector(X.trunc, X.entries @ v.coeffs)
 
 
-def vacuum_state(trunc: TruncationSpec) -> FockVector:
-    """|0, 0>, annihilated exactly by both lowering operators."""
-    return basis_state(trunc, 0, 0)
-
-
 def basis_state(trunc: TruncationSpec, m: int, n: int) -> FockVector:
     coeffs = np.zeros(trunc.dim, dtype=complex)
     coeffs[trunc.index(m, n)] = 1.0
@@ -202,11 +171,19 @@ def basis_state(trunc: TruncationSpec, m: int, n: int) -> FockVector:
 
 
 def interior_deviation(X: Operator, margin: int) -> float:
-    """Largest entry magnitude of X restricted to the interior submatrix.
+    """Largest entry magnitude of X restricted to the interior states
+    m <= n_max_a - margin, n <= n_max_b - margin, in rows and columns alike.
 
-    The mask is applied to rows and columns, so truncation-boundary artifacts
-    of operator products are excluded from the measurement.
+    Truncation-boundary artifacts of operator products are thereby excluded
+    from the measurement. The margin must lie between 0 and the smaller
+    cutoff.
     """
-    sel = InteriorMask(margin).selector(X.trunc)
-    sub = X.entries[np.ix_(sel, sel)]
-    return float(np.abs(sub).max()) if sub.size else 0.0
+    t = X.trunc
+    if margin < 0:
+        raise ValueError("margin must be nonnegative")
+    if margin > min(t.n_max_a, t.n_max_b):
+        raise ValueError(f"margin {margin} exceeds truncation {t}")
+    shape = (t.n_max_a + 1, t.n_max_b + 1)
+    grid = X.entries.reshape(shape + shape)
+    ka, kb = shape[0] - margin, shape[1] - margin
+    return float(np.abs(grid[:ka, :kb, :ka, :kb]).max())

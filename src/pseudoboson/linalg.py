@@ -6,7 +6,8 @@ iteration, Francis double shift for real matrices and Wilkinson single shift
 for complex ones), a symmetric tridiagonal eigensolver (implicit-shift QL),
 a partial-pivoting LU solver, inverse iteration for eigenvectors (dense, or
 O(n) per vector on a tridiagonal), residual and biorthonormalization
-utilities.
+utilities, and `norm2`, the package's one Euclidean norm, which rescales
+where the plain sum of squares would under- or overflow.
 
 At the sizes used here QR time goes to Python and numpy calls, not to flops,
 so each step makes few calls. A 3-row Francis bulge step builds its
@@ -20,13 +21,13 @@ operands and their order, so these paths give the same bits as array code.
 
 Inverse iteration runs all values of a block together: one loop steps every
 value through its own shift schedule, and the dense path factors the shifted
-matrices of a block as one (b, n, n) stacked LU. `solve`, `solve_matrix` and
-the inverse iteration share one forward and back substitution, which sweeps
-all right-hand sides at once.
+matrices of a block as one (b, n, n) stacked LU. `solve_matrix` and the
+inverse iteration share one forward and back substitution, which sweeps all
+right-hand sides at once.
 
-numpy is used as the array substrate only; no numpy.linalg factorizations or
-eigensolvers are called here, so results can be cross-checked against an
-independent library route in the test suite.
+numpy is used as the array substrate only; no factorizations or eigensolvers
+of numpy's linear-algebra module are called here, so results can be
+cross-checked against an independent library route in the test suite.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "eig_sym_tridiag",
     "tridiag_eigenvectors",
     "tridiag_rayleigh_iteration",
-    "solve",
     "residual",
     "biorthonormalize",
     "multiset_distance",
@@ -98,10 +98,12 @@ def _as_square(M) -> NDArray:
     return A
 
 
-def _norm2(x, axis=None):
+def norm2(x, axis=None):
     """Euclidean norm, or with axis=-1 the norm of each row of a 2-D x: the
     plain sum of squares, rescaled by the largest entry of the row where that
-    sum under- or overflows.
+    sum under- or overflows, the remedy of J. L. Blue (ACM TOMS 4, 1978) and
+    LAPACK's dnrm2 taken only where the plain sum fails. The package's only
+    Euclidean norm; squares that overflow raise no warning.
 
     A list of fewer than 8 real floats, such as the two or three entries of a
     bulge column, is summed on Python floats. numpy sums fewer than 8 entries
@@ -115,7 +117,8 @@ def _norm2(x, axis=None):
         if 1e-150 < norm < 1e150:
             return norm
     a = np.abs(np.asarray(x))
-    norm = np.sqrt((a ** 2).sum(axis=axis))
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((a ** 2).sum(axis=axis))
     if axis is None:
         if 1e-150 < norm < 1e150:
             return float(norm)
@@ -130,13 +133,13 @@ def _norm2(x, axis=None):
 def _householder(x) -> NDArray | None:
     """Unit v with (I - 2 v v^H) x along e_1, or None when x is zero. x is an
     array, or a list of real floats whose vector is built on floats."""
-    xnorm = _norm2(x)
+    xnorm = norm2(x)
     if xnorm == 0.0:
         return None
     v = x.copy()
     phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
     v[0] += phase * xnorm
-    vnorm = _norm2(v)
+    vnorm = norm2(v)
     return np.array([t / vnorm for t in v]) if isinstance(v, list) else v / vnorm
 
 
@@ -408,34 +411,29 @@ def _lu_solve(factor, rhs) -> NDArray:
     return x[0] if rhs.ndim == 1 else x
 
 
-def solve(M, rhs) -> NDArray[np.complex128]:
-    """Solve M x = rhs by partial-pivoting LU; a 2-D rhs is solved as by
-    `solve_matrix`.
+def solve_matrix(M, B) -> NDArray[np.complex128]:
+    """Solve M X = B by partial-pivoting LU, for a vector or a matrix B, with
+    a single factorization; each substitution step sweeps all columns of B
+    at once.
 
-    Raises ValueError when M is singular to working precision.
+    Raises ValueError when M is singular to working precision or B has the
+    wrong number of rows.
     """
     A = _as_square(M)
-    b = np.asarray(rhs)
+    b = np.asarray(B)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
     return np.ascontiguousarray(_lu_solve(_lu_factor(A), b.T).T)
-
-
-def solve_matrix(M, B) -> NDArray[np.complex128]:
-    """Solve M X = B for a matrix right-hand side with a single factorization;
-    each substitution step sweeps all columns of B at once."""
-    factor = _lu_factor(_as_square(M))
-    return np.ascontiguousarray(_lu_solve(factor, np.asarray(B).T).T)
 
 
 def residual(M, lam, v) -> float:
     """Relative eigenpair residual ||M v - lam v|| / ||v||."""
     A = _as_square(M)
     vec = np.asarray(v)
-    nv = _norm2(vec)
+    nv = norm2(vec)
     if nv == 0.0:
         raise ValueError("residual of a zero vector is undefined")
-    return _norm2(A @ vec - lam * vec) / nv
+    return norm2(A @ vec - lam * vec) / nv
 
 
 def _tridiag_lu_factor(sub, diag, sup):
@@ -520,7 +518,7 @@ def _inverse_iteration(n: int, factor_shifted, matvec, lams: NDArray,
     shift schedule once its residual meets the looser bound.
     """
     start = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
-    start /= _norm2(start)
+    start /= norm2(start)
     best = np.tile(start, (len(lams), 1))
     best_res = np.full(len(lams), math.inf)
     delta = INVERSE_ITER_SHIFT * max(norm_scale, 1.0)
@@ -533,14 +531,14 @@ def _inverse_iteration(n: int, factor_shifted, matvec, lams: NDArray,
         live = np.arange(todo.size)
         for _ in range(5):
             w = solve_shifted(live, v[live])
-            wn = _norm2(w, axis=-1)
+            wn = norm2(w, axis=-1)
             ok = (wn != 0.0) & np.isfinite(wn)
             live = live[ok]
             if not live.size:
                 break
             v[live] = unit = w[ok] / wn[ok, None]
             idx = todo[live]
-            res = _norm2(matvec(unit) - lams[idx, None] * unit, axis=-1)
+            res = norm2(matvec(unit) - lams[idx, None] * unit, axis=-1)
             better = res < best_res[idx]
             best_res[idx[better]] = res[better]
             best[idx[better]] = unit[better]
@@ -618,7 +616,7 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
             return lambda items, V: _lu_solve((LU[items], piv[items]), V)
 
         _attach_vectors(report, n, factor_shifted,
-                        lambda V: (A @ V[:, :, None])[:, :, 0], _norm2(A),
+                        lambda V: (A @ V[:, :, None])[:, :, 0], norm2(A),
                         max(1, STACK_BYTES // (16 * n * n)))
     return report
 
@@ -653,11 +651,8 @@ def tridiag_eigenvectors(sub, diag, sup, values) -> EigenReport:
     columns = [a[:, None] for a in (lower, d, upper)]
     return _attach_vectors(report, n, factor_shifted,
                            lambda V: _tridiag_matvec(*columns, V.T).T,
-                           _tridiag_norm(lower, d, upper), max(1, len(report.values)))
-
-
-def _tridiag_norm(sub, diag, sup) -> float:
-    return math.sqrt(_norm2(diag) ** 2 + _norm2(sub) ** 2 + _norm2(sup) ** 2)
+                           norm2([norm2(a) for a in (d, lower, upper)]),
+                           max(1, len(report.values)))
 
 
 def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
@@ -694,8 +689,8 @@ def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
         values = quotient
         if settled:
             break
-    res = np.array([_norm2(col) for col in (jx - values * x).T], dtype=float)
-    norm_scale = _tridiag_norm(sub, diag, sup)
+    res = np.array([norm2(col) for col in (jx - values * x).T], dtype=float)
+    norm_scale = norm2([norm2(a) for a in (diag, sub, sup)])
     return EigenReport(values=values, vectors=report.vectors, residuals=res,
                        iterations=rounds,
                        converged=bool(np.all(res <= RESIDUAL_TOL * max(norm_scale, _EPS))))
@@ -784,7 +779,7 @@ def biorthonormalize(Phi, Psi):
         raise ValueError(f"shape mismatch: {P.shape} vs {Q.shape}")
     for i in range(P.shape[1]):
         g = np.vdot(Q[:, i], P[:, i])
-        scale = _norm2(Q[:, i]) * _norm2(P[:, i])
+        scale = norm2(Q[:, i]) * norm2(P[:, i])
         if abs(g) <= 1e-12 * max(scale, _EPS):
             raise ValueError(
                 f"vanishing diagonal Gram entry at column {i}: "

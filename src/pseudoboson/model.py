@@ -45,6 +45,7 @@ from .fock import (
     inner_product,
     interior_deviation,
 )
+from .linalg import norm2
 
 __all__ = [
     "ModelParams",
@@ -262,6 +263,10 @@ def eigenvector_families(p: ModelParams, trunc: TruncationSpec, m_max: int,
     normalization. The ladder set and the vacua are built once for the whole
     grid; every member is raised d-first, then c, so each vector is the same
     sequence of operator applications whatever the grid size.
+
+    Raises ValueError, naming the first such member in (m, n) order, when a
+    member underflows to zero or overflows to a non-finite entry, as the
+    raising powers do at tiny gamma, where the normalization is large.
     """
     if m_max > trunc.n_max_a or n_max > trunc.n_max_b:
         raise ValueError(
@@ -279,8 +284,15 @@ def eigenvector_families(p: ModelParams, trunc: TruncationSpec, m_max: int,
         return {(m, n): v for m, row in enumerate(rows) for n, v in enumerate(row)}
 
     vac, vac_p = build_vacua(p, trunc)
-    return (family(ops.c_ddag, ops.d_ddag, vac),
-            family(ops.c.adjoint(), ops.d.adjoint(), vac_p))
+    states = family(ops.c_ddag, ops.d_ddag, vac)
+    adj_states = family(ops.c.adjoint(), ops.d.adjoint(), vac_p)
+    for (m, n), v in states.items():
+        for coeffs in (v.coeffs, adj_states[m, n].coeffs):
+            if not np.all(np.isfinite(coeffs)):
+                raise ValueError(f"gamma too small: eigenvector ({m},{n}) overflows")
+            if not np.any(coeffs):
+                raise ValueError(f"gamma too small: eigenvector ({m},{n}) underflows")
+    return states, adj_states
 
 
 def energy(p: ModelParams, m: int, n: int) -> float:
@@ -299,7 +311,9 @@ def eigen_residuals(p: ModelParams, trunc: TruncationSpec,
     adjoint_residual the same for the adjoint family under H'. Both decay
     with the geometric truncation tail, so a deep enough truncation is the
     caller's responsibility (see `biorthogonality_matrix` for the heuristic).
-    A member that underflows to zero at tiny gamma raises ValueError.
+    Norms are `linalg.norm2`, so a member whose squares under- or overflow
+    still has a finite nonzero norm; a member that underflows to zero or
+    overflows raises ValueError from `eigenvector_families`.
     """
     states, adj_states = eigenvector_families(p, trunc, m_max, n_max)
     H, H_adj = build_hamiltonian(p, trunc)
@@ -309,13 +323,8 @@ def eigen_residuals(p: ModelParams, trunc: TruncationSpec,
             e = energy(p, m, n)
             v = states[m, n]
             w = adj_states[m, n]
-            rv = apply(H, v).coeffs - e * v.coeffs
-            rw = apply(H_adj, w).coeffs - e * w.coeffs
-            norm_v, norm_w = v.norm(), w.norm()
-            if norm_v == 0.0 or norm_w == 0.0:
-                raise ValueError(f"gamma too small: eigenvector ({m},{n}) underflows")
-            res = float(np.sqrt((np.abs(rv) ** 2).sum())) / norm_v
-            res_adj = float(np.sqrt((np.abs(rw) ** 2).sum())) / norm_w
+            res = norm2(apply(H, v).coeffs - e * v.coeffs) / norm2(v.coeffs)
+            res_adj = norm2(apply(H_adj, w).coeffs - e * w.coeffs) / norm2(w.coeffs)
             rows.append({"m": m, "n": n, "energy": e,
                          "residual": res, "adjoint_residual": res_adj})
     return rows

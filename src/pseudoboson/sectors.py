@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .fock import Operator, TruncationSpec, build_ladder_ops, identity_op
-from .linalg import (eig_dense, eig_sym_tridiag, multiset_distance,
+from .fock import TruncationSpec
+from .linalg import (eig_dense, eig_sym_tridiag, multiset_distance, norm2,
                      tridiag_rayleigh_iteration)
 from .model import ModelParams, _occupation_phases, build_hamiltonian
 
@@ -49,9 +49,6 @@ __all__ = [
     "FullSectorComparison",
     "HermitianScan",
     "sector_basis",
-    "sector_indices",
-    "number_difference",
-    "casimir_full",
     "sector_sizes",
     "casimir_reduction_check",
     "su11_generators",
@@ -105,36 +102,6 @@ def sector_basis(spec: SectorSpec) -> list[tuple[int, int]]:
     up = max(spec.k, 0)
     down = max(-spec.k, 0)
     return [(j + up, j + down) for j in range(spec.depth)]
-
-
-def sector_indices(spec: SectorSpec, trunc: TruncationSpec) -> list[int]:
-    """Full-space basis indices of the sector chain inside a box truncation,
-    j = 0 first. Errors if the box cannot hold `depth` chain states."""
-    indices = []
-    for na, nb in sector_basis(spec):
-        if na > trunc.n_max_a or nb > trunc.n_max_b:
-            raise ValueError(
-                f"truncation too shallow for sector k={spec.k} at depth "
-                f"{spec.depth}: state ({na},{nb}) falls outside the box")
-        indices.append(trunc.index(na, nb))
-    return indices
-
-
-def number_difference(trunc: TruncationSpec) -> Operator:
-    """The conserved occupation difference a'a - b'b; commutes with the model
-    Hamiltonian exactly, truncation included (the box keeps sectors intact)."""
-    a, b, a_dag, b_dag = build_ladder_ops(trunc)
-    return (a_dag @ a) - (b_dag @ b)
-
-
-def casimir_full(trunc: TruncationSpec) -> Operator:
-    """The quadratic invariant (a'a - b'b - 1)(a'a - b'b + 1): diagonal with
-    value k^2 - 1 on a sector-k state. Distinct from the bare occupation
-    difference (`number_difference`), which is sometimes used as the sector
-    label for short; both commute with the Hamiltonian exactly.
-    """
-    diff = number_difference(trunc)
-    return (diff @ diff) - identity_op(trunc)
 
 
 def sector_sizes(trunc: TruncationSpec) -> dict:
@@ -307,11 +274,9 @@ def lowest_weight_residuals(spec: SectorSpec, gamma: float) -> tuple[float, floa
     lowest-weight vector of the tilted triple."""
     gens = pseudo_su11_generators(spec, gamma)
     v = lowest_weight_vector(spec, gamma)
-    scale = float(np.sqrt(np.sum(v * v)))
-    lower = float(np.sqrt(np.sum((gens.minus @ v) ** 2))) / scale
+    scale = norm2(v)
     shifted = gens.zero @ v - (abs(spec.k) + 1.0) * v
-    zero_res = float(np.sqrt(np.sum(shifted * shifted))) / scale
-    return lower, zero_res
+    return norm2(gens.minus @ v) / scale, norm2(shifted) / scale
 
 
 @dataclass(frozen=True)
@@ -349,7 +314,7 @@ def _refined_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
     x = report.vectors
     conditions = (np.sum(np.abs(x) ** 2, axis=0)
                   / np.abs(np.sum(phases[:, None] * x * x, axis=0)))
-    norm = float(np.sqrt(np.sum(sub ** 2) + np.sum(diag ** 2) + np.sum(sup ** 2)))
+    norm = norm2([norm2(a) for a in diagonals])
     j = np.arange(len(shifts), dtype=float)
     targets = p.beta * spec.k + p.rho * (abs(spec.k) + 1.0 + 2.0 * j)
     spectrum = SectorSpectrum(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import biorthonormalize, eig_dense, multiset_distance, solve_matrix
+from .linalg import biorthonormalize, eig_dense, multiset_distance, norm2, solve_matrix
 
 __all__ = ["SimilarityReport", "verify_similarity"]
 
@@ -74,7 +74,7 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     n = m.shape[0]
     if n == 0:
         raise ValueError("matrix must be nonempty")
-    norm = float(np.sqrt(np.sum(np.abs(m) ** 2)))
+    norm = norm2(m)
 
     direct = eig_dense(m, want_vectors=True)
     adjoint = eig_dense(m.conj().T, want_vectors=True)
@@ -106,10 +106,8 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     # S M S^-1 without forming S^-1: solve S^T X^T = (S M)^T for X.
     conjugated = solve_matrix(transform.T, (transform @ m).T).T
     defect = m.conj().T - conjugated
-    similarity_error = float(np.sqrt(np.sum(np.abs(defect) ** 2)))
-    similarity_error /= max(norm, 1e-300)
-    unitarity = transform.conj().T @ transform - np.eye(n)
-    unitarity_defect = float(np.sqrt(np.sum(np.abs(unitarity) ** 2)))
+    similarity_error = norm2(defect) / max(norm, 1e-300)
+    unitarity_defect = norm2(transform.conj().T @ transform - np.eye(n))
 
     return SimilarityReport(spectrum_real=True, max_imag=max_imag,
                             spectrum_match=spectrum_match,

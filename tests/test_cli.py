@@ -271,6 +271,8 @@ def test_bad_parameters_are_exit_two(capsys):
     (["emm", "--gamma", "1e-310"], 2),
     (["emm", "--gamma", "5e-324"], 2),
     (["commutators", "--gamma", "1e-310", "--trunc", "8"], 2),
+    # the (3,4) members overflow; their Gram entries would be nan
+    (["biorth", "--gamma", "1e-100", "--trunc", "20"], 2),
 ])
 def test_extreme_parameters_end_without_traceback(capsys, argv, code):
     result, _, err = run(capsys, *argv)

@@ -1,11 +1,12 @@
-"""Truncated two-mode Fock layer: indexing, ladder matrices, masks."""
+"""Truncated two-mode Fock layer: indexing, ladder matrices, interior
+deviations."""
 
 import numpy as np
 import pytest
 
 from pseudoboson.fock import (
     FockVector,
-    InteriorMask,
+    Operator,
     TruncationSpec,
     apply,
     basis_state,
@@ -14,8 +15,8 @@ from pseudoboson.fock import (
     identity_op,
     inner_product,
     interior_deviation,
-    vacuum_state,
 )
+from pseudoboson.linalg import norm2
 
 
 def test_index_is_row_major():
@@ -94,30 +95,39 @@ def test_inner_product_antilinear_first_slot():
 def test_vacuum_annihilated_exactly():
     trunc = TruncationSpec(5, 5)
     a, b, _, _ = build_ladder_ops(trunc)
-    vac = vacuum_state(trunc)
-    assert apply(a, vac).norm() == 0.0
-    assert apply(b, vac).norm() == 0.0
-    assert vac.norm() == 1.0
+    vac = basis_state(trunc, 0, 0)
+    assert norm2(apply(a, vac).coeffs) == 0.0
+    assert norm2(apply(b, vac).coeffs) == 0.0
+    assert norm2(vac.coeffs) == 1.0
 
 
 def test_raising_builds_basis_states():
     trunc = TruncationSpec(4, 4)
     _, _, a_dag, b_dag = build_ladder_ops(trunc)
-    one_one = apply(a_dag, apply(b_dag, vacuum_state(trunc)))
+    one_one = apply(a_dag, apply(b_dag, basis_state(trunc, 0, 0)))
     assert np.abs(one_one.coeffs - basis_state(trunc, 1, 1).coeffs).max() == 0.0
 
 
-def test_interior_mask_drops_boundary_shells():
-    trunc = TruncationSpec(3, 3)
-    sel = InteriorMask(1).selector(trunc)
-    kept = [trunc.occupations(i) for i in np.nonzero(sel)[0]]
-    assert kept == [(m, n) for m in range(3) for n in range(3)]
+def test_interior_deviation_drops_boundary_shell():
+    # nonzero only where a row or a column state has m = 3 or n = 2: margin 1
+    # excludes every such entry, margin 0 sees them
+    trunc = TruncationSpec(3, 2)
+    shell = np.array([m == 3 or n == 2 for m, n in trunc.states()])
+    entries = np.where(shell[:, None] | shell[None, :], 5.0, 0.0)
+    assert interior_deviation(Operator(trunc, entries), margin=1) == 0.0
+    assert interior_deviation(Operator(trunc, entries), margin=0) == 5.0
+    # one interior entry (|2,1> to |0,0>) is seen at margin 1
+    entries[trunc.index(0, 0), trunc.index(2, 1)] = -7.0
+    assert interior_deviation(Operator(trunc, entries), margin=1) == 7.0
 
 
-def test_interior_mask_rejects_overdeep_margin():
-    trunc = TruncationSpec(2, 2)
-    with pytest.raises(ValueError):
-        InteriorMask(3).selector(trunc)
+def test_interior_deviation_rejects_overdeep_margin():
+    x = identity_op(TruncationSpec(2, 3))
+    assert interior_deviation(x, margin=2) == 1.0
+    with pytest.raises(ValueError, match="exceeds"):
+        interior_deviation(x, margin=3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        interior_deviation(x, margin=-1)
 
 
 def test_operator_algebra_shapes():

@@ -16,7 +16,7 @@ from pseudoboson import linalg
 from pseudoboson.linalg import (
     _lu_factor,
     _lu_solve,
-    _norm2,
+    norm2,
     _tridiag_lu_factor,
     _tridiag_lu_solve,
     biorthonormalize,
@@ -24,7 +24,6 @@ from pseudoboson.linalg import (
     eig_sym_tridiag,
     multiset_distance,
     residual,
-    solve,
     solve_matrix,
     tridiag_eigenvectors,
     tridiag_rayleigh_iteration,
@@ -151,14 +150,14 @@ def test_eig_dense_raises_at_the_sweep_cap(monkeypatch, dtype, split):
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_norm2_rescales_past_under_and_overflow(scale):
-    assert _norm2([3.0 * scale, 4.0 * scale]) == pytest.approx(5.0 * scale,
-                                                               rel=1e-15, abs=0.0)
-    assert _norm2(np.zeros(3)) == 0.0
+    assert norm2([3.0 * scale, 4.0 * scale]) == pytest.approx(5.0 * scale,
+                                                              rel=1e-15, abs=0.0)
+    assert norm2(np.zeros(3)) == 0.0
     # row norms of a block: only the row whose sum under- or overflows is
     # rescaled, and a zero row stays zero
     block = np.array([[3.0 * scale, 4.0 * scale], [3.0, 4.0], [0.0, 0.0]])
-    assert _norm2(block, axis=-1) == pytest.approx([5.0 * scale, 5.0, 0.0],
-                                                   rel=1e-15, abs=0.0)
+    assert norm2(block, axis=-1) == pytest.approx([5.0 * scale, 5.0, 0.0],
+                                                  rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("entries", [
@@ -170,9 +169,9 @@ def test_norm2_rescales_past_under_and_overflow(scale):
     [1.0, 1e-16, 1e-16],
 ])
 def test_norm2_short_list_matches_the_array_path(entries):
-    # a bulge column reaches _norm2 as a list of floats; on either side of the
+    # a bulge column reaches norm2 as a list of floats; on either side of the
     # rescale bounds it gives the array path's bits
-    assert _norm2(entries) == _norm2(np.array(entries))
+    assert norm2(entries) == norm2(np.array(entries))
 
 
 # Reference copy of the bulge step as it was before the chase ran on floats:
@@ -182,12 +181,12 @@ def test_norm2_short_list_matches_the_array_path(entries):
 
 def _reference_reflector(B, k, col, m):
     x = np.array(col)
-    xnorm = _norm2(x)
+    xnorm = norm2(x)
     if xnorm == 0.0:
         return
     v = x.copy()
     v[0] += (v[0] / abs(v[0]) if v[0] != 0 else 1.0) * xnorm
-    v = v / _norm2(v)
+    v = v / norm2(v)
     w, r0, r1 = len(v), max(k - 1, 0), min(k + len(v) + 1, m)
     B[k:k + w, r0:] -= 2.0 * np.outer(v, v.conj() @ B[k:k + w, r0:])
     B[:r1, k:k + w] -= 2.0 * np.outer(B[:r1, k:k + w] @ v, v.conj())
@@ -283,7 +282,8 @@ def test_eig_dense_rejects_nonsquare():
 def test_solve_hilbert_recovers_ones():
     n = 4
     h = np.array([[1.0 / (i + j + 1) for j in range(n)] for i in range(n)])
-    x = solve(h, h @ np.ones(n))
+    x = solve_matrix(h, h @ np.ones(n))
+    assert x.shape == (n,)
     assert np.abs(x - 1.0).max() < 1e-8
 
 
@@ -291,7 +291,9 @@ def test_solve_matches_lapack_on_complex_system():
     rng = np.random.default_rng(23)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    assert np.abs(solve(m, rhs) - np.linalg.solve(m, rhs)).max() < 1e-10
+    assert np.abs(solve_matrix(m, rhs) - np.linalg.solve(m, rhs)).max() < 1e-10
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_matrix(m, rhs[:5])
 
 
 def test_solve_matrix_matches_lapack_on_a_wide_complex_block():
@@ -302,7 +304,9 @@ def test_solve_matrix_matches_lapack_on_a_wide_complex_block():
     assert ours.shape == (7, 3)
     assert np.abs(ours - np.linalg.solve(m, rhs)).max() < 1e-10
     # every column goes through the same sweep as a single right-hand side
-    assert all(np.array_equal(ours[:, j], solve(m, rhs[:, j])) for j in range(3))
+    assert all(np.array_equal(ours[:, j], solve_matrix(m, rhs[:, j])) for j in range(3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_matrix(m, rhs[:6])
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ValueError, match="singular"):
         solve_matrix(singular, np.eye(2))
@@ -328,7 +332,7 @@ def _near_pair_upper_triangular() -> np.ndarray:
     # shift offset: shifting by 3 + delta leaves an exactly zero fourth pivot
     m = np.triu(np.ones((5, 5)), 1) + np.diag([1.0, 2.0, 3.0, 3.0, 5.0])
     for _ in range(3):
-        m[3, 3] = 3.0 + linalg.INVERSE_ITER_SHIFT * _norm2(m)
+        m[3, 3] = 3.0 + linalg.INVERSE_ITER_SHIFT * norm2(m)
     return m
 
 
@@ -344,14 +348,14 @@ def test_stacked_inverse_iteration_edge_cases(m):
         report = eig_dense(m, want_vectors=True)
     n = m.shape[0]
     assert report.vectors.shape == (n, n) and np.all(np.isfinite(report.vectors))
-    bound = linalg.RESIDUAL_TOL * max(_norm2(m), np.finfo(float).eps)
+    bound = linalg.RESIDUAL_TOL * max(norm2(m), np.finfo(float).eps)
     assert report.converged == bool(np.all(report.residuals <= bound))
     for i, lam in enumerate(report.values):
         assert report.residuals[i] == pytest.approx(
             residual(m, lam, report.vectors[:, i]), rel=1e-12, abs=1e-300)
     if n == 5:
         # the fallback fires in the stack item for 3 and in no other
-        delta = linalg.INVERSE_ITER_SHIFT * _norm2(m)
+        delta = linalg.INVERSE_ITER_SHIFT * norm2(m)
         shifted = m - (report.values + delta)[:, None, None] * np.eye(n)
         lu, _ = _lu_factor(shifted, fix_singular=True)
         tiny = 8 * n * np.finfo(float).eps * np.abs(shifted).max(axis=(1, 2))
@@ -381,7 +385,7 @@ def test_tridiag_solve_matches_dense_solve():
                 assert np.abs(factor[3]).max() > 0.0
             ours = _tridiag_lu_solve(factor, rhs)
             m = _dense_tridiag(sub, diag, sup)
-            dense = solve(m, rhs)
+            dense = solve_matrix(m, rhs)
             # both are backward stable, so they agree to eps times the
             # condition number
             bound = 1e-13 * np.linalg.cond(m) * np.abs(dense).max()
@@ -394,7 +398,7 @@ def test_tridiag_solve_at_an_eigenvalue_uses_tiny_pivot():
     sub = sup = np.ones(2)
     shifted = np.zeros(3)
     with pytest.raises(ValueError, match="singular"):
-        solve(_dense_tridiag(sub, shifted, sup), np.ones(3))
+        solve_matrix(_dense_tridiag(sub, shifted, sup), np.ones(3))
     w = _tridiag_lu_solve(_tridiag_lu_factor(sub, shifted, sup),
                           np.ones(3) + 1e-3 * np.arange(3))
     assert np.all(np.isfinite(w))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pseudoboson.fock import TruncationSpec, apply, basis_state, inner_product
-from pseudoboson.linalg import eig_dense
+from pseudoboson.linalg import eig_dense, norm2
 from pseudoboson.model import (
     ModelParams,
     biorthogonality_matrix,
@@ -129,10 +129,10 @@ def test_vacua_annihilated_by_lowering_pair():
     trunc = TruncationSpec(40, 40)
     ops = build_pseudoboson_ops(P, trunc)
     vac, vac_adj = build_vacua(P, trunc)
-    assert apply(ops.c, vac).norm() < 1e-12
-    assert apply(ops.d, vac).norm() < 1e-12
-    assert apply(ops.d_ddag.adjoint(), vac_adj).norm() < 1e-12
-    assert apply(ops.c_ddag.adjoint(), vac_adj).norm() < 1e-12
+    assert norm2(apply(ops.c, vac).coeffs) < 1e-12
+    assert norm2(apply(ops.d, vac).coeffs) < 1e-12
+    assert norm2(apply(ops.d_ddag.adjoint(), vac_adj).coeffs) < 1e-12
+    assert norm2(apply(ops.c_ddag.adjoint(), vac_adj).coeffs) < 1e-12
 
 
 def test_eigen_residuals_deep_truncation():
@@ -142,6 +142,24 @@ def test_eigen_residuals_deep_truncation():
         assert row["residual"] < 1e-8
         assert row["adjoint_residual"] < 1e-8
         assert row["energy"] == pytest.approx(energy(P, row["m"], row["n"]))
+
+
+def test_eigen_residuals_at_tiny_gamma():
+    # the members' entries reach 1e300 and 1e-400: their squares over- and
+    # underflow, but their scaled norms do not
+    rows = eigen_residuals(ModelParams(0.5, 1e-100), TruncationSpec(20, 20), 3, 3)
+    assert len(rows) == 16
+    for row in rows:
+        assert row["residual"] < 1e-8
+        assert row["adjoint_residual"] < 1e-8
+
+
+def test_families_reject_an_overflowing_member():
+    # (3,4) is the first member in (m, n) order whose raising powers of the
+    # 1e50-sized ladder normalization overflow
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"eigenvector \(3,4\) overflows"):
+        eigenvector_families(ModelParams(0.5, 1e-100), TruncationSpec(20, 20), 4, 4)
 
 
 def test_eigenstate_rejects_occupation_beyond_cutoff():

@@ -1,0 +1,20 @@
+"""The library never calls the libraries the tests use as an oracle, so the
+two routes to every eigenvalue, solve and norm stay independent."""
+
+import re
+from pathlib import Path
+
+import pseudoboson
+
+_ORACLE = re.compile(r"\b(?:numpy|np)\s*\.\s*linalg\b|\bscipy\b"
+                     r"|\bfrom\s+numpy\s+import\s[^\n]*\blinalg\b")
+
+
+def test_library_does_not_reference_the_oracle():
+    sources = sorted(Path(pseudoboson.__file__).parent.glob("*.py"))
+    assert sources
+    hits = [f"{path.name}:{number}: {line.strip()}"
+            for path in sources
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if _ORACLE.search(line)]
+    assert hits == []

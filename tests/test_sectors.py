@@ -7,13 +7,12 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoboson import sectors
-from pseudoboson.fock import TruncationSpec, commutator
+from pseudoboson.fock import TruncationSpec, build_ladder_ops, commutator
 from pseudoboson.linalg import eig_dense
 from pseudoboson.model import ModelParams, build_hamiltonian, energy
 from pseudoboson.sectors import (
     SectorSpec,
     casimir_check,
-    casimir_full,
     casimir_matrix,
     casimir_reduction_check,
     converged_sector_spectrum,
@@ -23,13 +22,11 @@ from pseudoboson.sectors import (
     hermitian_variant_scan,
     lowest_weight_residuals,
     lowest_weight_vector,
-    number_difference,
     predicted_hermitian_lowest,
     pseudo_jacobi,
     pseudo_jacobi_diagonals,
     pseudo_su11_generators,
     sector_basis,
-    sector_indices,
     sector_phase_vector,
     sector_sizes,
     sector_spectrum,
@@ -47,14 +44,6 @@ def test_sector_basis_orderings():
     assert sector_basis(SectorSpec(-1, 3)) == [(0, 1), (1, 2), (2, 3)]
 
 
-def test_sector_indices_map_into_full_space():
-    trunc = TruncationSpec(4, 4)
-    idx = sector_indices(SectorSpec(-1, 3), trunc)
-    assert idx == [trunc.index(0, 1), trunc.index(1, 2), trunc.index(2, 3)]
-    with pytest.raises(ValueError):
-        sector_indices(SectorSpec(0, 6), trunc)
-
-
 def test_sector_sizes_partition_the_space():
     trunc = TruncationSpec(4, 3)
     sizes = sector_sizes(trunc)
@@ -64,25 +53,14 @@ def test_sector_sizes_partition_the_space():
     assert sizes[-3] == 1
 
 
-def test_casimir_constant_per_sector():
-    trunc = TruncationSpec(5, 5)
-    c = casimir_full(trunc)
-    for k in (-2, 0, 1, 3):
-        for idx in sector_indices(SectorSpec(k, 2), trunc):
-            assert c.entries[idx, idx] == pytest.approx(k * k - 1, abs=1e-12)
-    # diagonal in the occupation basis, off-diagonals exactly zero
-    off = c.entries - np.diag(np.diag(c.entries))
-    assert np.abs(off).max() == 0.0
-
-
 def test_casimir_commutes_with_hamiltonian():
-    # no truncation damage: the box keeps sectors intact, so the commutator
-    # sits at rounding level everywhere including the boundary
+    # the occupation difference a'a - b'b labels the sectors; the box keeps
+    # sectors intact, so the commutator sits at rounding level everywhere,
+    # the boundary included
     trunc = TruncationSpec(6, 6)
     h, _ = build_hamiltonian(P, trunc)
-    c = casimir_full(trunc)
-    assert np.abs(commutator(c, h).entries).max() < 1e-12
-    d = number_difference(trunc)
+    a, b, a_dag, b_dag = build_ladder_ops(trunc)
+    d = (a_dag @ a) - (b_dag @ b)
     assert np.abs(commutator(d, h).entries).max() < 1e-12
 
 
