@@ -1,11 +1,11 @@
 """Truncated two-mode Fock space.
 
-Basis indexing, ladder-operator matrices, commutators and the inner-product
-convention. States |m, n> carry the occupation of mode a first and mode b
-second, stored row-major: index = m * (n_max_b + 1) + n. The basis is
-orthonormal; ladder actions that would leave the truncation map to zero
-(projection truncation). Boundary artifacts of truncated operator products
-are excluded by measuring deviations on the interior only.
+States |m, n> of the orthonormal basis, mode a first, form a grid of shape
+(n_max_a + 1, n_max_b + 1), stored flat row-major: index m (n_max_b + 1) + n.
+Operators are `GridMap`s, weighted shifts of the last two axes of a stack of
+grids; ladder actions that would leave the truncation map to zero (projection
+truncation). A dense `Operator` is a map applied to the identity stack.
+Truncated operator products are judged on the interior only.
 
 All containers are treated as immutable after construction and every
 operation is a pure function, so concurrent evaluation needs no coordination.
@@ -22,12 +22,10 @@ __all__ = [
     "TruncationSpec",
     "Operator",
     "FockVector",
+    "GridMap",
     "build_ladder_ops",
     "identity_op",
     "commutator",
-    "inner_product",
-    "apply",
-    "basis_state",
     "interior_deviation",
 ]
 
@@ -44,6 +42,10 @@ class TruncationSpec:
             raise ValueError("occupation cutoffs must be nonnegative")
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return self.n_max_a + 1, self.n_max_b + 1
+
+    @property
     def dim(self) -> int:
         return (self.n_max_a + 1) * (self.n_max_b + 1)
 
@@ -52,12 +54,6 @@ class TruncationSpec:
         if not (0 <= m <= self.n_max_a and 0 <= n <= self.n_max_b):
             raise ValueError(f"state |{m},{n}> outside truncation {self}")
         return m * (self.n_max_b + 1) + n
-
-    def occupations(self, idx: int) -> tuple[int, int]:
-        """Inverse of index()."""
-        if not 0 <= idx < self.dim:
-            raise ValueError(f"index {idx} outside dimension {self.dim}")
-        return divmod(idx, self.n_max_b + 1)
 
     def states(self):
         """Iterate (m, n) in flat-index order."""
@@ -77,9 +73,6 @@ class Operator:
         if self.entries.shape != (self.trunc.dim, self.trunc.dim):
             raise ValueError(
                 f"entries shape {self.entries.shape} inconsistent with dim {self.trunc.dim}")
-
-    def adjoint(self) -> "Operator":
-        return Operator(self.trunc, self.entries.conj().T)
 
     def _check(self, other: "Operator"):
         if self.trunc != other.trunc:
@@ -102,9 +95,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Operator":
-        return Operator(self.trunc, -self.entries)
-
 
 @dataclass(frozen=True)
 class FockVector:
@@ -118,24 +108,57 @@ class FockVector:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} inconsistent with dim {self.trunc.dim}")
 
+    @property
+    def grid(self) -> NDArray:
+        return self.coeffs.reshape(self.trunc.shape)
 
-def _single_mode_lowering(n_max: int) -> NDArray[np.float64]:
-    """Single-mode annihilation matrix: <n-1| A |n> = sqrt(n)."""
-    return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1) if n_max > 0 \
-        else np.zeros((1, 1))
+
+def _window(shift: int, length: int) -> slice:
+    """The indices i of an axis of this length for which i + shift is one too."""
+    return slice(max(0, -shift), length - max(0, shift))
+
+
+@dataclass(frozen=True, eq=False)
+class GridMap:
+    """A linear map on stacks of states, a sum of weighted shifts: term
+    (w, da, db) adds w * x[..., m + da, n + db] to entry (m, n) of the image
+    wherever both lie in the box, w broadcast to that target window."""
+
+    trunc: TruncationSpec
+    terms: tuple
+
+    def __call__(self, x: NDArray) -> NDArray:
+        if x.shape[-2:] != self.trunc.shape:
+            raise ValueError(f"grid shape {x.shape[-2:]} inconsistent with {self.trunc}")
+        out = np.zeros(x.shape, np.result_type(x, *(w for w, _, _ in self.terms)))
+        na, nb = self.trunc.shape
+        for w, da, db in self.terms:
+            out[..., _window(da, na), _window(db, nb)] += \
+                w * x[..., _window(-da, na), _window(-db, nb)]
+        return out
+
+    def adjoint(self) -> "GridMap":
+        """The conjugate transpose: each shift reversed, its weights conjugated
+        in place, as a shift's source window is the reverse shift's target."""
+        return GridMap(self.trunc, tuple((np.conj(w), -da, -db)
+                                         for w, da, db in self.terms))
+
+    def dense(self) -> Operator:
+        """The matrix whose column j is the image of basis state j; each entry
+        is one weight times 1 plus zeros, so it has the weight's bits."""
+        dim = self.trunc.dim
+        images = self(np.eye(dim).reshape((dim,) + self.trunc.shape))
+        return Operator(self.trunc, np.ascontiguousarray(images.reshape(dim, dim).T))
 
 
 def build_ladder_ops(trunc: TruncationSpec):
-    """Ladder matrices (a, b, a_dag, b_dag) on the truncated space.
+    """Ladder maps (a, b, a_dag, b_dag) on the truncated space.
 
     a|m,n> = sqrt(m)|m-1,n>, a_dag|m,n> = sqrt(m+1)|m+1,n> with projection to
-    zero at the truncation boundary; analogously for mode b. a_dag is exactly
-    the conjugate transpose of a.
+    zero at the truncation boundary; analogously for mode b.
     """
-    A1 = _single_mode_lowering(trunc.n_max_a)
-    B1 = _single_mode_lowering(trunc.n_max_b)
-    a = Operator(trunc, np.kron(A1, np.eye(trunc.n_max_b + 1)))
-    b = Operator(trunc, np.kron(np.eye(trunc.n_max_a + 1), B1))
+    a = GridMap(trunc, ((np.sqrt(np.arange(1.0, trunc.n_max_a + 1))[:, None], 1, 0),))
+    b = GridMap(trunc, ((np.sqrt(np.arange(1.0, trunc.n_max_b + 1)), 0, 1),))
     return a, b, a.adjoint(), b.adjoint()
 
 
@@ -148,26 +171,6 @@ def commutator(X: Operator, Y: Operator) -> Operator:
     if X.trunc != Y.trunc:
         raise ValueError(f"truncation mismatch: {X.trunc} vs {Y.trunc}")
     return Operator(X.trunc, X.entries @ Y.entries - Y.entries @ X.entries)
-
-
-def inner_product(v: FockVector, w: FockVector) -> complex:
-    """Inner product, antilinear in the first argument."""
-    if v.trunc != w.trunc:
-        raise ValueError(f"truncation mismatch: {v.trunc} vs {w.trunc}")
-    return complex(np.vdot(v.coeffs, w.coeffs))
-
-
-def apply(X: Operator, v: FockVector) -> FockVector:
-    """Matrix-vector product X v."""
-    if X.trunc != v.trunc:
-        raise ValueError(f"truncation mismatch: {X.trunc} vs {v.trunc}")
-    return FockVector(X.trunc, X.entries @ v.coeffs)
-
-
-def basis_state(trunc: TruncationSpec, m: int, n: int) -> FockVector:
-    coeffs = np.zeros(trunc.dim, dtype=complex)
-    coeffs[trunc.index(m, n)] = 1.0
-    return FockVector(trunc, coeffs)
 
 
 def interior_deviation(X: Operator, margin: int) -> float:
@@ -183,7 +186,6 @@ def interior_deviation(X: Operator, margin: int) -> float:
         raise ValueError("margin must be nonnegative")
     if margin > min(t.n_max_a, t.n_max_b):
         raise ValueError(f"margin {margin} exceeds truncation {t}")
-    shape = (t.n_max_a + 1, t.n_max_b + 1)
-    grid = X.entries.reshape(shape + shape)
-    ka, kb = shape[0] - margin, shape[1] - margin
+    grid = X.entries.reshape(t.shape + t.shape)
+    ka, kb = t.n_max_a + 1 - margin, t.n_max_b + 1 - margin
     return float(np.abs(grid[:ka, :kb, :ka, :kb]).max())

@@ -19,11 +19,15 @@ Conventions. The basis here is orthonormal (unit-norm number states), not the
 unnormalized polynomial basis sometimes used for the same model; with raw
 operator powers (no 1/sqrt(m! n!)) the biorthogonality constant is
 m! n! <vacuum', vacuum>, which is what `biorthogonality_matrix` reports.
-The matrix of H is assembled as the finite section of the full-space operator,
-using the exact reordering b b' = b'b + 1: a literal product of truncated
-factors would zero the (n = n_max_b) boundary diagonal and pollute the
-spectrum with spurious eigenvalues. The additive constant from the reordering
-is part of the model and is kept.
+H is assembled as the finite section of the full-space operator, using the
+exact reordering b b' = b'b + 1: a literal product of truncated factors would
+zero the (n = n_max_b) boundary diagonal and pollute the spectrum with
+spurious eigenvalues. The additive constant from the reordering is part of
+the model and is kept.
+
+States are grids and H, H' and the ladder operators `fock.GridMap`s, so the
+eigenvector families, their residuals and their Gram build no matrix; dense
+matrices, the maps applied to the identity, serve small-truncation checks.
 """
 
 from __future__ import annotations
@@ -36,13 +40,12 @@ from numpy.typing import NDArray
 
 from .fock import (
     FockVector,
+    GridMap,
     Operator,
     TruncationSpec,
-    apply,
     build_ladder_ops,
     commutator,
     identity_op,
-    inner_product,
     interior_deviation,
 )
 from .linalg import norm2
@@ -115,16 +118,16 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PseudoBosonSet:
-    """Two pseudo-boson pairs: lowering (c, d) and raising (c_ddag, d_ddag).
+    """Two pseudo-boson ladder-map pairs: lowering (c, d), raising (c_ddag, d_ddag).
 
     The raising partners are not adjoints of the lowering ones whenever
     gamma != 0. degenerate marks the gamma = 0 fallback to ordinary bosons.
     """
 
-    c: Operator
-    d: Operator
-    c_ddag: Operator
-    d_ddag: Operator
+    c: GridMap
+    d: GridMap
+    c_ddag: GridMap
+    d_ddag: GridMap
     degenerate: bool = False
 
 
@@ -144,42 +147,52 @@ class BiorthReport:
     labels: list = field(default_factory=list)
 
 
-def build_hamiltonian(p: ModelParams, trunc: TruncationSpec) -> tuple[Operator, Operator]:
-    """The model Hamiltonian and its adjoint on the truncated space.
-
-    Assembled as the finite section of the full-space operator,
-    H = (1+beta) a'a + (1-beta) b'b + 1 + gamma (a'b' - a b); see the module
-    docstring for why the reordered form is used.
-    """
-    a, b, a_dag, b_dag = build_ladder_ops(trunc)
-    H = ((1.0 + p.beta) * (a_dag @ a)
-         + (1.0 - p.beta) * (b_dag @ b)
-         + identity_op(trunc)
-         + p.gamma * ((a_dag @ b_dag) - (a @ b)))
+def build_hamiltonian(p: ModelParams, trunc: TruncationSpec) -> tuple[GridMap, GridMap]:
+    """H and its adjoint as maps: the finite section of the full-space
+    H = (1+beta) a'a + (1-beta) b'b + 1 + gamma (a'b' - a b) (see the module
+    docstring), each weight rounded as the entry of the ladder-matrix algebra
+    is, the number term as (1+beta) (sqrt(m) sqrt(m))."""
+    root_a = np.sqrt(np.arange(trunc.n_max_a + 1.0))[:, None]
+    root_b = np.sqrt(np.arange(trunc.n_max_b + 1.0))
+    number = (1.0 + p.beta) * (root_a * root_a) + (1.0 - p.beta) * (root_b * root_b) + 1.0
+    pair = p.gamma * (root_a[1:] * root_b[1:])
+    H = GridMap(trunc, ((number, 0, 0), (pair, -1, -1), (-pair, 1, 1)))
     return H, H.adjoint()
 
 
 def build_pseudoboson_ops(p: ModelParams, trunc: TruncationSpec) -> PseudoBosonSet:
-    """The pseudo-boson ladder set for the model.
+    """The pseudo-boson ladder maps for the model.
 
     c = N ((rho-1) b' + gamma a),  d = N ((rho-1) a' + gamma b),
     d" = N ((rho+1) b' - gamma a),  c" = N ((rho+1) a' - gamma b),
-    with N = (2 gamma rho)^(-1/2). rho - 1 is evaluated as gamma^2 / (1 + rho),
-    which keeps small gamma free of cancellation. At gamma = 0 the
-    construction degenerates (N diverges); the ordinary bosons are returned
-    with the degenerate flag.
+    with N = (2 gamma rho)^(-1/2) folded into each weight as N (coef sqrt(k)),
+    as in the matrix entries; scaling a raised state by N afterwards would
+    underflow at tiny gamma. rho - 1 is evaluated as gamma^2 / (1 + rho),
+    free of cancellation at small gamma. At gamma = 0 the construction
+    degenerates (N diverges); the ordinary bosons are returned with the
+    degenerate flag.
     """
     a, b, a_dag, b_dag = build_ladder_ops(trunc)
     if p.gamma == 0:
         return PseudoBosonSet(c=a, d=b, c_ddag=a_dag, d_ddag=b_dag, degenerate=True)
     N = p.norm_scale
-    rho = p.rho
     g = p.gamma
-    c = N * ((g * g / (1.0 + rho)) * b_dag + g * a)
-    d = N * ((g * g / (1.0 + rho)) * a_dag + g * b)
-    d_ddag = N * ((1.0 + rho) * b_dag - g * a)
-    c_ddag = N * ((1.0 + rho) * a_dag - g * b)
-    return PseudoBosonSet(c=c, d=d, c_ddag=c_ddag, d_ddag=d_ddag)
+    low, high = g * g / (1.0 + p.rho), 1.0 + p.rho
+
+    def combine(*pairs) -> GridMap:
+        return GridMap(trunc, tuple((N * (coef * w), da, db)
+                                    for coef, op in pairs for w, da, db in op.terms))
+
+    return PseudoBosonSet(c=combine((low, b_dag), (g, a)), d=combine((low, a_dag), (g, b)),
+                          c_ddag=combine((high, a_dag), (-g, b)),
+                          d_ddag=combine((high, b_dag), (-g, a)))
+
+
+def _dense_set(p: ModelParams, trunc: TruncationSpec):
+    """Matrices of H and of c, d, c", d", for the small-truncation checks."""
+    ops = build_pseudoboson_ops(p, trunc)
+    return [x.dense() for x in (build_hamiltonian(p, trunc)[0], ops.c, ops.d,
+                                ops.c_ddag, ops.d_ddag)]
 
 
 def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
@@ -196,24 +209,22 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     it; those four are divided by max(1, norm_scale), so they stay relative
     to the operators they measure.
     """
-    ops = build_pseudoboson_ops(p, trunc)
+    H, c, d, c_ddag, d_ddag = _dense_set(p, trunc)
     ident = identity_op(trunc)
-    named = [("c", ops.c), ("d", ops.d), ("c_ddag", ops.c_ddag),
-             ("d_ddag", ops.d_ddag)]
+    named = [("c", c), ("d", d), ("c_ddag", c_ddag), ("d_ddag", d_ddag)]
     unit_pairs = {("c", "c_ddag"), ("d", "d_ddag")}
     report = {}
     for i, (ni, xi) in enumerate(named):
         for nj, xj in named[i:]:
-            target = ident if (ni, nj) in unit_pairs else None
             comm = commutator(xi, xj)
-            diff = comm - target if target is not None else comm
-            report[f"[{ni},{nj}]"] = interior_deviation(diff, margin=1)
-    H, _ = build_hamiltonian(p, trunc)
+            if (ni, nj) in unit_pairs:
+                comm = comm - ident
+            report[f"[{ni},{nj}]"] = interior_deviation(comm, margin=1)
     up = p.beta + p.rho
     down = p.rho - p.beta
     scale = 1.0 if p.gamma == 0 else max(1.0, p.norm_scale)
-    for name, op, coeff in [("c_ddag", ops.c_ddag, up), ("d_ddag", ops.d_ddag, down),
-                            ("c", ops.c, -up), ("d", ops.d, -down)]:
+    for name, op, coeff in [("c_ddag", c_ddag, up), ("d_ddag", d_ddag, down),
+                            ("c", c, -up), ("d", d, -down)]:
         diff = commutator(H, op) - coeff * op
         report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale
     return report
@@ -226,11 +237,10 @@ def diagonal_form_check(p: ModelParams, trunc: TruncationSpec) -> float:
     corrupt only boundary occupations, so the deviation is measured on the
     margin-1 interior and should sit at rounding level.
     """
-    H, _ = build_hamiltonian(p, trunc)
-    ops = build_pseudoboson_ops(p, trunc)
-    cc = ops.c_ddag @ ops.c
-    dd = ops.d_ddag @ ops.d
-    ddd = ops.d @ ops.d_ddag
+    H, c, d, c_ddag, d_ddag = _dense_set(p, trunc)
+    cc = c_ddag @ c
+    dd = d_ddag @ d
+    ddd = d @ d_ddag
     expr = p.beta * (cc - dd) + p.rho * (cc + ddd)
     return interior_deviation(H - expr, margin=1)
 
@@ -243,30 +253,26 @@ def build_vacua(p: ModelParams, trunc: TruncationSpec) -> tuple[FockVector, Fock
     by c and d (exactly, in truncation, up to the projected tail), the second
     by the adjoints of c" and d".
     """
-    coeffs = np.zeros(trunc.dim, dtype=complex)
-    coeffs_p = np.zeros(trunc.dim, dtype=complex)
-    for n in range(min(trunc.n_max_a, trunc.n_max_b) + 1):
-        idx = trunc.index(n, n)
-        coeffs[idx] = (-p.alpha) ** n
-        coeffs_p[idx] = (+p.alpha) ** n
-    return FockVector(trunc, coeffs), FockVector(trunc, coeffs_p)
+    vac, vac_p = (FockVector(trunc, np.zeros(trunc.dim, dtype=complex)) for _ in range(2))
+    for n in range(min(trunc.shape)):
+        vac.grid[n, n], vac_p.grid[n, n] = (-p.alpha) ** n, (+p.alpha) ** n
+    return vac, vac_p
 
 
 def eigenvector_families(p: ModelParams, trunc: TruncationSpec, m_max: int,
-                         n_max: int) -> tuple[dict, dict]:
-    """Eigenvectors of H and of its adjoint over the (m, n) grid, keyed by (m, n).
+                         n_max: int) -> tuple[NDArray, NDArray]:
+    """Eigenvectors of H and of its adjoint over the (m, n) grid, as two stacks
+    of grids, shape (m_max + 1, n_max + 1, n_max_a + 1, n_max_b + 1).
 
-    Member (m, n) of the first family is c"^m d"^n applied to the vacuum, an
-    eigenvector of H with eigenvalue energy(p, m, n); member (m, n) of the
+    Member [m, n] of the first is c"^m d"^n applied to the vacuum, an
+    eigenvector of H with eigenvalue energy(p, m, n); member [m, n] of the
     second applies the adjoints of c and d to the adjoint-family vacuum and is
     an eigenvector of the adjoint. Raw raising powers, no factorial
-    normalization. The ladder set and the vacua are built once for the whole
-    grid; every member is raised d-first, then c, so each vector is the same
-    sequence of operator applications whatever the grid size.
-
-    Raises ValueError, naming the first such member in (m, n) order, when a
-    member underflows to zero or overflows to a non-finite entry, as the
-    raising powers do at tiny gamma, where the normalization is large.
+    normalization. d" raises the vacuum along row 0, then each call of c"
+    raises a whole row, so a member's bits do not depend on the grid size.
+    Raising warns of no overflow; instead a ValueError names the first member
+    in (m, n) order that underflows to zero or overflows, as members do at
+    tiny gamma, where the normalization is large.
     """
     if m_max > trunc.n_max_a or n_max > trunc.n_max_b:
         raise ValueError(
@@ -274,23 +280,24 @@ def eigenvector_families(p: ModelParams, trunc: TruncationSpec, m_max: int,
             f"need n_max_a >= {m_max} and n_max_b >= {n_max}")
     ops = build_pseudoboson_ops(p, trunc)
 
-    def family(raise_m: Operator, raise_n: Operator, vacuum: FockVector) -> dict:
-        columns = [vacuum]
-        for _ in range(n_max):
-            columns.append(apply(raise_n, columns[-1]))
-        rows = [columns]
-        for _ in range(m_max):
-            rows.append([apply(raise_m, v) for v in rows[-1]])
-        return {(m, n): v for m, row in enumerate(rows) for n, v in enumerate(row)}
+    def family(raise_m: GridMap, raise_n: GridMap, vacuum: FockVector) -> NDArray:
+        stack = np.empty((m_max + 1, n_max + 1) + trunc.shape, dtype=complex)
+        stack[0, 0] = vacuum.grid
+        for n in range(n_max):
+            stack[0, n + 1] = raise_n(stack[0, n])
+        for m in range(m_max):
+            stack[m + 1] = raise_m(stack[m])
+        return stack
 
     vac, vac_p = build_vacua(p, trunc)
-    states = family(ops.c_ddag, ops.d_ddag, vac)
-    adj_states = family(ops.c.adjoint(), ops.d.adjoint(), vac_p)
-    for (m, n), v in states.items():
-        for coeffs in (v.coeffs, adj_states[m, n].coeffs):
-            if not np.all(np.isfinite(coeffs)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = family(ops.c_ddag, ops.d_ddag, vac)
+        adj_states = family(ops.c.adjoint(), ops.d.adjoint(), vac_p)
+    for m, n in np.ndindex(m_max + 1, n_max + 1):
+        for member in (states[m, n], adj_states[m, n]):
+            if not np.all(np.isfinite(member)):
                 raise ValueError(f"gamma too small: eigenvector ({m},{n}) overflows")
-            if not np.any(coeffs):
+            if not np.any(member):
                 raise ValueError(f"gamma too small: eigenvector ({m},{n}) underflows")
     return states, adj_states
 
@@ -308,35 +315,33 @@ def eigen_residuals(p: ModelParams, trunc: TruncationSpec,
 
     Rows {"m", "n", "energy", "residual", "adjoint_residual"} where residual
     is ||H psi - E psi|| / ||psi|| for the raising-power eigenvector and
-    adjoint_residual the same for the adjoint family under H'. Both decay
+    adjoint_residual the same for the adjoint family under H', the H and H'
+    maps applied to the stacks of grids of `eigenvector_families`. Both decay
     with the geometric truncation tail, so a deep enough truncation is the
     caller's responsibility (see `biorthogonality_matrix` for the heuristic).
-    Norms are `linalg.norm2`, so a member whose squares under- or overflow
-    still has a finite nonzero norm; a member that underflows to zero or
-    overflows raises ValueError from `eigenvector_families`.
+    `linalg.norm2` keeps the norm of a member with tiny or huge entries finite.
     """
-    states, adj_states = eigenvector_families(p, trunc, m_max, n_max)
-    H, H_adj = build_hamiltonian(p, trunc)
-    rows = []
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            e = energy(p, m, n)
-            v = states[m, n]
-            w = adj_states[m, n]
-            res = norm2(apply(H, v).coeffs - e * v.coeffs) / norm2(v.coeffs)
-            res_adj = norm2(apply(H_adj, w).coeffs - e * w.coeffs) / norm2(w.coeffs)
-            rows.append({"m": m, "n": n, "energy": e,
-                         "residual": res, "adjoint_residual": res_adj})
-    return rows
+    grid = energy_grid(p, m_max, n_max)
+    energies = np.array([e for _, _, e in grid])[:, None]
+    residuals = []
+    for op, stack in zip(build_hamiltonian(p, trunc),
+                         eigenvector_families(p, trunc, m_max, n_max)):
+        flat = stack.reshape(len(grid), -1)
+        gap = op(stack).reshape(flat.shape) - energies * flat
+        residuals.append(norm2(gap, axis=-1) / norm2(flat, axis=-1))
+    return [{"m": m, "n": n, "energy": e, "residual": float(r),
+             "adjoint_residual": float(r_a)}
+            for (m, n, e), r, r_a in zip(grid, *residuals)]
 
 
 def biorthogonality_matrix(p: ModelParams, m_max: int, n_max: int,
                            trunc: TruncationSpec) -> BiorthReport:
     """Mutual Gram matrix of the eigenvector families up to (m_max, n_max).
 
-    Precondition: the geometric tail alpha^(min cutoff - m_max - n_max) must be
-    below 1e-12, otherwise truncation error would contaminate the grid and a
-    ValueError asks for a deeper truncation.
+    The Gram is one product of the two flattened stacks. Precondition: the
+    geometric tail alpha^(min cutoff - m_max - n_max) must be below 1e-12,
+    otherwise truncation error would contaminate the grid and a ValueError
+    asks for a deeper truncation.
     """
     depth_budget = min(trunc.n_max_a, trunc.n_max_b) - m_max - n_max
     if p.alpha > 0:
@@ -351,23 +356,15 @@ def biorthogonality_matrix(p: ModelParams, m_max: int, n_max: int,
     labels = [(m, n) for m in range(m_max + 1) for n in range(n_max + 1)]
     states, adj_states = eigenvector_families(p, trunc, m_max, n_max)
     size = len(labels)
-    gram = np.zeros((size, size), dtype=complex)
-    for row, st in enumerate(labels):
-        for col, ad in enumerate(labels):
-            gram[row, col] = inner_product(adj_states[ad], states[st])
+    gram = states.reshape(size, -1) @ adj_states.reshape(size, -1).conj().T
     # the (0, 0) members are the two vacua
-    scale = inner_product(adj_states[0, 0], states[0, 0])
-    max_off = 0.0
-    max_diag = 0.0
-    for row, (m, n) in enumerate(labels):
-        for col in range(size):
-            if col == row:
-                expected = math.factorial(m) * math.factorial(n) * scale
-                max_diag = max(max_diag, abs(gram[row, col] - expected))
-            else:
-                max_off = max(max_off, abs(gram[row, col]))
-    return BiorthReport(gram=gram, scale=scale, max_offdiag=max_off,
-                        max_diag_error=max_diag, labels=labels)
+    scale = complex(gram[0, 0])
+    diag = np.diag(gram)
+    expected = [math.factorial(m) * math.factorial(n) * scale for m, n in labels]
+    return BiorthReport(gram=gram, scale=scale,
+                        max_offdiag=float(np.abs(gram - np.diag(diag)).max()),
+                        max_diag_error=float(np.abs(diag - expected).max()),
+                        labels=labels)
 
 
 def _occupation_phases(states) -> NDArray[np.complex128]:
@@ -387,7 +384,7 @@ def similarity_check(p: ModelParams, trunc: TruncationSpec) -> float:
     Diagonal conjugation commutes with the finite section, so this is exact
     (rounding level) at any truncation.
     """
-    H, H_adj = build_hamiltonian(p, trunc)
+    H, H_adj = (x.dense() for x in build_hamiltonian(p, trunc))
     phases = np.diag(phase_similarity(trunc).entries)
     conjugated = np.outer(phases, phases.conj()) * H.entries
     return float(np.abs(H_adj.entries - conjugated).max())

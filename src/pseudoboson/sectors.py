@@ -449,8 +449,7 @@ def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> FullSectorCom
     exactly (the box truncation is permutation-similar to the direct sum of
     sector sections), so the greedy matching distance sits at solver accuracy.
     """
-    H, _ = build_hamiltonian(p, trunc)
-    full_vals = eig_dense(H.entries).values
+    full_vals = eig_dense(build_hamiltonian(p, trunc)[0].dense().entries).values
     pieces = []
     for k, depth in sorted(sector_sizes(trunc).items()):
         spec = SectorSpec(k=k, depth=depth)

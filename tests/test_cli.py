@@ -12,6 +12,7 @@ import pytest
 import pseudoboson
 from pseudoboson import cli
 from pseudoboson.cli import main
+from pseudoboson.fock import Operator
 from pseudoboson.model import ModelParams
 from pseudoboson.sectors import SectorSpec, pseudo_jacobi
 
@@ -305,6 +306,23 @@ def test_verify_all_reduced(capsys):
     assert "emm_eigenvalue_multiset" in names
     assert "instability_witness" in names
     assert all(s["passed"] for s in payload["suites"])
+
+
+def test_verify_all_builds_no_deep_truncation_matrix(capsys, monkeypatch):
+    # the families, their residuals and their Gram act on grids; only the
+    # small-truncation checks build matrices, the largest at trunc 10
+    dims = []
+    check_shape = Operator.__post_init__
+
+    def counted(self):
+        dims.append(self.trunc.dim)
+        check_shape(self)
+
+    monkeypatch.setattr(Operator, "__post_init__", counted)
+    code, _, _ = run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
+                     "--depth", "32")
+    assert code == 0
+    assert dims and max(dims) <= 121
 
 
 def test_verify_all_accepts_depths_sectors_rejects(capsys):

@@ -1,10 +1,14 @@
 """Model assembly, pseudo-boson algebra, vacua, eigenstates, biorthogonality,
 and the diagonal phase similarity."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pseudoboson.fock import TruncationSpec, apply, basis_state, inner_product
+from pseudoboson.fock import TruncationSpec, build_ladder_ops
 from pseudoboson.linalg import eig_dense, norm2
 from pseudoboson.model import (
     ModelParams,
@@ -26,6 +30,16 @@ from pseudoboson.model import (
 P = ModelParams(beta=0.5, gamma=0.75)
 
 
+def _basis(trunc, m, n):
+    v = np.zeros(trunc.dim, dtype=complex)
+    v[trunc.index(m, n)] = 1.0
+    return v
+
+
+def _dense_hamiltonian(p, trunc):
+    return [x.dense() for x in build_hamiltonian(p, trunc)]
+
+
 def test_params_derived_quantities():
     assert P.rho == pytest.approx(1.25)
     assert P.alpha == pytest.approx(1.0 / 3.0)
@@ -41,35 +55,35 @@ def test_params_reject_negative_coupling():
 
 def test_decoupled_hamiltonian_is_diagonal():
     trunc = TruncationSpec(4, 4)
-    h, h_adj = build_hamiltonian(ModelParams(0.0, 0.0), trunc)
+    h, h_adj = _dense_hamiltonian(ModelParams(0.0, 0.0), trunc)
     assert np.abs(h.entries - np.diag(np.diag(h.entries))).max() == 0.0
     assert np.array_equal(h.entries, h_adj.entries)
     for m, n in trunc.states():
-        v = basis_state(trunc, m, n)
-        assert inner_product(v, apply(h, v)) == pytest.approx(m + n + 1)
+        v = _basis(trunc, m, n)
+        assert np.vdot(v, h.entries @ v) == pytest.approx(m + n + 1)
 
 
 def test_decoupled_level_splitting():
     # beta shifts the two modes oppositely: H|1,0> = (1 + beta + 1)|1,0>
     trunc = TruncationSpec(3, 3)
-    h, _ = build_hamiltonian(ModelParams(0.5, 0.0), trunc)
-    v = basis_state(trunc, 1, 0)
-    assert inner_product(v, apply(h, v)) == pytest.approx(2.5)
-    w = basis_state(trunc, 0, 1)
-    assert inner_product(w, apply(h, w)) == pytest.approx(1.5)
+    h, _ = _dense_hamiltonian(ModelParams(0.5, 0.0), trunc)
+    v = _basis(trunc, 1, 0)
+    assert np.vdot(v, h.entries @ v) == pytest.approx(2.5)
+    w = _basis(trunc, 0, 1)
+    assert np.vdot(w, h.entries @ w) == pytest.approx(1.5)
 
 
 def test_pair_coupling_matrix_element():
     trunc = TruncationSpec(3, 3)
-    h, _ = build_hamiltonian(P, trunc)
-    bra = basis_state(trunc, 2, 1)
-    ket = basis_state(trunc, 1, 0)
-    assert inner_product(bra, apply(h, ket)) == pytest.approx(P.gamma * np.sqrt(2))
+    h, _ = _dense_hamiltonian(P, trunc)
+    bra = _basis(trunc, 2, 1)
+    ket = _basis(trunc, 1, 0)
+    assert np.vdot(bra, h.entries @ ket) == pytest.approx(P.gamma * np.sqrt(2))
 
 
 def test_hamiltonian_not_normal():
     trunc = TruncationSpec(4, 4)
-    h, h_adj = build_hamiltonian(P, trunc)
+    h, h_adj = _dense_hamiltonian(P, trunc)
     assert np.abs(h.entries - h_adj.entries).max() > 0.5
 
 
@@ -77,7 +91,7 @@ def test_pseudoboson_ops_differ_from_adjoints():
     # c_ddag is NOT the adjoint of c once gamma is on; that gap is the point
     trunc = TruncationSpec(4, 4)
     ops = build_pseudoboson_ops(ModelParams(0.5, 1.0), trunc)
-    gap = np.abs(ops.c_ddag.entries - ops.c.adjoint().entries).max()
+    gap = np.abs(ops.c_ddag.dense().entries - ops.c.adjoint().dense().entries).max()
     assert gap > 0.4
     assert not ops.degenerate
 
@@ -86,7 +100,47 @@ def test_pseudoboson_ops_collapse_at_zero_coupling():
     trunc = TruncationSpec(3, 3)
     ops = build_pseudoboson_ops(ModelParams(0.5, 0.0), trunc)
     assert ops.degenerate
-    assert np.abs(ops.c_ddag.entries - ops.c.adjoint().entries).max() == 0.0
+    assert np.abs(ops.c_ddag.dense().entries - ops.c.adjoint().dense().entries).max() == 0.0
+
+
+def _kron_reference(p, trunc):
+    """Ladder matrices, H, H' and c, d, c", d" assembled from Kronecker
+    products of single-mode matrices, with the operator algebra written out."""
+    def lowering(n_max):
+        return np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1) if n_max > 0 \
+            else np.zeros((1, 1))
+    a = np.kron(lowering(trunc.n_max_a), np.eye(trunc.n_max_b + 1))
+    b = np.kron(np.eye(trunc.n_max_a + 1), lowering(trunc.n_max_b))
+    a_dag, b_dag = a.T, b.T
+    h = ((1.0 + p.beta) * (a_dag @ a) + (1.0 - p.beta) * (b_dag @ b)
+         + np.eye(trunc.dim) + p.gamma * ((a_dag @ b_dag) - (a @ b)))
+    ladders = [a, b, a_dag, b_dag]
+    if p.gamma == 0:
+        return ladders, [h, h.T], ladders
+    n, rho, g = p.norm_scale, p.rho, p.gamma
+    pseudo = [n * ((g * g / (1.0 + rho)) * b_dag + g * a),
+              n * ((g * g / (1.0 + rho)) * a_dag + g * b),
+              n * ((1.0 + rho) * a_dag - g * b),
+              n * ((1.0 + rho) * b_dag - g * a)]
+    return ladders, [h, h.T], pseudo
+
+
+@pytest.mark.parametrize("gamma", [0.75, 0.0, 1e-100])
+@pytest.mark.parametrize("shape", [(6, 6), (8, 8), (10, 10), (7, 4)])
+def test_maps_give_the_kron_matrices_bit_for_bit(shape, gamma):
+    # every weight is rounded as the matching entry of the matrix algebra,
+    # so the matrices built from the maps carry the same bits
+    p = ModelParams(0.5, gamma)
+    trunc = TruncationSpec(*shape)
+    ladders, hamiltonians, pseudo = _kron_reference(p, trunc)
+    ops = build_pseudoboson_ops(p, trunc)
+    pairs = [*zip(build_ladder_ops(trunc), ladders),
+             *zip(build_hamiltonian(p, trunc), hamiltonians),
+             *zip([ops.c, ops.d, ops.c_ddag, ops.d_ddag], pseudo),
+             (ops.c.adjoint(), pseudo[0].T), (ops.d.adjoint(), pseudo[1].T)]
+    assert len(pairs) == 12
+    for op, reference in pairs:
+        assert np.array_equal(op.dense().entries, reference)
 
 
 def test_commutation_report_interior_clean():
@@ -120,7 +174,7 @@ def test_vacua_geometric_profiles():
 def test_vacua_mutual_overlap():
     trunc = TruncationSpec(40, 40)
     vac, vac_adj = build_vacua(P, trunc)
-    overlap = inner_product(vac_adj, vac)
+    overlap = np.vdot(vac_adj.coeffs, vac.coeffs)
     assert overlap == pytest.approx(0.9, abs=1e-12)
     assert overlap == pytest.approx(1.0 / (1.0 + P.alpha ** 2), abs=1e-12)
 
@@ -129,10 +183,10 @@ def test_vacua_annihilated_by_lowering_pair():
     trunc = TruncationSpec(40, 40)
     ops = build_pseudoboson_ops(P, trunc)
     vac, vac_adj = build_vacua(P, trunc)
-    assert norm2(apply(ops.c, vac).coeffs) < 1e-12
-    assert norm2(apply(ops.d, vac).coeffs) < 1e-12
-    assert norm2(apply(ops.d_ddag.adjoint(), vac_adj).coeffs) < 1e-12
-    assert norm2(apply(ops.c_ddag.adjoint(), vac_adj).coeffs) < 1e-12
+    assert norm2(ops.c(vac.grid)) < 1e-12
+    assert norm2(ops.d(vac.grid)) < 1e-12
+    assert norm2(ops.d_ddag.adjoint()(vac_adj.grid)) < 1e-12
+    assert norm2(ops.c_ddag.adjoint()(vac_adj.grid)) < 1e-12
 
 
 def test_eigen_residuals_deep_truncation():
@@ -172,21 +226,23 @@ def test_families_are_ladder_powers_on_the_vacua():
     ops = build_pseudoboson_ops(P, trunc)
     vac, vac_adj = build_vacua(P, trunc)
     states, adj_states = eigenvector_families(P, trunc, 2, 3)
-    assert list(states) == [(m, n) for m in range(3) for n in range(4)]
-    v, w = vac, vac_adj
+    assert states.shape == adj_states.shape == (3, 4, 13, 13)
+    v, w = vac.coeffs, vac_adj.coeffs
     for _ in range(3):
-        v = apply(ops.d_ddag, v)
-        w = apply(ops.d.adjoint(), w)
+        v = ops.d_ddag.dense().entries @ v
+        w = ops.d.adjoint().dense().entries @ w
     for _ in range(2):
-        v = apply(ops.c_ddag, v)
-        w = apply(ops.c.adjoint(), w)
-    # raised d first, then c, as the grid does: the same bits
-    assert np.array_equal(states[2, 3].coeffs, v.coeffs)
-    assert np.array_equal(adj_states[2, 3].coeffs, w.coeffs)
+        v = ops.c_ddag.dense().entries @ v
+        w = ops.c.adjoint().dense().entries @ w
+    # raised d first, then c, as the grid does; the matrix products sum in
+    # another order, so the chain agrees to rounding, not to the bit
+    eps = np.finfo(float).eps
+    for member, chain in ((states[2, 3], v), (adj_states[2, 3], w)):
+        assert np.abs(member.ravel() - chain).max() <= 4 * eps * norm2(member)
     # a member does not depend on the size of the grid it was built in
     small, small_adj = eigenvector_families(P, trunc, 1, 1)
-    assert np.array_equal(small[1, 1].coeffs, states[1, 1].coeffs)
-    assert np.array_equal(small_adj[1, 1].coeffs, adj_states[1, 1].coeffs)
+    assert np.array_equal(small[1, 1], states[1, 1])
+    assert np.array_equal(small_adj[1, 1], adj_states[1, 1])
 
 
 @pytest.mark.parametrize("grid_check", [
@@ -258,7 +314,7 @@ def test_energy_grid_and_blocks():
 
 def test_spectrum_matches_adjoint_spectrum():
     trunc = TruncationSpec(12, 12)
-    h, h_adj = build_hamiltonian(P, trunc)
+    h, h_adj = _dense_hamiltonian(P, trunc)
     direct = np.sort_complex(eig_dense(h.entries).values)[:10]
     adjoint = np.sort_complex(eig_dense(h_adj.entries).values)[:10]
     assert np.abs(direct - adjoint.conj()).max() < 1e-6
@@ -274,6 +330,37 @@ def test_ground_level_is_spectral_minimum():
     for pts, tol in ((tight, 1e-8), (loose, 1e-6)):
         for beta, gamma in pts:
             p = ModelParams(beta, gamma)
-            h, _ = build_hamiltonian(p, trunc)
+            h, _ = _dense_hamiltonian(p, trunc)
             values = eig_dense(h.entries).values
             assert abs(values.real.min() - p.rho) < tol, (beta, gamma)
+
+
+@settings(max_examples=40)
+@given(t=st.floats(-1.5, 1.5), gamma=st.one_of(st.just(0.0), st.floats(1e-8, 1.5)))
+@example(t=1.0, gamma=0.75)
+@example(t=-1.0, gamma=0.75)
+@example(t=1.0, gamma=1e-8)
+@example(t=-1.0, gamma=1e-8)
+@example(t=0.4, gamma=1e-8)
+@example(t=1.0, gamma=0.0)
+@example(t=-1.0, gamma=0.0)
+@example(t=0.4, gamma=0.0)
+def test_model_invariants_across_the_plane(t, gamma):
+    # beta = t rho, so t = +-1 puts beta at +-rho, where one ladder step of
+    # the spectrum vanishes; trunc 50 holds the vacuum tail alpha^46 below
+    # 1e-12 up to gamma 1.5
+    p = ModelParams(t * ModelParams(0.0, gamma).rho, gamma)
+    trunc = TruncationSpec(50, 50)
+    for row in eigen_residuals(p, trunc, 2, 2):
+        assert row["residual"] < 1e-8
+        assert row["adjoint_residual"] < 1e-8
+    # Gram diagonal m! n! <vacuum', vacuum>, the overlap in closed form
+    report = biorthogonality_matrix(p, 2, 2, trunc)
+    overlap = 1.0 / (1.0 + p.alpha ** 2)
+    for i, (m, n) in enumerate(report.labels):
+        expected = math.factorial(m) * math.factorial(n) * overlap
+        assert abs(report.gram[i, i] - expected) < 1e-9 * expected
+    assert report.max_offdiag < 1e-9
+    # [H, .] acts on each ladder operator as multiplication by its step
+    for name, dev in commutation_report(p, TruncationSpec(8, 8)).items():
+        assert dev < (1e-9 if name.startswith("[H,") else 1e-10), name

@@ -58,8 +58,8 @@ def test_casimir_commutes_with_hamiltonian():
     # sectors intact, so the commutator sits at rounding level everywhere,
     # the boundary included
     trunc = TruncationSpec(6, 6)
-    h, _ = build_hamiltonian(P, trunc)
-    a, b, a_dag, b_dag = build_ladder_ops(trunc)
+    h = build_hamiltonian(P, trunc)[0].dense()
+    a, b, a_dag, b_dag = (x.dense() for x in build_ladder_ops(trunc))
     d = (a_dag @ a) - (b_dag @ b)
     assert np.abs(commutator(d, h).entries).max() < 1e-12
 
