@@ -49,12 +49,6 @@ class TruncationSpec:
     def dim(self) -> int:
         return (self.n_max_a + 1) * (self.n_max_b + 1)
 
-    def index(self, m: int, n: int) -> int:
-        """Flat basis index of |m, n>."""
-        if not (0 <= m <= self.n_max_a and 0 <= n <= self.n_max_b):
-            raise ValueError(f"state |{m},{n}> outside truncation {self}")
-        return m * (self.n_max_b + 1) + n
-
     def states(self):
         """Iterate (m, n) in flat-index order."""
         for m in range(self.n_max_a + 1):

@@ -4,8 +4,9 @@ Provides the numerical backends used by every other module: a nonsymmetric
 eigensolver (Householder Hessenberg reduction followed by shifted QR
 iteration, Francis double shift for real matrices and Wilkinson single shift
 for complex ones), a symmetric tridiagonal eigensolver (implicit-shift QL),
-a partial-pivoting LU solver, inverse iteration for eigenvectors (dense, or
-O(n) per vector on a tridiagonal), residual and biorthonormalization
+a partial-pivoting LU solver, inverse iteration for dense eigenvectors,
+two-sided Rayleigh-quotient iteration for selected eigenpairs of a real
+tridiagonal in O(n) per value and round, residual and biorthonormalization
 utilities, and `norm2`, the package's one Euclidean norm, which rescales
 where the plain sum of squares would under- or overflow.
 
@@ -19,11 +20,14 @@ diagonals, so they make no numpy call per row. A Wilkinson step computes its
 two new rows and columns from views. Every floating-point operation keeps its
 operands and their order, so these paths give the same bits as array code.
 
-Inverse iteration runs all values of a block together: one loop steps every
-value through its own shift schedule, and the dense path factors the shifted
-matrices of a block as one (b, n, n) stacked LU. `solve_matrix` and the
-inverse iteration share one forward and back substitution, which sweeps all
-right-hand sides at once.
+Dense inverse iteration runs all values of a block together: every value
+keeps its own shift schedule, and the shifted matrices of a block are
+factored as one (b, n, n) stacked LU. `solve_matrix` and the inverse
+iteration share one forward and back substitution, which sweeps all
+right-hand sides at once. A tridiagonal has its own O(n) pivoted LU, and
+its eigenpairs come from one Rayleigh-quotient loop: each round factors
+J - s I once at each current value s, takes one solve, and moves s to the
+two-sided quotient.
 
 numpy is used as the array substrate only; no factorizations or eigensolvers
 of numpy's linear-algebra module are called here, so results can be
@@ -42,7 +46,6 @@ __all__ = [
     "EigenReport",
     "eig_dense",
     "eig_sym_tridiag",
-    "tridiag_eigenvectors",
     "tridiag_rayleigh_iteration",
     "residual",
     "biorthonormalize",
@@ -72,8 +75,8 @@ _EPS = float(np.finfo(np.float64).eps)
 class EigenReport:
     """Eigensolver output.
 
-    values are sorted by (real part, imaginary part), except from the
-    tridiagonal solvers for given values, which keep their order. residuals,
+    values are sorted by (real part, imaginary part), except from
+    `tridiag_rayleigh_iteration`, which keeps the order of its shifts. residuals,
     when computed, are two-norm residuals ||M v - lambda v|| for unit-norm v,
     aligned with values; the convergence contract compares them against
     RESIDUAL_TOL times the matrix norm, and converged is False when a pair
@@ -505,20 +508,26 @@ def _tridiag_matvec(sub: NDArray, diag: NDArray, sup: NDArray, x: NDArray) -> ND
     return y
 
 
-def _inverse_iteration(n: int, factor_shifted, matvec, lams: NDArray,
+def _start_vector(n: int) -> NDArray:
+    """The fixed unit start vector of inverse and quotient iteration."""
+    start = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
+    return start / norm2(start)
+
+
+def _inverse_iteration(A: NDArray, lams: NDArray,
                        norm_scale: float) -> tuple[NDArray, NDArray]:
     """Best unit vector for each value of lams, as rows, and its residual.
 
     Every value runs its own schedule of slightly perturbed shifts, and all
-    values run it together: factor_shifted(shifts) returns
-    solve(items, V), which solves (A - shifts[i] I) w = v for each row v of
-    V and i in items, and matvec(V) returns the rows A v, so dense and
-    tridiagonal inputs share the loop. A value leaves the inner steps on a
-    vanishing or non-finite iterate or a small enough residual, and the
-    shift schedule once its residual meets the looser bound.
+    values run it together: the shifted matrices are factored as one stacked
+    LU, and each substitution step serves every value still iterating. A
+    value leaves the inner steps on a vanishing or non-finite iterate or a
+    small enough residual, and the shift schedule once its residual meets
+    the looser bound.
     """
-    start = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
-    start /= norm2(start)
+    n = A.shape[0]
+    eye = np.eye(n)
+    start = _start_vector(n)
     best = np.tile(start, (len(lams), 1))
     best_res = np.full(len(lams), math.inf)
     delta = INVERSE_ITER_SHIFT * max(norm_scale, 1.0)
@@ -526,11 +535,12 @@ def _inverse_iteration(n: int, factor_shifted, matvec, lams: NDArray,
     for _ in range(4):
         if not todo.size:
             break
-        solve_shifted = factor_shifted(lams[todo] + delta)
+        LU, piv = _lu_factor(A - (lams[todo] + delta)[:, None, None] * eye,
+                             fix_singular=True)
         v = np.tile(start, (todo.size, 1))
         live = np.arange(todo.size)
         for _ in range(5):
-            w = solve_shifted(live, v[live])
+            w = _lu_solve((LU[live], piv[live]), v[live])
             wn = norm2(w, axis=-1)
             ok = (wn != 0.0) & np.isfinite(wn)
             live = live[ok]
@@ -538,7 +548,8 @@ def _inverse_iteration(n: int, factor_shifted, matvec, lams: NDArray,
                 break
             v[live] = unit = w[ok] / wn[ok, None]
             idx = todo[live]
-            res = norm2(matvec(unit) - lams[idx, None] * unit, axis=-1)
+            res = norm2((A @ unit[:, :, None])[:, :, 0] - lams[idx, None] * unit,
+                        axis=-1)
             better = res < best_res[idx]
             best_res[idx[better]] = res[better]
             best[idx[better]] = unit[better]
@@ -550,25 +561,6 @@ def _inverse_iteration(n: int, factor_shifted, matvec, lams: NDArray,
     return best, best_res
 
 
-def _attach_vectors(report: EigenReport, n: int, factor_shifted, matvec,
-                    norm_scale: float, block: int) -> EigenReport:
-    """Inverse-iterate the values of the report, block values at a time, and
-    apply the residual contract: converged turns False when a pair's
-    residual exceeds RESIDUAL_TOL times the matrix norm."""
-    count = len(report.values)
-    vecs = np.zeros((n, count), dtype=complex)
-    res = np.zeros(count)
-    for lo in range(0, count, block):
-        rows, res[lo:lo + block] = _inverse_iteration(
-            n, factor_shifted, matvec, report.values[lo:lo + block], norm_scale)
-        vecs[:, lo:lo + block] = rows.T
-    report.vectors = vecs
-    report.residuals = res
-    if np.any(res > RESIDUAL_TOL * max(norm_scale, _EPS)):
-        report.converged = False
-    return report
-
-
 def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     """All eigenvalues of a dense square matrix.
 
@@ -578,11 +570,14 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     inverse iteration with a slightly perturbed shift, all values of a block
     together: the shifted matrices of up to max(1, STACK_BYTES // (16 n^2))
     values are factored as one stacked LU, and every substitution step
-    serves the whole block. A 3-row Francis bulge step makes 16 numpy
-    calls, and the deflation and start-row scans run on Python floats
-    (see the module docstring). Every reported pair
-    satisfies the residual contract (relative residual <= 1e-8 times the
-    matrix norm) or the report is flagged converged=False. Raises
+    serves the whole block. A repeated eigenvalue gets repeated vectors,
+    since each copy starts from the same vector at the same shift; callers
+    that need a basis of its eigenspace must not ask for one
+    (`verify_similarity` rejects repeated spectra before it does). A 3-row
+    Francis bulge step makes 16 numpy calls, and the deflation and start-row
+    scans run on Python floats (see the module docstring). Every reported
+    pair satisfies the residual contract (relative residual <= 1e-8 times
+    the matrix norm) or the report is flagged converged=False. Raises
     RuntimeError when QR needs more than MAX_SWEEPS_PER_DIM sweeps per
     dimension.
     """
@@ -602,36 +597,51 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
         eigs, sweeps = _qr_eigenvalues(H, max_sweeps, _francis_sweep, _eig2_real)
     else:
         H = _hessenberg(np.array(A0, dtype=complex, copy=True))
-        eigs, sweeps = _qr_eigenvalues(H, max_sweeps, _wilkinson_sweep)
+        # near the overflow threshold the 2x2 shift overflows to inf and the
+        # rotations turn nan; QR then stalls and raises at its sweep cap, so
+        # numpy's warnings would only repeat that failure
+        with np.errstate(over="ignore", invalid="ignore"):
+            eigs, sweeps = _qr_eigenvalues(H, max_sweeps, _wilkinson_sweep)
     values = np.array(eigs, dtype=complex)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     report = EigenReport(values=values, iterations=sweeps)
     if want_vectors:
         A = np.array(A0, dtype=complex)
-        eye = np.eye(n)
-
-        def factor_shifted(shifts):
-            LU, piv = _lu_factor(A - shifts[:, None, None] * eye, fix_singular=True)
-            return lambda items, V: _lu_solve((LU[items], piv[items]), V)
-
-        _attach_vectors(report, n, factor_shifted,
-                        lambda V: (A @ V[:, :, None])[:, :, 0], norm2(A),
-                        max(1, STACK_BYTES // (16 * n * n)))
+        norm_scale = norm2(A)
+        block = max(1, STACK_BYTES // (16 * n * n))
+        report.vectors = np.zeros((n, n), dtype=complex)
+        report.residuals = np.zeros(n)
+        for lo in range(0, n, block):
+            rows, report.residuals[lo:lo + block] = _inverse_iteration(
+                A, values[lo:lo + block], norm_scale)
+            report.vectors[:, lo:lo + block] = rows.T
+        report.converged = not np.any(
+            report.residuals > RESIDUAL_TOL * max(norm_scale, _EPS))
     return report
 
 
-def tridiag_eigenvectors(sub, diag, sup, values) -> EigenReport:
-    """Eigenvectors of a tridiagonal matrix for the given eigenvalues only.
+def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
+    """Eigenpairs of a real tridiagonal J near the given shifts, by two-sided
+    Rayleigh-quotient iteration in O(n) per value and round.
 
-    sub, diag and sup are the three diagonals; values are eigenvalues found
-    elsewhere (say by `eig_dense`). The vectors come from the inverse
-    iteration loop of `eig_dense`, which runs all the values together, with
-    one O(n) tridiagonal LU per value in place of the stacked dense one, so
-    the cost grows linearly in the dimension and in the number of values
-    asked for. The report carries the values unchanged, unit
-    vectors column-wise and their residuals; converged is False when a pair
-    misses the residual contract of `eig_dense`.
+    sub, diag and sup are the three diagonals of J. left is the diagonal of a
+    D with J^T = D J D^-1, so y = D x is a left eigenvector for every right
+    eigenvector x, and the two-sided quotient y^T J x / y^T x has an error
+    quadratic in that of x (Parlett, Math. Comp. 28, 1974). Each round takes,
+    for each value s, one partially pivoted tridiagonal LU of J - s I (a
+    pivot singular to working precision is raised to a tiny value) and one
+    solve from the value's previous unit iterate, a fixed start vector in
+    the first round; it then replaces s by its quotient. The rounds stop
+    once no value moves by more than eps times its size, or after
+    QUOTIENT_ROUNDS. The quotient is summed in numpy's extended precision
+    where the platform has one, so a settled value is a fixed point rather
+    than a walk over its last digits. A real shift keeps its value real: a
+    real eigenvalue of a real J has a real eigenvector. The report carries
+    the final values, their unit vectors column-wise, the residuals at the
+    final values and the rounds run; converged is False when a pair misses
+    the residual contract of `eig_dense`. Raises ValueError on complex or
+    mismatched diagonals.
     """
     d = np.asarray(diag)
     lower = np.asarray(sub)
@@ -641,46 +651,21 @@ def tridiag_eigenvectors(sub, diag, sup, values) -> EigenReport:
         raise ValueError(
             f"expected a diagonal of length n >= 1 and off-diagonals of length "
             f"n - 1, got {d.shape}, {lower.shape}, {upper.shape}")
-    report = EigenReport(values=np.asarray(values, dtype=complex))
-
-    def factor_shifted(shifts):
-        factors = [_tridiag_lu_factor(lower, d - shift, upper) for shift in shifts]
-        return lambda items, V: np.array(
-            [_tridiag_lu_solve(factors[i], v) for i, v in zip(items, V)])
-
-    columns = [a[:, None] for a in (lower, d, upper)]
-    return _attach_vectors(report, n, factor_shifted,
-                           lambda V: _tridiag_matvec(*columns, V.T).T,
-                           norm2([norm2(a) for a in (d, lower, upper)]),
-                           max(1, len(report.values)))
-
-
-def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
-    """Eigenpairs of a real tridiagonal J near the given shifts, by two-sided
-    Rayleigh-quotient iteration in O(n) per round.
-
-    left is the diagonal of a D with J^T = D J D^-1, so y = D x is a left
-    eigenvector for every right eigenvector x, and the two-sided quotient
-    y^T J x / y^T x has an error quadratic in that of x. Each round
-    inverse-iterates at the current values (`tridiag_eigenvectors`) and
-    replaces each value by its quotient. The rounds stop once no value moves
-    by more than eps times its size, or after QUOTIENT_ROUNDS. The quotient
-    is summed in numpy's extended precision where the platform has one, so a
-    settled value is a fixed point rather than a walk over its last digits.
-    A real shift keeps its value real: a real eigenvalue of a real J has a
-    real eigenvector. The report carries the final values, their unit
-    vectors, the residuals at the final values and the rounds run;
-    converged is False when a pair misses the residual contract.
-    """
-    if np.iscomplexobj(sub) or np.iscomplexobj(diag) or np.iscomplexobj(sup):
+    if np.iscomplexobj(lower) or np.iscomplexobj(d) or np.iscomplexobj(upper):
         raise ValueError("tridiag_rayleigh_iteration expects a real tridiagonal")
-    wide = [np.asarray(a, dtype=np.longdouble)[:, None] for a in (sub, diag, sup)]
+    wide = [np.asarray(a, dtype=np.longdouble)[:, None] for a in (lower, d, upper)]
     left_diag = np.asarray(left, dtype=np.clongdouble)[:, None]
     values = np.asarray(shifts, dtype=complex)
     real = values.imag == 0
+    vectors = np.tile(_start_vector(n)[:, None], (1, len(values)))
     for rounds in range(1, QUOTIENT_ROUNDS + 1):
-        report = tridiag_eigenvectors(sub, diag, sup, values)
-        x = report.vectors.astype(np.clongdouble)
+        for i, shift in enumerate(values):
+            w = _tridiag_lu_solve(_tridiag_lu_factor(lower, d - shift, upper),
+                                  vectors[:, i])
+            wn = norm2(w)
+            if wn != 0.0 and math.isfinite(wn):
+                vectors[:, i] = w / wn
+        x = vectors.astype(np.clongdouble)
         jx = _tridiag_matvec(*wide, x)
         y = left_diag * x
         quotient = (np.sum(y * jx, axis=0) / np.sum(y * x, axis=0)).astype(complex)
@@ -690,8 +675,8 @@ def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
         if settled:
             break
     res = np.array([norm2(col) for col in (jx - values * x).T], dtype=float)
-    norm_scale = norm2([norm2(a) for a in (diag, sub, sup)])
-    return EigenReport(values=values, vectors=report.vectors, residuals=res,
+    norm_scale = norm2([norm2(a) for a in (d, lower, upper)])
+    return EigenReport(values=values, vectors=vectors, residuals=res,
                        iterations=rounds,
                        converged=bool(np.all(res <= RESIDUAL_TOL * max(norm_scale, _EPS))))
 

@@ -349,10 +349,11 @@ def sector_spectrum(spec: SectorSpec, p: ModelParams, n_eigs: int = 3) -> Sector
 
     Values-only QR finds the whole spectrum; the kept values then seed a
     two-sided Rayleigh-quotient iteration on the tridiagonal
-    (`linalg.tridiag_rayleigh_iteration`): inverse iteration gives the kept
-    vectors only, and the phase similarity J^T = D J D^-1 makes y = D x a
-    left eigenvector for free, so each value is refined by y^T J x / y^T x,
-    whose error is quadratic in that of x, until it stops moving. Only the
+    (`linalg.tridiag_rayleigh_iteration`). Each round takes one O(n) LU of
+    J - s I at each kept value s and one solve, so only the kept vectors x
+    are computed; the phase similarity J^T = D J D^-1 makes y = D x a left
+    eigenvector for free, and s moves to y^T J x / y^T x, whose error is
+    quadratic in that of x, until it stops moving. Only the
     kept pairs are held to the residual contract, at the refined values: the
     upper spectrum of a deep section is too non-normal for its vectors to
     meet it. Raises RuntimeError when a kept pair misses it.
@@ -402,12 +403,13 @@ def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
 
     Only the start depth runs dense values-only QR, as `sector_spectrum`. Each
     deeper depth takes the previous depth's values as shifts, never the
-    closed form, and refines them by the same O(n) two-sided
-    Rayleigh-quotient iteration on its tridiagonal, without forming the
-    dense matrix. A depth falls back to dense QR when a shift is non-real,
-    a value moves by more than a quarter of its gap (the distance to the
-    nearest other eigenvalue at the latest depth that ran QR), the values
-    lose their order, or a final pair misses the residual contract.
+    closed form, and refines them by the same two-sided Rayleigh-quotient
+    iteration on its tridiagonal, one O(n) LU and solve per kept value and
+    round, without forming the dense matrix. A depth falls back to dense QR
+    when a shift is non-real, a value moves by more than a quarter of its gap
+    (the distance to the nearest other eigenvalue at the latest depth that
+    ran QR), the values lose their order, or a final pair misses the
+    residual contract.
     """
     depths = [start_depth * (2 ** i) for i in range(doublings + 1)]
     history = []

@@ -17,6 +17,11 @@ from pseudoboson.fock import (
 from pseudoboson.linalg import norm2
 
 
+def _flat(trunc, m, n):
+    """Row-major flat index of |m, n>."""
+    return np.ravel_multi_index((m, n), trunc.shape)
+
+
 def _dense_ladders(trunc):
     return [x.dense() for x in build_ladder_ops(trunc)]
 
@@ -30,31 +35,24 @@ def _basis_grid(trunc, m, n):
 def test_index_is_row_major():
     trunc = TruncationSpec(3, 2)
     assert trunc.dim == 12
-    assert trunc.index(0, 0) == 0
-    assert trunc.index(0, 2) == 2
-    assert trunc.index(1, 0) == 3
-    assert trunc.index(3, 2) == 11
+    assert trunc.shape == (4, 3)
     assert list(trunc.states()) == [(m, n) for m in range(4) for n in range(3)]
-
-
-def test_index_rejects_out_of_range():
-    trunc = TruncationSpec(2, 2)
-    with pytest.raises(ValueError):
-        trunc.index(3, 0)
 
 
 def test_single_quantum_matrix_elements():
     trunc = TruncationSpec(1, 0)
     a, _, a_dag, _ = _dense_ladders(trunc)
-    assert a.entries[trunc.index(0, 0), trunc.index(1, 0)] == 1.0
-    assert a_dag.entries[trunc.index(1, 0), trunc.index(0, 0)] == 1.0
+    assert a.entries[_flat(trunc, 0, 0), _flat(trunc, 1, 0)] == 1.0
+    assert a_dag.entries[_flat(trunc, 1, 0), _flat(trunc, 0, 0)] == 1.0
 
 
 def test_sqrt_two_matrix_element():
     trunc = TruncationSpec(3, 3)
     a, b, _, _ = _dense_ladders(trunc)
-    assert a.entries[trunc.index(1, 0), trunc.index(2, 0)] == pytest.approx(np.sqrt(2))
-    assert b.entries[trunc.index(0, 1), trunc.index(0, 2)] == pytest.approx(np.sqrt(2))
+    assert (a.entries[_flat(trunc, 1, 0), _flat(trunc, 2, 0)]
+            == pytest.approx(np.sqrt(2)))
+    assert (b.entries[_flat(trunc, 0, 1), _flat(trunc, 0, 2)]
+            == pytest.approx(np.sqrt(2)))
 
 
 def test_truncated_commutator_diagonal():
@@ -114,7 +112,7 @@ def test_interior_deviation_drops_boundary_shell():
     assert interior_deviation(Operator(trunc, entries), margin=1) == 0.0
     assert interior_deviation(Operator(trunc, entries), margin=0) == 5.0
     # one interior entry (|2,1> to |0,0>) is seen at margin 1
-    entries[trunc.index(0, 0), trunc.index(2, 1)] = -7.0
+    entries[_flat(trunc, 0, 0), _flat(trunc, 2, 1)] = -7.0
     assert interior_deviation(Operator(trunc, entries), margin=1) == 7.0
 
 
@@ -167,7 +165,7 @@ def test_grid_is_a_view_of_the_coefficients():
     trunc = TruncationSpec(3, 2)
     v = FockVector(trunc, np.arange(12.0) + 0j)
     assert v.grid.shape == (4, 3)
-    assert v.grid[1, 2] == v.coeffs[trunc.index(1, 2)]
+    assert v.grid[1, 2] == v.coeffs[_flat(trunc, 1, 2)]
     assert np.shares_memory(v.grid, v.coeffs)
     with pytest.raises(ValueError, match="grid shape"):
         build_ladder_ops(trunc)[0](np.zeros((3, 4)))

@@ -25,7 +25,6 @@ from pseudoboson.linalg import (
     multiset_distance,
     residual,
     solve_matrix,
-    tridiag_eigenvectors,
     tridiag_rayleigh_iteration,
 )
 
@@ -422,24 +421,6 @@ def test_tridiag_tiny_pivot_fallback_matches_dense():
     assert np.abs(ours - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def test_tridiag_eigenvectors_meet_residual_contract():
-    rng = np.random.default_rng(43)
-    for n in (2, 9, 30):
-        off = rng.uniform(0.5, 1.5, n - 1)
-        sub, diag, sup = off, rng.standard_normal(n), -off
-        m = _dense_tridiag(sub, diag, sup)
-        values = eig_dense(m).values[:3]
-        report = tridiag_eigenvectors(sub, diag, sup, values)
-        assert report.converged
-        assert report.vectors.shape == (n, len(values))
-        scale = np.sqrt((np.abs(m) ** 2).sum())
-        for i, lam in enumerate(values):
-            v = report.vectors[:, i]
-            assert abs(np.sqrt((np.abs(v) ** 2).sum()) - 1.0) < 1e-12
-            assert residual(m, lam, v) < 1e-8 * scale
-            assert report.residuals[i] < 1e-8 * scale
-
-
 def test_tridiag_rayleigh_iteration_settles_on_the_eigenvalues():
     # pseudo-Jacobi: J^T = D J D^-1 with D = diag((-1)^j), so y = D x is the
     # left eigenvector; from shifts off by 1e-4 the quotient settles on the
@@ -463,11 +444,68 @@ def test_tridiag_rayleigh_iteration_settles_on_the_eigenvalues():
             residual(m, lam, report.vectors[:, i]), abs=1e-12)
     with pytest.raises(ValueError):
         tridiag_rayleigh_iteration(sub + 0j, diag, sup, left, exact)
+    # random sections whose lowest values are complex pairs or real, started
+    # at their QR values: unit vectors that meet the residual contract
+    rng = np.random.default_rng(43)
+    for n in (2, 9, 30):
+        off = rng.uniform(0.5, 1.5, n - 1)
+        sub, diag, sup = off, rng.standard_normal(n), -off
+        m = _dense_tridiag(sub, diag, sup)
+        values = eig_dense(m).values[:3]
+        report = tridiag_rayleigh_iteration(sub, diag, sup, (-1.0) ** np.arange(n),
+                                            values)
+        assert report.converged
+        assert report.vectors.shape == (n, len(values))
+        assert np.all(report.values[values.imag == 0].imag == 0)
+        exact = np.linalg.eigvals(m)
+        scale = np.sqrt((np.abs(m) ** 2).sum())
+        for i, lam in enumerate(report.values):
+            v = report.vectors[:, i]
+            assert np.abs(exact - lam).min() < 1e-12
+            assert abs(np.sqrt((np.abs(v) ** 2).sum()) - 1.0) < 1e-12
+            assert residual(m, lam, v) < 1e-8 * scale
+            assert report.residuals[i] < 1e-8 * scale
 
 
-def test_tridiag_eigenvectors_rejects_mismatched_diagonals():
+def test_tridiag_rayleigh_iteration_factors_once_per_value_and_round(monkeypatch):
+    # one LU of J - s I at each current value s, unperturbed, per round
+    rng = np.random.default_rng(5)
+    n = 40
+    off = rng.uniform(0.2, 0.6, n - 1)
+    sub, diag, sup = off, 2.0 * np.arange(n) + rng.uniform(0, 0.2, n), -off
+    shifts = np.array([0.01, 2.0, 4.3])
+    shifted = []
+    factor = linalg._tridiag_lu_factor
+
+    def counted(lower, d, upper):
+        shifted.append(d)
+        return factor(lower, d, upper)
+
+    monkeypatch.setattr(linalg, "_tridiag_lu_factor", counted)
+    report = tridiag_rayleigh_iteration(sub, diag, sup, (-1.0) ** np.arange(n),
+                                        shifts)
+    assert report.iterations > 1
+    assert len(shifted) == report.iterations * len(shifts)
+    for d, shift in zip(shifted, shifts):
+        assert np.array_equal(d, diag - shift)
+
+
+def test_tridiag_rayleigh_iteration_keeps_the_iterate_past_a_failed_solve():
+    # J - 0 I is a nilpotent upper bidiagonal: every pivot is raised to the
+    # tiny value and back substitution overflows to inf - inf; the round
+    # keeps the previous unit iterate instead of a nan vector
+    n = 60
+    report = tridiag_rayleigh_iteration(np.zeros(n - 1), np.zeros(n), np.ones(n - 1),
+                                        np.ones(n), [0.0])
+    assert np.all(np.isfinite(report.vectors))
+    assert np.all(np.isfinite(report.residuals))
+    assert not report.converged
+
+
+def test_tridiag_rayleigh_iteration_rejects_mismatched_diagonals():
     with pytest.raises(ValueError):
-        tridiag_eigenvectors(np.ones(3), np.ones(3), np.ones(2), [1.0])
+        tridiag_rayleigh_iteration(np.ones(3), np.ones(3), np.ones(2), [1.0],
+                                   [1.0])
 
 
 def test_sym_tridiag_trivial_diagonal():

@@ -30,9 +30,14 @@ from pseudoboson.model import (
 P = ModelParams(beta=0.5, gamma=0.75)
 
 
+def _flat(trunc, m, n):
+    """Row-major flat index of |m, n>."""
+    return np.ravel_multi_index((m, n), trunc.shape)
+
+
 def _basis(trunc, m, n):
     v = np.zeros(trunc.dim, dtype=complex)
-    v[trunc.index(m, n)] = 1.0
+    v[_flat(trunc, m, n)] = 1.0
     return v
 
 
@@ -161,14 +166,14 @@ def test_vacua_geometric_profiles():
     trunc = TruncationSpec(20, 20)
     vac, vac_adj = build_vacua(P, trunc)
     for n, expected in ((0, 1.0), (1, -1.0 / 3.0), (2, 1.0 / 9.0), (3, -1.0 / 27.0)):
-        idx = trunc.index(n, n)
+        idx = _flat(trunc, n, n)
         ratio = vac.coeffs[idx] / vac.coeffs[0]
         assert ratio == pytest.approx(expected)
         assert vac_adj.coeffs[idx] / vac_adj.coeffs[0] == pytest.approx(abs(expected))
     # off-diagonal occupations never appear
     for m, n in trunc.states():
         if m != n:
-            assert vac.coeffs[trunc.index(m, n)] == 0.0
+            assert vac.coeffs[_flat(trunc, m, n)] == 0.0
 
 
 def test_vacua_mutual_overlap():
@@ -285,9 +290,9 @@ def test_phase_similarity_exact():
     assert np.abs(s.conj().T @ s - np.eye(trunc.dim)).max() == 0.0
     # period-four phase pattern along the diagonal states
     assert s[0, 0] == 1.0
-    assert s[trunc.index(0, 1), trunc.index(0, 1)] == -1.0j
-    assert s[trunc.index(1, 1), trunc.index(1, 1)] == -1.0
-    assert s[trunc.index(2, 1), trunc.index(2, 1)] == 1.0j
+    assert s[_flat(trunc, 0, 1), _flat(trunc, 0, 1)] == -1.0j
+    assert s[_flat(trunc, 1, 1), _flat(trunc, 1, 1)] == -1.0
+    assert s[_flat(trunc, 2, 1), _flat(trunc, 2, 1)] == 1.0j
 
 
 def test_phase_similarity_trivial_when_self_adjoint():

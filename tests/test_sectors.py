@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pseudoboson import sectors
 from pseudoboson.fock import TruncationSpec, build_ladder_ops, commutator
-from pseudoboson.linalg import eig_dense
+from pseudoboson.linalg import eig_dense, tridiag_rayleigh_iteration
 from pseudoboson.model import ModelParams, build_hamiltonian, energy
 from pseudoboson.sectors import (
     SectorSpec,
@@ -296,6 +296,20 @@ def test_continued_levels_match_dense_qr(beta, gamma, k, start_depth, n_eigs):
             x = vecs[:, np.argmin(np.abs(w - lam))]
             kappa = np.sum(np.abs(x) ** 2) / abs(np.sum(phases * x * x))
             assert abs(value - lam) <= kappa * backward
+
+
+def test_continuation_from_a_shallow_section_meets_the_contract():
+    # from the depth-8 values, the third 0.26 off, the quotient loop reaches
+    # the depth-16 eigenpairs within its round cap
+    p = ModelParams(beta=1.5, gamma=0.75)
+    shifts = eig_dense(pseudo_jacobi(SectorSpec(1, 8), p)).values[:3]
+    spec = SectorSpec(1, 16)
+    dense = eig_dense(pseudo_jacobi(spec, p)).values[:3]
+    assert np.abs(shifts - dense).max() > 0.25
+    report = tridiag_rayleigh_iteration(*pseudo_jacobi_diagonals(spec, p),
+                                        sector_phase_vector(spec), shifts)
+    assert report.converged
+    assert np.abs(report.values - dense).max() < 1e-10
 
 
 def test_continuation_falls_back_on_complex_shifts():
