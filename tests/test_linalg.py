@@ -444,6 +444,9 @@ def test_tridiag_rayleigh_iteration_settles_on_the_eigenvalues():
             residual(m, lam, report.vectors[:, i]), abs=1e-12)
     with pytest.raises(ValueError):
         tridiag_rayleigh_iteration(sub + 0j, diag, sup, left, exact)
+
+
+def test_tridiag_eigenvectors_meet_residual_contract():
     # random sections whose lowest values are complex pairs or real, started
     # at their QR values: unit vectors that meet the residual contract
     rng = np.random.default_rng(43)
