@@ -2,7 +2,7 @@
 diagonalization, biorthogonal eigenbases, sector reduction, and the
 similarity-to-adjoint machinery, all in truncated Fock spaces."""
 
-from .fock import FockVector, Operator, TruncationSpec
+from .fock import Operator, TruncationSpec
 from .linalg import EigenReport, eig_dense, eig_sym_tridiag, multiset_distance
 from .model import (
     BiorthReport,
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiorthReport",
     "EigenReport",
-    "FockVector",
     "ModelParams",
     "Operator",
     "PseudoBosonSet",

@@ -25,9 +25,10 @@ zero the (n = n_max_b) boundary diagonal and pollute the spectrum with
 spurious eigenvalues. The additive constant from the reordering is part of
 the model and is kept.
 
-States are grids and H, H' and the ladder operators `fock.GridMap`s, so the
-eigenvector families, their residuals and their Gram build no matrix; dense
-matrices, the maps applied to the identity, serve small-truncation checks.
+States are grids and H, H' and the ladder operators `fock.GridMap`s. The
+eigenvector families, their residuals and their Gram apply maps to grids, and
+the commutator, diagonal-form and phase-similarity checks compose, subtract
+and scale maps, so nothing here builds a matrix.
 """
 
 from __future__ import annotations
@@ -38,16 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .fock import (
-    FockVector,
-    GridMap,
-    Operator,
-    TruncationSpec,
-    build_ladder_ops,
-    commutator,
-    identity_op,
-    interior_deviation,
-)
+from .fock import GridMap, TruncationSpec, build_ladder_ops, interior_deviation
 from .linalg import norm2
 
 __all__ = [
@@ -63,7 +55,6 @@ __all__ = [
     "eigenvector_families",
     "energy",
     "biorthogonality_matrix",
-    "phase_similarity",
     "similarity_check",
     "energy_grid",
     "block_layout",
@@ -188,13 +179,6 @@ def build_pseudoboson_ops(p: ModelParams, trunc: TruncationSpec) -> PseudoBosonS
                           d_ddag=combine((high, b_dag), (-g, a)))
 
 
-def _dense_set(p: ModelParams, trunc: TruncationSpec):
-    """Matrices of H and of c, d, c", d", for the small-truncation checks."""
-    ops = build_pseudoboson_ops(p, trunc)
-    return [x.dense() for x in (build_hamiltonian(p, trunc)[0], ops.c, ops.d,
-                                ops.c_ddag, ops.d_ddag)]
-
-
 def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     """Named interior deviations (margin 1) of the pseudo-boson algebra.
 
@@ -209,23 +193,23 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     it; those four are divided by max(1, norm_scale), so they stay relative
     to the operators they measure.
     """
-    H, c, d, c_ddag, d_ddag = _dense_set(p, trunc)
-    ident = identity_op(trunc)
-    named = [("c", c), ("d", d), ("c_ddag", c_ddag), ("d_ddag", d_ddag)]
+    H = build_hamiltonian(p, trunc)[0]
+    ops = build_pseudoboson_ops(p, trunc)
+    named = [(name, getattr(ops, name)) for name in ("c", "d", "c_ddag", "d_ddag")]
     unit_pairs = {("c", "c_ddag"), ("d", "d_ddag")}
     report = {}
     for i, (ni, xi) in enumerate(named):
         for nj, xj in named[i:]:
-            comm = commutator(xi, xj)
+            comm = xi @ xj - xj @ xi
             if (ni, nj) in unit_pairs:
-                comm = comm - ident
+                comm = comm - GridMap(trunc, ((1.0, 0, 0),))
             report[f"[{ni},{nj}]"] = interior_deviation(comm, margin=1)
     up = p.beta + p.rho
     down = p.rho - p.beta
     scale = 1.0 if p.gamma == 0 else max(1.0, p.norm_scale)
-    for name, op, coeff in [("c_ddag", c_ddag, up), ("d_ddag", d_ddag, down),
-                            ("c", c, -up), ("d", d, -down)]:
-        diff = commutator(H, op) - coeff * op
+    for name, coeff in [("c_ddag", up), ("d_ddag", down), ("c", -up), ("d", -down)]:
+        op = getattr(ops, name)
+        diff = H @ op - op @ H - coeff * op
         report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale
     return report
 
@@ -237,25 +221,24 @@ def diagonal_form_check(p: ModelParams, trunc: TruncationSpec) -> float:
     corrupt only boundary occupations, so the deviation is measured on the
     margin-1 interior and should sit at rounding level.
     """
-    H, c, d, c_ddag, d_ddag = _dense_set(p, trunc)
-    cc = c_ddag @ c
-    dd = d_ddag @ d
-    ddd = d @ d_ddag
-    expr = p.beta * (cc - dd) + p.rho * (cc + ddd)
+    H = build_hamiltonian(p, trunc)[0]
+    ops = build_pseudoboson_ops(p, trunc)
+    cc = ops.c_ddag @ ops.c
+    expr = p.beta * (cc - ops.d_ddag @ ops.d) + p.rho * (cc + ops.d @ ops.d_ddag)
     return interior_deviation(H - expr, margin=1)
 
 
-def build_vacua(p: ModelParams, trunc: TruncationSpec) -> tuple[FockVector, FockVector]:
-    """The pseudo-boson vacuum and the adjoint-family vacuum.
+def build_vacua(p: ModelParams, trunc: TruncationSpec) -> tuple[NDArray, NDArray]:
+    """The pseudo-boson vacuum and the adjoint-family vacuum, as grids.
 
     In the orthonormal basis, exp(-alpha a'b')|0,0> = sum_n (-alpha)^n |n,n>
     and the adjoint-family vacuum carries (+alpha)^n. The first is annihilated
     by c and d (exactly, in truncation, up to the projected tail), the second
     by the adjoints of c" and d".
     """
-    vac, vac_p = (FockVector(trunc, np.zeros(trunc.dim, dtype=complex)) for _ in range(2))
+    vac, vac_p = np.zeros(trunc.shape, complex), np.zeros(trunc.shape, complex)
     for n in range(min(trunc.shape)):
-        vac.grid[n, n], vac_p.grid[n, n] = (-p.alpha) ** n, (+p.alpha) ** n
+        vac[n, n], vac_p[n, n] = (-p.alpha) ** n, (+p.alpha) ** n
     return vac, vac_p
 
 
@@ -280,9 +263,9 @@ def eigenvector_families(p: ModelParams, trunc: TruncationSpec, m_max: int,
             f"need n_max_a >= {m_max} and n_max_b >= {n_max}")
     ops = build_pseudoboson_ops(p, trunc)
 
-    def family(raise_m: GridMap, raise_n: GridMap, vacuum: FockVector) -> NDArray:
+    def family(raise_m: GridMap, raise_n: GridMap, vacuum: NDArray) -> NDArray:
         stack = np.empty((m_max + 1, n_max + 1) + trunc.shape, dtype=complex)
-        stack[0, 0] = vacuum.grid
+        stack[0, 0] = vacuum
         for n in range(n_max):
             stack[0, n + 1] = raise_n(stack[0, n])
         for m in range(m_max):
@@ -372,22 +355,19 @@ def _occupation_phases(states) -> NDArray[np.complex128]:
     return np.array([_PHASES[(m + n) % 4] for m, n in states])
 
 
-def phase_similarity(trunc: TruncationSpec) -> Operator:
-    """Diagonal phase operator with (-i)^(m+n) on |m, n>; unitary, and it
-    conjugates H into its adjoint by flipping the sign of the coupling."""
-    return Operator(trunc, np.diag(_occupation_phases(trunc.states())))
-
-
 def similarity_check(p: ModelParams, trunc: TruncationSpec) -> float:
-    """Max entrywise |H_adj - S H S^-1| for the diagonal phase S.
+    """Max entrywise |H_adj - S H S^-1| for the diagonal phase S with
+    (-i)^(m+n) on |m, n>, which is unitary and conjugates H into its adjoint
+    by flipping the sign of the coupling.
 
-    Diagonal conjugation commutes with the finite section, so this is exact
-    (rounding level) at any truncation.
+    S H S^-1 multiplies the weight of a (da, db) shift by (-i)^-(da+db), an
+    exact table entry; diagonal conjugation commutes with the finite section,
+    so this is exact at any truncation.
     """
-    H, H_adj = (x.dense() for x in build_hamiltonian(p, trunc))
-    phases = np.diag(phase_similarity(trunc).entries)
-    conjugated = np.outer(phases, phases.conj()) * H.entries
-    return float(np.abs(H_adj.entries - conjugated).max())
+    H, H_adj = build_hamiltonian(p, trunc)
+    conjugated = GridMap(trunc, tuple((w * _PHASES[-(da + db) % 4], da, db)
+                                      for w, da, db in H.terms))
+    return interior_deviation(H_adj - conjugated, margin=0)
 
 
 def energy_grid(p: ModelParams, m_max: int, n_max: int) -> list[tuple[int, int, float]]:

@@ -308,9 +308,8 @@ def test_verify_all_reduced(capsys):
     assert all(s["passed"] for s in payload["suites"])
 
 
-def test_verify_all_builds_no_deep_truncation_matrix(capsys, monkeypatch):
-    # the families, their residuals and their Gram act on grids; only the
-    # small-truncation checks build matrices, the largest at trunc 10
+def _matrix_dims(monkeypatch) -> list:
+    """The dimension of every `Operator` built from here on, in order."""
     dims = []
     check_shape = Operator.__post_init__
 
@@ -319,10 +318,25 @@ def test_verify_all_builds_no_deep_truncation_matrix(capsys, monkeypatch):
         check_shape(self)
 
     monkeypatch.setattr(Operator, "__post_init__", counted)
+    return dims
+
+
+def test_verify_all_builds_no_deep_truncation_matrix(capsys, monkeypatch):
+    # the families, their residuals and their Gram act on grids, and the
+    # operator identities on maps; the one matrix is the trunc-10 H that
+    # full_vs_sector_union hands to dense QR
+    dims = _matrix_dims(monkeypatch)
     code, _, _ = run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
                      "--depth", "32")
     assert code == 0
-    assert dims and max(dims) <= 121
+    assert dims == [121]
+
+
+def test_commutators_build_no_matrix(capsys, monkeypatch):
+    dims = _matrix_dims(monkeypatch)
+    code, _, _ = run(capsys, "commutators", "--trunc", "12")
+    assert code == 0
+    assert dims == []
 
 
 def test_verify_all_accepts_depths_sectors_rejects(capsys):

@@ -15,7 +15,7 @@ from pseudoboson.emm import (
     su11_secular_matrix,
     symplectic_pairing,
 )
-from pseudoboson.fock import TruncationSpec, commutator
+from pseudoboson.fock import TruncationSpec, build_ladder_ops, interior_deviation
 from pseudoboson.linalg import eig_dense, multiset_distance, residual
 from pseudoboson.model import ModelParams, build_hamiltonian, build_pseudoboson_ops
 
@@ -63,16 +63,15 @@ def test_quadratic_validates_blocks():
 
 
 def test_adjoint_action_matches_fock_commutators():
-    # the abstract 4x4 must reproduce [H, ladder] computed with matrices;
+    # the abstract 4x4 must reproduce [H, ladder] computed with the Fock maps;
     # columns are checked through the commutator of H with each ladder op
     trunc = TruncationSpec(7, 7)
-    h = build_hamiltonian(P, trunc)[0].dense()
-    from pseudoboson.fock import build_ladder_ops, interior_deviation
-    a, b, a_dag, b_dag = (x.dense() for x in build_ladder_ops(trunc))
+    h = build_hamiltonian(P, trunc)[0]
+    a, b, a_dag, b_dag = build_ladder_ops(trunc)
     t = model_emm_matrix(P)
     basis = [a_dag, b_dag, a, b]
     for col, op in enumerate(basis):
-        combo = commutator(h, op)
+        combo = h @ op - op @ h
         for row, unit in enumerate(basis):
             combo = combo - unit * t[row, col]
         assert interior_deviation(combo, margin=1) < 1e-12
@@ -143,8 +142,7 @@ def test_eigenvector_coefficients_build_the_operators():
     # the adjoint-action eigenvector coefficients, normalized, are exactly the
     # pseudo-boson ladder definitions used at operator level
     trunc = TruncationSpec(5, 5)
-    from pseudoboson.fock import build_ladder_ops
-    a, b, a_dag, b_dag = (x.dense() for x in build_ladder_ops(trunc))
+    a, b, a_dag, b_dag = build_ladder_ops(trunc)
     ops = build_pseudoboson_ops(P, trunc)
     basis = [a_dag, b_dag, a, b]
     sol = model_emm_eigenpairs(P)
@@ -154,12 +152,12 @@ def test_eigenvector_coefficients_build_the_operators():
     vec = by_value[1.75].combination.stacked
     built = sum((basis[i] * (scale * vec[i]) for i in range(1, 4)),
                 basis[0] * (scale * vec[0]))
-    assert np.abs(built.entries - ops.c_ddag.dense().entries).max() < 1e-12
+    assert np.abs(built.dense().entries - ops.c_ddag.dense().entries).max() < 1e-12
     # value beta - rho pairs with the d direction (annihilation side)
     vec = by_value[-0.75].combination.stacked
     built = sum((basis[i] * (scale * vec[i]) for i in range(1, 4)),
                 basis[0] * (scale * vec[0]))
-    assert np.abs(built.entries - ops.d.dense().entries).max() < 1e-12
+    assert np.abs(built.dense().entries - ops.d.dense().entries).max() < 1e-12
 
 
 def test_repeated_values_flag_at_coincidence():

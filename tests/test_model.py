@@ -23,9 +23,9 @@ from pseudoboson.model import (
     eigenvector_families,
     energy,
     energy_grid,
-    phase_similarity,
     similarity_check,
 )
+from pseudoboson.model import _occupation_phases
 
 P = ModelParams(beta=0.5, gamma=0.75)
 
@@ -165,21 +165,21 @@ def test_diagonal_form_parameter_sweep():
 def test_vacua_geometric_profiles():
     trunc = TruncationSpec(20, 20)
     vac, vac_adj = build_vacua(P, trunc)
+    assert vac.shape == vac_adj.shape == trunc.shape
     for n, expected in ((0, 1.0), (1, -1.0 / 3.0), (2, 1.0 / 9.0), (3, -1.0 / 27.0)):
-        idx = _flat(trunc, n, n)
-        ratio = vac.coeffs[idx] / vac.coeffs[0]
+        ratio = vac[n, n] / vac[0, 0]
         assert ratio == pytest.approx(expected)
-        assert vac_adj.coeffs[idx] / vac_adj.coeffs[0] == pytest.approx(abs(expected))
+        assert vac_adj[n, n] / vac_adj[0, 0] == pytest.approx(abs(expected))
     # off-diagonal occupations never appear
     for m, n in trunc.states():
         if m != n:
-            assert vac.coeffs[_flat(trunc, m, n)] == 0.0
+            assert vac[m, n] == 0.0
 
 
 def test_vacua_mutual_overlap():
     trunc = TruncationSpec(40, 40)
     vac, vac_adj = build_vacua(P, trunc)
-    overlap = np.vdot(vac_adj.coeffs, vac.coeffs)
+    overlap = np.vdot(vac_adj, vac)
     assert overlap == pytest.approx(0.9, abs=1e-12)
     assert overlap == pytest.approx(1.0 / (1.0 + P.alpha ** 2), abs=1e-12)
 
@@ -188,10 +188,10 @@ def test_vacua_annihilated_by_lowering_pair():
     trunc = TruncationSpec(40, 40)
     ops = build_pseudoboson_ops(P, trunc)
     vac, vac_adj = build_vacua(P, trunc)
-    assert norm2(ops.c(vac.grid)) < 1e-12
-    assert norm2(ops.d(vac.grid)) < 1e-12
-    assert norm2(ops.d_ddag.adjoint()(vac_adj.grid)) < 1e-12
-    assert norm2(ops.c_ddag.adjoint()(vac_adj.grid)) < 1e-12
+    assert norm2(ops.c(vac)) < 1e-12
+    assert norm2(ops.d(vac)) < 1e-12
+    assert norm2(ops.d_ddag.adjoint()(vac_adj)) < 1e-12
+    assert norm2(ops.c_ddag.adjoint()(vac_adj)) < 1e-12
 
 
 def test_eigen_residuals_deep_truncation():
@@ -232,7 +232,7 @@ def test_families_are_ladder_powers_on_the_vacua():
     vac, vac_adj = build_vacua(P, trunc)
     states, adj_states = eigenvector_families(P, trunc, 2, 3)
     assert states.shape == adj_states.shape == (3, 4, 13, 13)
-    v, w = vac.coeffs, vac_adj.coeffs
+    v, w = vac.ravel(), vac_adj.ravel()
     for _ in range(3):
         v = ops.d_ddag.dense().entries @ v
         w = ops.d.adjoint().dense().entries @ w
@@ -286,13 +286,19 @@ def test_biorthogonality_needs_depth():
 def test_phase_similarity_exact():
     trunc = TruncationSpec(6, 6)
     assert similarity_check(P, trunc) == 0.0
-    s = phase_similarity(trunc).entries
-    assert np.abs(s.conj().T @ s - np.eye(trunc.dim)).max() == 0.0
-    # period-four phase pattern along the diagonal states
-    assert s[0, 0] == 1.0
-    assert s[_flat(trunc, 0, 1), _flat(trunc, 0, 1)] == -1.0j
-    assert s[_flat(trunc, 1, 1), _flat(trunc, 1, 1)] == -1.0
-    assert s[_flat(trunc, 2, 1), _flat(trunc, 2, 1)] == 1.0j
+    phases = _occupation_phases(trunc.states())
+    # unimodular, so the diagonal phase operator is unitary
+    assert np.array_equal(phases * phases.conj(), np.ones(trunc.dim))
+    # period-four phase pattern (-i)^(m + n) along the states
+    assert phases[0] == 1.0
+    assert phases[_flat(trunc, 0, 1)] == -1.0j
+    assert phases[_flat(trunc, 1, 1)] == -1.0
+    assert phases[_flat(trunc, 2, 1)] == 1.0j
+    assert phases[_flat(trunc, 4, 0)] == 1.0
+    # S H S^-1 with S = diag(phases) is the adjoint, entry by entry
+    h, h_adj = _dense_hamiltonian(P, trunc)
+    conjugated = np.outer(phases, phases.conj()) * h.entries
+    assert np.abs(conjugated - h_adj.entries).max() == 0.0
 
 
 def test_phase_similarity_trivial_when_self_adjoint():
