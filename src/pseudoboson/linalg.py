@@ -3,10 +3,11 @@
 Provides the numerical backends used by every other module: a nonsymmetric
 eigensolver (Householder Hessenberg reduction followed by shifted QR
 iteration, Francis double shift for real matrices and Wilkinson single shift
-for complex ones), a symmetric tridiagonal eigensolver (implicit-shift QL),
-a partial-pivoting LU solver, inverse iteration for dense eigenvectors,
-two-sided Rayleigh-quotient iteration for selected eigenpairs of a real
-tridiagonal in O(n) per value and round, residual and biorthonormalization
+for complex ones), a symmetric tridiagonal eigensolver (implicit-shift QL,
+for real symmetric and complex symmetric input alike), a partial-pivoting LU
+solver, inverse iteration for dense eigenvectors, two-sided Rayleigh-quotient
+iteration for selected eigenpairs of a real tridiagonal in O(n) per value
+and round, residual and biorthonormalization
 utilities, and `norm2`, the package's one Euclidean norm, which rescales
 where the plain sum of squares would under- or overflow.
 
@@ -29,6 +30,14 @@ its eigenpairs come from one Rayleigh-quotient loop: each round factors
 J - s I once at each current value s, takes one solve, and moves s to the
 two-sided quotient.
 
+QL runs on Python scalars with one loop for both tridiagonal families. Real
+input takes hypot rotations and keeps the textbook bits. Complex symmetric
+input takes complex orthogonal rotations, sqrt(f^2 + g^2) in place of hypot
+(Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996), which the
+sector spectra use on the phase-similar form of the real pseudo-Jacobi
+matrices; these rotations are not unitary, so a breakdown, a stall or a
+non-finite value is reported as converged=False, never raised.
+
 numpy is used as the array substrate only; no factorizations or eigensolvers
 of numpy's linear-algebra module are called here, so results can be
 cross-checked against an independent library route in the test suite.
@@ -36,6 +45,7 @@ cross-checked against an independent library route in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -80,9 +90,10 @@ class EigenReport:
     when computed, are two-norm residuals ||M v - lambda v|| for unit-norm v,
     aligned with values; the convergence contract compares them against
     RESIDUAL_TOL times the matrix norm, and converged is False when a pair
-    misses it (from `eig_sym_tridiag`, when QL stalls). iterations counts QR
-    sweeps (quotient rounds from `tridiag_rayleigh_iteration`); QR that does
-    not converge raises RuntimeError instead.
+    misses it (from `eig_sym_tridiag`, when QL stalls or breaks down).
+    iterations counts QR sweeps (QL sweeps from `eig_sym_tridiag`, quotient
+    rounds from `tridiag_rayleigh_iteration`); QR that does not converge
+    raises RuntimeError instead.
     """
 
     values: NDArray[np.complex128]
@@ -681,53 +692,72 @@ def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
                        converged=bool(np.all(res <= RESIDUAL_TOL * max(norm_scale, _EPS))))
 
 
-def eig_sym_tridiag(diag, offdiag) -> EigenReport:
-    """All eigenvalues of a real symmetric tridiagonal matrix.
+def _modulus(z: complex) -> float:
+    """|z| for a Python complex, inf where abs() would raise OverflowError."""
+    return math.hypot(z.real, z.imag)
 
-    Implicit-shift QL iteration on the (diagonal, offdiagonal) arrays; output
-    is real and sorted ascending.
-    """
-    d_in = np.asarray(diag, dtype=float)
-    e_in = np.asarray(offdiag, dtype=float)
-    n = d_in.shape[0]
-    if e_in.shape[0] != max(n - 1, 0):
-        raise ValueError(
-            f"offdiagonal length {e_in.shape[0]} does not match diagonal length {n}")
-    if n == 0:
-        return EigenReport(values=np.zeros(0, complex))
-    # the loop runs on Python floats, which round as float64 scalars do
-    d = d_in.tolist()
-    e = e_in.tolist() + [0.0]
-    total_iter = 0
+
+def _complex_radius(f: complex, g: complex) -> complex:
+    """A square root of f^2 + g^2: the complex orthogonal analogue of hypot."""
+    return cmath.sqrt(f * f + g * g)
+
+
+def _away_real(g: float, r: float) -> float:
+    return g + math.copysign(r, g)
+
+
+def _away_complex(g: complex, r: complex) -> complex:
+    """g + r or g - r, whichever has the larger modulus: |g + r|^2 - |g - r|^2
+    is 4 Re(g conj(r)), so no modulus is formed."""
+    return g + r if g.real * r.real + g.imag * r.imag >= 0.0 else g - r
+
+
+def _implicit_ql(d: list, e: list, size, radius, away) -> tuple[int, bool]:
+    """Implicit-shift QL sweeps on the Python-scalar diagonal d and
+    off-diagonal e (padded with a trailing 0), in place, until every value
+    deflates. size is the modulus, radius(f, g) a square root of f^2 + g^2 and
+    away(g, r) the shift denominator g +- r of larger modulus. Returns the
+    sweep count and whether it converged: False after 50 sweeps on one value
+    without deflation (the sweeps then move on to the next value), and on a
+    breakdown, which stops them at once: a rotation with r == 0 while
+    (f, g) != 0, which exists only for complex f and g, or a non-finite
+    value. A final value whose modulus overflows counts as non-finite, since
+    an infinite modulus makes every deflation test beside it pass."""
+    n = len(d)
+    total = 0
     converged = True
     for l in range(n):
         it = 0
         while True:
             m = n - 1
             for mm in range(l, n - 1):
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= _EPS * dd:
+                dd = size(d[mm]) + size(d[mm + 1])
+                if size(e[mm]) <= _EPS * dd:
                     m = mm
                     break
             if m == l:
                 break
             it += 1
-            total_iter += 1
+            total += 1
             if it > 50:
                 converged = False
                 break
+            if e[l] == 0.0:
+                # an undeflated zero sits beside a NaN diagonal entry
+                return total, False
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            g = d[m] - d[l] + e[l] / away(g, radius(g, 1.0))
             s = c = 1.0
             p = 0.0
             early = False
             for i in range(m - 1, l - 1, -1):
                 f = s * e[i]
                 b = c * e[i]
-                r = math.hypot(f, g)
+                r = radius(f, g)
                 e[i + 1] = r
                 if r == 0.0:
+                    if f != 0.0 or g != 0.0:
+                        return total, False
                     d[i + 1] -= p
                     e[m] = 0.0
                     early = True
@@ -744,6 +774,48 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
             d[l] -= p
             e[l] = g
             e[m] = 0.0
+            if not (cmath.isfinite(p) and cmath.isfinite(g)):
+                return total, False
+    return total, converged and all(size(x) < math.inf for x in d)
+
+
+def eig_sym_tridiag(diag, offdiag) -> EigenReport:
+    """All eigenvalues of a symmetric tridiagonal matrix, real or complex.
+
+    Implicit-shift QL iteration on the (diagonal, offdiagonal) arrays, run on
+    Python scalars; values are sorted by (real part, imaginary part). Real
+    input is the textbook real symmetric case, with hypot rotations and the
+    shift sign of g. Complex input is complex symmetric (equal, not
+    conjugate, off-diagonals), handled by the same loop with complex
+    orthogonal rotations c^2 + s^2 = 1: sqrt(f^2 + g^2) replaces hypot(f, g)
+    and the shift denominator g +- r takes the sign of larger modulus
+    (Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996). Such
+    rotations are not unitary, so no backward stability is guaranteed, and
+    a rotation breaks down where f^2 + g^2 = 0 with (f, g) != 0 (the matrix
+    [[1, i], [i, -1]], say, is defective); moduli are taken by hypot, so a
+    value past the overflow threshold gives inf rather than raising.
+    converged is False on a stall (50 sweeps without deflation), on such a
+    breakdown, and on any non-finite value or modulus; the function itself
+    never raises on finite or non-finite entries of the right shapes.
+    """
+    kind = complex if np.iscomplexobj(diag) or np.iscomplexobj(offdiag) else float
+    d_in = np.asarray(diag, dtype=kind)
+    e_in = np.asarray(offdiag, dtype=kind)
+    n = d_in.shape[0]
+    if e_in.shape[0] != max(n - 1, 0):
+        raise ValueError(
+            f"offdiagonal length {e_in.shape[0]} does not match diagonal length {n}")
+    if n == 0:
+        return EigenReport(values=np.zeros(0, complex))
+    if kind is float:
+        size, radius, away = abs, math.hypot, _away_real
+    else:
+        size, radius, away = _modulus, _complex_radius, _away_complex
+    # the loop runs on Python scalars, which round as float64 and complex128
+    # scalars do
+    d = d_in.tolist()
+    e = e_in.tolist() + [0.0]
+    total_iter, converged = _implicit_ql(d, e, size, radius, away)
     values = np.sort(np.array(d)).astype(complex)
     return EigenReport(values=values, iterations=total_iter, converged=converged)
 

@@ -30,6 +30,7 @@ without bound as the depth grows.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -324,13 +325,64 @@ def _refined_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
     return spectrum, report.converged
 
 
-def _qr_levels(spec: SectorSpec, p: ModelParams, n_eigs: int,
-               diagonals) -> tuple[SectorSpectrum, NDArray[np.float64]]:
-    """`sector_spectrum`, and the distance from each kept value to the
+def _section_values(diagonals) -> NDArray[np.complex128]:
+    """Every eigenvalue of the real pseudo-Jacobi section with these (sub,
+    diag, sup) diagonals, sorted by (real part, imaginary part).
+
+    With E = diag(i^j), E^-1 J E keeps J's diagonal and carries i sub on both
+    off-diagonals, a complex symmetric tridiagonal that `eig_sym_tridiag`
+    solves by complex orthogonal QL in O(n) per sweep. When that QL breaks
+    down or stalls, values-only `eig_dense` on the dense section takes over.
+
+    QL does not see that J is real, so its values are made the spectrum of a
+    real matrix again. A value keeps an imaginary part only when a partner
+    on the other side of the real axis lies nearer to its conjugate than
+    half of either value's distance to the axis; the pair then shares one
+    real part, with opposite imaginary parts. Every other value becomes
+    exactly real. A fixed eps threshold would not do: the ill-conditioned
+    real values in the middle of a deep section come out of QL with
+    imaginary parts far above n eps ||J||. The partners of each value in the
+    upper half-plane are looked up by bisection among the lower values
+    sorted by real part, so the cost is O(n log n) plus the values that
+    share a window.
+    """
+    sub, diag, _ = diagonals
+    report = eig_sym_tridiag(diag, 1j * sub)
+    if not report.converged:
+        return eig_dense(_dense(*diagonals)).values
+    re, im = report.values.real.tolist(), report.values.imag.tolist()
+    lower = sorted((j for j, y in enumerate(im) if y < 0), key=re.__getitem__)
+    lower_re = [re[j] for j in lower]
+    paired = [0.0] * len(re)
+    taken = set()
+    for i in (j for j, y in enumerate(im) if y > 0):
+        reach = im[i] / 2
+        window = lower[bisect.bisect_right(lower_re, re[i] - reach):
+                       bisect.bisect_left(lower_re, re[i] + reach)]
+        best, best_dist = None, math.inf
+        for j in window:
+            dist = math.hypot(re[j] - re[i], im[j] + im[i])
+            near = dist < min(reach, -im[j] / 2) and dist < best_dist
+            if near and j not in taken:
+                best, best_dist = j, dist
+        if best is not None:
+            taken.add(best)
+            re[i] = re[best] = 0.5 * (re[i] + re[best])
+            paired[i] = 0.5 * (im[i] - im[best])
+            paired[best] = -paired[i]
+    values = np.array(re, dtype=complex)
+    values.imag = paired
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def _solved_levels(spec: SectorSpec, p: ModelParams, n_eigs: int,
+                   diagonals) -> tuple[SectorSpectrum, NDArray[np.float64]]:
+    """`sector_spectrum` from every eigenvalue of the section
+    (`_section_values`), and the distance from each kept value to the
     nearest other eigenvalue of the section."""
     if n_eigs < 1 or n_eigs > spec.depth:
         raise ValueError("n_eigs must be between 1 and the sector depth")
-    everything = eig_dense(_dense(*diagonals)).values
+    everything = _section_values(diagonals)
     kept = everything[:n_eigs]
     spectrum, converged = _refined_spectrum(spec, p, diagonals, kept)
     if not converged:
@@ -347,22 +399,24 @@ def sector_spectrum(spec: SectorSpec, p: ModelParams, n_eigs: int = 3) -> Sector
     """Lowest n_eigs eigenvalues of the sector matrix (by real part) next to
     the closed-form targets beta k + rho (|k| + 1 + 2j).
 
-    Values-only QR finds the whole spectrum; the kept values then seed a
-    two-sided Rayleigh-quotient iteration on the tridiagonal
-    (`linalg.tridiag_rayleigh_iteration`). Each round takes one O(n) LU of
-    J - s I at each kept value s and one solve, so only the kept vectors x
-    are computed; the phase similarity J^T = D J D^-1 makes y = D x a left
-    eigenvector for free, and s moves to y^T J x / y^T x, whose error is
-    quadratic in that of x, until it stops moving. Only the
-    kept pairs are held to the residual contract, at the refined values: the
-    upper spectrum of a deep section is too non-normal for its vectors to
-    meet it. Raises RuntimeError when a kept pair misses it.
+    The whole spectrum comes from complex symmetric QL on the phase-similar
+    tridiagonal (`_section_values`), in O(n) per sweep, with values-only
+    dense QR only as the fallback when QL breaks down or stalls. The kept
+    values then seed a two-sided Rayleigh-quotient iteration on the
+    tridiagonal (`linalg.tridiag_rayleigh_iteration`). Each round takes one
+    O(n) LU of J - s I at each kept value s and one solve, so only the kept
+    vectors x are computed; the phase similarity J^T = D J D^-1 makes y = D x
+    a left eigenvector for free, and s moves to y^T J x / y^T x, whose error
+    is quadratic in that of x, until it stops moving. Only the kept pairs are
+    held to the residual contract, at the refined values: the upper spectrum
+    of a deep section is too non-normal for its vectors to meet it. Raises
+    RuntimeError when a kept pair misses it.
 
     Finite-section eigenvalues converge to the closed form from within as the
     depth grows; shallow sections can also show complex artifact pairs, which
     land at large real part and stay clear of the lowest levels.
     """
-    return _qr_levels(spec, p, n_eigs, pseudo_jacobi_diagonals(spec, p))[0]
+    return _solved_levels(spec, p, n_eigs, pseudo_jacobi_diagonals(spec, p))[0]
 
 
 def _continued_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
@@ -382,7 +436,7 @@ def _continued_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
 class SectorConvergence:
     """Depth-doubling record for one sector's lowest eigenvalues; continued
     marks, per depth, the values continued from the depth before rather
-    than found by dense QR."""
+    than found by solving the whole section (`_section_values`)."""
 
     k: int
     depths: list = field(default_factory=list)
@@ -401,15 +455,16 @@ def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
     depth `doublings` times; converged means the last two depths agree to tol
     on every kept eigenvalue.
 
-    Only the start depth runs dense values-only QR, as `sector_spectrum`. Each
-    deeper depth takes the previous depth's values as shifts, never the
-    closed form, and refines them by the same two-sided Rayleigh-quotient
-    iteration on its tridiagonal, one O(n) LU and solve per kept value and
-    round, without forming the dense matrix. A depth falls back to dense QR
-    when a shift is non-real, a value moves by more than a quarter of its gap
-    (the distance to the nearest other eigenvalue at the latest depth that
-    ran QR), the values lose their order, or a final pair misses the
-    residual contract.
+    Only the start depth solves the whole section, as `sector_spectrum` does
+    (QL, with dense QR as its fallback). Each deeper depth takes the previous
+    depth's values as shifts, never the closed form, and refines them by the
+    same two-sided Rayleigh-quotient iteration on its tridiagonal, one O(n)
+    LU and solve per kept value and round, without forming the dense matrix.
+    A depth falls back to solving its whole section when a shift is
+    non-real, a value moves by more than a quarter of its gap (the distance
+    to the nearest other eigenvalue at the latest depth that was solved
+    whole), the values lose their order, or a final pair misses the residual
+    contract.
     """
     depths = [start_depth * (2 ** i) for i in range(doublings + 1)]
     history = []
@@ -423,7 +478,7 @@ def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
             spectrum = _continued_spectrum(spec, p, diagonals, history[-1], gaps)
         continued.append(spectrum is not None)
         if spectrum is None:
-            spectrum, gaps = _qr_levels(spec, p, n_eigs, diagonals)
+            spectrum, gaps = _solved_levels(spec, p, n_eigs, diagonals)
         history.append(spectrum.values)
     if len(history) > 1:
         max_step = float(np.abs(history[-1] - history[-2]).max())

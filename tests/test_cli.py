@@ -283,6 +283,15 @@ def test_extreme_parameters_end_without_traceback(capsys, argv, code):
         assert err.startswith("first failing check: solver (")
 
 
+def test_overflowing_sector_ends_in_the_dense_qr_fallback(capsys):
+    # QL stalls on the gamma = 1e154 section, and dense QR, its fallback,
+    # fails at its sweep cap
+    assert run(capsys, "sectors", "--gamma", "1e154", "--k-range", "0", "0",
+               "--depth", "16") == (1, "", "first failing check: solver (QR "
+                                    "iteration did not converge on a 4x4 "
+                                    "matrix after 160 sweeps)\n")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "spectrum", "--out", str(target))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from pseudoboson import sectors
 from pseudoboson.fock import TruncationSpec, build_ladder_ops
-from pseudoboson.linalg import eig_dense, tridiag_rayleigh_iteration
+from pseudoboson.linalg import (EigenReport, eig_dense, eig_sym_tridiag,
+                                tridiag_rayleigh_iteration)
 from pseudoboson.model import ModelParams, build_hamiltonian, energy
 from pseudoboson.sectors import (
     SectorSpec,
@@ -251,9 +252,10 @@ def test_convergence_protocol():
     assert np.abs(conv.values - conv.targets).max() < 1e-6
 
 
-def test_deeper_depths_skip_dense_qr(monkeypatch):
-    # at the sectors subcommand's flags only the start depth runs QR; the
-    # deeper sections are continued on their tridiagonals
+def test_sector_spectra_run_no_dense_qr(monkeypatch):
+    # the start depth and a single deep section are solved by complex
+    # symmetric QL, and the deeper sections are continued on their
+    # tridiagonals; dense QR is only the fallback of a failed QL
     dims = []
 
     def counted(m, *args, **kwargs):
@@ -262,10 +264,58 @@ def test_deeper_depths_skip_dense_qr(monkeypatch):
 
     monkeypatch.setattr(sectors, "eig_dense", counted)
     conv = converged_sector_spectrum(1, P, n_eigs=3, start_depth=60)
-    assert dims == [60]
+    assert dims == []
     assert conv.continued == [False, True, True]
     assert conv.max_step < 1e-14
     assert np.abs(conv.values - conv.targets).max() < 1e-14
+    sector_spectrum(SectorSpec(1, 240), P)
+    assert dims == []
+
+
+def test_section_values_restore_conjugate_symmetry():
+    # QL gives the ill-conditioned real values in the middle of this section
+    # imaginary parts far above n eps ||J||_F; the section values are the
+    # spectrum of a real matrix again, with as many real values as dense QR
+    spec = SectorSpec(2, 60)
+    sub, diag, _ = diagonals = pseudo_jacobi_diagonals(spec, P)
+    m = pseudo_jacobi(spec, P)
+    raw = eig_sym_tridiag(diag, 1j * sub).values
+    spurious = np.abs(raw.imag[np.abs(raw.imag) < 1e-3])
+    assert spurious.max() > 1000 * 60 * np.finfo(float).eps * np.sqrt(np.sum(m ** 2))
+    values = sectors._section_values(diagonals)
+    assert np.array_equal(values, values[np.lexsort((values.imag, values.real))])
+    assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
+    dense = eig_dense(m).values
+    assert np.sum(values.imag == 0) == np.sum(dense.imag == 0)
+    assert np.abs(values[:10] - dense[:10]).max() < 1e-8
+
+
+def test_section_values_pair_only_near_conjugates(monkeypatch):
+    # 7 + 0.1i and 7.2 - 0.1i are 0.2 apart after conjugation, more than
+    # half of their 0.1 from the axis, so both become real
+    values = np.array([1 + 1e-9j, 2 - 3e-9j, 5 + 2j, 5.0002 - 2.0002j,
+                       7 + 0.1j, 7.2 - 0.1j, 9 - 1j])
+    monkeypatch.setattr(sectors, "eig_sym_tridiag",
+                        lambda diag, offdiag: EigenReport(values=values))
+    cleaned = sectors._section_values(pseudo_jacobi_diagonals(SectorSpec(0, 7), P))
+    assert np.array_equal(cleaned.real[[0, 1, 4, 5, 6]], [1, 2, 7, 7.2, 9])
+    assert np.all(cleaned.imag[[0, 1, 4, 5, 6]] == 0)
+    assert cleaned[3] == cleaned[2].conjugate()
+    assert abs(cleaned[3] - (5.0001 + 2.0001j)) < 1e-14
+
+
+def test_section_values_fall_back_to_dense_qr(monkeypatch):
+    def stalled(diag, offdiag):
+        report = eig_sym_tridiag(diag, offdiag)
+        report.converged = False
+        return report
+
+    monkeypatch.setattr(sectors, "eig_sym_tridiag", stalled)
+    spec = SectorSpec(1, 30)
+    for gamma in (0.75, 3.0):
+        p = ModelParams(0.5, gamma)
+        values = sectors._section_values(pseudo_jacobi_diagonals(spec, p))
+        assert np.array_equal(values, eig_dense(pseudo_jacobi(spec, p)).values)
 
 
 @settings(max_examples=30)
@@ -283,7 +333,12 @@ def test_continued_levels_match_dense_qr(beta, gamma, k, start_depth, n_eigs):
     assume(n_eigs <= start_depth)
     p = ModelParams(beta, gamma)
     conv = converged_sector_spectrum(k, p, n_eigs=n_eigs, start_depth=start_depth)
-    event("continued" if all(conv.continued[1:]) else "fell back")
+    if all(conv.continued[1:]):
+        event("continued")
+    for previous, continued in zip(conv.history, conv.continued[1:]):
+        if not continued:
+            event("complex-shift refusal" if np.any(previous.imag != 0)
+                  else "moved-value fallback")
     eps = np.finfo(float).eps
     for depth, values in zip(conv.depths, conv.history):
         spec = SectorSpec(k, depth)
@@ -347,7 +402,6 @@ def test_hermitian_lowest_converges_below_unit_coupling():
     assert hermitian_lowest(SectorSpec(0, 60), 0.0, 0.6) == pytest.approx(0.8, abs=1e-6)
     assert predicted_hermitian_lowest(0, 0.0, 0.6) == pytest.approx(0.8)
     # the full low spectrum contracts by sqrt(1 - lam^2)
-    from pseudoboson.linalg import eig_sym_tridiag
     diag, off = hermitian_sector_tridiag(SectorSpec(0, 80), 0.0, 0.6)
     low = eig_sym_tridiag(diag, off).values.real[:4]
     assert np.allclose(low, [0.8 * (1 + 2 * j) for j in range(4)], atol=1e-6)
