@@ -39,7 +39,6 @@ from .model import (
     biorthogonality_matrix,
     block_layout,
     commutation_report,
-    diagonal_form_check,
     eigen_residuals,
     energy,
     energy_grid,
@@ -122,8 +121,15 @@ def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
     return 0
 
 
-def _worst(name: str, checks: list, tol: float, mode: str = "le") -> Check:
-    """The worst of several checks of one kind (for 'ge' checks, the smallest)."""
+def _worst(name: str, checks: list) -> Check:
+    """The worst of several checks of one kind (for 'ge' checks, the
+    smallest), with their common tolerance and mode; raises ValueError when
+    they have none."""
+    kinds = {(c.tol, c.mode) for c in checks}
+    if len(kinds) != 1:
+        raise ValueError(f"suite {name} collapses checks with tolerances and "
+                         f"modes {sorted(kinds)}")
+    ((tol, mode),) = kinds
     pick = min if mode == "ge" else max
     return Check(name, pick(c.value for c in checks), tol, mode)
 
@@ -177,8 +183,7 @@ def _sector_report(args):
     convs = {}
     for k in range(args.k_range[0], args.k_range[1] + 1):
         conv = converged_sector_spectrum(
-            k, p, n_eigs=args.n_eigs, start_depth=args.depth // 4,
-            doublings=2, tol=args.step_tol)
+            k, p, n_eigs=args.n_eigs, start_depth=args.depth // 4, tol=args.step_tol)
         convs[k] = conv
         errors = np.abs(conv.values - conv.targets)
         sectors_payload.append({
@@ -244,21 +249,18 @@ def run_commutators(args):
     p = _params(args)
     trunc = TruncationSpec(args.trunc, args.trunc)
     report = commutation_report(p, trunc)
-    checks = []
-    for name, dev in report.items():
-        tol = args.action_tol if name.startswith("[H,") else args.tol
-        checks.append(Check(name, dev, tol))
-    diag_dev = diagonal_form_check(p, trunc)
-    checks.append(Check("diagonal_form", diag_dev, args.tol))
+    checks = [Check(name, dev, args.action_tol if name.startswith("[H,") else args.tol)
+              for name, dev in report.items()]
+    deviations = {name: _fmt(dev) for name, dev in report.items()}
+    diagonal = deviations.pop("diagonal_form")
     payload = {
         "beta": _fmt(p.beta),
         "gamma": _fmt(p.gamma),
         "trunc": args.trunc,
-        "deviations": {name: _fmt(dev) for name, dev in report.items()},
-        "diagonal_form": _fmt(diag_dev),
+        "deviations": deviations,
+        "diagonal_form": diagonal,
     }
     csv_rows = [[name, f"{_fmt(dev):.15g}"] for name, dev in report.items()]
-    csv_rows.append(["diagonal_form", f"{_fmt(diag_dev):.15g}"])
     return payload, ["check", "deviation"], csv_rows, checks
 
 
@@ -400,16 +402,16 @@ def run_verify_all(args):
     action = [c for c in comm if c.name.startswith("[H,")]
     diagonal = [c for c in comm if c.name == "diagonal_form"]
     suites.append(_worst("wh_commutators",
-                         [c for c in comm if c not in action + diagonal], 1e-10))
-    suites.append(_worst("hamiltonian_action", action, 1e-9))
-    suites.append(_worst("diagonal_form", diagonal, 1e-10))
+                         [c for c in comm if c not in action + diagonal]))
+    suites.append(_worst("hamiltonian_action", action))
+    suites.append(_worst("diagonal_form", diagonal))
 
     # eigenvector families at deep truncation
     rows = eigen_residuals(p, TruncationSpec(args.trunc, args.trunc), 3, 3)
     suite("eigen_residuals", max(r["residual"] for r in rows), 1e-8)
     suite("adjoint_residuals", max(r["adjoint_residual"] for r in rows), 1e-8)
     bio = run_biorth(_pinned(args, trunc=args.trunc, m_max=4, n_max=4, tol=1e-9))[3]
-    suites.append(_worst("biorthogonality", bio, 1e-9))
+    suites.append(_worst("biorthogonality", bio))
 
     # similarity layer
     suite("phase_similarity", similarity_check(p, TruncationSpec(6, 6)), 1e-13)
@@ -422,9 +424,9 @@ def run_verify_all(args):
         args, k_range=(-3, 3), depth=args.depth, n_eigs=4, tol=1e-6,
         step_tol=1e-8))
     steps = [c for c in sector_checks if c.name.endswith("_depth_step")]
-    suites.append(_worst("sector_depth_step", steps, 1e-8))
+    suites.append(_worst("sector_depth_step", steps))
     suites.append(_worst("sector_closed_form",
-                         [c for c in sector_checks if c not in steps], 1e-6))
+                         [c for c in sector_checks if c not in steps]))
     suite("sector_energy_cross_check",
           max(abs(energy(p, m, n) - convs[m - n].values[min(m, n)])
               for m in range(4) for n in range(4)), 1e-6)
@@ -453,10 +455,10 @@ def run_verify_all(args):
     # stability contrast
     bounded = run_stability(_pinned(args, k=0, lam=0.6, depths=[30, 60],
                                     tol=1e-6, drop=1.0))[3]
-    suites.append(_worst("stability_bounded", bounded, 1e-6))
+    suites.append(_worst("stability_bounded", bounded))
     unbounded = run_stability(_pinned(args, k=0, lam=1.2, depths=[40, 80],
                                       tol=1e-6, drop=1.0))[3]
-    suites.append(_worst("instability_witness", unbounded, 1.0, mode="ge"))
+    suites.append(_worst("instability_witness", unbounded))
 
     # similarity construction on general matrices
     hand = verify_similarity(np.array([[1.0, 1.0], [0.0, 2.0]]))
@@ -468,9 +470,9 @@ def run_verify_all(args):
     batch = [c for m in _random_similarity_batch(5, 5)
              for c in _similarity_report(flags, m)[3]]
     suites.append(_worst("similarity_random_batch",
-                         [c for c in batch if c.name == "similarity_error"], 1e-8))
+                         [c for c in batch if c.name == "similarity_error"]))
     suites.append(_worst("similarity_random_biorth",
-                         [c for c in batch if c.name == "biorth_error"], 1e-10))
+                         [c for c in batch if c.name == "biorth_error"]))
 
     payload = {
         "beta": _fmt(p.beta),

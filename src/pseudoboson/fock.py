@@ -49,12 +49,6 @@ class TruncationSpec:
     def dim(self) -> int:
         return (self.n_max_a + 1) * (self.n_max_b + 1)
 
-    def states(self):
-        """Iterate (m, n) in flat-index order."""
-        for m in range(self.n_max_a + 1):
-            for n in range(self.n_max_b + 1):
-                yield m, n
-
 
 @dataclass(frozen=True)
 class Operator:

@@ -35,8 +35,9 @@ input takes hypot rotations and keeps the textbook bits. Complex symmetric
 input takes complex orthogonal rotations, sqrt(f^2 + g^2) in place of hypot
 (Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996), which the
 sector spectra use on the phase-similar form of the real pseudo-Jacobi
-matrices; these rotations are not unitary, so a breakdown, a stall or a
-non-finite value is reported as converged=False, never raised.
+matrices. These rotations are not unitary, and QL raises RuntimeError on a
+breakdown, a stall or a non-finite value, as dense QR does at its sweep cap
+and dense inverse iteration on a pair that misses the residual contract.
 
 numpy is used as the array substrate only; no factorizations or eigensolvers
 of numpy's linear-algebra module are called here, so results can be
@@ -89,11 +90,11 @@ class EigenReport:
     `tridiag_rayleigh_iteration`, which keeps the order of its shifts. residuals,
     when computed, are two-norm residuals ||M v - lambda v|| for unit-norm v,
     aligned with values; the convergence contract compares them against
-    RESIDUAL_TOL times the matrix norm, and converged is False when a pair
-    misses it (from `eig_sym_tridiag`, when QL stalls or breaks down).
-    iterations counts QR sweeps (QL sweeps from `eig_sym_tridiag`, quotient
-    rounds from `tridiag_rayleigh_iteration`); QR that does not converge
-    raises RuntimeError instead.
+    RESIDUAL_TOL times the matrix norm. Only `tridiag_rayleigh_iteration`
+    reports a miss, as converged = False; `eig_dense` and `eig_sym_tridiag`
+    raise RuntimeError instead of returning a report that failed. iterations
+    counts QR sweeps (QL sweeps from `eig_sym_tridiag`, quotient rounds from
+    `tridiag_rayleigh_iteration`).
     """
 
     values: NDArray[np.complex128]
@@ -588,9 +589,9 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     Francis bulge step makes 16 numpy calls, and the deflation and start-row
     scans run on Python floats (see the module docstring). Every reported
     pair satisfies the residual contract (relative residual <= 1e-8 times
-    the matrix norm) or the report is flagged converged=False. Raises
-    RuntimeError when QR needs more than MAX_SWEEPS_PER_DIM sweeps per
-    dimension.
+    the matrix norm). Raises RuntimeError when QR needs more than
+    MAX_SWEEPS_PER_DIM sweeps per dimension, and when a pair misses the
+    residual contract.
     """
     A0 = _as_square(M)
     n = A0.shape[0]
@@ -627,8 +628,10 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
             rows, report.residuals[lo:lo + block] = _inverse_iteration(
                 A, values[lo:lo + block], norm_scale)
             report.vectors[:, lo:lo + block] = rows.T
-        report.converged = not np.any(
-            report.residuals > RESIDUAL_TOL * max(norm_scale, _EPS))
+        if np.any(report.residuals > RESIDUAL_TOL * max(norm_scale, _EPS)):
+            raise RuntimeError(
+                f"inverse iteration missed the residual contract on a {n}x{n} "
+                f"matrix (worst residual {report.residuals.max():.3g})")
     return report
 
 
@@ -712,20 +715,24 @@ def _away_complex(g: complex, r: complex) -> complex:
     return g + r if g.real * r.real + g.imag * r.imag >= 0.0 else g - r
 
 
-def _implicit_ql(d: list, e: list, size, radius, away) -> tuple[int, bool]:
+def _ql_failure(n: int, sweeps: int, why: str = "") -> RuntimeError:
+    return RuntimeError(
+        f"QL did not converge on a {n}x{n} tridiagonal after {sweeps} sweeps{why}")
+
+
+def _implicit_ql(d: list, e: list, size, radius, away) -> int:
     """Implicit-shift QL sweeps on the Python-scalar diagonal d and
     off-diagonal e (padded with a trailing 0), in place, until every value
     deflates. size is the modulus, radius(f, g) a square root of f^2 + g^2 and
     away(g, r) the shift denominator g +- r of larger modulus. Returns the
-    sweep count and whether it converged: False after 50 sweeps on one value
-    without deflation (the sweeps then move on to the next value), and on a
-    breakdown, which stops them at once: a rotation with r == 0 while
-    (f, g) != 0, which exists only for complex f and g, or a non-finite
-    value. A final value whose modulus overflows counts as non-finite, since
-    an infinite modulus makes every deflation test beside it pass."""
+    sweep count. Raises RuntimeError after 50 sweeps on one value without
+    deflation, and on a breakdown: a rotation with r == 0 while (f, g) != 0,
+    which exists only for complex f and g, in a block larger than 2x2, or a
+    non-finite value. A final value whose modulus overflows counts as
+    non-finite, since an infinite modulus makes every deflation test beside
+    it pass."""
     n = len(d)
     total = 0
-    converged = True
     for l in range(n):
         it = 0
         while True:
@@ -740,11 +747,10 @@ def _implicit_ql(d: list, e: list, size, radius, away) -> tuple[int, bool]:
             it += 1
             total += 1
             if it > 50:
-                converged = False
-                break
+                raise _ql_failure(n, total)
             if e[l] == 0.0:
                 # an undeflated zero sits beside a NaN diagonal entry
-                return total, False
+                raise _ql_failure(n, total, " (non-finite value)")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             g = d[m] - d[l] + e[l] / away(g, radius(g, 1.0))
             s = c = 1.0
@@ -757,8 +763,14 @@ def _implicit_ql(d: list, e: list, size, radius, away) -> tuple[int, bool]:
                 e[i + 1] = r
                 if r == 0.0:
                     if f != 0.0 or g != 0.0:
-                        return total, False
-                    d[i + 1] -= p
+                        if m > l + 1:
+                            raise _ql_failure(n, total, " (breakdown)")
+                        # a 2x2 block breaks down only where it is defective,
+                        # with its double eigenvalue at its mean diagonal
+                        d[l] = d[m] = 0.5 * (d[l] + d[m])
+                        e[l] = 0.0
+                    else:
+                        d[i + 1] -= p
                     e[m] = 0.0
                     early = True
                     break
@@ -775,8 +787,10 @@ def _implicit_ql(d: list, e: list, size, radius, away) -> tuple[int, bool]:
             e[l] = g
             e[m] = 0.0
             if not (cmath.isfinite(p) and cmath.isfinite(g)):
-                return total, False
-    return total, converged and all(size(x) < math.inf for x in d)
+                raise _ql_failure(n, total, " (non-finite value)")
+    if not all(size(x) < math.inf for x in d):
+        raise _ql_failure(n, total, " (non-finite value)")
+    return total
 
 
 def eig_sym_tridiag(diag, offdiag) -> EigenReport:
@@ -791,12 +805,14 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
     and the shift denominator g +- r takes the sign of larger modulus
     (Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996). Such
     rotations are not unitary, so no backward stability is guaranteed, and
-    a rotation breaks down where f^2 + g^2 = 0 with (f, g) != 0 (the matrix
-    [[1, i], [i, -1]], say, is defective); moduli are taken by hypot, so a
-    value past the overflow threshold gives inf rather than raising.
-    converged is False on a stall (50 sweeps without deflation), on such a
-    breakdown, and on any non-finite value or modulus; the function itself
-    never raises on finite or non-finite entries of the right shapes.
+    a rotation breaks down where f^2 + g^2 = 0 with (f, g) != 0. A 2x2 block
+    does so only where it is defective ([[1, i], [i, -1]], say), and then
+    gives its double eigenvalue, the mean of its diagonal. Moduli are taken
+    by hypot, so a value past the overflow threshold gives inf rather than
+    raising. Raises RuntimeError, naming the size and the sweep count, on a
+    stall (50 sweeps without deflation), on a breakdown in a larger block,
+    and on any non-finite value or modulus; finite or not, entries of the
+    right shapes raise nothing else and warn of nothing.
     """
     kind = complex if np.iscomplexobj(diag) or np.iscomplexobj(offdiag) else float
     d_in = np.asarray(diag, dtype=kind)
@@ -815,9 +831,9 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
     # scalars do
     d = d_in.tolist()
     e = e_in.tolist() + [0.0]
-    total_iter, converged = _implicit_ql(d, e, size, radius, away)
+    total_iter = _implicit_ql(d, e, size, radius, away)
     values = np.sort(np.array(d)).astype(complex)
-    return EigenReport(values=values, iterations=total_iter, converged=converged)
+    return EigenReport(values=values, iterations=total_iter)
 
 
 def biorthonormalize(Phi, Psi):

@@ -49,7 +49,6 @@ __all__ = [
     "build_hamiltonian",
     "build_pseudoboson_ops",
     "commutation_report",
-    "diagonal_form_check",
     "eigen_residuals",
     "build_vacua",
     "eigenvector_families",
@@ -180,13 +179,18 @@ def build_pseudoboson_ops(p: ModelParams, trunc: TruncationSpec) -> PseudoBosonS
 
 
 def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
-    """Named interior deviations (margin 1) of the pseudo-boson algebra.
+    """Named interior deviations (margin 1) of the pseudo-boson algebra,
+    from one build of H and of the ladder maps.
 
     All ten pairwise commutators among {c, d, c", d"} against the
     Weyl-Heisenberg pattern ([c, c"] = [d, d"] = identity, the rest zero),
     then the adjoint action of H on each ladder operator against its
     closed-form multiple: [H, c"] = (beta+rho) c", [H, d"] = (rho-beta) d",
-    [H, c] = -(beta+rho) c, [H, d] = -(rho-beta) d.
+    [H, c] = -(beta+rho) c, [H, d] = -(rho-beta) d, and last, as
+    "diagonal_form", H against its diagonal form
+    beta (c"c - d"d) + rho (c"c + d d"). Every identity is exact on the full
+    space; truncated operator products corrupt only boundary occupations, so
+    the deviations sit at rounding level.
 
     The ladder operators carry the normalization norm_scale, which grows like
     gamma^(-1/2) at small gamma, and the adjoint-action deviations grow with
@@ -211,21 +215,10 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
         op = getattr(ops, name)
         diff = H @ op - op @ H - coeff * op
         report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale
-    return report
-
-
-def diagonal_form_check(p: ModelParams, trunc: TruncationSpec) -> float:
-    """Interior deviation of H from beta (c"c - d"d) + rho (c"c + d d").
-
-    The identity is exact on the full space; truncated operator products
-    corrupt only boundary occupations, so the deviation is measured on the
-    margin-1 interior and should sit at rounding level.
-    """
-    H = build_hamiltonian(p, trunc)[0]
-    ops = build_pseudoboson_ops(p, trunc)
     cc = ops.c_ddag @ ops.c
     expr = p.beta * (cc - ops.d_ddag @ ops.d) + p.rho * (cc + ops.d @ ops.d_ddag)
-    return interior_deviation(H - expr, margin=1)
+    report["diagonal_form"] = interior_deviation(H - expr, margin=1)
+    return report
 
 
 def build_vacua(p: ModelParams, trunc: TruncationSpec) -> tuple[NDArray, NDArray]:
@@ -257,6 +250,7 @@ def eigenvector_families(p: ModelParams, trunc: TruncationSpec, m_max: int,
     in (m, n) order that underflows to zero or overflows, as members do at
     tiny gamma, where the normalization is large.
     """
+    _check_grid(m_max, n_max)
     if m_max > trunc.n_max_a or n_max > trunc.n_max_b:
         raise ValueError(
             f"truncation too shallow for a ({m_max},{n_max}) grid: "
@@ -326,6 +320,7 @@ def biorthogonality_matrix(p: ModelParams, m_max: int, n_max: int,
     otherwise truncation error would contaminate the grid and a ValueError
     asks for a deeper truncation.
     """
+    _check_grid(m_max, n_max)
     depth_budget = min(trunc.n_max_a, trunc.n_max_b) - m_max - n_max
     if p.alpha > 0:
         if depth_budget <= 0 or p.alpha ** depth_budget >= 1e-12:
@@ -370,8 +365,15 @@ def similarity_check(p: ModelParams, trunc: TruncationSpec) -> float:
     return interior_deviation(H_adj - conjugated, margin=0)
 
 
+def _check_grid(m_max: int, n_max: int) -> None:
+    if m_max < 0 or n_max < 0:
+        raise ValueError(f"m_max and n_max must be nonnegative, got {m_max} and {n_max}")
+
+
 def energy_grid(p: ModelParams, m_max: int, n_max: int) -> list[tuple[int, int, float]]:
-    """The closed-form eigenvalue grid as (m, n, E) rows in row-major order."""
+    """The closed-form eigenvalue grid as (m, n, E) rows in row-major order;
+    ValueError on a negative size."""
+    _check_grid(m_max, n_max)
     return [(m, n, energy(p, m, n))
             for m in range(m_max + 1) for n in range(n_max + 1)]
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -202,10 +202,7 @@ def pseudo_jacobi_diagonals(spec: SectorSpec,
 
 def pseudo_jacobi(spec: SectorSpec, p: ModelParams) -> NDArray[np.float64]:
     """The sector Hamiltonian as a dense matrix, from `pseudo_jacobi_diagonals`."""
-    return _dense(*pseudo_jacobi_diagonals(spec, p))
-
-
-def _dense(sub, diag, sup) -> NDArray:
+    sub, diag, sup = pseudo_jacobi_diagonals(spec, p)
     return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
@@ -298,10 +295,6 @@ class SectorSpectrum:
     residuals: NDArray[np.float64]
     conditions: NDArray[np.float64]
 
-    @property
-    def max_error(self) -> float:
-        return float(self.errors.max()) if self.errors.size else 0.0
-
 
 def _refined_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
                       shifts) -> tuple[SectorSpectrum, bool]:
@@ -331,8 +324,9 @@ def _section_values(diagonals) -> NDArray[np.complex128]:
 
     With E = diag(i^j), E^-1 J E keeps J's diagonal and carries i sub on both
     off-diagonals, a complex symmetric tridiagonal that `eig_sym_tridiag`
-    solves by complex orthogonal QL in O(n) per sweep. When that QL breaks
-    down or stalls, values-only `eig_dense` on the dense section takes over.
+    solves by complex orthogonal QL in O(n) per sweep. This is the one
+    whole-section solver: when QL breaks down or stalls, its RuntimeError
+    propagates.
 
     QL does not see that J is real, so its values are made the spectrum of a
     real matrix again. A value keeps an imaginary part only when a partner
@@ -348,8 +342,6 @@ def _section_values(diagonals) -> NDArray[np.complex128]:
     """
     sub, diag, _ = diagonals
     report = eig_sym_tridiag(diag, 1j * sub)
-    if not report.converged:
-        return eig_dense(_dense(*diagonals)).values
     re, im = report.values.real.tolist(), report.values.imag.tolist()
     lower = sorted((j for j, y in enumerate(im) if y < 0), key=re.__getitem__)
     lower_re = [re[j] for j in lower]
@@ -400,36 +392,23 @@ def sector_spectrum(spec: SectorSpec, p: ModelParams, n_eigs: int = 3) -> Sector
     the closed-form targets beta k + rho (|k| + 1 + 2j).
 
     The whole spectrum comes from complex symmetric QL on the phase-similar
-    tridiagonal (`_section_values`), in O(n) per sweep, with values-only
-    dense QR only as the fallback when QL breaks down or stalls. The kept
-    values then seed a two-sided Rayleigh-quotient iteration on the
-    tridiagonal (`linalg.tridiag_rayleigh_iteration`). Each round takes one
+    tridiagonal (`_section_values`), in O(n) per sweep. The kept values then
+    seed a two-sided Rayleigh-quotient iteration on the tridiagonal
+    (`linalg.tridiag_rayleigh_iteration`). Each round takes one
     O(n) LU of J - s I at each kept value s and one solve, so only the kept
     vectors x are computed; the phase similarity J^T = D J D^-1 makes y = D x
     a left eigenvector for free, and s moves to y^T J x / y^T x, whose error
     is quadratic in that of x, until it stops moving. Only the kept pairs are
     held to the residual contract, at the refined values: the upper spectrum
     of a deep section is too non-normal for its vectors to meet it. Raises
-    RuntimeError when a kept pair misses it.
+    RuntimeError when QL fails on the section or a kept pair misses the
+    contract.
 
     Finite-section eigenvalues converge to the closed form from within as the
     depth grows; shallow sections can also show complex artifact pairs, which
     land at large real part and stay clear of the lowest levels.
     """
     return _solved_levels(spec, p, n_eigs, pseudo_jacobi_diagonals(spec, p))[0]
-
-
-def _continued_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
-                        previous, gaps) -> SectorSpectrum | None:
-    """The kept levels of a deeper section, refined from the previous depth's
-    values; None when the continuation cannot be trusted."""
-    if np.any(previous.imag != 0):
-        return None
-    spectrum, converged = _refined_spectrum(spec, p, diagonals, previous)
-    moved = np.abs(spectrum.values - previous)
-    trusted = (converged and np.all(moved <= gaps / 4.0)
-               and np.all(np.diff(spectrum.values.real) > 0.0))
-    return spectrum if trusted else None
 
 
 @dataclass(frozen=True)
@@ -439,51 +418,51 @@ class SectorConvergence:
     than found by solving the whole section (`_section_values`)."""
 
     k: int
-    depths: list = field(default_factory=list)
-    history: list = field(default_factory=list)
-    values: NDArray[np.complex128] = None
-    targets: NDArray[np.float64] = None
-    max_step: float = float("inf")
-    converged: bool = False
-    continued: list = field(default_factory=list)
+    depths: list
+    history: list
+    values: NDArray[np.complex128]
+    targets: NDArray[np.float64]
+    max_step: float
+    converged: bool
+    continued: list
 
 
 def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
-                              start_depth: int = 30, doublings: int = 2,
+                              start_depth: int = 30,
                               tol: float = 1e-8) -> SectorConvergence:
-    """Compute the sector's lowest eigenvalues at start_depth, then double the
-    depth `doublings` times; converged means the last two depths agree to tol
-    on every kept eigenvalue.
+    """Compute the sector's lowest eigenvalues at start_depth, 2 start_depth
+    and 4 start_depth; converged means the last two depths agree to tol on
+    every kept eigenvalue.
 
     Only the start depth solves the whole section, as `sector_spectrum` does
-    (QL, with dense QR as its fallback). Each deeper depth takes the previous
-    depth's values as shifts, never the closed form, and refines them by the
-    same two-sided Rayleigh-quotient iteration on its tridiagonal, one O(n)
-    LU and solve per kept value and round, without forming the dense matrix.
-    A depth falls back to solving its whole section when a shift is
-    non-real, a value moves by more than a quarter of its gap (the distance
-    to the nearest other eigenvalue at the latest depth that was solved
-    whole), the values lose their order, or a final pair misses the residual
-    contract.
+    (QL, which raises RuntimeError when it fails). Each deeper depth takes
+    the previous depth's values as shifts, never the closed form, and
+    refines them by the same two-sided Rayleigh-quotient iteration on its
+    tridiagonal, one O(n) LU and solve per kept value and round, without
+    forming the dense matrix. A depth falls back to solving its whole
+    section when a shift is non-real, a value moves by more than a quarter
+    of its gap (the distance to the nearest other eigenvalue at the latest
+    depth that was solved whole), the values lose their order, or a final
+    pair misses the residual contract.
     """
-    depths = [start_depth * (2 ** i) for i in range(doublings + 1)]
+    depths = [start_depth, 2 * start_depth, 4 * start_depth]
     history = []
     continued = []
     gaps = None
     for depth in depths:
         spec = SectorSpec(k=k, depth=depth)
         diagonals = pseudo_jacobi_diagonals(spec, p)
-        spectrum = None
-        if history:
-            spectrum = _continued_spectrum(spec, p, diagonals, history[-1], gaps)
-        continued.append(spectrum is not None)
-        if spectrum is None:
+        trusted = False
+        if history and np.all(history[-1].imag == 0):
+            spectrum, converged = _refined_spectrum(spec, p, diagonals, history[-1])
+            moved = np.abs(spectrum.values - history[-1])
+            trusted = bool(converged and np.all(moved <= gaps / 4.0)
+                           and np.all(np.diff(spectrum.values.real) > 0.0))
+        continued.append(trusted)
+        if not trusted:
             spectrum, gaps = _solved_levels(spec, p, n_eigs, diagonals)
         history.append(spectrum.values)
-    if len(history) > 1:
-        max_step = float(np.abs(history[-1] - history[-2]).max())
-    else:
-        max_step = 0.0
+    max_step = float(np.abs(history[-1] - history[-2]).max())
     return SectorConvergence(k=k, depths=depths, history=history,
                              values=history[-1], targets=spectrum.targets,
                              max_step=max_step, converged=max_step < tol,
@@ -530,10 +509,10 @@ def hermitian_sector_tridiag(spec: SectorSpec, beta: float,
 
 
 def hermitian_lowest(spec: SectorSpec, beta: float, lam: float) -> float:
-    """Lowest eigenvalue of the Hermitian cousin at this depth."""
+    """Lowest eigenvalue of the Hermitian cousin at this depth; QL that
+    fails raises RuntimeError."""
     diag, off = hermitian_sector_tridiag(spec, beta, lam)
-    report = eig_sym_tridiag(diag, off)
-    return float(report.values[0].real)
+    return float(eig_sym_tridiag(diag, off).values[0].real)
 
 
 def predicted_hermitian_lowest(k: int, beta: float, lam: float):

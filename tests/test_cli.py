@@ -283,13 +283,70 @@ def test_extreme_parameters_end_without_traceback(capsys, argv, code):
         assert err.startswith("first failing check: solver (")
 
 
-def test_overflowing_sector_ends_in_the_dense_qr_fallback(capsys):
-    # QL stalls on the gamma = 1e154 section, and dense QR, its fallback,
-    # fails at its sweep cap
+def test_overflowing_sector_ends_in_a_ql_failure(capsys):
+    # QL stalls on the gamma = 1e154 section; no dense QR runs after it
     assert run(capsys, "sectors", "--gamma", "1e154", "--k-range", "0", "0",
-               "--depth", "16") == (1, "", "first failing check: solver (QR "
-                                    "iteration did not converge on a 4x4 "
-                                    "matrix after 160 sweeps)\n")
+               "--depth", "16") == (1, "", "first failing check: solver (QL "
+                                    "did not converge on a 4x4 tridiagonal "
+                                    "after 51 sweeps)\n")
+
+
+def test_theorem1_eigenvector_miss_is_solver_failure(tmp_path, capsys, monkeypatch):
+    # a pair that misses the residual contract is solver trouble, never a
+    # similarity_error or a pass
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1.0, 1.0], [0.0, 2.0]]}))
+    monkeypatch.setattr(pseudoboson.linalg, "RESIDUAL_TOL", 0.0)
+    code, out, err = run(capsys, "theorem1", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("first failing check: solver (inverse iteration "
+                          "missed the residual contract on a 2x2 matrix")
+
+
+@pytest.mark.parametrize("argv", [
+    ["biorth", "--m-max", "-1"],
+    ["biorth", "--n-max", "-2"],
+    ["spectrum", "--m-max", "-1"],
+    # checked before the truncation, whose depth budget a negative size grows
+    ["biorth", "--gamma", "3", "--trunc", "20", "--m-max", "-1"],
+])
+def test_negative_grid_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "must be nonnegative" in err
+
+
+def test_worst_takes_tolerance_and_mode_from_its_checks():
+    worst = cli._worst("drop", [cli.Check("a", 3.0, 1.0, "ge"),
+                                cli.Check("b", 2.0, 1.0, "ge")])
+    assert (worst.name, worst.value, worst.tol, worst.mode) == ("drop", 2.0, 1.0, "ge")
+    for checks in ([cli.Check("a", 1.0, 1e-8), cli.Check("b", 1.0, 1e-9)],
+                   [cli.Check("a", 1.0, 1.0), cli.Check("b", 1.0, 1.0, "ge")],
+                   []):
+        with pytest.raises(ValueError, match="suite x collapses checks"):
+            cli._worst("x", checks)
+
+
+def test_commutators_build_the_operators_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(pseudoboson.model, name)
+
+        def build(*args):
+            calls.append(name)
+            return original(*args)
+        return build
+
+    for name in ("build_hamiltonian", "build_pseudoboson_ops"):
+        monkeypatch.setattr(pseudoboson.model, name, counted(name))
+    code, out, _ = run(capsys, "commutators")
+    assert code == 0
+    assert sorted(calls) == ["build_hamiltonian", "build_pseudoboson_ops"]
+    assert list(json.loads(out)["deviations"])[-1] == "[H,d]"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -31,7 +31,7 @@ def test_index_is_row_major():
     trunc = TruncationSpec(3, 2)
     assert trunc.dim == 12
     assert trunc.shape == (4, 3)
-    assert list(trunc.states()) == [(m, n) for m in range(4) for n in range(3)]
+    assert list(np.ndindex(trunc.shape)) == [(m, n) for m in range(4) for n in range(3)]
 
 
 def test_single_quantum_matrix_elements():

@@ -329,6 +329,16 @@ def test_eig_dense_vectors_do_not_depend_on_the_block_size(monkeypatch, kind,
     assert split.converged == whole.converged
 
 
+def test_eig_dense_raises_on_a_missed_residual_contract(monkeypatch):
+    # no residual is below a zero tolerance, so every pair misses it
+    monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
+    m = np.random.default_rng(19).standard_normal((8, 8))
+    assert eig_dense(m).values.shape == (8,)
+    with pytest.raises(RuntimeError, match=r"^inverse iteration missed the "
+                       r"residual contract on a 8x8 matrix \(worst residual "):
+        eig_dense(m, want_vectors=True)
+
+
 def _near_pair_upper_triangular() -> np.ndarray:
     # diagonal 1, 2, 3, 3 + delta, 5 with delta the first inverse-iteration
     # shift offset: shifting by 3 + delta leaves an exactly zero fourth pivot
@@ -351,7 +361,7 @@ def test_stacked_inverse_iteration_edge_cases(m):
     n = m.shape[0]
     assert report.vectors.shape == (n, n) and np.all(np.isfinite(report.vectors))
     bound = linalg.RESIDUAL_TOL * max(norm2(m), np.finfo(float).eps)
-    assert report.converged == bool(np.all(report.residuals <= bound))
+    assert np.all(report.residuals <= bound)
     for i, lam in enumerate(report.values):
         assert report.residuals[i] == pytest.approx(
             residual(m, lam, report.vectors[:, i]), rel=1e-12, abs=1e-300)
@@ -593,18 +603,34 @@ def _quiet_ql(diag, offdiag):
         return eig_sym_tridiag(diag, offdiag)
 
 
-def test_complex_ql_breakdown_is_reported_not_raised():
-    # [[1, i], [i, -1]] is nilpotent and defective: the first rotation has
-    # f^2 + g^2 = 0 with f, g != 0, which ends QL in its first sweep
-    report = _quiet_ql([1.0, -1.0], [1j])
-    assert not report.converged
-    assert report.iterations == 1
+def test_complex_ql_breakdown_raises():
+    # a rotation with f^2 + g^2 = 0 and f, g != 0: in a 3x3 block the first
+    # rotation of the first sweep, f = 1 and g = i, meets it although the
+    # matrix has three distinct eigenvalues
+    with pytest.raises(RuntimeError, match=r"^QL did not converge on a 3x3 "
+                       r"tridiagonal after 1 sweeps \(breakdown\)$"):
+        _quiet_ql(np.array([0, 0, -1 + 1j]), np.array([1 + 0j, 1]))
     # at gamma 1e154 the squares of the off-diagonal reach the overflow
-    # threshold and QL stalls
+    # threshold and QL stalls on the first value
     for depth in (4, 16):
         sub, diag, _ = pseudo_jacobi_diagonals(SectorSpec(0, depth),
                                                ModelParams(0.5, 1e154))
-        assert not _quiet_ql(diag, 1j * sub).converged
+        with pytest.raises(RuntimeError, match=rf"^QL did not converge on a "
+                           rf"{depth}x{depth} tridiagonal after 51 sweeps$"):
+            _quiet_ql(diag, 1j * sub)
+
+
+@pytest.mark.parametrize("diag, offdiag, expected", [
+    # [[1, i], [i, -1]] is nilpotent and [[1, i], [i, 3]] has the double
+    # eigenvalue 2; the rotation of either breaks down in the first sweep
+    ([1.0, -1.0], [1j], 0.0),
+    ([1.0, 3.0], [1j], 2.0),
+])
+def test_complex_ql_defective_two_by_two_gives_its_double_eigenvalue(
+        diag, offdiag, expected):
+    report = _quiet_ql(diag, offdiag)
+    assert np.array_equal(report.values, [expected, expected])
+    assert report.iterations == 1
 
 
 @pytest.mark.parametrize("diag, offdiag", [
@@ -618,7 +644,10 @@ def test_complex_ql_breakdown_is_reported_not_raised():
     ([1.0, 2.0, 3.0], [1e200 + 1e200j, 1e200j]),
 ])
 def test_ql_on_non_finite_values_is_unconverged(diag, offdiag):
-    assert not _quiet_ql(diag, offdiag).converged
+    with pytest.raises(RuntimeError, match=rf"^QL did not converge on a "
+                       rf"{len(diag)}x{len(diag)} tridiagonal after \d+ "
+                       rf"sweeps \(non-finite value\)$"):
+        _quiet_ql(diag, offdiag)
 
 
 @settings(max_examples=300)
@@ -626,15 +655,20 @@ def test_ql_on_non_finite_values_is_unconverged(diag, offdiag):
     lambda entry: st.integers(1, 6).flatmap(lambda n: st.tuples(
         st.lists(entry, min_size=n, max_size=n),
         st.lists(entry, min_size=n - 1, max_size=n - 1)))))
-def test_ql_never_raises(entries):
-    # any real or complex entries, huge, tiny, infinite or NaN: a report,
-    # never an exception or a warning, and unconverged whenever a value is
-    # not finite
+def test_ql_raises_only_runtime_error(entries):
+    # any real or complex entries, huge, tiny, infinite or NaN: finite
+    # sorted values, or a RuntimeError that names QL; never another
+    # exception or a warning
     diag, offdiag = entries
-    report = _quiet_ql(np.array(diag), np.array(offdiag, dtype=np.array(diag).dtype))
+    try:
+        report = _quiet_ql(np.array(diag),
+                           np.array(offdiag, dtype=np.array(diag).dtype))
+    except RuntimeError as exc:
+        assert str(exc).startswith(f"QL did not converge on a {len(diag)}x{len(diag)} ")
+        return
     assert len(report.values) == len(diag)
-    if report.converged:
-        assert np.all(np.isfinite(report.values))
+    assert np.all(np.isfinite(report.values))
+    assert np.array_equal(report.values, np.sort_complex(report.values))
 
 
 def test_biorthonormalize_identity_gram():

@@ -18,7 +18,6 @@ from pseudoboson.model import (
     build_pseudoboson_ops,
     build_vacua,
     commutation_report,
-    diagonal_form_check,
     eigen_residuals,
     eigenvector_families,
     energy,
@@ -63,7 +62,7 @@ def test_decoupled_hamiltonian_is_diagonal():
     h, h_adj = _dense_hamiltonian(ModelParams(0.0, 0.0), trunc)
     assert np.abs(h.entries - np.diag(np.diag(h.entries))).max() == 0.0
     assert np.array_equal(h.entries, h_adj.entries)
-    for m, n in trunc.states():
+    for m, n in np.ndindex(trunc.shape):
         v = _basis(trunc, m, n)
         assert np.vdot(v, h.entries @ v) == pytest.approx(m + n + 1)
 
@@ -150,6 +149,9 @@ def test_maps_give_the_kron_matrices_bit_for_bit(shape, gamma):
 
 def test_commutation_report_interior_clean():
     report = commutation_report(P, TruncationSpec(8, 8))
+    assert len(report) == 15
+    assert list(report)[-5:] == ["[H,c_ddag]", "[H,d_ddag]", "[H,c]", "[H,d]",
+                                 "diagonal_form"]
     for name, dev in report.items():
         tol = 1e-9 if name.startswith("[H,") else 1e-10
         assert dev < tol, name
@@ -159,7 +161,8 @@ def test_diagonal_form_parameter_sweep():
     for beta, gamma, trunc in ((0.5, 0.75, TruncationSpec(8, 8)),
                                (0.0, 0.0, TruncationSpec(6, 6)),
                                (2.0, 1.0, TruncationSpec(6, 6))):
-        assert diagonal_form_check(ModelParams(beta, gamma), trunc) < 1e-10
+        report = commutation_report(ModelParams(beta, gamma), trunc)
+        assert report["diagonal_form"] < 1e-10
 
 
 def test_vacua_geometric_profiles():
@@ -171,7 +174,7 @@ def test_vacua_geometric_profiles():
         assert ratio == pytest.approx(expected)
         assert vac_adj[n, n] / vac_adj[0, 0] == pytest.approx(abs(expected))
     # off-diagonal occupations never appear
-    for m, n in trunc.states():
+    for m, n in np.ndindex(trunc.shape):
         if m != n:
             assert vac[m, n] == 0.0
 
@@ -224,6 +227,14 @@ def test_families_reject_an_overflowing_member():
 def test_eigenstate_rejects_occupation_beyond_cutoff():
     with pytest.raises(ValueError, match="too shallow"):
         eigenvector_families(P, TruncationSpec(4, 4), 5, 3)
+
+
+@pytest.mark.parametrize("m_max, n_max", [(-1, 3), (2, -2)])
+def test_grids_reject_negative_sizes(m_max, n_max):
+    with pytest.raises(ValueError, match="m_max and n_max must be nonnegative"):
+        energy_grid(P, m_max, n_max)
+    with pytest.raises(ValueError, match="m_max and n_max must be nonnegative"):
+        eigenvector_families(P, TruncationSpec(4, 4), m_max, n_max)
 
 
 def test_families_are_ladder_powers_on_the_vacua():
@@ -286,7 +297,7 @@ def test_biorthogonality_needs_depth():
 def test_phase_similarity_exact():
     trunc = TruncationSpec(6, 6)
     assert similarity_check(P, trunc) == 0.0
-    phases = _occupation_phases(trunc.states())
+    phases = _occupation_phases(np.ndindex(trunc.shape))
     # unimodular, so the diagonal phase operator is unitary
     assert np.array_equal(phases * phases.conj(), np.ones(trunc.dim))
     # period-four phase pattern (-i)^(m + n) along the states

@@ -1,6 +1,8 @@
 """Sector decomposition: su(1,1) ladders, the tridiagonal sector matrices,
 their spectra, the tilted generator triple, and the Hermitian cousin."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -203,7 +205,7 @@ def test_lowest_weight_is_annihilated():
 def test_sector_spectrum_closed_form():
     spectrum = sector_spectrum(SectorSpec(2, 60), P)
     assert np.allclose(spectrum.targets, [4.75, 7.25, 9.75])
-    assert spectrum.max_error < 1e-10
+    assert spectrum.errors.max() < 1e-10
     assert max(spectrum.residuals) < 1e-8
 
 
@@ -212,7 +214,7 @@ def test_sector_spectrum_decoupled_exact():
     rho0 = 1.0
     targets = [0.5 + rho0 * (2 + 2 * j) for j in range(3)]
     assert np.allclose(spectrum.targets, targets)
-    assert spectrum.max_error < 1e-12
+    assert spectrum.errors.max() < 1e-12
 
 
 def test_deep_sector_matches_closed_form_and_oracle():
@@ -220,7 +222,7 @@ def test_deep_sector_matches_closed_form_and_oracle():
     # contract; only the kept levels are held to it
     spec = SectorSpec(1, 240)
     spectrum = sector_spectrum(spec, P)
-    assert spectrum.max_error < 1e-12
+    assert spectrum.errors.max() < 1e-12
     assert max(spectrum.residuals) < 1e-8
     oracle = np.linalg.eigvals(pseudo_jacobi(spec, P))
     for value in spectrum.values:
@@ -243,8 +245,7 @@ def test_sector_spectrum_validates_n_eigs():
 
 
 def test_convergence_protocol():
-    conv = converged_sector_spectrum(1, P, n_eigs=3, start_depth=15,
-                                     doublings=2, tol=1e-8)
+    conv = converged_sector_spectrum(1, P, n_eigs=3, start_depth=15, tol=1e-8)
     assert conv.depths == [15, 30, 60]
     assert len(conv.history) == 3
     assert conv.converged
@@ -255,7 +256,7 @@ def test_convergence_protocol():
 def test_sector_spectra_run_no_dense_qr(monkeypatch):
     # the start depth and a single deep section are solved by complex
     # symmetric QL, and the deeper sections are continued on their
-    # tridiagonals; dense QR is only the fallback of a failed QL
+    # tridiagonals; sectors runs dense QR only in full_vs_sector_check
     dims = []
 
     def counted(m, *args, **kwargs):
@@ -304,18 +305,55 @@ def test_section_values_pair_only_near_conjugates(monkeypatch):
     assert abs(cleaned[3] - (5.0001 + 2.0001j)) < 1e-14
 
 
-def test_section_values_fall_back_to_dense_qr(monkeypatch):
-    def stalled(diag, offdiag):
-        report = eig_sym_tridiag(diag, offdiag)
-        report.converged = False
-        return report
+def test_section_values_propagate_a_ql_failure(monkeypatch):
+    # QL is the one whole-section solver: when it fails, its RuntimeError
+    # reaches the caller, and no dense QR runs in its place
+    dims = []
 
-    monkeypatch.setattr(sectors, "eig_sym_tridiag", stalled)
-    spec = SectorSpec(1, 30)
+    def counted(m, *args, **kwargs):
+        dims.append(len(m))
+        return eig_dense(m, *args, **kwargs)
+
+    monkeypatch.setattr(sectors, "eig_dense", counted)
+    overflowing = ModelParams(0.5, 1e154)
+    with pytest.raises(RuntimeError, match=r"^QL did not converge on a 16x16 "
+                       r"tridiagonal after 51 sweeps$"):
+        sectors._section_values(pseudo_jacobi_diagonals(SectorSpec(0, 16),
+                                                        overflowing))
+    with pytest.raises(RuntimeError, match=r"^QL did not converge on a 4x4 "):
+        converged_sector_spectrum(0, overflowing, n_eigs=3, start_depth=4)
+
+    def failing(diag, offdiag):
+        raise RuntimeError("QL did not converge (forced)")
+
+    monkeypatch.setattr(sectors, "eig_sym_tridiag", failing)
     for gamma in (0.75, 3.0):
-        p = ModelParams(0.5, gamma)
-        values = sectors._section_values(pseudo_jacobi_diagonals(spec, p))
-        assert np.array_equal(values, eig_dense(pseudo_jacobi(spec, p)).values)
+        with pytest.raises(RuntimeError, match=r"^QL did not converge \(forced\)$"):
+            sector_spectrum(SectorSpec(1, 30), ModelParams(0.5, gamma))
+    assert dims == []
+
+
+@settings(max_examples=100)
+@given(beta=st.floats(-1e3, 1e3), log_gamma=st.floats(-12, 150),
+       k=st.integers(-10, 10), depth=st.integers(1, 120))
+@example(beta=0.0, log_gamma=0.0, k=0, depth=2)
+@example(beta=0.5, log_gamma=150.0, k=10, depth=120)
+def test_section_values_solve_every_section_of_the_guarded_range(beta, log_gamma,
+                                                                 k, depth):
+    # QL on the phase-similar section returns all D values, closed under
+    # conjugation and sorted, and never raises or warns for beta in
+    # [-1e3, 1e3], gamma in 10^[-12, 150], |k| <= 10 and D <= 120 (the lowest
+    # QL failure seen over wider draws sat at gamma = 3.4e151); the first
+    # example is the defective 2x2 section, whose rotation breaks down
+    diagonals = pseudo_jacobi_diagonals(SectorSpec(k, depth),
+                                        ModelParams(beta, 10.0 ** log_gamma))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = sectors._section_values(diagonals)
+    assert values.shape == (depth,)
+    assert np.all(np.isfinite(values))
+    assert np.array_equal(values, values[np.lexsort((values.imag, values.real))])
+    assert np.array_equal(np.sort_complex(values), np.sort_complex(values.conj()))
 
 
 @settings(max_examples=30)
