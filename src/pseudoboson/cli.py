@@ -515,7 +515,10 @@ def _read_matrix(path: str) -> np.ndarray:
         return _parse_csv_matrix(path, text)
     if not isinstance(obj, dict) or "n" not in obj or "re" not in obj:
         raise UsageError(f'{path}: JSON matrix needs "n" and "re" fields')
-    n = int(obj["n"])
+    n = obj["n"]
+    # bool is an int subclass; a float n would be truncated or overflow
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise UsageError(f'{path}: "n" must be a JSON integer >= 1, got {json.dumps(n)}')
     re_part = np.asarray(obj["re"], dtype=float)
     if re_part.shape != (n, n):
         raise UsageError(f'{path}: "re" must be an {n} x {n} grid')

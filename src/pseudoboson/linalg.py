@@ -3,13 +3,13 @@
 Provides the numerical backends used by every other module: a nonsymmetric
 eigensolver (Householder Hessenberg reduction followed by shifted QR
 iteration, Francis double shift for real matrices and Wilkinson single shift
-for complex ones), a symmetric tridiagonal eigensolver (implicit-shift QL,
-for real symmetric and complex symmetric input alike), a partial-pivoting LU
-solver, inverse iteration for dense eigenvectors, two-sided Rayleigh-quotient
-iteration for selected eigenpairs of a real tridiagonal in O(n) per value
-and round, residual and biorthonormalization
-utilities, and `norm2`, the package's one Euclidean norm, which rescales
-where the plain sum of squares would under- or overflow.
+for complex ones, with eigenvectors from the Schur form), a symmetric
+tridiagonal eigensolver (implicit-shift QL, for real symmetric and complex
+symmetric input alike), a partial-pivoting LU solver, two-sided
+Rayleigh-quotient iteration for selected eigenpairs of a real tridiagonal in
+O(n) per value and round, residual and biorthonormalization utilities, and
+`norm2`, the package's one Euclidean norm, which rescales where the plain
+sum of squares would under- or overflow.
 
 At the sizes used here QR time goes to Python and numpy calls, not to flops,
 so each step makes few calls. A 3-row Francis bulge step builds its
@@ -21,14 +21,21 @@ diagonals, so they make no numpy call per row. A Wilkinson step computes its
 two new rows and columns from views. Every floating-point operation keeps its
 operands and their order, so these paths give the same bits as array code.
 
-Dense inverse iteration runs all values of a block together: every value
-keeps its own shift schedule, and the shifted matrices of a block are
-factored as one (b, n, n) stacked LU. `solve_matrix` and the inverse
-iteration share one forward and back substitution, which sweeps all
-right-hand sides at once. A tridiagonal has its own O(n) pivoted LU, and
-its eigenpairs come from one Rayleigh-quotient loop: each round factors
-J - s I once at each current value s, takes one solve, and moves s to the
-two-sided quotient.
+Eigenvectors run the same sweeps on wider slabs. The Schur vectors Z are
+stacked above H in one array, so each column update transforms Z and H in
+the same numpy call, and each row update runs to the last column; QR then
+ends in the Schur form A = Z T Z^H, with no more numpy calls per step. The
+eigenvectors of the triangular T come from one back substitution over rows
+for all values at once, map back by Z, and take one first-order refinement
+step whose residual is formed in numpy's extended precision (Dongarra,
+Moler and Wilkinson, SIAM J. Numer. Anal. 20, 1983). Values-only calls keep
+the block-local slabs and their bits.
+
+`solve_matrix` runs one partial-pivoting LU and one forward and back
+substitution, which sweeps all right-hand sides at once. A tridiagonal has
+its own O(n) pivoted LU, and its eigenpairs come from one Rayleigh-quotient
+loop: each round factors J - s I once at each current value s, takes one
+solve, and moves s to the two-sided quotient.
 
 QL runs on Python scalars with one loop for both tridiagonal families. Real
 input takes hypot rotations and keeps the textbook bits. Complex symmetric
@@ -37,7 +44,7 @@ input takes complex orthogonal rotations, sqrt(f^2 + g^2) in place of hypot
 sector spectra use on the phase-similar form of the real pseudo-Jacobi
 matrices. These rotations are not unitary, and QL raises RuntimeError on a
 breakdown, a stall or a non-finite value, as dense QR does at its sweep cap
-and dense inverse iteration on a pair that misses the residual contract.
+and dense eigenvectors do on a pair that misses the residual contract.
 
 numpy is used as the array substrate only; no factorizations or eigensolvers
 of numpy's linear-algebra module are called here, so results can be
@@ -67,13 +74,8 @@ __all__ = [
 DEFLATION_TOL = 1e-14
 #: total QR sweep cap, in units of the matrix dimension
 MAX_SWEEPS_PER_DIM = 40
-#: relative shift offset for inverse iteration
-INVERSE_ITER_SHIFT = 1e-10
 #: residual contract: ||A v - lambda v|| for unit v, relative to ||A||_F
 RESIDUAL_TOL = 1e-8
-#: byte budget of one block of stacked dense LU factors in eigenvector
-#: inverse iteration: max(1, STACK_BYTES // (16 n^2)) values per block
-STACK_BYTES = 2 ** 18
 #: cap on the rounds of `tridiag_rayleigh_iteration`
 QUOTIENT_ROUNDS = 4
 #: hard cap on accepted matrix dimension
@@ -158,30 +160,47 @@ def _householder(x) -> NDArray | None:
     return np.array([t / vnorm for t in v]) if isinstance(v, list) else v / vnorm
 
 
-def _apply_reflector(B: NDArray, k: int, col, m: int) -> bool:
-    """Apply, on rows and columns k .. k + len(col) - 1 of the m x m block B,
-    the Householder similarity that maps col onto its first axis; False when
-    col is zero and nothing was applied. Each side is one matrix-vector
-    product and one broadcast rank-one update."""
+def _slabs(W: NDArray, nz: int, lo: int, hi: int):
+    """Row view, column view and the column view's rows above the block, for
+    the QR block lo..hi of H = W[nz:]. Values only (nz = 0), both views are
+    the block itself. With the n x n Z stacked above H (nz = n), the rows run
+    to the last column of H and the columns from the first row of Z, so one
+    update transforms H whole and accumulates into Z (LAPACK's wantt and
+    wantz)."""
+    if not nz:
+        B = W[lo:hi + 1, lo:hi + 1]
+        return B, B, 0
+    return W[nz + lo:nz + hi + 1, lo:], W[:nz + hi + 1, lo:hi + 1], nz + lo
+
+
+def _apply_reflector(R: NDArray, C: NDArray, top: int, k: int, col, m: int):
+    """Apply, on rows and columns k .. k + len(col) - 1 of an m x m block, the
+    Householder similarity that maps col onto its first axis; R and C are the
+    block's row and column views and top the rows of C above the block (see
+    `_slabs`). Returns the unit reflector vector, or None when col is zero
+    and nothing was applied. Each side is one matrix-vector product and one
+    broadcast rank-one update."""
     v = _householder(col)
     if v is None:
-        return False
+        return None
     vc = v.conj()
     w = len(v)
-    R = B[k:k + w, max(k - 1, 0):]
-    R -= 2.0 * (v[:, None] * (vc @ R))
-    C = B[:min(k + w + 1, m), k:k + w]
-    C -= 2.0 * ((C @ v)[:, None] * vc)
-    return True
+    rows = R[k:k + w, max(k - 1, 0):]
+    rows -= 2.0 * (v[:, None] * (vc @ rows))
+    cols = C[:top + min(k + w + 1, m), k:k + w]
+    cols -= 2.0 * ((cols @ v)[:, None] * vc)
+    return v
 
 
-def _hessenberg(A: NDArray) -> NDArray:
-    """In-place reduction to upper Hessenberg form by Householder reflectors."""
-    n = A.shape[0]
+def _hessenberg(W: NDArray, nz: int = 0) -> NDArray:
+    """In-place reduction of H = W[nz:] to upper Hessenberg form by Householder
+    reflectors, accumulated into the Z = W[:nz] stacked above it, if any."""
+    H = W[nz:]
+    n = H.shape[0]
     for k in range(n - 2):
-        if _apply_reflector(A, k + 1, A[k + 1:, k], n):
-            A[k + 2:, k] = 0.0
-    return A
+        if _apply_reflector(H, W, nz, k + 1, H[k + 1:, k], n) is not None:
+            H[k + 2:, k] = 0.0
+    return W
 
 
 def _eig2_real(a: float, b: float, c: float, d: float) -> list[complex]:
@@ -245,20 +264,26 @@ def _first_column(d, sub, sup, k: int, rt1r, rt1i, rt2r, rt2i) -> list:
     return [x, y, z]
 
 
-def _qr_eigenvalues(H: NDArray, max_sweeps: int, sweep,
-                    block2=None) -> tuple[list[complex], int]:
-    """Eigenvalues of an upper Hessenberg matrix by shifted QR, in place.
+def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
+                    nz: int = 0) -> tuple[list[complex], int]:
+    """Eigenvalues of the upper Hessenberg H = W[nz:] by shifted QR, in place.
 
     Deflates 1x1 blocks from the bottom, and 2x2 blocks through block2 when
-    given; otherwise sweep(H, lo, hi, stall) runs one QR sweep on the
+    given; otherwise sweep(W, lo, hi, stall, nz) runs one QR sweep on the
     unreduced block lo..hi, stall counting sweeps since the last deflation.
-    Raises RuntimeError when max_sweeps sweeps leave values undeflated.
+    With nz = 0 a sweep transforms the block alone; with the n x n Z stacked
+    above H (nz = n) it transforms H whole and Z with it, which leaves H in
+    Schur form, upper triangular but for the 2x2 blocks of complex or
+    undeflated real pairs, and W[:nz] the Schur vectors. Deflated
+    subdiagonal entries are set to zero. Raises RuntimeError when max_sweeps
+    sweeps leave values undeflated.
 
     The deflation scan reads copies of the diagonal and subdiagonal, Python
     floats for a real H, and each sweep recopies only its block. Complex
     entries stay numpy scalars, whose abs overflows to inf where Python's
     raises.
     """
+    H = W[nz:]
     n = H.shape[0]
     copy = np.ndarray.tolist if H.dtype.kind == "f" else list
     views = H.diagonal(), H.diagonal(-1)
@@ -293,18 +318,23 @@ def _qr_eigenvalues(H: NDArray, max_sweeps: int, sweep,
                 f"{sweeps} sweeps")
         sweeps += 1
         stall += 1
-        sweep(H, lo, hi, stall)
+        sweep(W, lo, hi, stall, nz)
         d[lo:hi + 1] = copy(views[0][lo:hi + 1])
         sub[lo:hi] = copy(views[1][lo:hi])
     return eigs, sweeps
 
 
-def _francis_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
-    """One Francis implicit double-shift sweep on a real Hessenberg block.
+def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> None:
+    """One Francis implicit double-shift sweep on the real Hessenberg block
+    lo..hi of H = W[nz:], with the slabs of `_slabs`.
 
     The shift and start-row scans read Python-float copies of the block's
-    three diagonals, and each bulge step reads its column as floats."""
-    B = H[lo:hi + 1, lo:hi + 1]
+    three diagonals, and each bulge step reads its column as floats. A sweep
+    that starts below the block top leaves H[start, start - 1] out of its
+    first reflector; with Z stacked above H that entry takes the reflector's
+    factor 1 - 2 v0^2, as in LAPACK's dlahqr, so that the transform applied
+    to H whole is a similarity. The values-only sweep leaves it as it is."""
+    B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     d, sub, sup = (B.diagonal(i).tolist() for i in (0, -1, 1))
     b = hi - lo
     if stall % 11 == 0:
@@ -328,13 +358,16 @@ def _francis_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
             start = k
             break
         k -= 1
-    B = B[start:, start:]
-    m = B.shape[0]
+    top = lo + start
+    R, C, above = _slabs(W, nz, top, hi)
+    m = hi - top + 1
     # the bulge column is three long until the last step, which takes two
     col = _first_column(d, sub, sup, start, rt1r, rt1i, rt2r, rt2i)
-    for k in range(m - 1):
-        _apply_reflector(B, k, col, m)
-        col = B[k + 1:k + 4, k].tolist()
+    v = _apply_reflector(R, C, above, 0, col, m)
+    if nz and start and v is not None:
+        W[nz + top, top - 1] *= 1.0 - 2.0 * v[0] * v[0]
+    for k in range(1, m - 1):
+        _apply_reflector(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
 
 
 def _givens(f, g) -> tuple[float, complex]:
@@ -350,10 +383,11 @@ def _givens(f, g) -> tuple[float, complex]:
     return c, complex(s)
 
 
-def _wilkinson_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
-    """One implicit single-shift sweep with a Wilkinson shift on a complex
-    Hessenberg block, by Givens rotations."""
-    B = H[lo:hi + 1, lo:hi + 1]
+def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> None:
+    """One implicit single-shift sweep with a Wilkinson shift on the complex
+    Hessenberg block lo..hi of H = W[nz:], by Givens rotations on the slabs
+    of `_slabs`."""
+    B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     m = B.shape[0]
     if stall % 11 == 0:
         sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
@@ -362,15 +396,16 @@ def _wilkinson_sweep(H: NDArray, lo: int, hi: int, stall: int) -> None:
                                B[m - 1, m - 2], B[m - 1, m - 1])
         corner = B[m - 1, m - 1]
         sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
+    R, C, top = _slabs(W, nz, lo, hi)
     x = B[0, 0] - sigma
     z = B[1, 0]
     for k in range(m - 1):
         c, s = _givens(x, z)
         sh = s.conjugate()
         # both new rows, then both new columns, from views of the old ones
-        rk, rk1 = B[k, max(k - 1, 0):], B[k + 1, max(k - 1, 0):]
+        rk, rk1 = R[k, max(k - 1, 0):], R[k + 1, max(k - 1, 0):]
         rk[:], rk1[:] = c * rk + s * rk1, -sh * rk + c * rk1
-        ck, ck1 = B[:min(k + 3, m), k], B[:min(k + 3, m), k + 1]
+        ck, ck1 = C[:top + min(k + 3, m), k], C[:top + min(k + 3, m), k + 1]
         ck[:], ck1[:] = c * ck + sh * ck1, -s * ck + c * ck1
         if k < m - 2:
             x = B[k + 1, k]
@@ -521,75 +556,166 @@ def _tridiag_matvec(sub: NDArray, diag: NDArray, sup: NDArray, x: NDArray) -> ND
 
 
 def _start_vector(n: int) -> NDArray:
-    """The fixed unit start vector of inverse and quotient iteration."""
+    """The fixed unit start vector of quotient iteration."""
     start = np.ones(n, dtype=complex) + 1e-3 * np.arange(n)
     return start / norm2(start)
 
 
-def _inverse_iteration(A: NDArray, lams: NDArray,
-                       norm_scale: float) -> tuple[NDArray, NDArray]:
-    """Best unit vector for each value of lams, as rows, and its residual.
+def _triangularize_2x2(W: NDArray, nz: int, i: int) -> None:
+    """Make the real 2x2 diagonal block at rows i, i + 1 of the complex Schur
+    form T = W[nz:] upper triangular by one unitary rotation, applied to T
+    and to the Schur vectors W[:nz] (LAPACK's rsf2csf step).
 
-    Every value runs its own schedule of slightly perturbed shifts, and all
-    values run it together: the shifted matrices are factored as one stacked
-    LU, and each substitution step serves every value still iterating. A
-    value leaves the inner steps on a vanishing or non-finite iterate or a
-    small enough residual, and the shift schedule once its residual meets
-    the looser bound.
-    """
+    The rotation's first column is the block's eigenvector (lambda - d, c)
+    for the root lambda farther from the (2,2) entry d: the nearer root would
+    cancel in lambda - d. The roots are those `_eig2_real` gives the QR
+    driver, and they are written onto the diagonal, lambda first."""
+    T = W[nz:]
+    a, b, c, d = (float(T[r, q].real) for r, q in ((i, i), (i, i + 1),
+                                                    (i + 1, i), (i + 1, i + 1)))
+    far, near = sorted(_eig2_real(a, b, c, d), key=lambda r: -abs(r - d))
+    x = np.array([far - d, c])
+    x /= norm2(x)
+    G = np.array([[x[0], -x[1].conjugate()], [x[1], x[0].conjugate()]])
+    rows = T[i:i + 2, i:]
+    rows[:] = G.conj().T @ rows
+    cols = W[:nz + i + 2, i:i + 2]
+    cols[:] = cols @ G
+    T[i, i], T[i + 1, i], T[i + 1, i + 1] = far, 0.0, near
+
+
+def _triangular_eigenvectors(T: NDArray) -> tuple[NDArray, bool]:
+    """Right eigenvectors of an upper triangular T, column j for the value
+    T[j, j], by one back substitution over rows for all values at once.
+
+    X is unit upper triangular. A denominator T[i, i] - T[j, j] below
+    smin = eps ||T||_F is replaced by smin, as in LAPACK's ztrevc, so a
+    repeated value never divides by zero: where T couples its copies, their
+    vectors lean onto the head of the Jordan chain. T is first scaled by a power of two, which leaves
+    the vectors' bits alone and keeps the differences of entries near the
+    overflow threshold finite; a column whose entries grow past the point
+    where the next row step could overflow is scaled down, and the flag
+    returned is False when any column was, since X is then no longer unit
+    triangular."""
+    n = T.shape[0]
+    big = float(np.abs(T).max())
+    if big > 0.0:
+        T = T * 2.0 ** -math.frexp(big)[1]
+    lam = T.diagonal().copy()
+    smin = max(_EPS * norm2(T), np.finfo(float).tiny)
+    # the next row step sums at most n products with |T| < 1, then divides
+    # by at least smin
+    limit = smin * np.finfo(float).max / (2 * n)
+    X = np.eye(n, dtype=complex)
+    unit = True
+    for i in range(n - 2, -1, -1):
+        den = T[i, i] - lam[i + 1:]
+        den[np.abs(den) < smin] = smin
+        row = X[i, i + 1:]
+        row[:] = -(T[i, i + 1:] @ X[i + 1:, i + 1:]) / den
+        size = np.abs(row)
+        if size.max() > limit:
+            grown = i + 1 + np.flatnonzero(size > limit)
+            X[:, grown] /= np.abs(X[:, grown]).max(axis=0)
+            unit = False
+    return X, unit
+
+
+def _unit_triangular_inverse(X: NDArray) -> NDArray:
+    """Inverse of a unit upper triangular X, one row step each."""
+    n = X.shape[0]
+    Y = np.eye(n, dtype=X.dtype)
+    for i in range(n - 2, -1, -1):
+        Y[i, i + 1:] = -(X[i, i + 1:] @ Y[i + 1:, i + 1:])
+    return Y
+
+
+def _unit_pairs(A: NDArray, phi: NDArray, lam: NDArray) -> tuple[NDArray, NDArray]:
+    """The columns of phi scaled to unit norm, and the residual of each with
+    its value, by one stacked matrix-vector product per column so that each
+    residual has the bits of `residual` on that column."""
+    vectors = phi / norm2(phi.T, axis=-1)
+    rows = vectors.T
+    res = norm2((A @ rows[:, :, None])[:, :, 0] - lam[:, None] * rows, axis=-1)
+    return vectors, res
+
+
+def _schur_eigenpairs(A: NDArray, W: NDArray) -> tuple[NDArray, NDArray, NDArray]:
+    """Eigenvalues, unit eigenvectors and residuals of A from its Schur
+    factors: W stacks the Schur vectors Z above the quasi-triangular T that
+    QR left, with Z^H A Z = T. Values pair with vectors by their position on
+    T's diagonal.
+
+    The vectors of T map back by Z to Phi = Z X, which then takes one first
+    order step in its own eigenbasis (Dongarra, Moler and Wilkinson, SIAM J.
+    Numer. Anal. 20, 1983): with Psi^H = X^-1 Z^H and the residual
+    R = A Phi - Phi Lambda formed in numpy's extended precision, Phi becomes
+    Phi + Phi ((Psi^H R) o G), where G[i, j] = 1 / (lambda_j - lambda_i) for
+    pairs farther apart than RESIDUAL_TOL ||A||_F and 0 otherwise, so a
+    repeated value or a Jordan block takes no step along its own chain. Where
+    the platform's long double is the working double, the step runs at
+    working precision. In an ill-conditioned eigenbasis the step itself can
+    be inaccurate, so a column keeps it only where its residual stays within
+    n eps ||A||_F of the unrefined one; a non-finite step keeps none, and
+    none is taken when X had to be scaled against overflow. Raises
+    RuntimeError when a unit pair misses the residual contract."""
     n = A.shape[0]
-    eye = np.eye(n)
-    start = _start_vector(n)
-    best = np.tile(start, (len(lams), 1))
-    best_res = np.full(len(lams), math.inf)
-    delta = INVERSE_ITER_SHIFT * max(norm_scale, 1.0)
-    todo = np.arange(len(lams))
-    for _ in range(4):
-        if not todo.size:
-            break
-        LU, piv = _lu_factor(A - (lams[todo] + delta)[:, None, None] * eye,
-                             fix_singular=True)
-        v = np.tile(start, (todo.size, 1))
-        live = np.arange(todo.size)
-        for _ in range(5):
-            w = _lu_solve((LU[live], piv[live]), v[live])
-            wn = norm2(w, axis=-1)
-            ok = (wn != 0.0) & np.isfinite(wn)
-            live = live[ok]
-            if not live.size:
-                break
-            v[live] = unit = w[ok] / wn[ok, None]
-            idx = todo[live]
-            res = norm2((A @ unit[:, :, None])[:, :, 0] - lams[idx, None] * unit,
-                        axis=-1)
-            better = res < best_res[idx]
-            best_res[idx[better]] = res[better]
-            best[idx[better]] = unit[better]
-            live = live[best_res[idx] > 1e-13 * max(norm_scale, 1.0)]
-            if not live.size:
-                break
-        todo = todo[best_res[todo] > 1e-9 * max(norm_scale, 1.0)]
-        delta *= 100.0
-    return best, best_res
+    W = W.astype(complex)
+    Z, T = W[:n], W[n:]
+    for i in np.flatnonzero(T.diagonal(-1)):
+        _triangularize_2x2(W, n, i)
+    T = np.triu(T)
+    lam = T.diagonal().copy()
+    X, unit = _triangular_eigenvectors(T)
+    phi = Z @ X
+    norm_scale = norm2(A)
+    vectors, res = _unit_pairs(A, phi, lam)
+    if unit:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = lam[None, :] - lam[:, None]
+            close = np.abs(gap) <= max(RESIDUAL_TOL * norm_scale, 0.0)
+            G = np.divide(1.0, gap, out=np.zeros_like(gap), where=~close)
+            wide = phi.astype(np.clongdouble)
+            R = (A.astype(np.clongdouble) @ wide - wide * lam).astype(complex)
+            step = phi @ (((_unit_triangular_inverse(X) @ Z.conj().T) @ R) * G)
+            refined, refined_res = _unit_pairs(A, phi + step, lam)
+        # the step is first order in an eigenbasis that may be ill conditioned
+        # (a Jordan chain's vectors grow like (1/eps)^k); a column keeps it
+        # only where its residual stays at the rounding level of the old one
+        keep = refined_res <= res + n * _EPS * norm_scale
+        vectors[:, keep] = refined[:, keep]
+        res[keep] = refined_res[keep]
+    if np.any(res > RESIDUAL_TOL * max(norm_scale, _EPS)):
+        raise RuntimeError(
+            f"Schur eigenvectors missed the residual contract on a {n}x{n} "
+            f"matrix (worst residual {res.max():.3g})")
+    return lam, vectors, res
 
 
 def eig_dense(M, want_vectors: bool = False) -> EigenReport:
-    """All eigenvalues of a dense square matrix.
+    """All eigenvalues of a dense square matrix, and on request their unit
+    eigenvectors.
 
     Real input goes through Francis double-shift QR (complex pairs come out of
     irreducible 2x2 blocks of the real Schur form); complex input through
-    single-shift Wilkinson QR. Eigenvectors, when requested, are recovered by
-    inverse iteration with a slightly perturbed shift, all values of a block
-    together: the shifted matrices of up to max(1, STACK_BYTES // (16 n^2))
-    values are factored as one stacked LU, and every substitution step
-    serves the whole block. A repeated eigenvalue gets repeated vectors,
-    since each copy starts from the same vector at the same shift; callers
-    that need a basis of its eigenspace must not ask for one
-    (`verify_similarity` rejects repeated spectra before it does). A 3-row
-    Francis bulge step makes 16 numpy calls, and the deflation and start-row
-    scans run on Python floats (see the module docstring). Every reported
-    pair satisfies the residual contract (relative residual <= 1e-8 times
-    the matrix norm). Raises RuntimeError when QR needs more than
+    single-shift Wilkinson QR. A 3-row Francis bulge step makes 16 numpy
+    calls, and the deflation and start-row scans run on Python floats (see
+    the module docstring). Values only, each sweep transforms its block
+    alone.
+
+    With want_vectors the same sweeps run on W = [Z; H], the Schur vectors Z
+    stacked above H, and on wide slabs: each row update runs to the last
+    column and each column update covers Z and H from their first rows, in
+    one numpy call, so QR ends in the Schur form A = Z T Z^H (T upper
+    triangular once each real 2x2 block is rotated into complex triangular
+    form). The values are T's diagonal; they lie within backward error of
+    the values-only ones but need not share their bits. The vectors are
+    those of T by back substitution, mapped back by Z and refined by one
+    first-order step whose residual is formed in extended precision (see
+    `_schur_eigenpairs`). A repeated eigenvalue of a diagonalizable matrix
+    gets independent vectors, a basis of its eigenspace. Every reported pair
+    satisfies the residual contract (relative residual <= 1e-8 times the
+    matrix norm). Raises RuntimeError when QR needs more than
     MAX_SWEEPS_PER_DIM sweeps per dimension, and when a pair misses the
     residual contract.
     """
@@ -604,35 +730,28 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
         res = np.zeros(1) if want_vectors else None
         return EigenReport(values=values, vectors=vectors, residuals=res)
     max_sweeps = MAX_SWEEPS_PER_DIM * n
+    W = np.array(A0.real if is_real else A0, dtype=float if is_real else complex)
+    nz = n if want_vectors else 0
+    if want_vectors:
+        W = np.vstack([np.eye(n, dtype=W.dtype), W])
+    _hessenberg(W, nz)
     if is_real:
-        H = _hessenberg(np.array(A0.real, dtype=float, copy=True))
-        eigs, sweeps = _qr_eigenvalues(H, max_sweeps, _francis_sweep, _eig2_real)
+        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _francis_sweep, _eig2_real,
+                                       nz)
     else:
-        H = _hessenberg(np.array(A0, dtype=complex, copy=True))
         # near the overflow threshold the 2x2 shift overflows to inf and the
         # rotations turn nan; QR then stalls and raises at its sweep cap, so
         # numpy's warnings would only repeat that failure
         with np.errstate(over="ignore", invalid="ignore"):
-            eigs, sweeps = _qr_eigenvalues(H, max_sweeps, _wilkinson_sweep)
-    values = np.array(eigs, dtype=complex)
+            eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _wilkinson_sweep, nz=nz)
+    if not want_vectors:
+        values = np.array(eigs, dtype=complex)
+        order = np.lexsort((values.imag, values.real))
+        return EigenReport(values=values[order], iterations=sweeps)
+    values, vectors, res = _schur_eigenpairs(np.array(A0, dtype=complex), W)
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    report = EigenReport(values=values, iterations=sweeps)
-    if want_vectors:
-        A = np.array(A0, dtype=complex)
-        norm_scale = norm2(A)
-        block = max(1, STACK_BYTES // (16 * n * n))
-        report.vectors = np.zeros((n, n), dtype=complex)
-        report.residuals = np.zeros(n)
-        for lo in range(0, n, block):
-            rows, report.residuals[lo:lo + block] = _inverse_iteration(
-                A, values[lo:lo + block], norm_scale)
-            report.vectors[:, lo:lo + block] = rows.T
-        if np.any(report.residuals > RESIDUAL_TOL * max(norm_scale, _EPS)):
-            raise RuntimeError(
-                f"inverse iteration missed the residual contract on a {n}x{n} "
-                f"matrix (worst residual {report.residuals.max():.3g})")
-    return report
+    return EigenReport(values=values[order], vectors=vectors[:, order],
+                       residuals=res[order], iterations=sweeps)
 
 
 def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:

@@ -50,12 +50,12 @@ class SimilarityReport:
     transform: NDArray[np.complex128]
 
 
-def _largest_component_one(v: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if pivot == 0:
+def _largest_component_one(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """The columns of vectors, each divided by its largest-magnitude entry."""
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    if np.any(pivots == 0):
         raise ValueError("eigenvector is numerically zero")
-    return v / pivot
+    return vectors / pivots
 
 
 def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
@@ -96,9 +96,8 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     # adjoint eigenvalue is the conjugate of the i-th direct one.
     spectrum_match = multiset_distance(direct.values, adjoint.values.conj())
 
-    phi = np.column_stack([_largest_component_one(v) for v in direct.vectors.T])
-    psi = np.column_stack([_largest_component_one(v) for v in adjoint.vectors.T])
-    phi, psi, gram = biorthonormalize(phi, psi)
+    both = _largest_component_one(np.hstack([direct.vectors, adjoint.vectors]))
+    phi, psi, gram = biorthonormalize(both[:, :n], both[:, n:])
     off = gram - np.diag(np.diag(gram))
     biorth_error = float(np.abs(off).max())
 

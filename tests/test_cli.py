@@ -230,6 +230,23 @@ def test_theorem1_malformed_input_is_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": [2], "re": [[1]]}',
+    '{"n": 1e400, "re": [[1]]}',
+    '{"n": 1.9, "re": [[1]]}',
+    '{"n": true, "re": [[1]]}',
+], ids=["list", "overflowing", "fractional", "bool"])
+def test_theorem1_json_size_must_be_an_integer(tmp_path, capsys, text):
+    # int() of these raised a TypeError or OverflowError, or read 1
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "theorem1", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert '"n" must be a JSON integer >= 1' in err
+    assert "Traceback" not in err
+
+
 def test_tolerance_failure_names_first_check(capsys):
     code, out, err = run(capsys, "commutators", "--trunc", "6",
                          "--tol", "1e-20", "--action-tol", "1e-20")
@@ -296,11 +313,13 @@ def test_theorem1_eigenvector_miss_is_solver_failure(tmp_path, capsys, monkeypat
     # similarity_error or a pass
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 2, "re": [[1.0, 1.0], [0.0, 2.0]]}))
-    monkeypatch.setattr(pseudoboson.linalg, "RESIDUAL_TOL", 0.0)
+    # the Schur vectors of this matrix are exact, so only a negative
+    # tolerance forces a miss
+    monkeypatch.setattr(pseudoboson.linalg, "RESIDUAL_TOL", -1.0)
     code, out, err = run(capsys, "theorem1", "--input", str(path))
     assert code == 1
     assert out == ""
-    assert err.startswith("first failing check: solver (inverse iteration "
+    assert err.startswith("first failing check: solver (Schur eigenvectors "
                           "missed the residual contract on a 2x2 matrix")
 
 

@@ -30,6 +30,7 @@ from pseudoboson.linalg import (
 )
 from pseudoboson.model import ModelParams
 from pseudoboson.sectors import SectorSpec, pseudo_jacobi, pseudo_jacobi_diagonals
+from pseudoboson.similarity import verify_similarity
 
 
 def test_eig_dense_matches_lapack_on_random_real():
@@ -314,37 +315,23 @@ def test_solve_matrix_matches_lapack_on_a_wide_complex_block():
         solve_matrix(singular, np.eye(2))
 
 
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("per_block", [1, 2])
-def test_eig_dense_vectors_do_not_depend_on_the_block_size(monkeypatch, kind,
-                                                           per_block):
-    # tier-1 matrices fit in one block of stacked factors; a budget of one or
-    # two values per block splits a 12x12 into 12 or 6 blocks
-    m = _test_matrix(kind, 12, 59)
-    whole = eig_dense(m, want_vectors=True)
-    monkeypatch.setattr(linalg, "STACK_BYTES", 16 * 12 * 12 * per_block)
-    split = eig_dense(m, want_vectors=True)
-    assert split.vectors.tobytes() == whole.vectors.tobytes()
-    assert split.residuals.tobytes() == whole.residuals.tobytes()
-    assert split.converged == whole.converged
-
-
 def test_eig_dense_raises_on_a_missed_residual_contract(monkeypatch):
     # no residual is below a zero tolerance, so every pair misses it
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 0.0)
     m = np.random.default_rng(19).standard_normal((8, 8))
     assert eig_dense(m).values.shape == (8,)
-    with pytest.raises(RuntimeError, match=r"^inverse iteration missed the "
+    with pytest.raises(RuntimeError, match=r"^Schur eigenvectors missed the "
                        r"residual contract on a 8x8 matrix \(worst residual "):
         eig_dense(m, want_vectors=True)
 
 
 def _near_pair_upper_triangular() -> np.ndarray:
-    # diagonal 1, 2, 3, 3 + delta, 5 with delta the first inverse-iteration
-    # shift offset: shifting by 3 + delta leaves an exactly zero fourth pivot
+    # diagonal 1, 2, 3, 3 + delta, 5 with delta = 1e-10 ||m||_F, the shift
+    # offset of the inverse iteration that dense eigenvectors once took:
+    # shifting by 3 + delta leaves an exactly zero fourth pivot
     m = np.triu(np.ones((5, 5)), 1) + np.diag([1.0, 2.0, 3.0, 3.0, 5.0])
     for _ in range(3):
-        m[3, 3] = 3.0 + linalg.INVERSE_ITER_SHIFT * norm2(m)
+        m[3, 3] = 3.0 + 1e-10 * norm2(m)
     return m
 
 
@@ -353,6 +340,15 @@ def _near_pair_upper_triangular() -> np.ndarray:
     pytest.param(np.zeros((3, 3)), id="zero"),
     pytest.param(np.diag([1.0, 1.0, 3.0]), id="repeated"),
     pytest.param(_near_pair_upper_triangular(), id="tiny-pivot"),
+    # two values, each a Jordan chain of four: the refinement step, inaccurate
+    # in so ill-conditioned a basis, must be refused column by column
+    pytest.param(np.triu(np.random.default_rng(0).standard_normal((8, 8)), 1)
+                 + np.diag([-0.8, -0.8, -0.8, -0.8, 0.4, 0.4, 0.4, 0.4]),
+                 id="two-chains"),
+    # nilpotent: the back substitution's columns grow like (1/eps)^k and must
+    # be scaled before they overflow
+    pytest.param(np.triu(np.random.default_rng(67).standard_normal((40, 40)), 1),
+                 id="nilpotent"),
 ])
 def test_stacked_inverse_iteration_edge_cases(m):
     with warnings.catch_warnings():
@@ -367,13 +363,87 @@ def test_stacked_inverse_iteration_edge_cases(m):
             residual(m, lam, report.vectors[:, i]), rel=1e-12, abs=1e-300)
     if n == 5:
         # the fallback fires in the stack item for 3 and in no other
-        delta = linalg.INVERSE_ITER_SHIFT * norm2(m)
+        delta = 1e-10 * norm2(m)
         shifted = m - (report.values + delta)[:, None, None] * np.eye(n)
         lu, _ = _lu_factor(shifted, fix_singular=True)
         tiny = 8 * n * np.finfo(float).eps * np.abs(shifted).max(axis=(1, 2))
         pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
         assert list(np.any(pivots == tiny[:, None], axis=1)) == [
             False, False, True, False, False]
+
+
+def test_eig_dense_repeated_eigenvalue_gets_a_basis():
+    # each copy of 1 gets its own Schur vector, so the two span its eigenspace
+    report = eig_dense(np.diag([1.0, 1.0, 3.0]), want_vectors=True)
+    assert np.linalg.matrix_rank(report.vectors) == 3
+
+
+def _real_spectrum_matrix(rng, n, complex_basis=False):
+    # V D V^-1 with V = I + 0.25 R / sqrt(n) and distinct real D, as the
+    # theorem1 inputs of the benchmark are drawn
+    r = rng.uniform(-1.0, 1.0, (n, n))
+    if complex_basis:
+        r = r + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    v = np.eye(n) + 0.25 * r / np.sqrt(n)
+    d = np.arange(n) + 0.2 * rng.uniform(0.0, 1.0, n)
+    return np.linalg.solve(v.T, (v * d).T).T
+
+
+def test_vector_mode_francis_start_below_the_block_top(monkeypatch):
+    # a Francis sweep that starts below its block top must scale the entry
+    # left of its first reflector once it transforms H whole; without that
+    # this matrix's vector-mode values drift and its vectors miss the
+    # residual contract
+    m = _real_spectrum_matrix(np.random.default_rng(0), 16)
+    sweeps = []
+    sweep, slabs = linalg._francis_sweep, linalg._slabs
+
+    def recorded_sweep(W, lo, hi, stall, nz=0):
+        sweeps.append([nz, lo])
+        return sweep(W, lo, hi, stall, nz)
+
+    def recorded_slabs(W, nz, top, hi):
+        sweeps[-1].append(top)
+        return slabs(W, nz, top, hi)
+
+    monkeypatch.setattr(linalg, "_francis_sweep", recorded_sweep)
+    monkeypatch.setattr(linalg, "_slabs", recorded_slabs)
+    report = eig_dense(m, want_vectors=True)
+    assert any(nz and top > lo for nz, lo, top in sweeps)
+    values = eig_dense(m).values
+    bound = 64 * 16 * np.finfo(float).eps * norm2(m)
+    assert np.abs(report.values - values).max() <= bound
+    assert report.residuals.max() <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 24), complex_basis=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_schur_eigenvectors_build_the_similarity_to_rounding(n, complex_basis, seed):
+    m = _real_spectrum_matrix(np.random.default_rng(seed), n, complex_basis)
+    contract = linalg.RESIDUAL_TOL * norm2(m)
+    for matrix in (m, m.conj().T):
+        assert eig_dense(matrix, want_vectors=True).residuals.max() <= contract
+    similarity = verify_similarity(m)
+    bound = 64 * n * np.finfo(float).eps
+    assert similarity.biorth_error <= bound
+    assert similarity.similarity_error <= bound
+
+
+def test_vector_mode_rotates_an_undeflated_real_pair():
+    # the 2x2 block with subdiagonal 2.1e-11 stays undeflated, and its
+    # rotation to triangular form must use the root farther from its (2,2)
+    # entry: the nearer one cancels and leaves a Schur error near 1e-3
+    m = np.triu(np.random.default_rng(61).uniform(-1.0, 1.0, (6, 6)))
+    m[2:4, 2:4] = [[12.12, 0.2449], [2.1e-11, 20.11]]
+    report = eig_dense(m, want_vectors=True)
+    n = m.shape[0]
+    bound = 64 * n * np.finfo(float).eps * norm2(m)
+    assert report.residuals.max() <= bound
+    assert multiset_distance(report.values, np.linalg.eigvals(m)) <= bound
+    assert multiset_distance(report.values, eig_dense(m).values) <= bound
+    for i, lam in enumerate(report.values):
+        assert residual(m, lam, report.vectors[:, i]) <= bound
 
 
 def _dense_tridiag(sub, diag, sup):
