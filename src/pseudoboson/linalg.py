@@ -31,11 +31,12 @@ step whose residual is formed in numpy's extended precision (Dongarra,
 Moler and Wilkinson, SIAM J. Numer. Anal. 20, 1983). Values-only calls keep
 the block-local slabs and their bits.
 
-`solve_matrix` runs one partial-pivoting LU and one forward and back
-substitution, which sweeps all right-hand sides at once. A tridiagonal has
-its own O(n) pivoted LU, and its eigenpairs come from one Rayleigh-quotient
-loop: each round factors J - s I once at each current value s, takes one
-solve, and moves s to the two-sided quotient.
+`solve_matrix` runs one partial-pivoting LU and one forward and one back
+substitution, each sweeping all right-hand sides at once. A tridiagonal is
+solved in O(n) by pivoted elimination applied to the right-hand side as it
+runs (LAPACK's gtsv), and its eigenpairs come from one Rayleigh-quotient
+loop: each round takes one such solve of J - s I at each current value s
+and moves s to the two-sided quotient.
 
 QL runs on Python scalars with one loop for both tridiagonal families. Real
 input takes hypot rotations and keeps the textbook bits. Complex symmetric
@@ -412,68 +413,45 @@ def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> N
             z = B[k + 2, k]
 
 
-def _lu_factor(A: NDArray, fix_singular: bool = False):
-    """Partial-pivoting LU of a matrix, or of each matrix of a (b, n, n)
-    stack with one Python step per column for the whole stack.
-
-    Raises on a pivot that is singular to working precision, unless
-    fix_singular is set, in which case the pivot is replaced by a tiny value
-    (the standard inverse-iteration fallback). Returns the (b, n, n) factors
-    and the (b, n) row permutations.
-    """
-    LU = np.array(A, dtype=complex, copy=True, ndmin=3)
-    b, n = LU.shape[0], LU.shape[-1]
-    items = np.arange(b)
-    piv = np.tile(np.arange(n), (b, 1))
-    scale = np.abs(LU).max(axis=(1, 2), initial=0.0)
-    if not fix_singular and np.any(scale == 0.0):
-        raise ValueError("matrix is singular to working precision")
-    tiny = np.where(scale == 0.0, _EPS, 8.0 * n * _EPS * scale)
-    for k in range(n):
-        p = k + np.argmax(np.abs(LU[:, k:, k]), axis=1)
-        for i in np.flatnonzero(np.abs(LU[items, p, k]) <= tiny):
-            if not fix_singular:
-                raise ValueError("matrix is singular to working precision")
-            pivot = LU[i, p[i], k]
-            LU[i, p[i], k] = (float(tiny[i]) if pivot == 0
-                              else pivot / abs(pivot) * float(tiny[i]))
-        LU[items, k], LU[items, p] = LU[items, p], LU[items, k]
-        piv[items, k], piv[items, p] = piv[items, p], piv[items, k]
-        LU[:, k + 1:, k] /= LU[:, k, k, None]
-        LU[:, k + 1:, k + 1:] -= LU[:, k + 1:, k, None] * LU[:, k, None, k + 1:]
-    return LU, piv
-
-
-def _lu_solve(factor, rhs) -> NDArray:
-    """Forward and back substitution with the factors of `_lu_factor`, for a
-    single vector or for a stack of row vectors, one per factor or all for
-    one factor. Each step is one stacked row product (b, 1, k) @ (b, k, 1)
-    for every right-hand side at once."""
-    LU, piv = factor
-    rhs = np.asarray(rhs, dtype=complex)
-    x = np.take_along_axis(np.atleast_2d(rhs), piv, axis=1)
-    n = x.shape[1]
-    for k in range(1, n):
-        x[:, k] -= (LU[:, k:k + 1, :k] @ x[:, :k, None])[:, 0, 0]
-    for k in range(n - 1, -1, -1):
-        x[:, k] = ((x[:, k] - (LU[:, k:k + 1, k + 1:] @ x[:, k + 1:, None])[:, 0, 0])
-                   / LU[:, k, k])
-    return x[0] if rhs.ndim == 1 else x
-
-
 def solve_matrix(M, B) -> NDArray[np.complex128]:
-    """Solve M X = B by partial-pivoting LU, for a vector or a matrix B, with
-    a single factorization; each substitution step sweeps all columns of B
-    at once.
+    """Solve M X = B, for a vector or a matrix B, by one partial-pivoting LU
+    of M and one forward and one back substitution; each substitution step
+    is one stacked row product (1, 1, k) @ (m, k, 1) over all m columns of B.
 
-    Raises ValueError when M is singular to working precision or B has the
-    wrong number of rows.
+    Raises ValueError when M is singular to working precision (zero, or with
+    a pivot of at most 8 n eps max|M|) or B has the wrong number of rows.
     """
     A = _as_square(M)
     b = np.asarray(B)
     if b.shape[0] != A.shape[0]:
         raise ValueError(f"dimension mismatch: matrix {A.shape}, rhs {b.shape}")
-    return np.ascontiguousarray(_lu_solve(_lu_factor(A), b.T).T)
+    LU = np.array(A, dtype=complex)
+    n = LU.shape[0]
+    piv = np.arange(n)
+    scale = np.abs(LU).max(initial=0.0)
+    tiny = 8.0 * n * _EPS * scale
+    singular = ValueError("matrix is singular to working precision")
+    if scale == 0.0:
+        raise singular
+    for k in range(n):
+        col = np.abs(LU[k:, k])
+        p = k + np.argmax(col)
+        if col[p - k] <= tiny:
+            raise singular
+        LU[[k, p]] = LU[[p, k]]
+        piv[[k, p]] = piv[[p, k]]
+        LU[k + 1:, k] /= LU[k, k]
+        LU[k + 1:, k + 1:] -= LU[k + 1:, k, None] * LU[k, None, k + 1:]
+    # x holds one right-hand side per row, in C order: Fortran-order rows
+    # take another matmul loop and round differently
+    x = np.take_along_axis(np.atleast_2d(np.asarray(b.T, dtype=complex)),
+                           piv[None], axis=1)
+    for k in range(1, n):
+        x[:, k] -= (LU[None, k:k + 1, :k] @ x[:, :k, None])[:, 0, 0]
+    for k in range(n - 1, -1, -1):
+        x[:, k] = ((x[:, k] - (LU[None, k:k + 1, k + 1:] @ x[:, k + 1:, None])[:, 0, 0])
+                   / LU[k, k])
+    return np.ascontiguousarray((x[0] if b.ndim == 1 else x).T)
 
 
 def residual(M, lam, v) -> float:
@@ -486,22 +464,21 @@ def residual(M, lam, v) -> float:
     return norm2(A @ vec - lam * vec) / nv
 
 
-def _tridiag_lu_factor(sub, diag, sup):
-    """Partial-pivoting LU of a tridiagonal matrix in O(n), LAPACK gttrf style.
-
-    A row swap at step i moves the superdiagonal of row i + 1 up and leaves
+def _tridiag_solve(sub, diag, sup, rhs) -> NDArray:
+    """Solve a tridiagonal system in O(n) by partial-pivoting elimination
+    that updates rhs as it runs, as LAPACK's gtsv does. A row swap leaves
     fill in a second superdiagonal, so U has three diagonals (d, du, du2).
-    Pivots are chosen as in `_lu_factor`, and a pivot that is singular to
-    working precision gets the fallback of `_lu_factor(fix_singular=True)`:
-    the larger of the two candidates is raised to a tiny value, keeping its
-    phase, and the row swap it implies is kept.
+
+    Where both pivot candidates are at most tiny = 8 n eps max|entry| (eps
+    for a zero matrix), the larger is raised to tiny, keeping its phase and
+    the row swap it implies, so a shift at an eigenvalue divides by no zero.
     """
     d = [complex(x) for x in diag]
     dl = [complex(x) for x in sub]
     du = [complex(x) for x in sup]
+    x = [complex(v) for v in rhs]
     n = len(d)
     du2 = [0j] * max(n - 2, 0)
-    swapped = [False] * max(n - 1, 0)
     scale = max(max(map(abs, d), default=0.0), max(map(abs, dl), default=0.0),
                 max(map(abs, du), default=0.0))
     tiny = 8.0 * n * _EPS * scale if scale > 0.0 else _EPS
@@ -517,29 +494,16 @@ def _tridiag_lu_factor(sub, diag, sup):
             break
         if not swap:
             fact = dl[i] / d[i]
-            dl[i] = fact
             d[i + 1] -= fact * du[i]
+            x[i + 1] -= fact * x[i]
         else:
             fact = d[i] / dl[i]
             d[i] = dl[i]
-            dl[i] = fact
             du[i], d[i + 1] = d[i + 1], du[i] - fact * d[i + 1]
             if i < n - 2:
                 du2[i] = du[i + 1]
                 du[i + 1] = -fact * du[i + 1]
-            swapped[i] = True
-    return dl, d, du, du2, swapped
-
-
-def _tridiag_lu_solve(factor, rhs) -> NDArray:
-    dl, d, du, du2, swapped = factor
-    n = len(d)
-    x = [complex(v) for v in rhs]
-    for i in range(n - 1):
-        if swapped[i]:
-            x[i], x[i + 1] = x[i + 1], x[i] - dl[i] * x[i + 1]
-        else:
-            x[i + 1] -= dl[i] * x[i]
+            x[i], x[i + 1] = x[i + 1], x[i] - fact * x[i + 1]
     x[n - 1] /= d[n - 1]
     if n > 1:
         x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
@@ -600,7 +564,9 @@ def _triangular_eigenvectors(T: NDArray) -> tuple[NDArray, bool]:
     n = T.shape[0]
     big = float(np.abs(T).max())
     if big > 0.0:
-        T = T * 2.0 ** -math.frexp(big)[1]
+        # two exact steps: 2^e alone overflows once big is subnormal
+        e = -math.frexp(big)[1]
+        T = T * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
     lam = T.diagonal().copy()
     smin = max(_EPS * norm2(T), np.finfo(float).tiny)
     # the next row step sums at most n products with |T| < 1, then divides
@@ -685,7 +651,7 @@ def _schur_eigenpairs(A: NDArray, W: NDArray) -> tuple[NDArray, NDArray, NDArray
         keep = refined_res <= res + n * _EPS * norm_scale
         vectors[:, keep] = refined[:, keep]
         res[keep] = refined_res[keep]
-    if np.any(res > RESIDUAL_TOL * max(norm_scale, _EPS)):
+    if not np.all(res <= RESIDUAL_TOL * max(norm_scale, _EPS)):
         raise RuntimeError(
             f"Schur eigenvectors missed the residual contract on a {n}x{n} "
             f"matrix (worst residual {res.max():.3g})")
@@ -762,19 +728,17 @@ def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
     D with J^T = D J D^-1, so y = D x is a left eigenvector for every right
     eigenvector x, and the two-sided quotient y^T J x / y^T x has an error
     quadratic in that of x (Parlett, Math. Comp. 28, 1974). Each round takes,
-    for each value s, one partially pivoted tridiagonal LU of J - s I (a
-    pivot singular to working precision is raised to a tiny value) and one
-    solve from the value's previous unit iterate, a fixed start vector in
-    the first round; it then replaces s by its quotient. The rounds stop
-    once no value moves by more than eps times its size, or after
-    QUOTIENT_ROUNDS. The quotient is summed in numpy's extended precision
-    where the platform has one, so a settled value is a fixed point rather
-    than a walk over its last digits. A real shift keeps its value real: a
-    real eigenvalue of a real J has a real eigenvector. The report carries
-    the final values, their unit vectors column-wise, the residuals at the
-    final values and the rounds run; converged is False when a pair misses
-    the residual contract of `eig_dense`. Raises ValueError on complex or
-    mismatched diagonals.
+    for each value s, one `_tridiag_solve` of J - s I from the value's
+    previous unit iterate, a fixed start vector in the first round; it then
+    replaces s by its quotient. The rounds stop once no value moves by more
+    than eps times its size, or after QUOTIENT_ROUNDS. The quotient is
+    summed in numpy's extended precision where the platform has one, so a
+    settled value is a fixed point rather than a walk over its last digits.
+    A real shift keeps its value real: a real eigenvalue of a real J has a
+    real eigenvector. The report carries the final values, their unit
+    vectors column-wise, the residuals at the final values and the rounds
+    run; converged is False when a pair misses the residual contract of
+    `eig_dense`. Raises ValueError on complex or mismatched diagonals.
     """
     d = np.asarray(diag)
     lower = np.asarray(sub)
@@ -793,8 +757,7 @@ def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
     vectors = np.tile(_start_vector(n)[:, None], (1, len(values)))
     for rounds in range(1, QUOTIENT_ROUNDS + 1):
         for i, shift in enumerate(values):
-            w = _tridiag_lu_solve(_tridiag_lu_factor(lower, d - shift, upper),
-                                  vectors[:, i])
+            w = _tridiag_solve(lower, d - shift, upper, vectors[:, i])
             wn = norm2(w)
             if wn != 0.0 and math.isfinite(wn):
                 vectors[:, i] = w / wn

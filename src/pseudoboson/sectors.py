@@ -379,8 +379,8 @@ def _solved_levels(spec: SectorSpec, p: ModelParams, n_eigs: int,
     spectrum, converged = _refined_spectrum(spec, p, diagonals, kept)
     if not converged:
         raise RuntimeError(
-            f"inverse iteration missed the residual contract on sector "
-            f"k={spec.k} depth {spec.depth} (worst residual "
+            f"Rayleigh-quotient iteration missed the residual contract on "
+            f"sector k={spec.k} depth {spec.depth} (worst residual "
             f"{spectrum.residuals.max():.3g})")
     distances = np.abs(everything[None, :] - kept[:, None])
     distances[np.arange(n_eigs), np.arange(n_eigs)] = np.inf

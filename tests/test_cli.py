@@ -191,6 +191,21 @@ def test_theorem1_precondition_failure_is_exit_one(tmp_path, capsys):
     assert "first failing check: precondition" in err
 
 
+@pytest.mark.parametrize("matrix, failure", [
+    # every entry is subnormal: the eigenvector scaling must not overflow
+    ([[1e-320, 0.0], [0.0, 2e-320]], "precondition"),
+    ([[1e308, 1e308], [0.0, -1e308]], "solver"),
+], ids=["subnormal", "huge"])
+def test_theorem1_extreme_input_ends_without_traceback(tmp_path, capsys, matrix,
+                                                       failure):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": matrix}))
+    code, out, err = run(capsys, "theorem1", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"first failing check: {failure} (")
+
+
 @pytest.mark.parametrize("name, text", [
     ("nan.json", '{"n": 2, "re": [[1.0, NaN], [0.0, 2.0]]}'),
     ("inf.json", '{"n": 2, "re": [[1.0, 0.0], [0.0, 2.0]], '

@@ -15,11 +15,8 @@ from hypothesis import strategies as st
 
 from pseudoboson import linalg
 from pseudoboson.linalg import (
-    _lu_factor,
-    _lu_solve,
     norm2,
-    _tridiag_lu_factor,
-    _tridiag_lu_solve,
+    _tridiag_solve,
     biorthonormalize,
     eig_dense,
     eig_sym_tridiag,
@@ -325,10 +322,26 @@ def test_eig_dense_raises_on_a_missed_residual_contract(monkeypatch):
         eig_dense(m, want_vectors=True)
 
 
+def test_eig_dense_vectors_of_a_subnormal_matrix():
+    # T is scaled up by 2^1062, past the largest power of two a float holds
+    report = eig_dense(np.diag([1e-320, 2e-320]), want_vectors=True)
+    assert np.array_equal(report.values, [1e-320, 2e-320])
+    assert np.array_equal(report.residuals, [0.0, 0.0])
+
+
+def test_eig_dense_nan_residuals_miss_the_contract():
+    # the values come out wrong here and the unit vectors nan (ROADMAP item
+    # 6); a nan residual is a miss, never a pass
+    m = np.array([[4e-320, 1e-320], [1e-320, 2e-320]])
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="missed the residual contract"):
+        eig_dense(m, want_vectors=True)
+
+
 def _near_pair_upper_triangular() -> np.ndarray:
-    # diagonal 1, 2, 3, 3 + delta, 5 with delta = 1e-10 ||m||_F, the shift
-    # offset of the inverse iteration that dense eigenvectors once took:
-    # shifting by 3 + delta leaves an exactly zero fourth pivot
+    # diagonal 1, 2, 3, 3 + delta, 5 with delta = 1e-10 ||m||_F: two values
+    # closer than RESIDUAL_TOL ||m||_F, whose vectors take no refinement step
+    # along each other
     m = np.triu(np.ones((5, 5)), 1) + np.diag([1.0, 2.0, 3.0, 3.0, 5.0])
     for _ in range(3):
         m[3, 3] = 3.0 + 1e-10 * norm2(m)
@@ -339,7 +352,7 @@ def _near_pair_upper_triangular() -> np.ndarray:
     pytest.param(np.array([[2.0, 1.0], [0.0, 2.0]]), id="jordan"),
     pytest.param(np.zeros((3, 3)), id="zero"),
     pytest.param(np.diag([1.0, 1.0, 3.0]), id="repeated"),
-    pytest.param(_near_pair_upper_triangular(), id="tiny-pivot"),
+    pytest.param(_near_pair_upper_triangular(), id="near-pair"),
     # two values, each a Jordan chain of four: the refinement step, inaccurate
     # in so ill-conditioned a basis, must be refused column by column
     pytest.param(np.triu(np.random.default_rng(0).standard_normal((8, 8)), 1)
@@ -350,7 +363,7 @@ def _near_pair_upper_triangular() -> np.ndarray:
     pytest.param(np.triu(np.random.default_rng(67).standard_normal((40, 40)), 1),
                  id="nilpotent"),
 ])
-def test_stacked_inverse_iteration_edge_cases(m):
+def test_schur_eigenvector_edge_cases(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = eig_dense(m, want_vectors=True)
@@ -361,15 +374,6 @@ def test_stacked_inverse_iteration_edge_cases(m):
     for i, lam in enumerate(report.values):
         assert report.residuals[i] == pytest.approx(
             residual(m, lam, report.vectors[:, i]), rel=1e-12, abs=1e-300)
-    if n == 5:
-        # the fallback fires in the stack item for 3 and in no other
-        delta = 1e-10 * norm2(m)
-        shifted = m - (report.values + delta)[:, None, None] * np.eye(n)
-        lu, _ = _lu_factor(shifted, fix_singular=True)
-        tiny = 8 * n * np.finfo(float).eps * np.abs(shifted).max(axis=(1, 2))
-        pivots = np.abs(np.diagonal(lu, axis1=1, axis2=2))
-        assert list(np.any(pivots == tiny[:, None], axis=1)) == [
-            False, False, True, False, False]
 
 
 def test_eig_dense_repeated_eigenvalue_gets_a_basis():
@@ -452,6 +456,12 @@ def _dense_tridiag(sub, diag, sup):
 
 def test_tridiag_solve_matches_dense_solve():
     rng = np.random.default_rng(41)
+    # a zero first pivot: only the row swap, with its fill in the second
+    # superdiagonal of U and the swap of the right-hand side, solves this
+    ones = np.ones(3)
+    rhs = np.array([1.0, -2.0, 0.5, 4.0])
+    exact = np.linalg.solve(_dense_tridiag(ones, np.arange(4.0), ones), rhs)
+    assert np.abs(_tridiag_solve(ones, np.arange(4.0), ones, rhs) - exact).max() < 1e-14
     for n in (1, 2, 3, 8, 12):
         for sub_scale in (0.1, 10.0):
             # a large subdiagonal forces row swaps and fill in the second
@@ -461,11 +471,7 @@ def test_tridiag_solve_matches_dense_solve():
             diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             sup = rng.standard_normal(n - 1)
             rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            factor = _tridiag_lu_factor(sub, diag, sup)
-            if n > 2 and sub_scale > 1.0:
-                assert any(factor[4])
-                assert np.abs(factor[3]).max() > 0.0
-            ours = _tridiag_lu_solve(factor, rhs)
+            ours = _tridiag_solve(sub, diag, sup, rhs)
             m = _dense_tridiag(sub, diag, sup)
             dense = solve_matrix(m, rhs)
             # both are backward stable, so they agree to eps times the
@@ -481,26 +487,24 @@ def test_tridiag_solve_at_an_eigenvalue_uses_tiny_pivot():
     shifted = np.zeros(3)
     with pytest.raises(ValueError, match="singular"):
         solve_matrix(_dense_tridiag(sub, shifted, sup), np.ones(3))
-    w = _tridiag_lu_solve(_tridiag_lu_factor(sub, shifted, sup),
-                          np.ones(3) + 1e-3 * np.arange(3))
+    w = _tridiag_solve(sub, shifted, sup, np.ones(3) + 1e-3 * np.arange(3))
     assert np.all(np.isfinite(w))
     v = w / np.sqrt((np.abs(w) ** 2).sum())
     assert residual(_dense_tridiag(sub, 2.0 * np.ones(3), sup), 2.0, v) < 1e-10
 
 
 def test_tridiag_tiny_pivot_fallback_matches_dense():
-    # both candidates of the first pivot are below the tiny threshold and the
-    # subdiagonal one is larger: the dense LU raises it and swaps the rows,
-    # and so must the tridiagonal one
+    # both candidates of the first pivot are below tiny = 8 n eps and the
+    # subdiagonal one is larger: it is raised to tiny and the rows swap, so
+    # the solve is that of the matrix with tiny written in its place
     sub = np.array([1e-20, 1.0])
     diag = np.array([0.0, 1.0, 1.0])
     sup = np.array([1.0, 1.0])
     rhs = np.array([1.0, 2.0, 3.0])
-    factor = _tridiag_lu_factor(sub, diag, sup)
-    assert factor[4][0]
-    ours = _tridiag_lu_solve(factor, rhs)
-    dense = _lu_solve(_lu_factor(_dense_tridiag(sub, diag, sup), fix_singular=True),
-                      rhs)
+    ours = _tridiag_solve(sub, diag, sup, rhs)
+    raised = _dense_tridiag(sub, diag, sup)
+    raised[1, 0] = 8 * 3 * np.finfo(float).eps
+    dense = np.linalg.solve(raised, rhs)
     assert np.abs(ours - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -554,20 +558,20 @@ def test_tridiag_eigenvectors_meet_residual_contract():
 
 
 def test_tridiag_rayleigh_iteration_factors_once_per_value_and_round(monkeypatch):
-    # one LU of J - s I at each current value s, unperturbed, per round
+    # one solve of J - s I at each current value s, unperturbed, per round
     rng = np.random.default_rng(5)
     n = 40
     off = rng.uniform(0.2, 0.6, n - 1)
     sub, diag, sup = off, 2.0 * np.arange(n) + rng.uniform(0, 0.2, n), -off
     shifts = np.array([0.01, 2.0, 4.3])
     shifted = []
-    factor = linalg._tridiag_lu_factor
+    solve = linalg._tridiag_solve
 
-    def counted(lower, d, upper):
+    def counted(lower, d, upper, rhs):
         shifted.append(d)
-        return factor(lower, d, upper)
+        return solve(lower, d, upper, rhs)
 
-    monkeypatch.setattr(linalg, "_tridiag_lu_factor", counted)
+    monkeypatch.setattr(linalg, "_tridiag_solve", counted)
     report = tridiag_rayleigh_iteration(sub, diag, sup, (-1.0) ** np.arange(n),
                                         shifts)
     assert report.iterations > 1
