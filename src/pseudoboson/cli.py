@@ -670,9 +670,9 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        for flag in ("beta", "gamma", "lam"):
-            if not math.isfinite(getattr(args, flag, 0.0)):
-                raise UsageError(f"--{flag} must be finite")
+        for dest, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"--{dest.replace('_', '-')} must be finite")
         payload, csv_header, csv_rows, checks = args.runner(args)
     except (UsageError, ValueError) as exc:
         # Parameter combinations the library rejects (negative coupling,

@@ -15,11 +15,18 @@ At the sizes used here QR time goes to Python and numpy calls, not to flops,
 so each step makes few calls. A 3-row Francis bulge step builds its
 Householder vector from Python floats and applies it with two matrix-vector
 products and two broadcast rank-one updates: 16 numpy calls in all, indexing
-included, where array code makes 57. The deflation scan of the driver and the
-start-row scan of the Francis sweep read Python-float copies of the
-diagonals, so they make no numpy call per row. A Wilkinson step computes its
-two new rows and columns from views. Every floating-point operation keeps its
-operands and their order, so these paths give the same bits as array code.
+included, where array code makes 57. Every floating-point operation keeps its
+operands and their order, so it gives the same bits as array code. It stays
+at 16: one 3x3 product per side would make fewer calls, but it rounds
+differently and moved verify-all's full-versus-sector distance. The deflation
+scan of the driver and the start-row scan of the Francis sweep read
+Python-float copies of the diagonals, so they make no numpy call per row. A
+Wilkinson step computes its rotation G on Python complex scalars and applies
+it as one 2x2 product per side, G on the two rows and G^H on the two
+columns, each written back in place: 10 numpy calls, the read of the next
+bulge pair included. A product may round its two-term sums otherwise than
+four elementwise updates would, so this path is pinned by a reference of
+the same products rather than by array code.
 
 Eigenvectors run the same sweeps on wider slabs. The Schur vectors Z are
 stacked above H in one array, so each column update transforms Z and H in
@@ -371,23 +378,27 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> Non
         _apply_reflector(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
 
 
-def _givens(f, g) -> tuple[float, complex]:
-    """Return (c, s) with c real so that [[c, s], [-conj(s), c]] @ (f, g) = (r, 0)."""
+def _givens(f: complex, g: complex) -> tuple[float, complex]:
+    """Return (c, s) with c real so that [[c, s], [-conj(s), c]] @ (f, g) = (r, 0).
+    f and g are Python complex scalars, so no numpy call is made; a modulus
+    that overflows is inf, and the rotation then turns nan, as numpy's would."""
     if g == 0:
-        return 1.0, 0.0 + 0.0j
+        return 1.0, 0j
     if f == 0:
-        return 0.0, complex(np.conj(g) / abs(g))
-    af = abs(f)
-    d = math.hypot(af, abs(g))
-    c = af / d
-    s = (f / af) * np.conj(g) / d
-    return c, complex(s)
+        return 0.0, g.conjugate() / _modulus(g)
+    af = _modulus(f)
+    d = math.hypot(af, _modulus(g))
+    return af / d, (f / af) * g.conjugate() / d
 
 
 def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> None:
     """One implicit single-shift sweep with a Wilkinson shift on the complex
     Hessenberg block lo..hi of H = W[nz:], by Givens rotations on the slabs
-    of `_slabs`."""
+    of `_slabs`. Each rotation G is one 2x2 product per side, G on the two
+    rows and G^H on the two columns, each written back in place; with the
+    read of the next bulge pair as Python complex, a step makes 10 numpy
+    calls. The entry a rotation annihilates keeps its rounding residue, below
+    the subdiagonal, where later rotations carry it along."""
     B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     m = B.shape[0]
     if stall % 11 == 0:
@@ -398,19 +409,17 @@ def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> N
         corner = B[m - 1, m - 1]
         sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
     R, C, top = _slabs(W, nz, lo, hi)
-    x = B[0, 0] - sigma
-    z = B[1, 0]
+    x, z = B[:2, 0].tolist()
+    x -= complex(sigma)
     for k in range(m - 1):
         c, s = _givens(x, z)
         sh = s.conjugate()
-        # both new rows, then both new columns, from views of the old ones
-        rk, rk1 = R[k, max(k - 1, 0):], R[k + 1, max(k - 1, 0):]
-        rk[:], rk1[:] = c * rk + s * rk1, -sh * rk + c * rk1
-        ck, ck1 = C[:top + min(k + 3, m), k], C[:top + min(k + 3, m), k + 1]
-        ck[:], ck1[:] = c * ck + sh * ck1, -s * ck + c * ck1
+        rows = R[k:k + 2, max(k - 1, 0):]
+        rows[:] = np.array([[c, s], [-sh, c]]) @ rows
+        cols = C[:top + min(k + 3, m), k:k + 2]
+        cols[:] = cols @ np.array([[c, -s], [sh, c]])
         if k < m - 2:
-            x = B[k + 1, k]
-            z = B[k + 2, k]
+            x, z = B[k + 1:k + 3, k].tolist()
 
 
 def solve_matrix(M, B) -> NDArray[np.complex128]:
@@ -665,9 +674,9 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     Real input goes through Francis double-shift QR (complex pairs come out of
     irreducible 2x2 blocks of the real Schur form); complex input through
     single-shift Wilkinson QR. A 3-row Francis bulge step makes 16 numpy
-    calls, and the deflation and start-row scans run on Python floats (see
-    the module docstring). Values only, each sweep transforms its block
-    alone.
+    calls and a Givens step 10, one 2x2 product per side among them, and the
+    deflation and start-row scans run on Python floats (see the module
+    docstring). Values only, each sweep transforms its block alone.
 
     With want_vectors the same sweeps run on W = [Z; H], the Schur vectors Z
     stacked above H, and on wide slabs: each row update runs to the last

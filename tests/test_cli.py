@@ -306,11 +306,30 @@ def test_bad_parameters_are_exit_two(capsys):
     (["commutators", "--gamma", "1e-310", "--trunc", "8"], 2),
     # the (3,4) members overflow; their Gram entries would be nan
     (["biorth", "--gamma", "1e-100", "--trunc", "20"], 2),
+    # every float flag is checked, not only the model parameters: a nan
+    # tolerance would fail every check, and a nan --real-tol would switch
+    # off the real-spectrum precondition
+    (["emm", "--tol", "nan"], 2),
+    (["sectors", "--step-tol", "inf"], 2),
+    (["commutators", "--action-tol", "nan"], 2),
+    (["stability", "--drop", "nan"], 2),
+    (["theorem1", "--input", "REAL_INPUT", "--real-tol", "nan"], 2),
+    (["theorem1", "--input", "REAL_INPUT", "--sim-tol", "nan"], 2),
+    (["theorem1", "--input", "REAL_INPUT", "--biorth-tol", "nan"], 2),
 ])
-def test_extreme_parameters_end_without_traceback(capsys, argv, code):
-    result, _, err = run(capsys, *argv)
+def test_extreme_parameters_end_without_traceback(tmp_path, capsys, argv, code):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1.0, 1.0], [0.0, 2.0]]}))
+    argv = [str(path) if a == "REAL_INPUT" else a for a in argv]
+    result, out, err = run(capsys, *argv)
     assert result == code
     assert "Traceback" not in err
+    if code == 2:
+        # a usage error prints no report and names the parameter at fault:
+        # the flag of a non-finite value, or else the coupling
+        assert out == ""
+        bad = [argv[i - 1] for i, a in enumerate(argv) if a in ("nan", "inf")]
+        assert (f"{bad[0]} must be finite" if bad else "gamma") in err
     if code == 1:
         assert err.startswith("first failing check: solver (")
 

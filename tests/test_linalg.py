@@ -148,6 +148,17 @@ def test_eig_dense_raises_at_the_sweep_cap(monkeypatch, dtype, split):
         eig_dense(m)
 
 
+@pytest.mark.parametrize("f, g", [(1.3e308 + 1.3e308j, 1.0 + 0j),
+                                  (1.0 + 0j, 1.3e308 - 1.3e308j),
+                                  (0j, 1.3e308 + 1.3e308j)])
+def test_givens_past_overflow_gives_a_nan_or_zero_rotation(f, g):
+    # a pair with finite parts whose modulus overflows, where Python's abs()
+    # raises OverflowError: the rotation turns nan or zero, as it does on
+    # numpy scalars, so QR stalls and raises at its sweep cap instead
+    c, s = linalg._givens(f, g)
+    assert math.isnan(c) or (c == 0.0 and s == 0)
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_norm2_rescales_past_under_and_overflow(scale):
     assert norm2([3.0 * scale, 4.0 * scale]) == pytest.approx(5.0 * scale,
@@ -176,23 +187,38 @@ def test_norm2_short_list_matches_the_array_path(entries):
 
 # Reference copy of the bulge step as it was before the chase ran on floats:
 # numpy arrays and scalars throughout, a unit Householder vector, 2.0 * np.outer
-# updates and a Givens rotation from copied rows and columns. The sweeps must
-# give the same bits.
+# updates and each Givens rotation as one 2x2 product per side on copied rows
+# and columns. Each works on H = W[nz:]; with Z stacked above H (nz = n) the
+# rows run to the last column and the columns start at Z's first row. The
+# sweeps must give the same bits.
 
-def _reference_reflector(B, k, col, m):
+def _reference_extents(W, nz, lo, k, w, r1, m):
+    """Row block and column block of a step at block rows lo + k .. lo + k +
+    w - 1: the rows from column lo + max(k - 1, 0), the columns down to block
+    row r1 - 1."""
+    end = W.shape[1] if nz else lo + m
+    first = 0 if nz else lo
+    rows = (slice(nz + lo + k, nz + lo + k + w), slice(lo + max(k - 1, 0), end))
+    cols = (slice(first, nz + lo + r1), slice(lo + k, lo + k + w))
+    return rows, cols
+
+
+def _reference_reflector(W, nz, lo, k, col, m):
     x = np.array(col)
     xnorm = norm2(x)
     if xnorm == 0.0:
-        return
+        return None
     v = x.copy()
     v[0] += (v[0] / abs(v[0]) if v[0] != 0 else 1.0) * xnorm
     v = v / norm2(v)
-    w, r0, r1 = len(v), max(k - 1, 0), min(k + len(v) + 1, m)
-    B[k:k + w, r0:] -= 2.0 * np.outer(v, v.conj() @ B[k:k + w, r0:])
-    B[:r1, k:k + w] -= 2.0 * np.outer(B[:r1, k:k + w] @ v, v.conj())
+    rows, cols = _reference_extents(W, nz, lo, k, len(v), min(k + len(v) + 1, m), m)
+    W[rows] -= 2.0 * np.outer(v, v.conj() @ W[rows])
+    W[cols] -= 2.0 * np.outer(W[cols] @ v, v.conj())
+    return v
 
 
-def _reference_francis_sweep(H, lo, hi, stall):
+def _reference_francis_sweep(W, lo, hi, stall, nz=0):
+    H = W[nz:]
     if stall % 11 == 0:
         w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
         shifts = 1.75 * w, 0.0, -0.25 * w, 0.0
@@ -210,16 +236,18 @@ def _reference_francis_sweep(H, lo, hi, stall):
         if anchor + abs(H[k, k - 1]) * (abs(y) + abs(z)) == anchor:
             start = k
             break
-    B = H[start:hi + 1, start:hi + 1]
-    m = B.shape[0]
+    m = hi - start + 1
     col = linalg._first_column(*diagonals, start, *shifts)
     for k in range(m - 1):
-        _reference_reflector(B, k, col, m)
-        col = B[k + 1:k + 4, k]
+        v = _reference_reflector(W, nz, start, k, col, m)
+        if k == 0 and nz and start > lo and v is not None:
+            # the entry left of the first reflector, outside its rows
+            H[start, start - 1] *= 1.0 - 2.0 * v[0] * v[0]
+        col = H[start + k + 1:start + k + 4, start + k]
 
 
-def _reference_wilkinson_sweep(H, lo, hi, stall):
-    B = H[lo:hi + 1, lo:hi + 1]
+def _reference_wilkinson_sweep(W, lo, hi, stall, nz=0):
+    B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     m = B.shape[0]
     if stall % 11 == 0:
         sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
@@ -228,27 +256,26 @@ def _reference_wilkinson_sweep(H, lo, hi, stall):
                                       B[m - 1, m - 2], B[m - 1, m - 1])
         corner = B[m - 1, m - 1]
         sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
-    x, z = B[0, 0] - sigma, B[1, 0]
+    x, z = complex(B[0, 0] - sigma), complex(B[1, 0])
     for k in range(m - 1):
         c, s = linalg._givens(x, z)
-        r0, r1 = max(k - 1, 0), min(k + 2, m - 1)
-        rk, rk1 = B[k, r0:].copy(), B[k + 1, r0:].copy()
-        B[k, r0:] = c * rk + s * rk1
-        B[k + 1, r0:] = -np.conj(s) * rk + c * rk1
-        ck, ck1 = B[:r1 + 1, k].copy(), B[:r1 + 1, k + 1].copy()
-        B[:r1 + 1, k] = c * ck + np.conj(s) * ck1
-        B[:r1 + 1, k + 1] = -s * ck + c * ck1
+        G = np.array([[c, s], [-np.conj(s), c]])
+        rows, cols = _reference_extents(W, nz, lo, k, 2, min(k + 3, m), m)
+        W[rows] = G @ W[rows].copy()
+        W[cols] = W[cols].copy() @ G.conj().T
         if k < m - 2:
-            x, z = B[k + 1, k], B[k + 2, k]
+            x, z = complex(B[k + 1, k]), complex(B[k + 2, k])
 
 
 @pytest.mark.parametrize("stall", [1, 11])
-@pytest.mark.parametrize("case", ["graded", "1e+120", "1e-120", "split"])
+@pytest.mark.parametrize("case", ["graded", "1e+120", "1e-120", "split", "vector"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
     # one sweep on the unreduced block 1..12 of a seeded 14x14 Hessenberg
     # matrix; "split" has two small consecutive subdiagonals, below which the
-    # Francis bulge starts under the exceptional shift (stall 11)
+    # Francis bulge starts under the exceptional shift (stall 11); "vector"
+    # is the split matrix in vector mode, W = [I; H] with nz = n, whose rows
+    # run to the last column and whose columns start at Z's first row
     rng = np.random.default_rng(53)
     n = 14
     m = rng.standard_normal((n, n))
@@ -258,20 +285,50 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
     if case == "graded":
         grade = 0.3 ** np.arange(n)
         m *= np.outer(grade, grade)
-    elif case == "split":
+    elif case in ("split", "vector"):
         m[6, 5] = m[7, 6] = 1e-9
     else:
         m *= float(case)
     m[1, 0] = m[13, 12] = 0.0
+    nz = n if case == "vector" else 0
+    if nz:
+        m = np.vstack([np.eye(n, dtype=m.dtype), m])
     ours, ref = m.copy(), m.copy()
     if dtype is float:
-        linalg._francis_sweep(ours, 1, 12, stall)
-        _reference_francis_sweep(ref, 1, 12, stall)
+        linalg._francis_sweep(ours, 1, 12, stall, nz)
+        _reference_francis_sweep(ref, 1, 12, stall, nz)
     else:
-        linalg._wilkinson_sweep(ours, 1, 12, stall)
-        _reference_wilkinson_sweep(ref, 1, 12, stall)
+        linalg._wilkinson_sweep(ours, 1, 12, stall, nz)
+        _reference_wilkinson_sweep(ref, 1, 12, stall, nz)
     assert not np.array_equal(ours, m)
+    if nz:
+        # the Schur vectors took the transform, and H outside the block did
+        assert not np.array_equal(ours[:n], m[:n])
+        assert not np.array_equal(ours[n:, 13], m[n:, 13])
     assert np.array_equal(ours, ref)
+
+
+@pytest.mark.parametrize("n, graded", [(8, False), (24, True), (48, False)])
+def test_complex_schur_form_at_theorem1_sizes(n, graded):
+    # vector-mode Wilkinson QR on W = [I; A] leaves the Schur form
+    # A = Z T Z^H; the residue each rotation leaves where it annihilates its
+    # bulge entry stays below T's subdiagonal, which deflation zeroes
+    rng = np.random.default_rng(71 + n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if graded:
+        grade = 0.5 ** np.arange(n)
+        a *= np.outer(grade, grade)
+    W = np.vstack([np.eye(n, dtype=complex), a])
+    linalg._hessenberg(W, n)
+    eigs, _ = linalg._qr_eigenvalues(W, linalg.MAX_SWEEPS_PER_DIM * n,
+                                     linalg._wilkinson_sweep, nz=n)
+    Z, T = W[:n], W[n:]
+    eps = np.finfo(float).eps
+    assert norm2(Z.conj().T @ Z - np.eye(n)) <= 8 * n * eps
+    assert norm2(Z @ T @ Z.conj().T - a) <= 8 * n * eps * norm2(a)
+    assert not np.any(T.diagonal(-1))
+    assert norm2(np.tril(T, -2)) <= 8 * n * eps * norm2(a)
+    assert np.array_equal(np.sort_complex(eigs), np.sort_complex(T.diagonal()))
 
 
 def test_eig_dense_rejects_nonsquare():
