@@ -33,7 +33,7 @@ from .emm import (
     symplectic_pairing,
 )
 from .fock import TruncationSpec
-from .linalg import eig_dense, multiset_distance, residual, solve_matrix
+from .linalg import eig_dense, multiset_distance, norm2, residual, solve_matrix
 from .model import (
     ModelParams,
     biorthogonality_matrix,
@@ -341,6 +341,9 @@ def run_theorem1(args):
     matrix = _read_matrix(args.input)
     if not np.all(np.isfinite(matrix)):
         raise UsageError(f"{args.input}: matrix entries must be finite")
+    # QR and the residual contract scale by the Frobenius norm
+    if not math.isfinite(norm2(matrix)):
+        raise UsageError(f"{args.input}: matrix Frobenius norm overflows")
     return _similarity_report(args, matrix)
 
 
@@ -671,8 +674,17 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         for dest, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise UsageError(f"--{dest.replace('_', '-')} must be finite")
+            if not isinstance(value, float):
+                continue
+            flag = f"--{dest.replace('_', '-')}"
+            if not math.isfinite(value):
+                raise UsageError(f"{flag} must be finite")
+            # a negative tolerance fails every check, and a drop of 0 is
+            # witnessed by a scan that does not drop at all
+            if dest.endswith("tol") and value < 0.0:
+                raise UsageError(f"{flag} must be nonnegative")
+            if dest == "drop" and value <= 0.0:
+                raise UsageError(f"{flag} must be positive")
         payload, csv_header, csv_rows, checks = args.runner(args)
     except (UsageError, ValueError) as exc:
         # Parameter combinations the library rejects (negative coupling,

@@ -39,20 +39,21 @@ Moler and Wilkinson, SIAM J. Numer. Anal. 20, 1983). Values-only calls keep
 the block-local slabs and their bits.
 
 `solve_matrix` runs one partial-pivoting LU and one forward and one back
-substitution, each sweeping all right-hand sides at once. A tridiagonal is
-solved in O(n) by pivoted elimination applied to the right-hand side as it
-runs (LAPACK's gtsv), and its eigenpairs come from one Rayleigh-quotient
-loop: each round takes one such solve of J - s I at each current value s
-and moves s to the two-sided quotient.
+substitution, each over all right-hand sides at once. A tridiagonal is
+solved in O(n) on Python scalars, each input array converted once, by
+pivoted elimination applied to the right-hand side as it runs (LAPACK's
+gtsv). Its eigenpairs come from one Rayleigh-quotient loop: each round
+solves J - s I at each current value s and moves s to the two-sided quotient.
 
-QL runs on Python scalars with one loop for both tridiagonal families. Real
-input takes hypot rotations and keeps the textbook bits. Complex symmetric
-input takes complex orthogonal rotations, sqrt(f^2 + g^2) in place of hypot
-(Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996), which the
-sector spectra use on the phase-similar form of the real pseudo-Jacobi
-matrices. These rotations are not unitary, and QL raises RuntimeError on a
-breakdown, a stall or a non-finite value, as dense QR does at its sweep cap
-and dense eigenvectors do on a pair that misses the residual contract.
+QL runs on Python scalars with one loop for both tridiagonal families, and
+its deflation scan takes each modulus once. Real input takes hypot
+rotations and keeps the textbook bits. Complex symmetric input takes complex
+orthogonal rotations, sqrt(f^2 + g^2) in place of hypot (Cullum and
+Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996), which the sector spectra
+use on the phase-similar form of the pseudo-Jacobi matrices. These rotations
+are not unitary, and QL raises RuntimeError on a breakdown, a stall or a
+non-finite value, as dense QR does at its sweep cap and dense eigenvectors
+do on a pair that misses the residual contract.
 
 numpy is used as the array substrate only; no factorizations or eigensolvers
 of numpy's linear-algebra module are called here, so results can be
@@ -475,30 +476,30 @@ def residual(M, lam, v) -> float:
 
 def _tridiag_solve(sub, diag, sup, rhs) -> NDArray:
     """Solve a tridiagonal system in O(n) by partial-pivoting elimination
-    that updates rhs as it runs, as LAPACK's gtsv does. A row swap leaves
-    fill in a second superdiagonal, so U has three diagonals (d, du, du2).
+    that updates rhs as it runs, as LAPACK's gtsv does, on Python complex
+    scalars from one tolist() per input array; each row takes the modulus
+    of each pivot candidate once. A row swap leaves fill in a second
+    superdiagonal, so U has three diagonals (d, du, du2).
 
     Where both pivot candidates are at most tiny = 8 n eps max|entry| (eps
     for a zero matrix), the larger is raised to tiny, keeping its phase and
     the row swap it implies, so a shift at an eigenvalue divides by no zero.
     """
-    d = [complex(x) for x in diag]
-    dl = [complex(x) for x in sub]
-    du = [complex(x) for x in sup]
-    x = [complex(v) for v in rhs]
+    d, dl, du, x = (np.asarray(a, dtype=complex).tolist()
+                    for a in (diag, sub, sup, rhs))
     n = len(d)
     du2 = [0j] * max(n - 2, 0)
-    scale = max(max(map(abs, d), default=0.0), max(map(abs, dl), default=0.0),
-                max(map(abs, du), default=0.0))
+    scale = max(max(map(abs, a), default=0.0) for a in (d, dl, du))
     tiny = 8.0 * n * _EPS * scale if scale > 0.0 else _EPS
     for i in range(n):
+        here = abs(d[i])
         below = abs(dl[i]) if i < n - 1 else 0.0
-        swap = below > abs(d[i])
-        if max(abs(d[i]), below) <= tiny:
+        swap = below > here
+        if max(here, below) <= tiny:
             if swap:
-                dl[i] = dl[i] / abs(dl[i]) * tiny
+                dl[i] = dl[i] / below * tiny
             else:
-                d[i] = tiny if d[i] == 0 else d[i] / abs(d[i]) * tiny
+                d[i] = tiny if d[i] == 0 else d[i] / here * tiny
         if i == n - 1:
             break
         if not swap:
@@ -673,10 +674,8 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
 
     Real input goes through Francis double-shift QR (complex pairs come out of
     irreducible 2x2 blocks of the real Schur form); complex input through
-    single-shift Wilkinson QR. A 3-row Francis bulge step makes 16 numpy
-    calls and a Givens step 10, one 2x2 product per side among them, and the
-    deflation and start-row scans run on Python floats (see the module
-    docstring). Values only, each sweep transforms its block alone.
+    single-shift Wilkinson QR, each with few numpy calls per step (see the
+    module docstring). Values only, each sweep transforms its block alone.
 
     With want_vectors the same sweeps run on W = [Z; H], the Schur vectors Z
     stacked above H, and on wide slabs: each row update runs to the last
@@ -815,22 +814,23 @@ def _implicit_ql(d: list, e: list, size, radius, away) -> int:
     """Implicit-shift QL sweeps on the Python-scalar diagonal d and
     off-diagonal e (padded with a trailing 0), in place, until every value
     deflates. size is the modulus, radius(f, g) a square root of f^2 + g^2 and
-    away(g, r) the shift denominator g +- r of larger modulus. Returns the
-    sweep count. Raises RuntimeError after 50 sweeps on one value without
-    deflation, and on a breakdown: a rotation with r == 0 while (f, g) != 0,
-    which exists only for complex f and g, in a block larger than 2x2, or a
-    non-finite value. A final value whose modulus overflows counts as
-    non-finite, since an infinite modulus makes every deflation test beside
-    it pass."""
+    away(g, r) the shift denominator g +- r of larger modulus. The deflation
+    scan takes each modulus once, carrying that of d[mm + 1] to the next row.
+    Returns the sweep count. Raises RuntimeError after 50 sweeps on one value
+    without deflation, and on a breakdown: a rotation with r == 0 while
+    (f, g) != 0, which exists only for complex f and g, in a block larger
+    than 2x2, or a non-finite value. A final value whose modulus overflows
+    counts as non-finite, since an infinite modulus makes every deflation
+    test beside it pass."""
     n = len(d)
     total = 0
     for l in range(n):
         it = 0
         while True:
-            m = n - 1
+            m, lower = n - 1, size(d[l])
             for mm in range(l, n - 1):
-                dd = size(d[mm]) + size(d[mm + 1])
-                if size(e[mm]) <= _EPS * dd:
+                upper, lower = lower, size(d[mm + 1])
+                if size(e[mm]) <= _EPS * (upper + lower):
                     m = mm
                     break
             if m == l:

@@ -501,10 +501,15 @@ def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> FullSectorCom
 def hermitian_sector_tridiag(spec: SectorSpec, beta: float,
                              lam: float) -> tuple[NDArray, NDArray]:
     """Diagonal and off-diagonal of the Hermitian cousin: same diagonal as the
-    sector matrix, symmetric off-diagonal lam sqrt((j+1)(|k|+j+1))."""
+    sector matrix, symmetric off-diagonal lam sqrt((j+1)(|k|+j+1)). Raises
+    ValueError when the off-diagonal overflows."""
     j = np.arange(spec.depth, dtype=float)
     diag = beta * spec.k + abs(spec.k) + 1.0 + 2.0 * j
-    off = lam * np.sqrt((j[:-1] + 1.0) * (abs(spec.k) + j[:-1] + 1.0))
+    with np.errstate(over="ignore"):
+        off = lam * np.sqrt((j[:-1] + 1.0) * (abs(spec.k) + j[:-1] + 1.0))
+    if not np.all(np.isfinite(off)):
+        raise ValueError(f"lam = {lam:g} is too large: the off-diagonal "
+                         f"lam sqrt((j+1)(|k|+j+1)) overflows at depth {spec.depth}")
     return diag, off
 
 

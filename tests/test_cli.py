@@ -235,6 +235,69 @@ def test_theorem1_qr_non_convergence_is_solver_failure(tmp_path, capsys):
     assert err.startswith("first failing check: solver (")
 
 
+def test_theorem1_overflowing_norm_is_exit_two(tmp_path, capsys):
+    # finite entries whose Frobenius norm overflows: the first Hessenberg
+    # reflector would be scaled by an infinite norm
+    big = 1.3e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 3,
+                                "re": [[0.0, 1.0, 0.0], [big, 1.0, 1.0], [0.0, big, 1.0]],
+                                "im": [[1.0, 0.0, 0.0], [big, 0.0, 0.0], [0.0, -big, 0.0]]}))
+    assert run(capsys, "theorem1", "--input", str(path)) == (
+        2, "", f"pseudoboson: error: {path}: matrix Frobenius norm overflows\n")
+
+
+# every float flag that is a tolerance, or the drop the instability witness
+# asks for, with arguments that keep each run small
+TOLERANCE_FLAGS = [
+    (["sectors", "--k-range", "0", "0", "--depth", "16"], "--tol"),
+    (["sectors", "--k-range", "0", "0", "--depth", "16"], "--step-tol"),
+    (["biorth", "--trunc", "28", "--m-max", "1", "--n-max", "1"], "--tol"),
+    (["commutators", "--trunc", "4"], "--tol"),
+    (["commutators", "--trunc", "4"], "--action-tol"),
+    (["emm"], "--tol"),
+    (["stability", "--depths", "16", "32"], "--tol"),
+    (["stability", "--lam", "1.2", "--depths", "16", "32"], "--drop"),
+    (["theorem1", "--input", "REAL_INPUT"], "--real-tol"),
+    (["theorem1", "--input", "REAL_INPUT"], "--sim-tol"),
+    (["theorem1", "--input", "REAL_INPUT"], "--biorth-tol"),
+]
+
+
+def test_tolerance_flags_cover_every_float_flag():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if a.dest == "command").choices
+    floats = {(name, a.option_strings[0]) for name, sub in subs.items()
+              for a in sub._actions if a.type is float}
+    models = {(name, flag) for name, flag in floats
+              if flag in ("--beta", "--gamma", "--lam")}
+    assert floats - models == {(argv[0], flag) for argv, flag in TOLERANCE_FLAGS}
+
+
+@pytest.mark.parametrize("argv, flag", TOLERANCE_FLAGS,
+                         ids=[f"{argv[0]}{flag}" for argv, flag in TOLERANCE_FLAGS])
+def test_meaningless_tolerances_are_usage_errors(tmp_path, capsys, argv, flag):
+    # a negative tolerance fails every check, and a drop of 0 is witnessed
+    # by a scan that does not drop; a tolerance of 0 stays accepted
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1.0, 1.0], [0.0, 2.0]]}))
+    argv = [str(path) if a == "REAL_INPUT" else a for a in argv]
+    rule = "positive" if flag == "--drop" else "nonnegative"
+    for value in ("-1", "-1e-300") + (("0",) if flag == "--drop" else ()):
+        assert run(capsys, *argv, f"{flag}={value}") == (
+            2, "", f"pseudoboson: error: {flag} must be {rule}\n")
+    code, out, err = run(capsys, *argv, flag, "0" if flag != "--drop" else "1e-300")
+    assert code in (0, 1)
+    assert "must be" not in err
+    json.loads(out)
+
+
+def test_stability_overflowing_coupling_is_exit_two(capsys):
+    code, out, err = run(capsys, "stability", "--lam", "1.7e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("pseudoboson: error: lam = 1.7e+308 is too large")
+
+
 def test_theorem1_malformed_input_is_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,3.0\n")

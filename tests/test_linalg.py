@@ -4,6 +4,7 @@ The library itself never imports numpy.linalg; these tests are the one place
 where the hand-rolled QR/QL/LU routines are compared against it.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -26,8 +27,18 @@ from pseudoboson.linalg import (
     tridiag_rayleigh_iteration,
 )
 from pseudoboson.model import ModelParams
-from pseudoboson.sectors import SectorSpec, pseudo_jacobi, pseudo_jacobi_diagonals
+from pseudoboson.sectors import (
+    SectorSpec,
+    hermitian_sector_tridiag,
+    pseudo_jacobi,
+    pseudo_jacobi_diagonals,
+)
 from pseudoboson.similarity import verify_similarity
+
+TRIDIAG_SOLVE_CORPUS_SHA256 = (
+    "939ceda9910834e4a3e0162d0d0a5e7f21e5326207e1777604bcd28ad67d8f16")
+QL_CORPUS_SHA256 = (
+    "86ec848eddf79f4ad6117f02e004daf58362a41d2ec681596fb17a4af96519f2")
 
 
 def test_eig_dense_matches_lapack_on_random_real():
@@ -563,6 +574,76 @@ def test_tridiag_tiny_pivot_fallback_matches_dense():
     raised[1, 0] = 8 * 3 * np.finfo(float).eps
     dense = np.linalg.solve(raised, rhs)
     assert np.abs(ours - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _tridiag_solve_corpus() -> list:
+    """97 (sub, diag, sup, rhs) systems: for n in 1, 2, 3, 4, 8, 17, 40, 120,
+    240 and subdiagonal scale 0.01, 0.3, 1, 10, 100, a real and a complex
+    diagonal, then seven edge cases (a zero matrix, a zero shifted diagonal,
+    the both-candidates-tiny first pivot, the 60-row nilpotent bidiagonal,
+    diag [0, 1, 2, 3] with unit off-diagonals and two 1x1 systems)."""
+    rng = np.random.default_rng(2024)
+    systems = []
+    for n, scale, cplx in itertools.product((1, 2, 3, 4, 8, 17, 40, 120, 240),
+                                            (0.01, 0.3, 1.0, 10.0, 100.0),
+                                            (False, True)):
+        sub = scale * rng.standard_normal(n - 1)
+        diag = rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0)
+        sup = rng.standard_normal(n - 1)
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        systems.append((sub, diag, sup, rhs))
+    ones = np.ones(3)
+    systems += [
+        (np.zeros(3), np.zeros(4), np.zeros(3), np.ones(4)),
+        (np.ones(2), np.zeros(3), np.ones(2), np.ones(3) + 1e-3 * np.arange(3)),
+        (np.array([1e-20, 1.0]), np.array([0.0, 1.0, 1.0]), np.ones(2),
+         np.array([1.0, 2.0, 3.0])),
+        (np.zeros(59), np.zeros(60), np.ones(59), np.ones(60)),
+        (ones, np.arange(4.0), ones, np.array([1.0, -2.0, 0.5, 4.0])),
+        (np.zeros(0), np.array([0.0]), np.zeros(0), np.array([2.0])),
+        (np.zeros(0), np.array([-1.5 + 2j]), np.zeros(0), np.array([3.0 - 1j])),
+    ]
+    return systems
+
+
+def _ql_corpus() -> list:
+    """(diag, offdiag) inputs of `eig_sym_tridiag`: the Hermitian cousin at
+    depths 30 to 80 on both sides of |lam| = 1, the phase-similar complex
+    symmetric pseudo-Jacobi sections of k = -2..2 at depths 30 to 240, and
+    seeded random complex symmetric tridiagonals."""
+    inputs = []
+    for depth, k, lam in itertools.product((30, 45, 60, 80), (-1, 0, 2),
+                                           (0.3, 0.99, 1.2)):
+        inputs.append(hermitian_sector_tridiag(SectorSpec(k, depth), 0.5, lam))
+    for depth, k in itertools.product((30, 60, 120, 240), range(-2, 3)):
+        sub, diag, _ = pseudo_jacobi_diagonals(SectorSpec(k, depth),
+                                               ModelParams(0.5, 0.75))
+        inputs.append((diag, 1j * sub))
+    rng = np.random.default_rng(1996)
+    for n in (1, 2, 3, 5, 8, 13, 21, 34, 55):
+        for _ in range(3):
+            inputs.append((rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                           rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
+    return inputs
+
+
+def test_tridiag_solve_keeps_its_bits_on_a_corpus():
+    # sha256 of the solutions, recorded from the element-wise solver: every
+    # operand and its order must stay, so that no bit moves
+    digest = hashlib.sha256()
+    for system in _tridiag_solve_corpus():
+        digest.update(_tridiag_solve(*system).tobytes())
+    assert digest.hexdigest() == TRIDIAG_SOLVE_CORPUS_SHA256
+
+
+def test_sym_tridiag_keeps_its_bits_on_a_corpus():
+    # sha256 of the values and sweep counts, recorded from the scan that took
+    # two diagonal moduli per row: every operand and its order must stay
+    digest = hashlib.sha256()
+    for diag, offdiag in _ql_corpus():
+        report = eig_sym_tridiag(diag, offdiag)
+        digest.update(report.values.tobytes() + str(report.iterations).encode())
+    assert digest.hexdigest() == QL_CORPUS_SHA256
 
 
 def test_tridiag_rayleigh_iteration_settles_on_the_eigenvalues():

@@ -436,6 +436,15 @@ def test_hermitian_tridiagonal_entries():
     assert np.allclose(off, [0.6 * np.sqrt(2.0), 0.6 * np.sqrt(6.0)])
 
 
+@pytest.mark.parametrize("lam", [1.7e308, -1e307])
+def test_hermitian_tridiagonal_rejects_an_overflowing_coupling(lam):
+    # the largest off-diagonal entry is about 30 |lam| at depth 30
+    with pytest.raises(ValueError, match=r"^lam = .* is too large: the "
+                       r"off-diagonal .* overflows at depth 30$"):
+        hermitian_sector_tridiag(SectorSpec(0, 30), 0.5, lam)
+    assert np.isfinite(hermitian_sector_tridiag(SectorSpec(0, 30), 0.5, 1e306)[1]).all()
+
+
 def test_hermitian_lowest_converges_below_unit_coupling():
     assert hermitian_lowest(SectorSpec(0, 60), 0.0, 0.6) == pytest.approx(0.8, abs=1e-6)
     assert predicted_hermitian_lowest(0, 0.0, 0.6) == pytest.approx(0.8)
