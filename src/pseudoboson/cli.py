@@ -266,26 +266,36 @@ def run_commutators(args):
 
 def run_emm(args):
     p = _params(args)
+    # the -beta + rho and beta - rho vectors pair to
+    # gamma (1 + rho) + gamma^3 / (1 + rho), about 2 gamma^2, which overflows
+    # before gamma^2 does
+    g, rho = p.gamma, p.rho
+    if not math.isfinite(g * (1.0 + rho) + g * (g * g / (1.0 + rho))):
+        raise UsageError(f"gamma = {g:g} is too large: the symplectic pairing "
+                         "gamma (1 + rho) + gamma^3 / (1 + rho) overflows")
     matrix = model_emm_matrix(p)
     solution = model_emm_eigenpairs(p)
     closed = np.array([pair.value for pair in solution.pairs])
     numeric = eig_dense(matrix).values
     dist = multiset_distance(numeric, closed)
-    pair_res = max(residual(matrix, pair.value, pair.combination.stacked)
-                   for pair in solution.pairs)
+    # np.max, not max: a NaN residual or product fails its check rather
+    # than losing to the values beside it
+    pair_res = float(np.max([residual(matrix, pair.value, pair.combination.stacked)
+                             for pair in solution.pairs]))
     pairing_products = []
-    pairing_dev = 0.0
+    weighted = []
     for i, pi in enumerate(solution.pairs):
         for j, pj in enumerate(solution.pairs):
             pairing = symplectic_pairing(pi.combination, pj.combination)
             product = (pi.value + pj.value) * pairing
-            pairing_dev = max(pairing_dev, abs(product))
+            weighted.append(abs(product))
             pairing_products.append({"i": i, "j": j,
                                      "pairing": _cnum(pairing),
                                      "weighted": _cnum(product)})
+    pairing_dev = float(np.max(weighted))
     secular = su11_secular(p.gamma)
-    secular_res = max(residual(secular.matrix, val, vec)
-                      for val, vec in secular.pairs)
+    secular_res = float(np.max([residual(secular.matrix, val, vec)
+                                for val, vec in secular.pairs]))
     checks = [
         Check("emm_eigenvalue_multiset", dist, args.tol),
         Check("emm_closed_form_residual", pair_res, 1e-12),

@@ -12,12 +12,22 @@ O(n) per value and round, residual and biorthonormalization utilities, and
 sum of squares would under- or overflow.
 
 At the sizes used here QR time goes to Python and numpy calls, not to flops,
-so each step makes few calls. A 3-row Francis bulge step builds its
-Householder vector from Python floats and applies it with two matrix-vector
-products and two broadcast rank-one updates: 16 numpy calls in all, indexing
-included, where array code makes 57. Every floating-point operation keeps its
+so each step makes few calls, and to the number of steps, so QR must deflate
+wherever the matrix decouples. The Hessenberg reduction and the Francis
+bulge steps share one reflector, LAPACK's P = I - tau u u^H with u[0] = 1
+(zlarfg), applied as the similarity P^H A P of zgehd2. u[1:] is x[1:]
+divided by x[0] - beta, so a column with one nonzero below its first entry
+gives an exact signed swap, and the reduction keeps the exact zeros of a
+matrix whose Krylov space from e_1 closes early. The Hamiltonian conserves
+m - n, so the Hessenberg form of its 121 x 121 box truncation splits into
+blocks of 11, 10, 2, 10, 8, 79 and 1 rows; the unit-vector form I - 2 v v^H
+leaks eps-sized entries there, which Arnoldi grows about tenfold per
+column, and QR then chases its bulges across all 121 rows. A 3-row bulge
+step builds u and tau from Python floats and applies P with two
+matrix-vector products and two broadcast rank-one updates: 15 numpy calls
+in all, indexing included. Every floating-point operation keeps its
 operands and their order, so it gives the same bits as array code. It stays
-at 16: one 3x3 product per side would make fewer calls, but it rounds
+at 15: one 3x3 product per side would make fewer calls, but it rounds
 differently and moved verify-all's full-versus-sector distance. The deflation
 scan of the driver and the start-row scan of the Francis sweep read
 Python-float copies of the diagonals, so they make no numpy call per row. A
@@ -156,17 +166,36 @@ def norm2(x, axis=None):
     return float(norm[0]) if axis is None else norm
 
 
-def _householder(x) -> NDArray | None:
-    """Unit v with (I - 2 v v^H) x along e_1, or None when x is zero. x is an
-    array, or a list of real floats whose vector is built on floats."""
-    xnorm = norm2(x)
-    if xnorm == 0.0:
-        return None
-    v = x.copy()
-    phase = v[0] / abs(v[0]) if v[0] != 0 else 1.0
-    v[0] += phase * xnorm
-    vnorm = norm2(v)
-    return np.array([t / vnorm for t in v]) if isinstance(v, list) else v / vnorm
+def _householder(x) -> tuple[NDArray, float | complex] | None:
+    """LAPACK's elementary reflector (zlarfg): (u, tau) with u[0] = 1 and
+    (I - tau u u^H)^H x = beta e_1, where beta = -sign(Re x[0]) ||x|| is real,
+    tau = (beta - x[0]) / beta and u[1:] = x[1:] / (x[0] - beta). Returns None
+    when x[1:] is zero and x[0] is real, where the reflector is I. x is an
+    array, or a list of real floats, whose u is built and tau formed on
+    Python floats.
+
+    u[1:] is a quotient, not a product with the reciprocal, so a column with
+    one nonzero, below its first entry, gives u = (1, +-1) and tau = 1
+    exactly: an exact signed swap, which keeps the exact zeros of a matrix
+    that decouples."""
+    if isinstance(x, list):
+        alpha, tail = x[0], x[1:]
+        if not any(tail):
+            return None
+    else:
+        alpha, tail = x[0].item(), x[1:]
+        if alpha.imag == 0 and not tail.any():
+            return None
+    beta = norm2(x)
+    if alpha.real >= 0.0:
+        beta = -beta
+    scale = alpha - beta
+    if isinstance(x, list):
+        u = np.array([1.0] + [t / scale for t in tail])
+    else:
+        u = x / scale
+        u[0] = 1.0
+    return u, (beta - alpha) / beta
 
 
 def _slabs(W: NDArray, nz: int, lo: int, hi: int):
@@ -184,21 +213,25 @@ def _slabs(W: NDArray, nz: int, lo: int, hi: int):
 
 def _apply_reflector(R: NDArray, C: NDArray, top: int, k: int, col, m: int):
     """Apply, on rows and columns k .. k + len(col) - 1 of an m x m block, the
-    Householder similarity that maps col onto its first axis; R and C are the
-    block's row and column views and top the rows of C above the block (see
-    `_slabs`). Returns the unit reflector vector, or None when col is zero
-    and nothing was applied. Each side is one matrix-vector product and one
-    broadcast rank-one update."""
-    v = _householder(col)
-    if v is None:
+    similarity P^H A P by the reflector P = I - tau u u^H of `_householder`
+    that maps col onto its first axis, as LAPACK's zgehd2 does; R and C are
+    the block's row and column views and top the rows of C above the block
+    (see `_slabs`). Returns tau, or None when P is I and nothing was applied.
+    The rows take rows -= conj(tau) u (u^H rows) and the columns
+    cols -= (cols u) (tau u^H): each side is one matrix-vector product and one
+    broadcast rank-one update. A real tau is a Python float, so it adds no
+    numpy call."""
+    reflector = _householder(col)
+    if reflector is None:
         return None
-    vc = v.conj()
-    w = len(v)
+    u, tau = reflector
+    uc = u.conj() if isinstance(tau, complex) else u
+    w = len(u)
     rows = R[k:k + w, max(k - 1, 0):]
-    rows -= 2.0 * (v[:, None] * (vc @ rows))
+    rows -= u[:, None] * (tau.conjugate() * (uc @ rows))
     cols = C[:top + min(k + w + 1, m), k:k + w]
-    cols -= 2.0 * ((cols @ v)[:, None] * vc)
-    return v
+    cols -= (cols @ u)[:, None] * (tau * uc)
+    return tau
 
 
 def _hessenberg(W: NDArray, nz: int = 0) -> NDArray:
@@ -341,7 +374,7 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> Non
     three diagonals, and each bulge step reads its column as floats. A sweep
     that starts below the block top leaves H[start, start - 1] out of its
     first reflector; with Z stacked above H that entry takes the reflector's
-    factor 1 - 2 v0^2, as in LAPACK's dlahqr, so that the transform applied
+    factor 1 - tau, as in LAPACK's dlahqr, so that the transform applied
     to H whole is a similarity. The values-only sweep leaves it as it is."""
     B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     d, sub, sup = (B.diagonal(i).tolist() for i in (0, -1, 1))
@@ -372,9 +405,9 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> Non
     m = hi - top + 1
     # the bulge column is three long until the last step, which takes two
     col = _first_column(d, sub, sup, start, rt1r, rt1i, rt2r, rt2i)
-    v = _apply_reflector(R, C, above, 0, col, m)
-    if nz and start and v is not None:
-        W[nz + top, top - 1] *= 1.0 - 2.0 * v[0] * v[0]
+    tau = _apply_reflector(R, C, above, 0, col, m)
+    if nz and start and tau is not None:
+        W[nz + top, top - 1] *= 1.0 - tau
     for k in range(1, m - 1):
         _apply_reflector(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
 

@@ -475,8 +475,6 @@ class FullSectorComparison:
     sector finite-section spectra at matching depths."""
 
     distance: float
-    full_values: NDArray[np.complex128]
-    sector_values: NDArray[np.complex128]
 
 
 def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> FullSectorComparison:
@@ -486,25 +484,22 @@ def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> FullSectorCom
     sector sections), so the greedy matching distance sits at solver accuracy.
     """
     full_vals = eig_dense(build_hamiltonian(p, trunc)[0].dense().entries).values
-    pieces = []
-    for k, depth in sorted(sector_sizes(trunc).items()):
-        spec = SectorSpec(k=k, depth=depth)
-        pieces.append(eig_dense(pseudo_jacobi(spec, p)).values)
-    sector_vals = np.concatenate(pieces)
-    idx = np.lexsort((sector_vals.imag, sector_vals.real))
-    sector_vals = sector_vals[idx]
-    distance = multiset_distance(full_vals, sector_vals)
-    return FullSectorComparison(distance=distance, full_values=full_vals,
-                                sector_values=sector_vals)
+    pieces = [eig_dense(pseudo_jacobi(SectorSpec(k=k, depth=depth), p)).values
+              for k, depth in sorted(sector_sizes(trunc).items())]
+    return FullSectorComparison(
+        distance=multiset_distance(full_vals, np.concatenate(pieces)))
 
 
 def hermitian_sector_tridiag(spec: SectorSpec, beta: float,
                              lam: float) -> tuple[NDArray, NDArray]:
     """Diagonal and off-diagonal of the Hermitian cousin: same diagonal as the
     sector matrix, symmetric off-diagonal lam sqrt((j+1)(|k|+j+1)). Raises
-    ValueError when the off-diagonal overflows."""
+    ValueError when the diagonal or the off-diagonal overflows."""
     j = np.arange(spec.depth, dtype=float)
     diag = beta * spec.k + abs(spec.k) + 1.0 + 2.0 * j
+    if not np.all(np.isfinite(diag)):
+        raise ValueError(f"beta = {beta:g} is too large: the diagonal "
+                         f"beta k + |k| + 1 + 2 j overflows at k = {spec.k}")
     with np.errstate(over="ignore"):
         off = lam * np.sqrt((j[:-1] + 1.0) * (abs(spec.k) + j[:-1] + 1.0))
     if not np.all(np.isfinite(off)):

@@ -298,6 +298,23 @@ def test_stability_overflowing_coupling_is_exit_two(capsys):
     assert err.startswith("pseudoboson: error: lam = 1.7e+308 is too large")
 
 
+def test_emm_non_finite_residual_fails_its_check(capsys):
+    # at beta 1.7e308 the 4 x 4 splits exactly into two 2 x 2 blocks, whose
+    # values are exact, but two closed-form residuals overflow to NaN; the
+    # check takes the NaN rather than the finite residuals beside it
+    with np.errstate(all="ignore"):
+        code, _, err = run(capsys, "emm", "--beta", "1.7e308")
+    assert code == 1
+    assert err.startswith("first failing check: emm_closed_form_residual (value nan")
+
+
+def test_stability_overflowing_diagonal_is_exit_two(capsys):
+    # beta k overflows on the diagonal; QL would report a non-finite value
+    code, out, err = run(capsys, "stability", "--beta", "1.7e308", "--k", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("pseudoboson: error: beta = 1.7e+308 is too large")
+
+
 def test_theorem1_malformed_input_is_exit_two(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,3.0\n")
@@ -379,6 +396,14 @@ def test_bad_parameters_are_exit_two(capsys):
     (["theorem1", "--input", "REAL_INPUT", "--real-tol", "nan"], 2),
     (["theorem1", "--input", "REAL_INPUT", "--sim-tol", "nan"], 2),
     (["theorem1", "--input", "REAL_INPUT", "--biorth-tol", "nan"], 2),
+    # exact reflectors keep the zeros of the 4 x 4, so its two 2 x 2 blocks
+    # give the eigenvalues directly
+    (["emm", "--gamma", "1e50"], 0),
+    (["emm", "--gamma", "9.4e153"], 0),
+    # the symplectic pairing gamma (1 + rho) + gamma^3 / (1 + rho) overflows
+    # although gamma^2 does not
+    (["emm", "--gamma", "1e154"], 2),
+    (["verify-all", "--gamma", "1e154"], 2),
 ])
 def test_extreme_parameters_end_without_traceback(tmp_path, capsys, argv, code):
     path = tmp_path / "m.json"

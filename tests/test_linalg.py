@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudoboson import linalg
+from pseudoboson.emm import model_emm_matrix
+from pseudoboson.fock import TruncationSpec
 from pseudoboson.linalg import (
     norm2,
     _tridiag_solve,
@@ -26,7 +28,7 @@ from pseudoboson.linalg import (
     solve_matrix,
     tridiag_rayleigh_iteration,
 )
-from pseudoboson.model import ModelParams
+from pseudoboson.model import ModelParams, build_hamiltonian
 from pseudoboson.sectors import (
     SectorSpec,
     hermitian_sector_tridiag,
@@ -39,6 +41,10 @@ TRIDIAG_SOLVE_CORPUS_SHA256 = (
     "939ceda9910834e4a3e0162d0d0a5e7f21e5326207e1777604bcd28ad67d8f16")
 QL_CORPUS_SHA256 = (
     "86ec848eddf79f4ad6117f02e004daf58362a41d2ec681596fb17a4af96519f2")
+DENSE_QR_CORPUS_SHA256 = {
+    "real": "59bea4482bce3fa1a7f45fd1b36e62165d34831ad786c169ad42590ab4049821",
+    "complex": "7ab5b608ccf5673e717f2785dfd6beabe211df9c3e749c6d469f2b29348c02cd",
+}
 
 
 def test_eig_dense_matches_lapack_on_random_real():
@@ -197,11 +203,11 @@ def test_norm2_short_list_matches_the_array_path(entries):
 
 
 # Reference copy of the bulge step as it was before the chase ran on floats:
-# numpy arrays and scalars throughout, a unit Householder vector, 2.0 * np.outer
-# updates and each Givens rotation as one 2x2 product per side on copied rows
-# and columns. Each works on H = W[nz:]; with Z stacked above H (nz = n) the
-# rows run to the last column and the columns start at Z's first row. The
-# sweeps must give the same bits.
+# numpy arrays and scalars throughout, LAPACK's reflector I - tau u u^H with
+# u[0] = 1 (zlarfg), np.outer updates and each Givens rotation as one 2x2
+# product per side on copied rows and columns. Each works on H = W[nz:]; with
+# Z stacked above H (nz = n) the rows run to the last column and the columns
+# start at Z's first row. The sweeps must give the same bits.
 
 def _reference_extents(W, nz, lo, k, w, r1, m):
     """Row block and column block of a step at block rows lo + k .. lo + k +
@@ -216,16 +222,17 @@ def _reference_extents(W, nz, lo, k, w, r1, m):
 
 def _reference_reflector(W, nz, lo, k, col, m):
     x = np.array(col)
-    xnorm = norm2(x)
-    if xnorm == 0.0:
+    alpha = x[0]
+    if not np.any(x[1:]) and np.imag(alpha) == 0:
         return None
-    v = x.copy()
-    v[0] += (v[0] / abs(v[0]) if v[0] != 0 else 1.0) * xnorm
-    v = v / norm2(v)
-    rows, cols = _reference_extents(W, nz, lo, k, len(v), min(k + len(v) + 1, m), m)
-    W[rows] -= 2.0 * np.outer(v, v.conj() @ W[rows])
-    W[cols] -= 2.0 * np.outer(W[cols] @ v, v.conj())
-    return v
+    beta = norm2(x) if np.real(alpha) < 0 else -norm2(x)
+    u = x / (alpha - beta)
+    u[0] = 1.0
+    tau = (beta - alpha) / beta
+    rows, cols = _reference_extents(W, nz, lo, k, len(u), min(k + len(u) + 1, m), m)
+    W[rows] -= np.outer(u, np.conj(tau) * (u.conj() @ W[rows]))
+    W[cols] -= np.outer(W[cols] @ u, tau * u.conj())
+    return tau
 
 
 def _reference_francis_sweep(W, lo, hi, stall, nz=0):
@@ -250,10 +257,10 @@ def _reference_francis_sweep(W, lo, hi, stall, nz=0):
     m = hi - start + 1
     col = linalg._first_column(*diagonals, start, *shifts)
     for k in range(m - 1):
-        v = _reference_reflector(W, nz, start, k, col, m)
-        if k == 0 and nz and start > lo and v is not None:
+        tau = _reference_reflector(W, nz, start, k, col, m)
+        if k == 0 and nz and start > lo and tau is not None:
             # the entry left of the first reflector, outside its rows
-            H[start, start - 1] *= 1.0 - 2.0 * v[0] * v[0]
+            H[start, start - 1] *= 1.0 - tau
         col = H[start + k + 1:start + k + 4, start + k]
 
 
@@ -625,6 +632,84 @@ def _ql_corpus() -> list:
             inputs.append((rng.standard_normal(n) + 1j * rng.standard_normal(n),
                            rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)))
     return inputs
+
+
+def _trunc10_hamiltonian(beta: float, gamma: float):
+    return build_hamiltonian(ModelParams(beta, gamma),
+                             TruncationSpec(10, 10))[0].dense().entries
+
+
+def _dense_qr_corpus(group: str) -> list:
+    """Square inputs of values-only `eig_dense`. The real group holds the
+    121 x 121 box-truncated H at three model points, the emm 4 x 4 from
+    gamma 0 to 1e100, pseudo-Jacobi sections of k = -2..2 and seeded random
+    dense matrices, graded and scaled by 1e+-120; the complex group holds
+    seeded random complex matrices in the same three forms and a
+    phase-rotated 36 x 36 truncated H."""
+    rng = np.random.default_rng(18 if group == "real" else 19)
+
+    def draw(n):
+        m = rng.standard_normal((n, n))
+        return m + 1j * rng.standard_normal((n, n)) if group == "complex" else m
+
+    inputs = []
+    if group == "real":
+        inputs += [_trunc10_hamiltonian(b, g) for b, g in ((0.5, 0.75), (0.5, 0.2),
+                                                            (0.3, 1.5))]
+        inputs += [model_emm_matrix(ModelParams(0.5, g))
+                   for g in (0.0, 1e-5, 0.2, 0.75, 1e10, 1e50, 1e100)]
+        inputs += [pseudo_jacobi(SectorSpec(k, depth), ModelParams(0.5, 0.75))
+                   for k, depth in itertools.product(range(-2, 3), (8, 11, 30))]
+    else:
+        h = build_hamiltonian(ModelParams(0.5, 0.75), TruncationSpec(5, 5))[0]
+        inputs.append(np.exp(0.3j) * h.dense().entries)
+    for n in (3, 7, 16, 33):
+        grade = 0.3 ** np.arange(n)
+        inputs += [draw(n), draw(n) * np.outer(grade, grade),
+                   draw(n) * 1e120, draw(n) * 1e-120]
+    return inputs
+
+
+@pytest.mark.parametrize("group", ["real", "complex"])
+def test_dense_qr_keeps_its_bits_on_a_corpus(group):
+    # sha256 of the values-only values and sweep counts, recorded from
+    # Hessenberg reduction and Francis steps by LAPACK-form reflectors
+    # (u[0] = 1, tau): every operand and its order must stay
+    digest = hashlib.sha256()
+    for m in _dense_qr_corpus(group):
+        report = eig_dense(m)
+        digest.update(report.values.tobytes() + str(report.iterations).encode())
+    assert digest.hexdigest() == DENSE_QR_CORPUS_SHA256[group]
+
+
+def test_hessenberg_keeps_the_zeros_of_a_decoupled_hamiltonian():
+    # H conserves m - n, so its Krylov space from e_1 closes after 11
+    # vectors: a reflector of a column with one nonzero below its first
+    # entry is an exact signed swap, and the reduced H[11, 10] is 0, not the
+    # eps-sized leak that Arnoldi would grow about tenfold per column
+    W = np.array(_trunc10_hamiltonian(0.5, 0.2), dtype=float)
+    linalg._hessenberg(W)
+    assert W[11, 10] == 0.0
+    assert np.flatnonzero(W.diagonal(-1) == 0.0).tolist() == [10, 20, 22, 32, 40, 119]
+
+
+def test_householder_is_lapacks_reflector():
+    # (u, tau) with u[0] = 1 and (I - tau u u^H)^H x = beta e_1, beta real
+    # with the sign opposite to Re x[0] (a zero counts as positive); an x
+    # already along e_1 with a real first entry gives None, and one with a
+    # complex first entry a phase
+    for x in ([0.0, -2.5], [3.0, 4.0, 0.0], np.array([1j, 2.0, -1 + 1j]),
+              np.array([-2j, 0, 0])):
+        u, tau = linalg._householder(x)
+        x = np.asarray(x, dtype=complex)
+        assert u[0] == 1.0
+        image = x - np.conj(tau) * u * np.vdot(u, x)
+        beta = np.linalg.norm(x) * (-1.0 if x[0].real >= 0.0 else 1.0)
+        assert np.allclose(image, beta * np.eye(len(x))[0], rtol=0, atol=1e-15)
+    u, tau = linalg._householder([0.0, -2.5])
+    assert u.tolist() == [1.0, -1.0] and tau == 1.0
+    assert linalg._householder([-2.0, 0.0, 0.0]) is None
+    assert linalg._householder(np.array([3.0 + 0j, 0j])) is None
 
 
 def test_tridiag_solve_keeps_its_bits_on_a_corpus():

@@ -417,7 +417,7 @@ def test_continuation_falls_back_on_complex_shifts():
 def test_full_space_decomposes_into_sectors():
     comparison = full_vs_sector_check(P, TruncationSpec(10, 10))
     assert comparison.distance < 1e-8
-    assert len(comparison.full_values) == len(comparison.sector_values) == 121
+    assert sum(sector_sizes(TruncationSpec(10, 10)).values()) == 121
 
 
 def test_sector_and_ladder_energies_agree():
@@ -443,6 +443,14 @@ def test_hermitian_tridiagonal_rejects_an_overflowing_coupling(lam):
                        r"off-diagonal .* overflows at depth 30$"):
         hermitian_sector_tridiag(SectorSpec(0, 30), 0.5, lam)
     assert np.isfinite(hermitian_sector_tridiag(SectorSpec(0, 30), 0.5, 1e306)[1]).all()
+
+
+@pytest.mark.parametrize("beta, k", [(1.7e308, 2), (-1e308, -2)])
+def test_hermitian_tridiagonal_rejects_an_overflowing_diagonal(beta, k):
+    with pytest.raises(ValueError, match=r"^beta = .* is too large: the "
+                       r"diagonal .* overflows at k = -?2$"):
+        hermitian_sector_tridiag(SectorSpec(k, 30), beta, 0.6)
+    assert np.isfinite(hermitian_sector_tridiag(SectorSpec(0, 30), 1.7e308, 0.6)[0]).all()
 
 
 def test_hermitian_lowest_converges_below_unit_coupling():
