@@ -5,7 +5,8 @@ eigensolver (Householder Hessenberg reduction followed by shifted QR
 iteration, Francis double shift for real matrices and Wilkinson single shift
 for complex ones, with eigenvectors from the Schur form), a symmetric
 tridiagonal eigensolver (implicit-shift QL, for real symmetric and complex
-symmetric input alike), a partial-pivoting LU solver, two-sided
+symmetric input alike), Sturm bisection for the lowest eigenvalue of a real
+symmetric tridiagonal, a partial-pivoting LU solver, two-sided
 Rayleigh-quotient iteration for selected eigenpairs of a real tridiagonal in
 O(n) per value and round, residual and biorthonormalization utilities, and
 `norm2`, the package's one Euclidean norm, which rescales where the plain
@@ -63,7 +64,18 @@ Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996), which the sector spectra
 use on the phase-similar form of the pseudo-Jacobi matrices. These rotations
 are not unitary, and QL raises RuntimeError on a breakdown, a stall or a
 non-finite value, as dense QR does at its sweep cap and dense eigenvectors
-do on a pair that misses the residual contract.
+do on a pair that misses the residual contract. QL scales its input by a
+power of two when the largest entry lies outside [2^-500, 2^500], the
+scaling step of LAPACK's dgeev, so squares near the overflow threshold
+neither stall it nor overflow; a power of two scales exactly, so in-range
+input keeps its bits and scaled input takes the same steps.
+
+A caller that needs only the lowest eigenvalue of a real symmetric
+tridiagonal takes `sym_tridiag_lowest`: bisection on Sturm counts, O(n) per
+count and about 53 counts, where QL costs O(n^2) for every value. It always
+scales the largest entry into [0.5, 1), with the same helper as QL, so its
+bracket cannot overflow and a value past the overflow threshold rounds to
+-inf rather than to a wrong finite number.
 
 numpy is used as the array substrate only; no factorizations or eigensolvers
 of numpy's linear-algebra module are called here, so results can be
@@ -83,6 +95,7 @@ __all__ = [
     "EigenReport",
     "eig_dense",
     "eig_sym_tridiag",
+    "sym_tridiag_lowest",
     "tridiag_rayleigh_iteration",
     "residual",
     "biorthonormalize",
@@ -101,6 +114,8 @@ QUOTIENT_ROUNDS = 4
 DIM_CAP = 4096
 
 _EPS = float(np.finfo(np.float64).eps)
+#: smallest normal float; a Sturm pivot below it counts as negative
+_PIVMIN = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -838,6 +853,25 @@ def _away_complex(g: complex, r: complex) -> complex:
     return g + r if g.real * r.real + g.imag * r.imag >= 0.0 else g - r
 
 
+def _power_of_two_exponent(arrays, always: bool) -> int:
+    """The exponent p for which 2^-p puts the largest real or imaginary part
+    of any entry of the contiguous arrays in [0.5, 1); 0 where every entry is
+    0 or the largest part is not finite. Unless always, p is 0 as well where
+    the largest part lies in [2^-500, 2^500], so that input in that range
+    keeps its bits. Scaling by 2^-p is exact away from underflow, and a
+    solver whose steps are homogeneous in the entries takes the same
+    decisions on the scaled entries, with every value scaled by 2^-p."""
+    big = max(float(np.abs(a.view(float)).max(initial=0.0)) for a in arrays)
+    if not always and 2.0 ** -500 <= big <= 2.0 ** 500:
+        return 0
+    return math.frexp(big)[1]
+
+
+def _ldexp(a: NDArray, p: int) -> NDArray:
+    """a 2^p for a contiguous real or complex array, part by part."""
+    return np.ldexp(a.view(float), p).view(a.dtype)
+
+
 def _ql_failure(n: int, sweeps: int, why: str = "") -> RuntimeError:
     return RuntimeError(
         f"QL did not converge on a {n}x{n} tridiagonal after {sweeps} sweeps{why}")
@@ -933,14 +967,17 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
     does so only where it is defective ([[1, i], [i, -1]], say), and then
     gives its double eigenvalue, the mean of its diagonal. Moduli are taken
     by hypot, so a value past the overflow threshold gives inf rather than
-    raising. Raises RuntimeError, naming the size and the sweep count, on a
-    stall (50 sweeps without deflation), on a breakdown in a larger block,
-    and on any non-finite value or modulus; finite or not, entries of the
-    right shapes raise nothing else and warn of nothing.
+    raising. Where the largest real or imaginary part of an entry lies
+    outside [2^-500, 2^500], QL runs on the entries scaled by the power of
+    two that puts it in [0.5, 1), and the values are scaled back. Raises
+    RuntimeError, naming the size and the sweep count, on a stall (50 sweeps
+    without deflation), on a breakdown in a larger block, and on any
+    non-finite value or modulus, scaled back or not; finite or not, entries
+    of the right shapes raise nothing else and warn of nothing.
     """
     kind = complex if np.iscomplexobj(diag) or np.iscomplexobj(offdiag) else float
-    d_in = np.asarray(diag, dtype=kind)
-    e_in = np.asarray(offdiag, dtype=kind)
+    d_in = np.ascontiguousarray(diag, dtype=kind)
+    e_in = np.ascontiguousarray(offdiag, dtype=kind)
     n = d_in.shape[0]
     if e_in.shape[0] != max(n - 1, 0):
         raise ValueError(
@@ -951,13 +988,80 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
         size, radius, away = abs, math.hypot, _away_real
     else:
         size, radius, away = _modulus, _complex_radius, _away_complex
+    p = _power_of_two_exponent((d_in, e_in), always=False)
+    if p:
+        d_in, e_in = _ldexp(d_in, -p), _ldexp(e_in, -p)
     # the loop runs on Python scalars, which round as float64 and complex128
     # scalars do
     d = d_in.tolist()
     e = e_in.tolist() + [0.0]
     total_iter = _implicit_ql(d, e, size, radius, away)
     values = np.sort(np.array(d)).astype(complex)
+    if p:
+        with np.errstate(over="ignore"):
+            values = _ldexp(values, p)
+        if not all(_modulus(z) < math.inf for z in values.tolist()):
+            raise _ql_failure(n, total_iter, " (non-finite value)")
     return EigenReport(values=values, iterations=total_iter)
+
+
+def sym_tridiag_lowest(diag, offdiag) -> float:
+    """Lowest eigenvalue of a real symmetric tridiagonal matrix, by bisection
+    on Sturm counts (Barth, Martin and Wilkinson, Numer. Math. 9, 1967): O(n)
+    per count, where QL pays O(n^2) for every value.
+
+    The entries are scaled by the power of two that puts the largest in
+    [0.5, 1). The value lies between the Gershgorin lower bound, widened by
+    2.1 n eps ||T|| as in LAPACK's dstebz, and min(diag), the Rayleigh
+    quotient of a unit vector. Each midpoint x moves one end of the bracket
+    by whether T - x I has a negative pivot q_i = d_i - x - e_{i-1}^2 / q_{i-1},
+    so a count stops at the first one. A pivot below the smallest normal
+    number counts as negative, as dstebz replaces it by -pivmin. Bisection
+    ends when the midpoint equals an end, after about 53 counts, or when the
+    scaled bracket is narrower than eps^2, which ends a value near 0 after
+    about 105. Returns the upper end, scaled back; a value below the most
+    negative float rounds to -inf. Raises ValueError on mismatched lengths,
+    an empty matrix or a non-finite entry.
+    """
+    d_in = np.ascontiguousarray(diag, dtype=float)
+    e_in = np.ascontiguousarray(offdiag, dtype=float)
+    n = d_in.shape[0]
+    if n == 0 or e_in.shape[0] != n - 1:
+        raise ValueError(f"expected n >= 1 diagonal and n - 1 off-diagonal "
+                         f"entries, got {n} and {e_in.shape[0]}")
+    if not (np.isfinite(d_in).all() and np.isfinite(e_in).all()):
+        raise ValueError("tridiagonal entries must be finite")
+    p = _power_of_two_exponent((d_in, e_in), always=True)
+    d = np.ldexp(d_in, -p).tolist()
+    e = np.ldexp(e_in, -p).tolist()
+    radii = [abs(a) + abs(b) for a, b in zip([0.0] + e, e + [0.0])]
+    low = min(x - r for x, r in zip(d, radii))
+    norm = max(abs(low), max(x + r for x, r in zip(d, radii)))
+    lo, hi = low - 2.1 * n * _EPS * norm, min(d)
+    d0, steps = d[0], list(zip(d[1:], [t * t for t in e]))
+
+    def negative_pivot(x: float) -> bool:
+        q = d0 - x
+        if q < _PIVMIN:
+            return True
+        for di, e2 in steps:
+            q = di - x - e2 / q
+            if q < _PIVMIN:
+                return True
+        return False
+
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi or hi - lo <= _EPS * _EPS:
+            break
+        if negative_pivot(mid):
+            hi = mid
+        else:
+            lo = mid
+    try:
+        return math.ldexp(hi, p)
+    except OverflowError:
+        return -math.inf
 
 
 def biorthonormalize(Phi, Psi):

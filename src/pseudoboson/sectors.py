@@ -39,7 +39,7 @@ from numpy.typing import NDArray
 
 from .fock import TruncationSpec
 from .linalg import (eig_dense, eig_sym_tridiag, multiset_distance, norm2,
-                     tridiag_rayleigh_iteration)
+                     sym_tridiag_lowest, tridiag_rayleigh_iteration)
 from .model import ModelParams, _occupation_phases, build_hamiltonian
 
 __all__ = [
@@ -509,10 +509,16 @@ def hermitian_sector_tridiag(spec: SectorSpec, beta: float,
 
 
 def hermitian_lowest(spec: SectorSpec, beta: float, lam: float) -> float:
-    """Lowest eigenvalue of the Hermitian cousin at this depth; QL that
-    fails raises RuntimeError."""
+    """Lowest eigenvalue of the Hermitian cousin at this depth, by Sturm
+    bisection (`sym_tridiag_lowest`). Raises ValueError naming the parameter
+    when an entry overflows (see `hermitian_sector_tridiag`), and naming lam
+    when the lowest eigenvalue lies below the most negative float."""
     diag, off = hermitian_sector_tridiag(spec, beta, lam)
-    return float(eig_sym_tridiag(diag, off).values[0].real)
+    lowest = sym_tridiag_lowest(diag, off)
+    if lowest == -math.inf:
+        raise ValueError(f"lam = {lam:g} is too large: the lowest eigenvalue "
+                         f"of the Hermitian cousin overflows at depth {spec.depth}")
+    return lowest
 
 
 def predicted_hermitian_lowest(k: int, beta: float, lam: float):

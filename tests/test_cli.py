@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ from pseudoboson import cli
 from pseudoboson.cli import main
 from pseudoboson.fock import Operator
 from pseudoboson.model import ModelParams
-from pseudoboson.sectors import SectorSpec, pseudo_jacobi
+from pseudoboson.sectors import SectorSpec, hermitian_sector_tridiag, pseudo_jacobi
 
 
 def run(capsys, *argv):
@@ -419,15 +421,43 @@ def test_extreme_parameters_end_without_traceback(tmp_path, capsys, argv, code):
         bad = [argv[i - 1] for i, a in enumerate(argv) if a in ("nan", "inf")]
         assert (f"{bad[0]} must be finite" if bad else "gamma") in err
     if code == 1:
-        assert err.startswith("first failing check: solver (")
+        assert re.match(r"first failing check: \w+ \(", err)
 
 
-def test_overflowing_sector_ends_in_a_ql_failure(capsys):
-    # QL stalls on the gamma = 1e154 section; no dense QR runs after it
-    assert run(capsys, "sectors", "--gamma", "1e154", "--k-range", "0", "0",
-               "--depth", "16") == (1, "", "first failing check: solver (QL "
-                                    "did not converge on a 4x4 tridiagonal "
-                                    "after 51 sweeps)\n")
+def test_overflowing_sector_ends_in_a_named_check(capsys):
+    # QL scales the gamma = 1e154 sections, whose squares overflow, and
+    # converges on them; the depth-truncated values then fail the step check
+    code, out, err = run(capsys, "sectors", "--gamma", "1e154", "--k-range",
+                         "0", "0", "--depth", "16")
+    assert (code, json.loads(out)["all_passed"]) == (1, False)
+    assert err.startswith("first failing check: sector_k0_depth_step (value ")
+
+
+def _scaled_cousin_lowest(depth: int, lam: float) -> float:
+    # numpy.linalg on the Hermitian cousin scaled exactly by 2^-1020
+    diag, off = (np.ldexp(a, -1020) for a in
+                 hermitian_sector_tridiag(SectorSpec(0, depth), 0.5, lam))
+    full = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return math.ldexp(float(np.linalg.eigvalsh(full)[0]), 1020)
+
+
+def test_stability_near_the_overflow_threshold(capsys):
+    # the largest off-diagonal entry at depth 60 is 5.9e307; unscaled QL
+    # read -9.18e307 for a lowest value of -1.0673e308
+    code, out, _ = run(capsys, "stability", "--lam", "1e306")
+    assert code == 0
+    for pair in json.loads(out)["pairs"]:
+        oracle = _scaled_cousin_lowest(pair["depth"], 1e306)
+        assert abs(pair["lowest"] - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("lam", ["3e306", "5e306"])
+def test_stability_overflowing_lowest_value_is_exit_two(capsys, lam):
+    # the entries are finite, but the lowest value lies below -1.8e308
+    code, out, err = run(capsys, "stability", "--lam", lam)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"pseudoboson: error: lam = {lam.replace('e', 'e+')} "
+                          "is too large: the lowest eigenvalue")
 
 
 def test_theorem1_eigenvector_miss_is_solver_failure(tmp_path, capsys, monkeypatch):

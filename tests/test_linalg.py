@@ -26,6 +26,7 @@ from pseudoboson.linalg import (
     multiset_distance,
     residual,
     solve_matrix,
+    sym_tridiag_lowest,
     tridiag_rayleigh_iteration,
 )
 from pseudoboson.model import ModelParams, build_hamiltonian
@@ -842,6 +843,82 @@ def test_sym_tridiag_matches_eigvalsh():
         assert np.abs(ours.values.real - np.linalg.eigvalsh(full)).max() < 1e-9
 
 
+def _oracle_lowest(d, e) -> float:
+    # the Rayleigh quotient of numpy.linalg.eigh's lowest eigenvector, formed
+    # in extended precision on the unit-scaled matrix: an eigenvector error
+    # theta moves it by about theta^2 ||T||, so it lies within 0.73 eps
+    # max|entry| of a 50-digit Sturm bisection on the draws below, where
+    # eigvalsh's own value is up to 18 eps max|entry| off
+    p = math.frexp(max(np.abs(d).max(), np.abs(e).max(initial=0.0)))[1]
+    d, e = np.ldexp(d, -p), np.ldexp(e, -p)
+    full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    x = np.linalg.eigh(full)[1][:, 0].astype(np.longdouble)
+    tx = d.astype(np.longdouble) * x
+    tx[:-1] += e * x[1:]
+    tx[1:] += e * x[:-1]
+    return math.ldexp(float((x @ tx) / (x @ x)), p)
+
+
+def _lowest_draws() -> list:
+    """(diag, offdiag) draws for `sym_tridiag_lowest`: sizes 1 to 120 at
+    scales 2^-1000 to 2^1000, with repeated diagonals, zero, partly zero and
+    tiny off-diagonals, and a third of them shifted so that the lowest
+    eigenvalue lies near 0."""
+    rng = np.random.default_rng(1967)
+    draws = []
+    for i in range(300):
+        n = int(rng.integers(1, 121))
+        d = rng.standard_normal(n)
+        if i % 5 == 1:
+            d[:] = d[0]
+        e = rng.standard_normal(n - 1)
+        if i % 7 == 2:
+            e[:] = 0.0
+        elif i % 7 == 3:
+            e *= 1e-150
+        elif i % 7 == 4:
+            e[rng.random(n - 1) < 0.3] = 0.0
+        if i % 3 == 0:
+            d -= _oracle_lowest(d, e)
+        scale = int(rng.integers(-1000, 1001))
+        draws.append((np.ldexp(d, scale), np.ldexp(e, scale)))
+    return draws
+
+
+def test_sym_tridiag_lowest_matches_numpy():
+    # within 8 eps max|entry| of the numpy.linalg oracle; the worst draw
+    # reaches 0.21 of that bound, and 1.4 eps max|entry| from the 50-digit
+    # bisection
+    for d, e in _lowest_draws():
+        bound = 8 * np.finfo(float).eps * max(np.abs(d).max(), np.abs(e).max(initial=0.0))
+        assert abs(sym_tridiag_lowest(d, e) - _oracle_lowest(d, e)) <= bound
+
+
+def test_sym_tridiag_lowest_matches_ql_on_the_hermitian_cousins():
+    # the QL corpus's 36 Hermitian cousins: the Sturm and QL routes, and
+    # numpy.linalg.eigvalsh, agree within 8 eps max|entry|
+    for d, e in _ql_corpus()[:36]:
+        bound = 8 * np.finfo(float).eps * max(np.abs(d).max(), np.abs(e).max())
+        full = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        lowest = sym_tridiag_lowest(d, e)
+        assert abs(lowest - eig_sym_tridiag(d, e).values[0].real) <= bound
+        assert abs(lowest - np.linalg.eigvalsh(full)[0]) <= bound
+
+
+def test_sym_tridiag_lowest_edge_cases():
+    assert sym_tridiag_lowest([2.5], []) == 2.5
+    assert sym_tridiag_lowest([0.0, 0.0, 0.0], [0.0, 0.0]) == 0.0
+    assert sym_tridiag_lowest([3.0, -1.0, 2.0], [0.0, 0.0]) == -1.0
+    assert sym_tridiag_lowest([5e-324, 5e-324], [0.0]) == 5e-324
+    # eigenvalues -1.5e308 +- 1.5e308: the lower one overflows
+    assert sym_tridiag_lowest([-1.5e308, -1.5e308], [1.5e308]) == -math.inf
+    assert sym_tridiag_lowest([-0.25e308, -0.25e308], [1.5e308]) == -1.75e308
+    for diag, offdiag in (([], []), ([1.0, 2.0], []), ([1.0], [1.0]),
+                          ([np.nan, 1.0], [1.0]), ([1.0, 2.0], [np.inf])):
+        with pytest.raises(ValueError):
+            sym_tridiag_lowest(diag, offdiag)
+
+
 def _assert_near_oracle(d, e, values, factor):
     # each value within the first-order bound kappa * (backward error
     # factor n eps ||S||_F) of an eigenvalue of the complex symmetric S that
@@ -907,14 +984,33 @@ def test_complex_ql_breakdown_raises():
     with pytest.raises(RuntimeError, match=r"^QL did not converge on a 3x3 "
                        r"tridiagonal after 1 sweeps \(breakdown\)$"):
         _quiet_ql(np.array([0, 0, -1 + 1j]), np.array([1 + 0j, 1]))
+
+
+@pytest.mark.parametrize("shift", [-600, 600])
+def test_ql_out_of_range_input_takes_the_in_range_steps(shift):
+    # entries scaled by 2^shift leave [2^-500, 2^500], so QL scales them back
+    # into [0.5, 1); every QL step is homogeneous in the entries, so the
+    # values are the in-range values times 2^shift, bit for bit, after the
+    # same number of sweeps (on the corpus inputs up to 80 x 80)
+    for diag, offdiag in _ql_corpus():
+        if len(diag) > 80:
+            continue
+        d, e = np.asarray(diag), np.asarray(offdiag)
+        ref = eig_sym_tridiag(d, e)
+        report = _quiet_ql(d * 2.0 ** shift, e * 2.0 ** shift)
+        assert np.array_equal(report.values, ref.values * 2.0 ** shift)
+        assert report.iterations == ref.iterations
+
+
+def test_ql_no_longer_stalls_on_an_overflowing_section():
     # at gamma 1e154 the squares of the off-diagonal reach the overflow
-    # threshold and QL stalls on the first value
+    # threshold; unscaled, QL stalled on the first value after 51 sweeps
     for depth in (4, 16):
         sub, diag, _ = pseudo_jacobi_diagonals(SectorSpec(0, depth),
                                                ModelParams(0.5, 1e154))
-        with pytest.raises(RuntimeError, match=rf"^QL did not converge on a "
-                           rf"{depth}x{depth} tridiagonal after 51 sweeps$"):
-            _quiet_ql(diag, 1j * sub)
+        report = _quiet_ql(diag, 1j * sub)
+        _assert_near_oracle(diag * 2.0 ** -512, 1j * sub * 2.0 ** -512,
+                            report.values * 2.0 ** -512, 10)
 
 
 @pytest.mark.parametrize("diag, offdiag, expected", [
@@ -938,7 +1034,7 @@ def test_complex_ql_defective_two_by_two_gives_its_double_eigenvalue(
     ([np.inf + 0j, 1.0], [0j]),
     # finite entries whose modulus overflows: abs() would raise
     ([1.5e308 + 1.5e308j, 1.0], [1e308j]),
-    ([1.0, 2.0, 3.0], [1e200 + 1e200j, 1e200j]),
+    ([1.0, 2.0, 3.0], [1.5e308 + 1.5e308j, 1e308j]),
 ])
 def test_ql_on_non_finite_values_is_unconverged(diag, offdiag):
     with pytest.raises(RuntimeError, match=rf"^QL did not converge on a "

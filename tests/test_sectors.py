@@ -1,6 +1,7 @@
 """Sector decomposition: su(1,1) ladders, the tridiagonal sector matrices,
 their spectra, the tilted generator triple, and the Hermitian cousin."""
 
+import re
 import warnings
 
 import numpy as np
@@ -315,13 +316,18 @@ def test_section_values_propagate_a_ql_failure(monkeypatch):
         return eig_dense(m, *args, **kwargs)
 
     monkeypatch.setattr(sectors, "eig_dense", counted)
-    overflowing = ModelParams(0.5, 1e154)
+
+    def poisoned(diag, offdiag):
+        # QL itself, on the section with a NaN first diagonal entry: QL
+        # scales its input, so no accepted model point makes it fail
+        return eig_sym_tridiag(np.r_[np.nan, diag[1:]], offdiag)
+
+    monkeypatch.setattr(sectors, "eig_sym_tridiag", poisoned)
     with pytest.raises(RuntimeError, match=r"^QL did not converge on a 16x16 "
-                       r"tridiagonal after 51 sweeps$"):
-        sectors._section_values(pseudo_jacobi_diagonals(SectorSpec(0, 16),
-                                                        overflowing))
+                       r"tridiagonal after \d+ sweeps \(non-finite value\)$"):
+        sectors._section_values(pseudo_jacobi_diagonals(SectorSpec(0, 16), P))
     with pytest.raises(RuntimeError, match=r"^QL did not converge on a 4x4 "):
-        converged_sector_spectrum(0, overflowing, n_eigs=3, start_depth=4)
+        converged_sector_spectrum(0, P, n_eigs=3, start_depth=4)
 
     def failing(diag, offdiag):
         raise RuntimeError("QL did not converge (forced)")
@@ -451,6 +457,16 @@ def test_hermitian_tridiagonal_rejects_an_overflowing_diagonal(beta, k):
                        r"diagonal .* overflows at k = -?2$"):
         hermitian_sector_tridiag(SectorSpec(k, 30), beta, 0.6)
     assert np.isfinite(hermitian_sector_tridiag(SectorSpec(0, 30), 1.7e308, 0.6)[0]).all()
+
+
+@pytest.mark.parametrize("lam, depth", [(3e306, 60), (5e306, 30)])
+def test_hermitian_lowest_rejects_an_overflowing_value(lam, depth):
+    # finite entries whose lowest eigenvalue lies below -1.8e308
+    assert np.isfinite(hermitian_sector_tridiag(SectorSpec(0, depth), 0.5, lam)[1]).all()
+    with pytest.raises(ValueError, match=rf"^lam = {re.escape(f'{lam:g}')} is "
+                       rf"too large: the lowest eigenvalue .* overflows at "
+                       rf"depth {depth}$"):
+        hermitian_lowest(SectorSpec(0, depth), 0.5, lam)
 
 
 def test_hermitian_lowest_converges_below_unit_coupling():
