@@ -5,7 +5,10 @@ Every numeric in a report comes from a library call; the CLI only assembles
 output and compares deviations against tolerances. Reports are deterministic:
 fixed key order, floats rounded to 15 significant digits, no timestamps.
 JSON reports carry a top-level {"schema": "1"}; CSV column sets are documented
-in the README. Each subcommand returns its payload, CSV rows and checks, and
+in the README. Subcommands hand raw floats, complex numbers and arrays to one
+JSON writer, `_json`, which does three things: it rounds floats to 15
+significant digits, it encodes complex numbers as {"re", "im"}, and it writes
+non-finite numbers as null, so reports are strict JSON. Each subcommand returns its payload, CSV rows and checks, and
 `main` renders the report; verify-all reruns the subcommands' own checks.
 
 Exit codes: 0 when every check in the selected suite passes; 1 on the first
@@ -67,11 +70,6 @@ def _fmt(x) -> float:
     return float(f"{float(x):.15g}")
 
 
-def _cnum(z) -> dict:
-    z = complex(z)
-    return {"re": _fmt(z.real), "im": _fmt(z.imag)}
-
-
 class Check:
     """One named pass/fail comparison: value <= tol, or value >= tol for
     witness-style checks (mode 'ge')."""
@@ -84,14 +82,52 @@ class Check:
 
     @property
     def passed(self) -> bool:
+        """A non-finite value fails in either mode."""
+        if not math.isfinite(self.value):
+            return False
         if self.mode == "ge":
             return self.value >= self.tol
         return self.value <= self.tol
 
     def as_json(self) -> dict:
-        return {"name": self.name, "value": _fmt(self.value),
-                "tolerance": _fmt(self.tol), "mode": self.mode,
-                "passed": self.passed}
+        return {"name": self.name, "value": self.value, "tolerance": self.tol,
+                "mode": self.mode, "passed": self.passed}
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, under three report rules: a
+    float (numpy float64 included) is rounded by `_fmt`, and written as null
+    when the rounded value is not finite; a complex number is written as
+    {"re", "im"}; an ndarray is written as its tolist(). pad is the line break
+    and indent of obj's own level."""
+    if isinstance(obj, float):
+        # the 15-digit rounding of a float within 4e-16 relative of the largest
+        # one overflows, so finiteness is judged after rounding
+        obj = _fmt(obj)
+        return repr(obj) if math.isfinite(obj) else "null"
+    inner = pad + "  "
+    if isinstance(obj, complex):
+        return (f'{{{inner}"re": {_json(obj.real)},'
+                f'{inner}"im": {_json(obj.imag)}{pad}}}')
+    if isinstance(obj, dict):
+        items = [f"{_escape(key)}: {_json(value, inner)}"
+                 for key, value in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, np.ndarray):
+        return _json(obj.tolist(), pad)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
@@ -99,7 +135,7 @@ def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
     payload["checks"] = [c.as_json() for c in checks]
     payload["all_passed"] = all(c.passed for c in checks)
     if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -114,9 +150,10 @@ def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
     for c in checks:
         if not c.passed:
             rel = ">" if c.mode == "le" else "<"
+            why = (f"{rel} tolerance {c.tol:.6g}" if math.isfinite(c.value)
+                   else "is not finite")
             sys.stderr.write(
-                f"first failing check: {c.name} "
-                f"(value {c.value:.6g} {rel} tolerance {c.tol:.6g})\n")
+                f"first failing check: {c.name} (value {c.value:.6g} {why})\n")
             return 1
     return 0
 
@@ -152,13 +189,13 @@ def run_spectrum(args):
     grid = energy_grid(p, args.m_max, args.n_max)
     blocks = block_layout(p, args.m_max, args.n_max)
     payload = {
-        "beta": _fmt(p.beta),
-        "gamma": _fmt(p.gamma),
-        "rho": _fmt(p.rho),
+        "beta": p.beta,
+        "gamma": p.gamma,
+        "rho": p.rho,
         "m_max": args.m_max,
         "n_max": args.n_max,
-        "entries": [{"m": m, "n": n, "energy": _fmt(e)} for m, n, e in grid],
-        "blocks": [[_fmt(e) for e in row] for row in blocks],
+        "entries": [{"m": m, "n": n, "energy": e} for m, n, e in grid],
+        "blocks": blocks,
     }
     rows = [[m, n, f"{_fmt(e):.15g}"] for m, n, e in grid]
     return payload, ["m", "n", "energy"], rows, []
@@ -189,11 +226,11 @@ def _sector_report(args):
         sectors_payload.append({
             "k": k,
             "depths": conv.depths,
-            "history": [[_cnum(v) for v in vals] for vals in conv.history],
-            "values": [_cnum(v) for v in conv.values],
-            "targets": [_fmt(t) for t in conv.targets],
-            "abs_errors": [_fmt(e) for e in errors],
-            "max_step": _fmt(conv.max_step),
+            "history": conv.history,
+            "values": conv.values,
+            "targets": conv.targets,
+            "abs_errors": errors,
+            "max_step": conv.max_step,
             "converged": conv.converged,
         })
         checks.append(Check(f"sector_k{k}_depth_step", conv.max_step, args.step_tol))
@@ -205,8 +242,8 @@ def _sector_report(args):
                              f"{_fmt(conv.targets[level]):.15g}",
                              f"{_fmt(errors[level]):.15g}"])
     payload = {
-        "beta": _fmt(p.beta),
-        "gamma": _fmt(p.gamma),
+        "beta": p.beta,
+        "gamma": p.gamma,
         "depth": args.depth,
         "n_eigs": args.n_eigs,
         "sectors": sectors_payload,
@@ -224,16 +261,16 @@ def run_biorth(args):
         Check("biorth_max_diag_error", report.max_diag_error, args.tol),
     ]
     payload = {
-        "beta": _fmt(p.beta),
-        "gamma": _fmt(p.gamma),
+        "beta": p.beta,
+        "gamma": p.gamma,
         "trunc": args.trunc,
         "m_max": args.m_max,
         "n_max": args.n_max,
-        "scale": _cnum(report.scale),
-        "max_offdiag": _fmt(report.max_offdiag),
-        "max_diag_error": _fmt(report.max_diag_error),
-        "labels": [list(lbl) for lbl in report.labels],
-        "gram": [[_cnum(z) for z in row] for row in report.gram],
+        "scale": report.scale,
+        "max_offdiag": report.max_offdiag,
+        "max_diag_error": report.max_diag_error,
+        "labels": report.labels,
+        "gram": report.gram,
     }
     csv_rows = []
     for row, (m, n) in enumerate(report.labels):
@@ -251,11 +288,11 @@ def run_commutators(args):
     report = commutation_report(p, trunc)
     checks = [Check(name, dev, args.action_tol if name.startswith("[H,") else args.tol)
               for name, dev in report.items()]
-    deviations = {name: _fmt(dev) for name, dev in report.items()}
+    deviations = dict(report)
     diagonal = deviations.pop("diagonal_form")
     payload = {
-        "beta": _fmt(p.beta),
-        "gamma": _fmt(p.gamma),
+        "beta": p.beta,
+        "gamma": p.gamma,
         "trunc": args.trunc,
         "deviations": deviations,
         "diagonal_form": diagonal,
@@ -290,8 +327,7 @@ def run_emm(args):
             product = (pi.value + pj.value) * pairing
             weighted.append(abs(product))
             pairing_products.append({"i": i, "j": j,
-                                     "pairing": _cnum(pairing),
-                                     "weighted": _cnum(product)})
+                                     "pairing": pairing, "weighted": product})
     pairing_dev = float(np.max(weighted))
     secular = su11_secular(p.gamma)
     secular_res = float(np.max([residual(secular.matrix, val, vec)
@@ -303,19 +339,18 @@ def run_emm(args):
         Check("secular_residual", secular_res, 1e-12),
     ]
     payload = {
-        "beta": _fmt(p.beta),
-        "gamma": _fmt(p.gamma),
-        "matrix": [[_fmt(x) for x in row] for row in matrix],
-        "closed_values": [_cnum(v) for v in closed],
-        "numeric_values": [_cnum(v) for v in numeric],
-        "eigenvectors": [[_cnum(x) for x in pair.combination.stacked]
-                         for pair in solution.pairs],
+        "beta": p.beta,
+        "gamma": p.gamma,
+        "matrix": matrix,
+        "closed_values": closed,
+        "numeric_values": numeric,
+        "eigenvectors": [pair.combination.stacked for pair in solution.pairs],
         "degenerate": solution.degenerate,
         "repeated_values": solution.repeated_values,
         "pairing": pairing_products,
-        "secular_matrix": [[_fmt(x) for x in row] for row in secular.matrix],
-        "secular_values": [_cnum(val) for val, _ in secular.pairs],
-        "secular_vectors": [[_cnum(x) for x in vec] for _, vec in secular.pairs],
+        "secular_matrix": secular.matrix,
+        "secular_values": [val for val, _ in secular.pairs],
+        "secular_vectors": [vec for _, vec in secular.pairs],
         "secular_degenerate": secular.degenerate,
     }
     csv_rows = [[c.name, f"{_fmt(c.value):.15g}"] for c in checks]
@@ -335,12 +370,12 @@ def run_stability(args):
                             args.drop, mode="ge"))
     payload = {
         "k": args.k,
-        "beta": _fmt(args.beta),
-        "lam": _fmt(args.lam),
-        "pairs": [{"depth": d, "lowest": _fmt(v)}
+        "beta": args.beta,
+        "lam": args.lam,
+        "pairs": [{"depth": d, "lowest": v}
                   for d, v in zip(scan.depths, scan.lowest)],
-        "predicted": None if scan.predicted is None else _fmt(scan.predicted),
-        "final_drop": _fmt(scan.final_drop),
+        "predicted": scan.predicted,
+        "final_drop": scan.final_drop,
         "bounded": scan.bounded,
     }
     csv_rows = [[d, f"{_fmt(v):.15g}"] for d, v in zip(scan.depths, scan.lowest)]
@@ -370,16 +405,16 @@ def _similarity_report(args, matrix: np.ndarray):
         Check("spectrum_match", report.spectrum_match, 1e-8),
     ]
     # the scalar fields, in the order both formats list them
-    fields = {name: _fmt(getattr(report, name))
+    fields = {name: getattr(report, name)
               for name in ("max_imag", "spectrum_match", "biorth_error",
                            "similarity_error", "unitarity_defect")}
     payload = {
         "n": matrix.shape[0],
         "spectrum_real": report.spectrum_real,
         **fields,
-        "transform": [[_cnum(z) for z in row] for row in report.transform],
+        "transform": report.transform,
     }
-    csv_rows = [[name, f"{value:.15g}"] for name, value in fields.items()]
+    csv_rows = [[name, f"{_fmt(value):.15g}"] for name, value in fields.items()]
     return payload, ["field", "value"], csv_rows, checks
 
 
@@ -488,8 +523,8 @@ def run_verify_all(args):
                          [c for c in batch if c.name == "biorth_error"]))
 
     payload = {
-        "beta": _fmt(p.beta),
-        "gamma": _fmt(p.gamma),
+        "beta": p.beta,
+        "gamma": p.gamma,
         "trunc": args.trunc,
         "depth": args.depth,
         "suites": [c.as_json() for c in suites],

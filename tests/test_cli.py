@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pseudoboson
 from pseudoboson import cli
@@ -23,6 +27,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens RFC 8259 forbids."""
+    def refuse(token):
+        raise ValueError(f"non-finite token {token} in a report")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_spectrum_reports_closed_form_grid(capsys):
@@ -305,9 +316,14 @@ def test_emm_non_finite_residual_fails_its_check(capsys):
     # values are exact, but two closed-form residuals overflow to NaN; the
     # check takes the NaN rather than the finite residuals beside it
     with np.errstate(all="ignore"):
-        code, _, err = run(capsys, "emm", "--beta", "1.7e308")
+        code, out, err = run(capsys, "emm", "--beta", "1.7e308")
     assert code == 1
     assert err.startswith("first failing check: emm_closed_form_residual (value nan")
+    # the report writes the NaN values as null and stays strict JSON
+    assert err.endswith("(value nan is not finite)\n")
+    failed = [c for c in _strict_json(out)["checks"] if not c["passed"]]
+    assert failed[0]["name"] == "emm_closed_form_residual"
+    assert all(c["value"] is None for c in failed)
 
 
 def test_stability_overflowing_diagonal_is_exit_two(capsys):
@@ -582,3 +598,137 @@ def test_verify_all_accepts_depths_sectors_rejects(capsys):
                        "--depth", "30")
     assert code == 0
     assert json.loads(out)["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# the report writer and the bytes it writes
+
+
+def _report_reference(obj):
+    """A payload as json.dumps sees it once each report rule is applied by
+    hand: floats by _fmt (None where that overflows), complex numbers as
+    {"re", "im"}, arrays as lists."""
+    if isinstance(obj, np.ndarray):
+        return _report_reference(obj.tolist())
+    if isinstance(obj, float):
+        rounded = cli._fmt(obj)
+        return rounded if math.isfinite(rounded) else None
+    if isinstance(obj, complex):
+        return {"re": _report_reference(obj.real), "im": _report_reference(obj.imag)}
+    if isinstance(obj, dict):
+        return {key: _report_reference(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_report_reference(value) for value in obj]
+    return obj
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1.7976931348623157e308,
+     1e-300, 123456789012345678.0, 0.1 + 0.2, 1 / 3])
+_COMPLEX = st.builds(complex, _FINITE, _FINITE)
+_KEYS = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t aZé€ 😀') | st.characters(),
+                max_size=6)
+_LEAVES = (st.none() | st.booleans()
+           | st.integers(min_value=-2**70, max_value=2**70)
+           | _FINITE | _FINITE.map(np.float64) | _COMPLEX | _COMPLEX.map(np.complex128)
+           | _KEYS
+           | hnp.arrays(st.sampled_from([np.float64, np.complex128]),
+                        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+                        elements=_FINITE))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(_KEYS, children, max_size=4)),
+    max_leaves=16)
+
+
+@settings(max_examples=60)
+@given(_TREES)
+def test_report_writer_matches_json_dumps_of_the_rounded_tree(tree):
+    assert cli._json(tree) == json.dumps(_report_reference(tree), indent=2)
+
+
+def test_report_writer_writes_non_finite_numbers_as_null():
+    nan, inf = float("nan"), float("inf")
+    tree = {"x": [nan, inf, -inf, np.float64(nan), complex(nan, 1.0),
+                  complex(2.0, -inf), np.array([[inf, 3.0]])]}
+    # the 15-digit rounding of the largest finite float overflows
+    assert cli._json([1.7976931348623157e308, -1.7976931348623155e308]) == (
+        "[\n  null,\n  null\n]")
+    assert json.loads(cli._json(tree)) == {"x": [
+        None, None, None, None, {"re": None, "im": 1.0}, {"re": 2.0, "im": None},
+        [[None, 3.0]]]}
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        cli._json(np.int64(1))
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["emm", "--gamma", "0.77", "--beta", "1.7e308"], "emm_closed_form_residual"),
+    (["commutators", "--gamma", "2.2e-308", "--beta", "-0.69", "--trunc", "8"],
+     "[c_ddag,c_ddag]"),
+])
+def test_non_finite_values_fail_by_name_in_strict_json(capsys, argv, check):
+    # the overflowing residuals and deviations are NaN: the report writes
+    # them as null, and the first of them fails as a non-finite value
+    with np.errstate(all="ignore"):
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"first failing check: {check} (value nan is not finite)\n"
+    failed = [c for c in _strict_json(out)["checks"] if not c["passed"]]
+    assert (failed[0]["name"], failed[0]["value"]) == (check, None)
+
+
+def test_non_finite_check_value_fails_in_either_mode():
+    for mode in ("le", "ge"):
+        for value in (math.nan, math.inf, -math.inf):
+            assert not cli.Check("x", value, 1.0, mode).passed
+
+
+# two fixed theorem1 inputs with exactly real spectra: a real tridiagonal
+# with positive off-diagonal products and three small entries above it, and
+# a complex tridiagonal whose off-diagonal products are real and positive
+_REAL6 = (np.diag(np.arange(1.0, 7.0)) + np.diag([0.5] * 5, 1)
+          + np.diag([0.25] * 5, -1))
+_REAL6[0, 2], _REAL6[1, 4], _REAL6[0, 5] = 0.125, -0.25, 0.0625
+_COMPLEX6 = (np.diag(np.arange(6) + 0.5) + np.diag([0.25 - 0.125j] * 5, -1)
+             + np.diag([(0.5 + 0.25j) * (1 + i / 4) for i in range(5)], 1))
+
+# sha256 of the JSON stdout of each line; a change that moves a reported
+# value updates its digest and says so in CHANGES.md
+REPORT_DIGESTS = {
+    ("spectrum",):
+        "614245098333b32b6d2eb2127f4b41ef5776161964aa4fa2375b4b0d5cdd88ec",
+    ("sectors",):
+        "51a04335defee1dc8f77d9be43e5e154448055324ee448feb2f018947fc92186",
+    ("biorth",):
+        "22ff4508d752378f1a27bd75d41b9ff36f6b321ca011a8b62166157e646f68cd",
+    ("commutators",):
+        "d747437bc3fc336084392ffa41ac06ae2b140008b01ec864ef96daf36f37c47e",
+    ("emm",):
+        "45e3bf95570d3148b8eecad063532cb2d2166d80fbcec1017f93d376d3ebac85",
+    ("stability",):
+        "aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
+    ("theorem1", "--input", "REAL6"):
+        "995b73f327dede03cf23d9cf8fd8cdc3fccbae5a6e871eec6d89b4bcf0f134cf",
+    ("theorem1", "--input", "COMPLEX6"):
+        "ae64e6f0d33c0ea099aac8f5cb6df2c8c9b2461fc26a40feb858705d66c9c51a",
+    ("verify-all",):
+        "4cde7c600049a9b0776575f6f4f29e1f0b975036a83e5e0426773d654f3bdcfb",
+    ("verify-all", "--gamma", "0.2", "--trunc", "24", "--depth", "32"):
+        "b1d65292d10e451e8e27134a1ea36f3e19b02aa473f36c10178003858a5af55e",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS),
+                         ids=["-".join(a).replace("--", "") for a in REPORT_DIGESTS])
+def test_reports_keep_their_bytes(capsys, tmp_path, argv):
+    digest = REPORT_DIGESTS[argv]
+    for name, m in (("REAL6", _REAL6), ("COMPLEX6", _COMPLEX6)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"n": 6, "re": m.real.tolist(),
+                                    "im": m.imag.tolist()}))
+        argv = [str(path) if a == name else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
