@@ -66,8 +66,14 @@ _VERIFY_SEED = 20230817
 
 
 def _fmt(x) -> float:
-    """Round to 15 significant digits so reports are byte-stable."""
-    return float(f"{float(x):.15g}")
+    """Round to 15 significant digits so reports are byte-stable. A finite
+    float within 4e-16 relative of the largest one would round past it to
+    +-inf, so it takes the largest 15-digit float of its sign instead."""
+    x = float(x)
+    rounded = float(f"{x:.15g}")
+    if math.isinf(rounded) and math.isfinite(x):
+        return math.copysign(1.79769313486231e308, x)
+    return rounded
 
 
 class Check:
@@ -100,12 +106,10 @@ _escape = json.encoder.encode_basestring_ascii
 def _json(obj, pad: str = "\n") -> str:
     """obj as json.dumps(obj, indent=2) writes it, under three report rules: a
     float (numpy float64 included) is rounded by `_fmt`, and written as null
-    when the rounded value is not finite; a complex number is written as
+    when it is not finite; a complex number is written as
     {"re", "im"}; an ndarray is written as its tolist(). pad is the line break
     and indent of obj's own level."""
     if isinstance(obj, float):
-        # the 15-digit rounding of a float within 4e-16 relative of the largest
-        # one overflows, so finiteness is judged after rounding
         obj = _fmt(obj)
         return repr(obj) if math.isfinite(obj) else "null"
     inner = pad + "  "
@@ -143,8 +147,11 @@ def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
         writer.writerows(csv_rows)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     for c in checks:
@@ -731,6 +738,8 @@ def main(argv=None) -> int:
             if dest == "drop" and value <= 0.0:
                 raise UsageError(f"{flag} must be positive")
         payload, csv_header, csv_rows, checks = args.runner(args)
+        report = {"schema": SCHEMA, "command": args.command, **payload}
+        return _render(args, report, csv_header, csv_rows, checks)
     except (UsageError, ValueError) as exc:
         # Parameter combinations the library rejects (negative coupling,
         # truncation too shallow, a coupling whose square overflows, ...) are
@@ -747,8 +756,6 @@ def main(argv=None) -> int:
         # argparse already wrote its message; fold its exit into the return
         # value so callers of main() never see the exception.
         return exc.code if isinstance(exc.code, int) else 2
-    report = {"schema": SCHEMA, "command": args.command, **payload}
-    return _render(args, report, csv_header, csv_rows, checks)
 
 
 if __name__ == "__main__":

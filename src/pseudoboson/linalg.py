@@ -37,7 +37,11 @@ it as one 2x2 product per side, G on the two rows and G^H on the two
 columns, each written back in place: 10 numpy calls, the read of the next
 bulge pair included. A product may round its two-term sums otherwise than
 four elementwise updates would, so this path is pinned by a reference of
-the same products rather than by array code.
+the same products rather than by array code. Both shifts, the roots of a
+deflated real 2x2 block and its rotation into complex triangular form take
+one 2x2 formula, `_eig2`: half the trace plus and minus
+sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det cancels for two close
+real roots, as at the double eigenvalues of the Hamiltonian at beta = 0.
 
 Eigenvectors run the same sweeps on wider slabs. The Schur vectors Z are
 stacked above H in one array, so each column update transforms Z and H in
@@ -260,44 +264,15 @@ def _hessenberg(W: NDArray, nz: int = 0) -> NDArray:
     return W
 
 
-def _eig2_real(a: float, b: float, c: float, d: float) -> list[complex]:
-    """Eigenvalues of a real 2x2 block, complex pair when the discriminant is negative."""
+def _eig2(a, b, c, d) -> tuple[complex, complex]:
+    """Eigenvalues of the 2x2 [[a, b], [c, d]], real or complex, as half the
+    trace plus and minus sqrt(((a - d) / 2)^2 + b c): a real pair, a
+    conjugate pair or a complex pair. The discriminant never subtracts the
+    determinant from the squared half trace, so two close real roots do not
+    cancel there."""
     half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    disc = half_tr * half_tr - det
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        big = half_tr + sq if half_tr >= 0.0 else half_tr - sq
-        if big != 0.0:
-            return [complex(big), complex(det / big)]
-        return [complex(half_tr + sq), complex(half_tr - sq)]
-    sq = math.sqrt(-disc)
-    return [complex(half_tr, sq), complex(half_tr, -sq)]
-
-
-def _eig2_complex(a, b, c, d) -> tuple[complex, complex]:
-    half_tr = 0.5 * (a + d)
-    det = a * d - b * c
-    sq = np.sqrt(complex(half_tr * half_tr - det))
-    l1 = half_tr + sq
-    l2 = half_tr - sq
-    if abs(l1) >= abs(l2) and l1 != 0:
-        l2 = det / l1
-    elif l2 != 0:
-        l1 = det / l2
-    return complex(l1), complex(l2)
-
-
-def _shift_pair(a: float, b: float, c: float, d: float):
-    """Eigenvalues of a real 2x2 as (rt1r, rt1i, rt2r, rt2i); complex
-    conjugates share the real part."""
-    half_tr = 0.5 * (a + d)
-    disc = 0.25 * (a - d) * (a - d) + b * c
-    if disc >= 0.0:
-        sq = math.sqrt(disc)
-        return half_tr + sq, 0.0, half_tr - sq, 0.0
-    sq = math.sqrt(-disc)
-    return half_tr, sq, half_tr, -sq
+    sq = cmath.sqrt(0.25 * (a - d) * (a - d) + b * c)
+    return half_tr + sq, half_tr - sq
 
 
 def _first_column(d, sub, sup, k: int, rt1r, rt1i, rt2r, rt2i) -> list:
@@ -399,7 +374,8 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> Non
         w = abs(sub[b - 1]) + abs(sub[b - 2])
         rt1r, rt1i, rt2r, rt2i = 1.75 * w, 0.0, -0.25 * w, 0.0
     else:
-        rt1r, rt1i, rt2r, rt2i = _shift_pair(d[b - 1], sup[b - 1], sub[b - 1], d[b])
+        rt1, rt2 = _eig2(d[b - 1], sup[b - 1], sub[b - 1], d[b])
+        rt1r, rt1i, rt2r, rt2i = rt1.real, rt1.imag, rt2.real, rt2.imag
     # a tiny interior subdiagonal kills the bulge as it passes, so the
     # shifts never reach the bottom; start below any such entry instead
     # (two-consecutive-small-subdiagonals test)
@@ -453,10 +429,9 @@ def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> N
     if stall % 11 == 0:
         sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
     else:
-        e1, e2 = _eig2_complex(B[m - 2, m - 2], B[m - 2, m - 1],
-                               B[m - 1, m - 2], B[m - 1, m - 1])
-        corner = B[m - 1, m - 1]
-        sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
+        (a, b), (c, d) = B[m - 2:, m - 2:].tolist()
+        e1, e2 = _eig2(a, b, c, d)
+        sigma = e1 if _modulus(e1 - d) <= _modulus(e2 - d) else e2
     R, C, top = _slabs(W, nz, lo, hi)
     x, z = B[:2, 0].tolist()
     x -= complex(sigma)
@@ -590,12 +565,12 @@ def _triangularize_2x2(W: NDArray, nz: int, i: int) -> None:
 
     The rotation's first column is the block's eigenvector (lambda - d, c)
     for the root lambda farther from the (2,2) entry d: the nearer root would
-    cancel in lambda - d. The roots are those `_eig2_real` gives the QR
-    driver, and they are written onto the diagonal, lambda first."""
+    cancel in lambda - d. The roots are those `_eig2` gives the QR driver,
+    and they are written onto the diagonal, lambda first."""
     T = W[nz:]
     a, b, c, d = (float(T[r, q].real) for r, q in ((i, i), (i, i + 1),
                                                     (i + 1, i), (i + 1, i + 1)))
-    far, near = sorted(_eig2_real(a, b, c, d), key=lambda r: -abs(r - d))
+    far, near = sorted(_eig2(a, b, c, d), key=lambda r: -_modulus(r - d))
     x = np.array([far - d, c])
     x /= norm2(x)
     G = np.array([[x[0], -x[1].conjugate()], [x[1], x[0].conjugate()]])
@@ -758,8 +733,7 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
         W = np.vstack([np.eye(n, dtype=W.dtype), W])
     _hessenberg(W, nz)
     if is_real:
-        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _francis_sweep, _eig2_real,
-                                       nz)
+        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _francis_sweep, _eig2, nz)
     else:
         # near the overflow threshold the 2x2 shift overflows to inf and the
         # rotations turn nan; QR then stalls and raises at its sweep cap, so

@@ -543,6 +543,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["schema"] == "1"
+    # a missing directory, or a directory, is a usage error naming the flag
+    for bad in (tmp_path / "missing" / "report.json", tmp_path):
+        code, out, err = run(capsys, "spectrum", "--out", str(bad))
+        assert (code, out) == (2, "")
+        assert f"error: --out {bad}:" in err
 
 
 def test_biorth_shallow_truncation_is_exit_two(capsys):
@@ -559,6 +564,18 @@ def test_verify_all_reduced(capsys):
     assert "emm_eigenvalue_multiset" in names
     assert "instability_witness" in names
     assert all(s["passed"] for s in payload["suites"])
+
+
+@pytest.mark.parametrize("gamma", ["0.15", "0.2", "0.25"])
+def test_verify_all_passes_on_the_symmetric_line(capsys, gamma):
+    # at beta = 0 sectors k and -k coincide and every eigenvalue of the full H
+    # is double; dense QR's 2x2 roots must not cancel there, or
+    # full_vs_sector_union misses its 1e-8
+    code, out, err = run(capsys, "verify-all", "--beta", "0", "--gamma", gamma)
+    assert (code, err) == (0, "")
+    union, = (s for s in json.loads(out)["suites"]
+              if s["name"] == "full_vs_sector_union")
+    assert union["tolerance"] == 1e-8 and union["passed"]
 
 
 def _matrix_dims(monkeypatch) -> list:
@@ -606,7 +623,7 @@ def test_verify_all_accepts_depths_sectors_rejects(capsys):
 
 def _report_reference(obj):
     """A payload as json.dumps sees it once each report rule is applied by
-    hand: floats by _fmt (None where that overflows), complex numbers as
+    hand: floats by _fmt (None where not finite), complex numbers as
     {"re", "im"}, arrays as lists."""
     if isinstance(obj, np.ndarray):
         return _report_reference(obj.tolist())
@@ -653,9 +670,9 @@ def test_report_writer_writes_non_finite_numbers_as_null():
     nan, inf = float("nan"), float("inf")
     tree = {"x": [nan, inf, -inf, np.float64(nan), complex(nan, 1.0),
                   complex(2.0, -inf), np.array([[inf, 3.0]])]}
-    # the 15-digit rounding of the largest finite float overflows
+    # a finite float whose 15-digit rounding would overflow stays finite
     assert cli._json([1.7976931348623157e308, -1.7976931348623155e308]) == (
-        "[\n  null,\n  null\n]")
+        "[\n  1.79769313486231e+308,\n  -1.79769313486231e+308\n]")
     assert json.loads(cli._json(tree)) == {"x": [
         None, None, None, None, {"re": None, "im": 1.0}, {"re": 2.0, "im": None},
         [[None, 3.0]]]}
@@ -710,13 +727,13 @@ REPORT_DIGESTS = {
     ("stability",):
         "aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
     ("theorem1", "--input", "REAL6"):
-        "995b73f327dede03cf23d9cf8fd8cdc3fccbae5a6e871eec6d89b4bcf0f134cf",
+        "e2cb5ebd1a0792ef2fb7195fe1520c5b9d16af180dc199187a755b115ff3c9cd",
     ("theorem1", "--input", "COMPLEX6"):
-        "ae64e6f0d33c0ea099aac8f5cb6df2c8c9b2461fc26a40feb858705d66c9c51a",
+        "f12815fc5adaa37110b7889c4be3fc9bf4e27b841457ee0febc9224bfd69c465",
     ("verify-all",):
-        "4cde7c600049a9b0776575f6f4f29e1f0b975036a83e5e0426773d654f3bdcfb",
+        "5ee090fa093a849e714fc65df8ac2f309768097dc64ba1c1ddbc6f33693602c0",
     ("verify-all", "--gamma", "0.2", "--trunc", "24", "--depth", "32"):
-        "b1d65292d10e451e8e27134a1ea36f3e19b02aa473f36c10178003858a5af55e",
+        "b42048608f3ef4e486c01c2f7891ff2b04772938a2dc3c15bbb0a6342b412792",
 }
 
 

@@ -43,8 +43,8 @@ TRIDIAG_SOLVE_CORPUS_SHA256 = (
 QL_CORPUS_SHA256 = (
     "86ec848eddf79f4ad6117f02e004daf58362a41d2ec681596fb17a4af96519f2")
 DENSE_QR_CORPUS_SHA256 = {
-    "real": "59bea4482bce3fa1a7f45fd1b36e62165d34831ad786c169ad42590ab4049821",
-    "complex": "7ab5b608ccf5673e717f2785dfd6beabe211df9c3e749c6d469f2b29348c02cd",
+    "real": "eae909326dc17d7045925ec65b32615a087d4fdde802b59afa3761117bef1cff",
+    "complex": "cb36f16858b5e28a7ddddb1c8b80d330f4b82f6cda31a5403fe8bb4ab79c6fa9",
 }
 
 
@@ -242,8 +242,9 @@ def _reference_francis_sweep(W, lo, hi, stall, nz=0):
         w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
         shifts = 1.75 * w, 0.0, -0.25 * w, 0.0
     else:
-        shifts = linalg._shift_pair(H[hi - 1, hi - 1], H[hi - 1, hi],
-                                    H[hi, hi - 1], H[hi, hi])
+        rt1, rt2 = linalg._eig2(H[hi - 1, hi - 1], H[hi - 1, hi],
+                                H[hi, hi - 1], H[hi, hi])
+        shifts = rt1.real, rt1.imag, rt2.real, rt2.imag
     diagonals = H.diagonal(), H.diagonal(-1), H.diagonal(1)
     start = lo
     for k in range(hi - 2, lo, -1):
@@ -271,8 +272,8 @@ def _reference_wilkinson_sweep(W, lo, hi, stall, nz=0):
     if stall % 11 == 0:
         sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
     else:
-        e1, e2 = linalg._eig2_complex(B[m - 2, m - 2], B[m - 2, m - 1],
-                                      B[m - 1, m - 2], B[m - 1, m - 1])
+        e1, e2 = linalg._eig2(B[m - 2, m - 2], B[m - 2, m - 1],
+                              B[m - 1, m - 2], B[m - 1, m - 1])
         corner = B[m - 1, m - 1]
         sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
     x, z = complex(B[0, 0] - sigma), complex(B[1, 0])
@@ -681,6 +682,25 @@ def test_dense_qr_keeps_its_bits_on_a_corpus(group):
         report = eig_dense(m)
         digest.update(report.values.tobytes() + str(report.iterations).encode())
     assert digest.hexdigest() == DENSE_QR_CORPUS_SHA256[group]
+
+
+def test_dense_qr_meets_the_oracle_on_the_model_plane():
+    # values-only QR on the trunc-8 H against numpy, at full_vs_sector_union's
+    # 1e-8: on the beta = 0 line every eigenvalue is double (sectors k and -k
+    # coincide), and 16 points are drawn over the plane as the benchmark's
+    # plane sweep draws them
+    rng = np.random.default_rng(24)
+    points = [(0.0, float(g)) for g in np.linspace(0.05, 2.0, 16)]
+    points += [(float(np.round(rng.uniform(-1.5, 1.5), 6)),
+                float(np.round(rng.uniform(0.05, 2.0), 6))) for _ in range(16)]
+    distances = {}
+    for beta, gamma in points:
+        h = build_hamiltonian(ModelParams(beta, gamma),
+                              TruncationSpec(8, 8))[0].dense().entries
+        distances[beta, gamma] = multiset_distance(eig_dense(h).values,
+                                                   np.linalg.eigvals(h))
+    worst = max(distances, key=distances.get)
+    assert distances[worst] <= 1e-8, (worst, distances[worst])
 
 
 def test_hessenberg_keeps_the_zeros_of_a_decoupled_hamiltonian():
