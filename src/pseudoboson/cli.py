@@ -31,7 +31,6 @@ import numpy as np
 
 from .emm import (
     model_emm_eigenpairs,
-    model_emm_matrix,
     su11_secular,
     symplectic_pairing,
 )
@@ -317,21 +316,21 @@ def run_emm(args):
     if not math.isfinite(g * (1.0 + rho) + g * (g * g / (1.0 + rho))):
         raise UsageError(f"gamma = {g:g} is too large: the symplectic pairing "
                          "gamma (1 + rho) + gamma^3 / (1 + rho) overflows")
-    matrix = model_emm_matrix(p)
     solution = model_emm_eigenpairs(p)
-    closed = np.array([pair.value for pair in solution.pairs])
+    matrix = solution.matrix
+    closed = np.array([val for val, _ in solution.pairs])
     numeric = eig_dense(matrix).values
     dist = multiset_distance(numeric, closed)
     # np.max, not max: a NaN residual or product fails its check rather
     # than losing to the values beside it
-    pair_res = float(np.max([residual(matrix, pair.value, pair.combination.stacked)
-                             for pair in solution.pairs]))
+    pair_res = float(np.max([residual(matrix, val, vec)
+                             for val, vec in solution.pairs]))
     pairing_products = []
     weighted = []
-    for i, pi in enumerate(solution.pairs):
-        for j, pj in enumerate(solution.pairs):
-            pairing = symplectic_pairing(pi.combination, pj.combination)
-            product = (pi.value + pj.value) * pairing
+    for i, (val_i, vec_i) in enumerate(solution.pairs):
+        for j, (val_j, vec_j) in enumerate(solution.pairs):
+            pairing = symplectic_pairing(vec_i, vec_j)
+            product = (val_i + val_j) * pairing
             weighted.append(abs(product))
             pairing_products.append({"i": i, "j": j,
                                      "pairing": pairing, "weighted": product})
@@ -351,7 +350,7 @@ def run_emm(args):
         "matrix": matrix,
         "closed_values": closed,
         "numeric_values": numeric,
-        "eigenvectors": [pair.combination.stacked for pair in solution.pairs],
+        "eigenvectors": [vec for _, vec in solution.pairs],
         "degenerate": solution.degenerate,
         "repeated_values": solution.repeated_values,
         "pairing": pairing_products,
@@ -485,8 +484,8 @@ def run_verify_all(args):
     suite("sector_energy_cross_check",
           max(abs(energy(p, m, n) - convs[m - n].values[min(m, n)])
               for m in range(4) for n in range(4)), 1e-6)
-    union = full_vs_sector_check(p, TruncationSpec(10, 10))
-    suite("full_vs_sector_union", union.distance, 1e-8)
+    suite("full_vs_sector_union",
+          full_vs_sector_check(p, TruncationSpec(10, 10)), 1e-8)
 
     # su(1,1) structure
     gen_dev = max(su11_commutation_check(su11_generators(SectorSpec(k, 30), variant))
@@ -608,18 +607,17 @@ def _parse_csv_matrix(path: str, text: str) -> np.ndarray:
     return out
 
 
-def _add_common(sub, beta=True, gamma=True, fmt=True):
+def _add_common(sub, beta=True, gamma=True):
     if beta:
         sub.add_argument("--beta", type=float, default=0.5,
                          help="level-splitting parameter (default 0.5)")
     if gamma:
         sub.add_argument("--gamma", type=float, default=0.75,
                          help="coupling, must be nonnegative (default 0.75)")
-    if fmt:
-        sub.add_argument("--format", choices=("json", "csv"), default="json",
-                         help="report format (default json)")
-        sub.add_argument("--out", metavar="FILE", default=None,
-                         help="write the report to FILE instead of stdout")
+    sub.add_argument("--format", choices=("json", "csv"), default="json",
+                     help="report format (default json)")
+    sub.add_argument("--out", metavar="FILE", default=None,
+                     help="write the report to FILE instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:

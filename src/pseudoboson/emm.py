@@ -2,22 +2,26 @@
 
 For H = sum_ij w_ij a'_i a_j + sum_ij u_ij a'_i a'_j + sum_ij v_ij a_i a_j + c
 (u, v symmetric) the adjoint action X -> [H, X] closes on the span of the
-ladder operators. In the ordered basis (a'_1 .. a'_N, a_1 .. a_N) its matrix is
+ladder operators; the constant c commutes with everything and drops out. In
+the ordered basis (a'_1 .. a'_N, a_1 .. a_N) its matrix is
 
     M = [[ W, -2U ],
          [ 2V, -W^T ]]
 
 read column-wise: column k of the left block carries [H, a'_k], of the right
-block [H, a_k]. An eigenvector of M with eigenvalue lambda is a ladder
-combination L with [H, L] = lambda L, so the level spacings of H come from the
-small 2N x 2N matrix instead of a Fock-space diagonalization. For the
-two-mode model this matrix is 4 x 4, real symmetric, with eigenvalues
-{+-beta +- rho} matching the closed-form spectrum.
+block [H, a_k]. A ladder combination L = sum_i x_i a'_i + sum_i y_i a_i is
+stored as its stacked coefficient vector (x, y), so an eigenvector of M with
+eigenvalue lambda is an L with [H, L] = lambda L, and the level spacings of H
+come from the small 2N x 2N matrix instead of a Fock-space diagonalization.
+For the two-mode model this matrix is 4 x 4, real symmetric, with eigenvalues
+{+-beta +- rho} matching the closed-form spectrum. Both closed forms here, the
+model's 4 x 4 and the 3 x 3 su(1,1) secular problem, return an `EmmSolution`:
+the matrix with its (value, eigenvector) pairs sorted by real part.
 
-The symplectic pairing [f, g] = sum_i (y_i^f x_i^g - x_i^f y_i^g) (x = creation
-part, y = annihilation part) is the scalar commutator of two ladder
-combinations; eigenvectors whose eigenvalues do not sum to zero have vanishing
-pairing, which is what makes the eigenvalue pattern come in +-lambda pairs.
+The symplectic pairing [f, g] = sum_i (y_i^f x_i^g - x_i^f y_i^g) of two
+stacked vectors is the scalar commutator of their ladder combinations;
+eigenvectors whose eigenvalues do not sum to zero have vanishing pairing,
+which is what makes the eigenvalue pattern come in +-lambda pairs.
 """
 
 from __future__ import annotations
@@ -31,10 +35,7 @@ from .model import ModelParams
 
 __all__ = [
     "QuadraticHamiltonian",
-    "LadderCombination",
-    "EmmEigenpair",
     "EmmSolution",
-    "Su11Secular",
     "adjoint_action_matrix",
     "model_quadratic",
     "model_emm_matrix",
@@ -60,7 +61,6 @@ class QuadraticHamiltonian:
     number_block: NDArray[np.float64]
     creation_block: NDArray[np.float64]
     annihilation_block: NDArray[np.float64]
-    constant: float = 0.0
 
     def __post_init__(self):
         w = np.asarray(self.number_block, dtype=float)
@@ -79,48 +79,35 @@ class QuadraticHamiltonian:
 
 
 @dataclass(frozen=True)
-class LadderCombination:
-    """A linear combination sum_i x_i a'_i + sum_i y_i a_i of ladder operators,
-    stored as the creation coefficients x and annihilation coefficients y."""
-
-    creation: NDArray[np.complex128]
-    annihilation: NDArray[np.complex128]
-
-    @classmethod
-    def from_stacked(cls, vec: NDArray) -> "LadderCombination":
-        vec = np.asarray(vec)
-        if vec.ndim != 1 or vec.size % 2:
-            raise ValueError("stacked coefficient vector must have even length")
-        half = vec.size // 2
-        return cls(creation=vec[:half].astype(complex),
-                   annihilation=vec[half:].astype(complex))
-
-    @property
-    def stacked(self) -> NDArray[np.complex128]:
-        return np.concatenate([self.creation, self.annihilation])
-
-
-@dataclass(frozen=True)
-class EmmEigenpair:
-    """One eigenvalue of the adjoint action with its ladder combination."""
-
-    value: complex
-    combination: LadderCombination
-
-
-@dataclass(frozen=True)
 class EmmSolution:
-    """Closed-form adjoint-action eigenpairs of the model, sorted by value.
+    """A small adjoint-action matrix with its closed-form eigenpairs.
 
+    pairs holds (value, eigenvector) tuples, both complex, sorted by the real
+    part of the value; for the model the eigenvector is a stacked (x, y).
     degenerate marks the gamma = 0 fallback (eigenvectors collapse to the
     coordinate axes); repeated_values marks a numerically detected eigenvalue
-    collision (happens at beta = +-rho), in which case no canonical
+    collision (the model's beta = +-rho), in which case no canonical
     eigenvector choice inside the multiplet is attempted.
     """
 
+    matrix: NDArray[np.float64]
     pairs: list
-    degenerate: bool = False
-    repeated_values: bool = False
+    degenerate: bool
+    repeated_values: bool
+
+
+def _solution(matrix: NDArray[np.float64], raw: list, degenerate: bool) -> EmmSolution:
+    """Sort the (value, vector) pairs by real part, flag repeated values and
+    cast both to complex."""
+    raw = sorted(raw, key=lambda pair: pair[0].real)
+    # a gap within 1e-12 max(1, |values|) is a repeat; it is taken between
+    # halved values, so the gap between two finite values cannot overflow
+    half = np.array([val for val, _ in raw], dtype=complex) / 2.0
+    bound = 1e-12 * max(0.5, float(np.abs(half).max()))
+    repeated = bool(np.any(np.abs(np.diff(half)) <= bound))
+    pairs = [(complex(val), np.asarray(vec, dtype=complex)) for val, vec in raw]
+    return EmmSolution(matrix=matrix, pairs=pairs, degenerate=degenerate,
+                       repeated_values=repeated)
 
 
 def adjoint_action_matrix(h: QuadraticHamiltonian) -> NDArray[np.float64]:
@@ -141,13 +128,13 @@ def adjoint_action_matrix(h: QuadraticHamiltonian) -> NDArray[np.float64]:
 
 def model_quadratic(p: ModelParams) -> QuadraticHamiltonian:
     """The two-mode model as coefficient blocks: W = diag(1+beta, 1-beta),
-    U = (gamma/2) offdiag, V = -(gamma/2) offdiag, constant 1 from the
-    reordering b b' = b'b + 1."""
+    U = (gamma/2) offdiag, V = -(gamma/2) offdiag. The constant 1 from the
+    reordering b b' = b'b + 1 commutes with everything and is left out."""
     w = np.diag([1.0 + p.beta, 1.0 - p.beta])
     u = np.array([[0.0, p.gamma / 2.0], [p.gamma / 2.0, 0.0]])
     v = -u
     return QuadraticHamiltonian(number_block=w, creation_block=u,
-                                annihilation_block=v, constant=1.0)
+                                annihilation_block=v)
 
 
 def model_emm_matrix(p: ModelParams) -> NDArray[np.float64]:
@@ -186,25 +173,21 @@ def model_emm_eigenpairs(p: ModelParams) -> EmmSolution:
             (-beta + rho, np.array([0.0, 1.0 + rho, -gamma, 0.0])),
             (beta + rho, np.array([1.0 + rho, 0.0, 0.0, -gamma])),
         ]
-    raw.sort(key=lambda t: t[0])
-    values = np.array([val for val, _ in raw])
-    gaps = np.diff(values)
-    repeated = bool(np.any(np.abs(gaps) <= 1e-12 * max(1.0, float(np.abs(values).max()))))
-    pairs = [EmmEigenpair(value=complex(val),
-                          combination=LadderCombination.from_stacked(vec))
-             for val, vec in raw]
-    return EmmSolution(pairs=pairs, degenerate=(gamma == 0),
-                       repeated_values=repeated)
+    return _solution(model_emm_matrix(p), raw, degenerate=(gamma == 0))
 
 
-def symplectic_pairing(f: LadderCombination, g: LadderCombination) -> complex:
-    """[f, g] = sum_i (y_i^f x_i^g - x_i^f y_i^g); the commutator of the two
-    ladder combinations, a scalar. Antisymmetric, and zero between adjoint
-    action eigenvectors unless their eigenvalues sum to zero."""
-    if f.creation.shape != g.creation.shape:
-        raise ValueError("ladder combinations live on different mode counts")
-    return complex(np.sum(f.annihilation * g.creation)
-                   - np.sum(f.creation * g.annihilation))
+def symplectic_pairing(f: NDArray, g: NDArray) -> complex:
+    """[f, g] = sum_i (y_i^f x_i^g - x_i^f y_i^g) for stacked vectors
+    f = (x^f, y^f) and g = (x^g, y^g); the commutator of the two ladder
+    combinations, a scalar. Antisymmetric, and zero between adjoint action
+    eigenvectors unless their eigenvalues sum to zero. Raises ValueError
+    unless f and g are 1-D with one even length."""
+    f = np.asarray(f)
+    g = np.asarray(g)
+    if f.ndim != 1 or f.shape != g.shape or f.size % 2:
+        raise ValueError("stacked ladder vectors must be 1-D with one even length")
+    n = f.size // 2
+    return complex(np.sum(f[n:] * g[:n]) - np.sum(f[:n] * g[n:]))
 
 
 def su11_secular_matrix(gamma: float) -> NDArray[np.float64]:
@@ -218,22 +201,13 @@ def su11_secular_matrix(gamma: float) -> NDArray[np.float64]:
     ])
 
 
-@dataclass(frozen=True)
-class Su11Secular:
-    """The 3 x 3 secular problem: matrix, eigenpairs sorted by real part, and
-    the gamma = 0 degeneracy flag (the closed-form eigenvectors divide by
-    gamma, so the degenerate case returns coordinate-axis vectors)."""
-
-    matrix: NDArray[np.float64]
-    pairs: list
-    degenerate: bool = False
-
-
-def su11_secular(gamma: float) -> Su11Secular:
+def su11_secular(gamma: float) -> EmmSolution:
     """Eigenpairs of the secular matrix: -2 rho, 0, 2 rho with vectors
     (alpha, 1/alpha, 1), (gamma, -gamma, 1) and (1/alpha, alpha, -1) for
     gamma != 0, where alpha = gamma/(1+rho) = (rho-1)/gamma; the first form
-    avoids the cancellation in rho - 1 at small gamma.
+    avoids the cancellation in rho - 1 at small gamma. At gamma = 0 the
+    vectors would divide by gamma, so they are coordinate axes and the
+    solution is marked degenerate.
 
     The +-2 rho vectors are the coefficient triples of the tilted sector
     ladder operators. The matrix is not symmetric, so left and right
@@ -241,18 +215,16 @@ def su11_secular(gamma: float) -> Su11Secular:
     """
     m = su11_secular_matrix(gamma)
     if gamma == 0:
-        pairs = [
-            (complex(-2.0), np.array([0.0, 1.0, 0.0], dtype=complex)),
-            (complex(0.0), np.array([0.0, 0.0, 1.0], dtype=complex)),
-            (complex(2.0), np.array([1.0, 0.0, 0.0], dtype=complex)),
+        raw = [
+            (-2.0, np.array([0.0, 1.0, 0.0])),
+            (0.0, np.array([0.0, 0.0, 1.0])),
+            (2.0, np.array([1.0, 0.0, 0.0])),
         ]
-        return Su11Secular(matrix=m, pairs=pairs, degenerate=True)
-    rho = float(np.sqrt(1.0 + gamma ** 2))
-    pairs = [
-        (complex(-2.0 * rho),
-         np.array([gamma / (1.0 + rho), (1.0 + rho) / gamma, 1.0], dtype=complex)),
-        (complex(0.0), np.array([gamma, -gamma, 1.0], dtype=complex)),
-        (complex(2.0 * rho),
-         np.array([(1.0 + rho) / gamma, gamma / (1.0 + rho), -1.0], dtype=complex)),
-    ]
-    return Su11Secular(matrix=m, pairs=pairs, degenerate=False)
+    else:
+        rho = float(np.sqrt(1.0 + gamma ** 2))
+        raw = [
+            (-2.0 * rho, np.array([gamma / (1.0 + rho), (1.0 + rho) / gamma, 1.0])),
+            (0.0, np.array([gamma, -gamma, 1.0])),
+            (2.0 * rho, np.array([(1.0 + rho) / gamma, gamma / (1.0 + rho), -1.0])),
+        ]
+    return _solution(m, raw, degenerate=(gamma == 0))

@@ -111,14 +111,13 @@ class PseudoBosonSet:
     """Two pseudo-boson ladder-map pairs: lowering (c, d), raising (c_ddag, d_ddag).
 
     The raising partners are not adjoints of the lowering ones whenever
-    gamma != 0. degenerate marks the gamma = 0 fallback to ordinary bosons.
+    gamma != 0; at gamma = 0 they are the ordinary bosons.
     """
 
     c: GridMap
     d: GridMap
     c_ddag: GridMap
     d_ddag: GridMap
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -159,12 +158,11 @@ def build_pseudoboson_ops(p: ModelParams, trunc: TruncationSpec) -> PseudoBosonS
     as in the matrix entries; scaling a raised state by N afterwards would
     underflow at tiny gamma. rho - 1 is evaluated as gamma^2 / (1 + rho),
     free of cancellation at small gamma. At gamma = 0 the construction
-    degenerates (N diverges); the ordinary bosons are returned with the
-    degenerate flag.
+    degenerates (N diverges) and the ordinary bosons are returned.
     """
     a, b, a_dag, b_dag = build_ladder_ops(trunc)
     if p.gamma == 0:
-        return PseudoBosonSet(c=a, d=b, c_ddag=a_dag, d_ddag=b_dag, degenerate=True)
+        return PseudoBosonSet(c=a, d=b, c_ddag=a_dag, d_ddag=b_dag)
     N = p.norm_scale
     g = p.gamma
     low, high = g * g / (1.0 + p.rho), 1.0 + p.rho

@@ -47,7 +47,6 @@ __all__ = [
     "Su11Generators",
     "SectorSpectrum",
     "SectorConvergence",
-    "FullSectorComparison",
     "HermitianScan",
     "sector_basis",
     "sector_sizes",
@@ -469,25 +468,17 @@ def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
                              continued=continued)
 
 
-@dataclass(frozen=True)
-class FullSectorComparison:
-    """Multiset comparison of the full-space spectrum with the union of
-    sector finite-section spectra at matching depths."""
-
-    distance: float
-
-
-def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> FullSectorComparison:
+def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> float:
     """Diagonalize the full truncated Hamiltonian and, independently, every
-    sector finite section it contains; the two eigenvalue multisets agree
-    exactly (the box truncation is permutation-similar to the direct sum of
-    sector sections), so the greedy matching distance sits at solver accuracy.
+    sector finite section it contains, and return the greedy matching
+    distance between the two eigenvalue multisets. They agree exactly (the box
+    truncation is permutation-similar to the direct sum of sector sections),
+    so the distance sits at solver accuracy.
     """
     full_vals = eig_dense(build_hamiltonian(p, trunc)[0].dense().entries).values
     pieces = [eig_dense(pseudo_jacobi(SectorSpec(k=k, depth=depth), p)).values
               for k, depth in sorted(sector_sizes(trunc).items())]
-    return FullSectorComparison(
-        distance=multiset_distance(full_vals, np.concatenate(pieces)))
+    return multiset_distance(full_vals, np.concatenate(pieces))
 
 
 def hermitian_sector_tridiag(spec: SectorSpec, beta: float,

@@ -127,8 +127,7 @@ def test_criterion_07_sector_spectra_converge():
                 step = np.abs(spectrum.values - previous).max()
                 assert step < 1e-6, (k, depth)
             previous = spectrum.values
-    comparison = full_vs_sector_check(P, TruncationSpec(10, 10))
-    assert comparison.distance < 1e-8
+    assert full_vs_sector_check(P, TruncationSpec(10, 10)) < 1e-8
 
 
 def test_criterion_08_su11_structure():

@@ -724,6 +724,12 @@ REPORT_DIGESTS = {
         "d747437bc3fc336084392ffa41ac06ae2b140008b01ec864ef96daf36f37c47e",
     ("emm",):
         "45e3bf95570d3148b8eecad063532cb2d2166d80fbcec1017f93d376d3ebac85",
+    # gamma = 0 takes the degenerate branch; beta = 1.25 = rho at the default
+    # gamma = 0.75 takes the repeated-value branch
+    ("emm", "--gamma", "0"):
+        "1bca72c3de7f2df70157127ea1bd93369428f8b610fe4b2ca05c3de9ea8cf882",
+    ("emm", "--beta", "1.25"):
+        "87bba05ae89b8fb08a236bef0a51fedd366da268a2cccdbf1a3f912bd6f5f0af",
     ("stability",):
         "aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
     ("theorem1", "--input", "REAL6"):

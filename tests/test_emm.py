@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pseudoboson.emm import (
-    LadderCombination,
+    EmmSolution,
     QuadraticHamiltonian,
     adjoint_action_matrix,
     model_emm_eigenpairs,
@@ -48,10 +48,11 @@ def test_single_mode_number_operator():
 
 
 def test_constant_term_does_not_move_ladders():
+    # a Hamiltonian that is only a constant commutes with every ladder, so its
+    # quadratic blocks are all zero and so is its adjoint action
     h = QuadraticHamiltonian(number_block=np.zeros((2, 2)),
                              creation_block=np.zeros((2, 2)),
-                             annihilation_block=np.zeros((2, 2)),
-                             constant=7.0)
+                             annihilation_block=np.zeros((2, 2)))
     assert np.abs(adjoint_action_matrix(h)).max() == 0.0
 
 
@@ -82,29 +83,37 @@ def test_closed_form_eigenpairs_solve_the_matrix():
         p = ModelParams(beta, gamma)
         t = model_emm_matrix(p)
         sol = model_emm_eigenpairs(p)
+        assert np.array_equal(sol.matrix, t)
         assert len(sol.pairs) == 4
-        for pair in sol.pairs:
-            assert residual(t, pair.value, pair.combination.stacked) < 1e-12
-        closed = [pair.value for pair in sol.pairs]
+        for val, vec in sol.pairs:
+            assert residual(t, val, vec) < 1e-12
+        closed = [val for val, _ in sol.pairs]
         assert multiset_distance(eig_dense(t).values, closed) < 1e-10
 
 
 def test_top_eigenvector_components():
     sol = model_emm_eigenpairs(P)
-    top = max(sol.pairs, key=lambda pair: pair.value.real)
-    assert top.value == pytest.approx(1.75)
-    vec = top.combination.stacked
+    val, vec = max(sol.pairs, key=lambda pair: pair[0].real)
+    assert val == pytest.approx(1.75)
     assert np.allclose(vec, [2.25, 0.0, 0.0, -0.75])
 
 
 def test_pairing_of_elementary_ladders():
-    a_op = LadderCombination.from_stacked(np.array([0.0, 0.0, 1.0, 0.0]))
-    a_dag_op = LadderCombination.from_stacked(np.array([1.0, 0.0, 0.0, 0.0]))
-    b_dag_op = LadderCombination.from_stacked(np.array([0.0, 1.0, 0.0, 0.0]))
+    a_op = np.array([0.0, 0.0, 1.0, 0.0])
+    a_dag_op = np.array([1.0, 0.0, 0.0, 0.0])
+    b_dag_op = np.array([0.0, 1.0, 0.0, 0.0])
     assert symplectic_pairing(a_op, a_dag_op) == 1.0
     assert symplectic_pairing(a_dag_op, a_op) == -1.0
     assert symplectic_pairing(a_op, b_dag_op) == 0.0
     assert symplectic_pairing(a_op, a_op) == 0.0
+    # a stacked vector holds one creation and one annihilation part of equal
+    # length, and both sides must live on the same modes
+    with pytest.raises(ValueError):
+        symplectic_pairing(np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        symplectic_pairing(a_op, np.ones(6))
+    with pytest.raises(ValueError):
+        symplectic_pairing(np.ones((2, 2)), np.ones((2, 2)))
 
 
 def test_pairing_vanishes_off_the_antidiagonal():
@@ -112,10 +121,9 @@ def test_pairing_vanishes_off_the_antidiagonal():
     # may couple
     for beta, gamma in ((0.5, 0.75), (0.2, 1.5)):
         sol = model_emm_eigenpairs(ModelParams(beta, gamma))
-        for fi in sol.pairs:
-            for gj in sol.pairs:
-                product = (fi.value + gj.value) * symplectic_pairing(
-                    fi.combination, gj.combination)
+        for val_f, f in sol.pairs:
+            for val_g, g in sol.pairs:
+                product = (val_f + val_g) * symplectic_pairing(f, g)
                 assert abs(product) < 1e-12
 
 
@@ -125,14 +133,10 @@ def test_normalized_combinations_pair_to_unity():
     scale = P.norm_scale
     rho = P.rho
     gamma = P.gamma
-    c_comb = LadderCombination.from_stacked(
-        scale * np.array([0.0, -1.0 + rho, gamma, 0.0]))
-    c_ddag_comb = LadderCombination.from_stacked(
-        scale * np.array([1.0 + rho, 0.0, 0.0, -gamma]))
-    d_comb = LadderCombination.from_stacked(
-        scale * np.array([-1.0 + rho, 0.0, 0.0, gamma]))
-    d_ddag_comb = LadderCombination.from_stacked(
-        scale * np.array([0.0, 1.0 + rho, -gamma, 0.0]))
+    c_comb = scale * np.array([0.0, -1.0 + rho, gamma, 0.0])
+    c_ddag_comb = scale * np.array([1.0 + rho, 0.0, 0.0, -gamma])
+    d_comb = scale * np.array([-1.0 + rho, 0.0, 0.0, gamma])
+    d_ddag_comb = scale * np.array([0.0, 1.0 + rho, -gamma, 0.0])
     assert symplectic_pairing(c_comb, c_ddag_comb) == pytest.approx(1.0)
     assert symplectic_pairing(d_comb, d_ddag_comb) == pytest.approx(1.0)
     assert symplectic_pairing(c_comb, d_ddag_comb) == pytest.approx(0.0)
@@ -146,26 +150,35 @@ def test_eigenvector_coefficients_build_the_operators():
     ops = build_pseudoboson_ops(P, trunc)
     basis = [a_dag, b_dag, a, b]
     sol = model_emm_eigenpairs(P)
-    by_value = {round(pair.value.real, 9): pair for pair in sol.pairs}
+    by_value = {round(val.real, 9): vec for val, vec in sol.pairs}
     scale = P.norm_scale
     # value beta + rho pairs with the c_ddag direction
-    vec = by_value[1.75].combination.stacked
+    vec = by_value[1.75]
     built = sum((basis[i] * (scale * vec[i]) for i in range(1, 4)),
                 basis[0] * (scale * vec[0]))
     assert np.abs(built.dense().entries - ops.c_ddag.dense().entries).max() < 1e-12
     # value beta - rho pairs with the d direction (annihilation side)
-    vec = by_value[-0.75].combination.stacked
+    vec = by_value[-0.75]
     built = sum((basis[i] * (scale * vec[i]) for i in range(1, 4)),
                 basis[0] * (scale * vec[0]))
     assert np.abs(built.dense().entries - ops.d.dense().entries).max() < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_repeated_values_flag_at_coincidence():
     # beta = rho makes beta - rho and -beta + rho both vanish
     p = ModelParams(beta=1.25, gamma=0.75)
     sol = model_emm_eigenpairs(p)
     assert sol.repeated_values
     assert not model_emm_eigenpairs(P).repeated_values
+    # at |beta| = 1.7e308, beta +- rho rounds to +-beta, so the values repeat
+    # in pairs; the gap between the pairs, 2 |beta|, is past the largest
+    # double and must not warn
+    for beta in (1.7e308, -1.7e308):
+        sol = model_emm_eigenpairs(ModelParams(beta, 0.75))
+        assert sol.repeated_values
+        values = [val.real for val, _ in sol.pairs]
+        assert values == [-abs(beta), -abs(beta), abs(beta), abs(beta)]
 
 
 def test_degenerate_limit_uses_coordinate_axes():
@@ -175,11 +188,11 @@ def test_degenerate_limit_uses_coordinate_axes():
         p = ModelParams(beta, 0.0)
         sol = model_emm_eigenpairs(p)
         assert sol.degenerate
-        stacked = np.array([pair.combination.stacked for pair in sol.pairs])
+        stacked = np.array([vec for _, vec in sol.pairs])
         assert np.abs(np.abs(stacked).sum(axis=1) - 1.0).max() == 0.0
         matrix = model_emm_matrix(p)
-        for pair in sol.pairs:
-            assert residual(matrix, pair.value, pair.combination.stacked) < 1e-14
+        for val, vec in sol.pairs:
+            assert residual(matrix, val, vec) < 1e-14
 
 
 def test_secular_matrix_shape_and_asymmetry():
@@ -195,20 +208,35 @@ def test_secular_matrix_shape_and_asymmetry():
 
 def test_secular_eigenpairs():
     sec = su11_secular(0.75)
-    values = sorted(complex(val).real for val, _ in sec.pairs)
+    values = [val.real for val, _ in sec.pairs]
     assert values == pytest.approx([-2.5, 0.0, 2.5])
     for val, vec in sec.pairs:
         assert residual(sec.matrix, val, vec) < 1e-12
-    top = max(sec.pairs, key=lambda pair: complex(pair[0]).real)[1]
+    top = sec.pairs[-1][1]
     assert top[0] / top[2] == pytest.approx(-3.0)
     assert top[1] / top[2] == pytest.approx(-1.0 / 3.0)
     assert not sec.degenerate
+    assert not sec.repeated_values
 
 
 def test_secular_decoupled_limit():
     sec = su11_secular(0.0)
     assert sec.degenerate
-    values = sorted(complex(val).real for val, _ in sec.pairs)
+    values = [val.real for val, _ in sec.pairs]
     assert values == pytest.approx([-2.0, 0.0, 2.0])
     for val, vec in sec.pairs:
         assert residual(sec.matrix, val, vec) == 0.0
+
+
+def test_both_closed_forms_share_one_record():
+    # one record and one pair shape for the model's 4 x 4 and the secular
+    # 3 x 3: complex values sorted by real part, with complex vectors
+    for sol, size in ((model_emm_eigenpairs(ModelParams(-0.7, 1.0)), 4),
+                      (su11_secular(1.0), 3)):
+        assert isinstance(sol, EmmSolution)
+        assert sol.matrix.shape == (size, size)
+        values = [val for val, _ in sol.pairs]
+        assert all(isinstance(val, complex) for val in values)
+        assert [val.real for val in values] == sorted(val.real for val in values)
+        for _, vec in sol.pairs:
+            assert vec.dtype == np.complex128 and vec.shape == (size,)

@@ -421,8 +421,7 @@ def test_continuation_falls_back_on_complex_shifts():
 
 
 def test_full_space_decomposes_into_sectors():
-    comparison = full_vs_sector_check(P, TruncationSpec(10, 10))
-    assert comparison.distance < 1e-8
+    assert full_vs_sector_check(P, TruncationSpec(10, 10)) < 1e-8
     assert sum(sector_sizes(TruncationSpec(10, 10)).values()) == 121
 
 
