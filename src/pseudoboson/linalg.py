@@ -53,6 +53,15 @@ step whose residual is formed in numpy's extended precision (Dongarra,
 Moler and Wilkinson, SIAM J. Numer. Anal. 20, 1983). Values-only calls keep
 the block-local slabs and their bits.
 
+A caller that knows estimates of the eigenvalues, as theorem1 knows those of
+M^H from the QR of M, passes them as `shifts`. The first HINTED_SWEEPS
+sweeps after each deflation snap their computed shifts to the nearest
+estimates, since a shift at an eigenvalue deflates it in one sweep in exact
+arithmetic (D. S. Watkins, The Matrix Eigenvalue Problem, SIAM 2007); later
+sweeps take the computed shifts, for the reason given at HINTED_SWEEPS. The
+estimates choose the shifts only: every value and vector comes from the
+Schur form of the matrix itself.
+
 `solve_matrix` runs one partial-pivoting LU and one forward and one back
 substitution, each over all right-hand sides at once. A tridiagonal is
 solved in O(n) on Python scalars, each input array converted once, by
@@ -116,6 +125,13 @@ RESIDUAL_TOL = 1e-8
 QUOTIENT_ROUNDS = 4
 #: hard cap on accepted matrix dimension
 DIM_CAP = 4096
+#: sweeps after each deflation that snap their shifts to the caller's
+#: eigenvalue estimates. An exact shift deflates in one sweep in exact
+#: arithmetic, but in floating point it can fail to (Parlett and Le, SIAM J.
+#: Matrix Anal. Appl. 14, 1993), and wrong estimates snapped on every sweep
+#: can stall QR at its sweep cap; from the next sweep on the computed shifts
+#: run again, so a wrong estimate costs sweeps and cannot stall QR
+HINTED_SWEEPS = 2
 
 _EPS = float(np.finfo(np.float64).eps)
 #: smallest normal float; a Sturm pivot below it counts as negative
@@ -297,12 +313,16 @@ def _first_column(d, sub, sup, k: int, rt1r, rt1i, rt2r, rt2i) -> list:
 
 
 def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
-                    nz: int = 0) -> tuple[list[complex], int]:
+                    nz: int = 0, shifts=None) -> tuple[list[complex], int]:
     """Eigenvalues of the upper Hessenberg H = W[nz:] by shifted QR, in place.
 
     Deflates 1x1 blocks from the bottom, and 2x2 blocks through block2 when
     given; otherwise sweep(W, lo, hi, stall, nz) runs one QR sweep on the
     unreduced block lo..hi, stall counting sweeps since the last deflation.
+    With shifts, an array of eigenvalue estimates, the first HINTED_SWEEPS
+    sweeps after each deflation run as sweep(W, lo, hi, stall, nz, shifts),
+    which snaps the computed shifts to the estimates; later sweeps take the
+    computed shifts, so a wrong estimate costs sweeps but cannot stall QR.
     With nz = 0 a sweep transforms the block alone; with the n x n Z stacked
     above H (nz = n) it transforms H whole and Z with it, which leaves H in
     Schur form, upper triangular but for the 2x2 blocks of complex or
@@ -350,15 +370,37 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
                 f"{sweeps} sweeps")
         sweeps += 1
         stall += 1
-        sweep(W, lo, hi, stall, nz)
+        if shifts is not None and stall <= HINTED_SWEEPS:
+            sweep(W, lo, hi, stall, nz, shifts)
+        else:
+            sweep(W, lo, hi, stall, nz)
         d[lo:hi + 1] = copy(views[0][lo:hi + 1])
         sub[lo:hi] = copy(views[1][lo:hi])
     return eigs, sweeps
 
 
-def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> None:
+def _snapped(shifts: NDArray, computed: list) -> list:
+    """Each computed shift replaced by the entry of shifts nearest to it, in
+    turn, no entry taken twice; computed as it is where shifts has fewer
+    entries."""
+    if len(shifts) < len(computed):
+        return computed
+    dist = np.abs(shifts[:, None] - np.array(computed))
+    snapped = []
+    for j in range(len(computed)):
+        i = int(np.argmin(dist[:, j]))
+        snapped.append(shifts[i].item())
+        dist[i] = np.inf
+    return snapped
+
+
+def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
+                   shifts=None) -> None:
     """One Francis implicit double-shift sweep on the real Hessenberg block
-    lo..hi of H = W[nz:], with the slabs of `_slabs`.
+    lo..hi of H = W[nz:], with the slabs of `_slabs`. Given a real array of
+    eigenvalue estimates, a sweep whose trailing 2x2 has two real roots
+    replaces them by two distinct estimates, each nearest its root (see
+    `_snapped`); a complex pair and the exceptional shifts stay as computed.
 
     The shift and start-row scans read Python-float copies of the block's
     three diagonals, and each bulge step reads its column as floats. A sweep
@@ -375,6 +417,8 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> Non
         rt1r, rt1i, rt2r, rt2i = 1.75 * w, 0.0, -0.25 * w, 0.0
     else:
         rt1, rt2 = _eig2(d[b - 1], sup[b - 1], sub[b - 1], d[b])
+        if shifts is not None and rt1.imag == rt2.imag == 0.0:
+            rt1, rt2 = _snapped(shifts, [rt1.real, rt2.real])
         rt1r, rt1i, rt2r, rt2i = rt1.real, rt1.imag, rt2.real, rt2.imag
     # a tiny interior subdiagonal kills the bulge as it passes, so the
     # shifts never reach the bottom; start below any such entry instead
@@ -416,14 +460,17 @@ def _givens(f: complex, g: complex) -> tuple[float, complex]:
     return af / d, (f / af) * g.conjugate() / d
 
 
-def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> None:
+def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
+                     shifts=None) -> None:
     """One implicit single-shift sweep with a Wilkinson shift on the complex
     Hessenberg block lo..hi of H = W[nz:], by Givens rotations on the slabs
-    of `_slabs`. Each rotation G is one 2x2 product per side, G on the two
-    rows and G^H on the two columns, each written back in place; with the
-    read of the next bulge pair as Python complex, a step makes 10 numpy
-    calls. The entry a rotation annihilates keeps its rounding residue, below
-    the subdiagonal, where later rotations carry it along."""
+    of `_slabs`; given an array of eigenvalue estimates, the Wilkinson shift
+    is replaced by the estimate nearest to it, the exceptional shift never.
+    Each rotation G is one 2x2 product per side, G on the two rows and G^H
+    on the two columns, each written back in place; with the read of the
+    next bulge pair as Python complex, a step makes 10 numpy calls. The
+    entry a rotation annihilates keeps its rounding residue, below the
+    subdiagonal, where later rotations carry it along."""
     B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     m = B.shape[0]
     if stall % 11 == 0:
@@ -432,6 +479,8 @@ def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0) -> N
         (a, b), (c, d) = B[m - 2:, m - 2:].tolist()
         e1, e2 = _eig2(a, b, c, d)
         sigma = e1 if _modulus(e1 - d) <= _modulus(e2 - d) else e2
+        if shifts is not None:
+            sigma, = _snapped(shifts, [sigma])
     R, C, top = _slabs(W, nz, lo, hi)
     x, z = B[:2, 0].tolist()
     x -= complex(sigma)
@@ -691,7 +740,7 @@ def _schur_eigenpairs(A: NDArray, W: NDArray) -> tuple[NDArray, NDArray, NDArray
     return lam, vectors, res
 
 
-def eig_dense(M, want_vectors: bool = False) -> EigenReport:
+def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     """All eigenvalues of a dense square matrix, and on request their unit
     eigenvectors.
 
@@ -712,8 +761,16 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     `_schur_eigenpairs`). A repeated eigenvalue of a diagonalizable matrix
     gets independent vectors, a basis of its eigenspace. Every reported pair
     satisfies the residual contract (relative residual <= 1e-8 times the
-    matrix norm). Raises RuntimeError when QR needs more than
-    MAX_SWEEPS_PER_DIM sweeps per dimension, and when a pair misses the
+    matrix norm).
+
+    shifts, a sequence of eigenvalue estimates, steers QR: on the first
+    HINTED_SWEEPS sweeps after each deflation a computed shift is replaced by
+    the nearest estimate (real input snaps only a real root pair, to two
+    real estimates), and later sweeps take the computed shifts. Estimates
+    near the eigenvalues save sweeps and wrong ones cost sweeps; the values
+    and vectors are those of M's own Schur form either way, and a call
+    without shifts keeps every bit. Raises RuntimeError when QR needs more
+    than MAX_SWEEPS_PER_DIM sweeps per dimension, and when a pair misses the
     residual contract.
     """
     A0 = _as_square(M)
@@ -731,15 +788,23 @@ def eig_dense(M, want_vectors: bool = False) -> EigenReport:
     nz = n if want_vectors else 0
     if want_vectors:
         W = np.vstack([np.eye(n, dtype=W.dtype), W])
+    hint = None
+    if shifts is not None:
+        hint = np.asarray(shifts, dtype=complex)
+        if is_real:
+            # a real double shift is a real or a conjugate pair
+            hint = hint.real[hint.imag == 0.0]
     _hessenberg(W, nz)
     if is_real:
-        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _francis_sweep, _eig2, nz)
+        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _francis_sweep, _eig2, nz,
+                                       hint)
     else:
         # near the overflow threshold the 2x2 shift overflows to inf and the
         # rotations turn nan; QR then stalls and raises at its sweep cap, so
         # numpy's warnings would only repeat that failure
         with np.errstate(over="ignore", invalid="ignore"):
-            eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _wilkinson_sweep, nz=nz)
+            eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _wilkinson_sweep,
+                                           nz=nz, shifts=hint)
     if not want_vectors:
         values = np.array(eigs, dtype=complex)
         order = np.lexsort((values.imag, values.real))

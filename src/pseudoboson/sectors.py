@@ -290,7 +290,6 @@ class SectorSpectrum:
     depth: int
     values: NDArray[np.complex128]
     targets: NDArray[np.float64]
-    errors: NDArray[np.float64]
     residuals: NDArray[np.float64]
     conditions: NDArray[np.float64]
 
@@ -312,7 +311,6 @@ def _refined_spectrum(spec: SectorSpec, p: ModelParams, diagonals,
     targets = p.beta * spec.k + p.rho * (abs(spec.k) + 1.0 + 2.0 * j)
     spectrum = SectorSpectrum(
         k=spec.k, depth=spec.depth, values=report.values, targets=targets,
-        errors=np.abs(report.values - targets),
         residuals=report.residuals / max(norm, 1.0), conditions=conditions)
     return spectrum, report.converged
 

@@ -61,12 +61,17 @@ def _largest_component_one(vectors: NDArray[np.complex128]) -> NDArray[np.comple
 def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     """Build S with M^H = S M S^-1 from the two eigenvector families.
 
-    Preconditions, checked in order with ValueError on failure: the spectrum
-    must be real within real_tol (absolute imaginary parts), and simple with
-    minimum gap above 1e-8 ||M||_F. Eigenvectors are scaled so the
-    largest-magnitude component is exactly 1; the adjoint family is then
-    divided by the conjugate of the mutual inner product, making the pairing
-    exactly biorthonormal. S = Psi Phi^-1 follows from one LU factorization.
+    Preconditions, checked in order on the values of M, with ValueError on
+    failure and before the second QR runs, so a failing matrix costs one QR:
+    the spectrum must be real within real_tol (absolute imaginary parts),
+    and simple with minimum gap above 1e-8 ||M||_F. The QR of M^H takes M's
+    real values, the conjugates of its own, as shift estimates (see
+    `eig_dense`) and deflates in about half the sweeps; its values and
+    vectors still come from its own Schur form, so spectrum_match compares
+    two factorizations. Eigenvectors are scaled so the largest-magnitude
+    component is exactly 1; the adjoint family is then divided by the
+    conjugate of the mutual inner product, making the pairing exactly
+    biorthonormal. S = Psi Phi^-1 follows from one LU factorization.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -77,7 +82,6 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     norm = norm2(m)
 
     direct = eig_dense(m, want_vectors=True)
-    adjoint = eig_dense(m.conj().T, want_vectors=True)
 
     max_imag = float(np.abs(direct.values.imag).max())
     if max_imag > real_tol:
@@ -85,12 +89,16 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
             f"precondition failed: spectrum not real (max |imag| = {max_imag:.3e} "
             f"> {real_tol:.1e}); the similarity construction needs a real spectrum")
     if n > 1:
-        gaps = np.abs(np.diff(np.sort(direct.values.real)))
-        min_gap = float(gaps.min())
-        if min_gap <= 1e-8 * max(norm, 1e-300):
+        # gaps between halved values, so the gap between two finite values
+        # cannot overflow
+        half_gap = float(np.diff(np.sort(0.5 * direct.values.real)).min())
+        if half_gap <= 0.5e-8 * max(norm, 1e-300):
             raise ValueError(
-                f"precondition failed: spectrum not simple (min gap = {min_gap:.3e} "
-                f"relative to matrix norm {norm:.3e}); eigenvalues must be distinct")
+                f"precondition failed: spectrum not simple (min gap = "
+                f"{2.0 * half_gap:.3e} relative to matrix norm {norm:.3e}); "
+                f"eigenvalues must be distinct")
+
+    adjoint = eig_dense(m.conj().T, want_vectors=True, shifts=direct.values.real)
 
     # Both solvers sort by (real, imag); with a real simple spectrum the i-th
     # adjoint eigenvalue is the conjugate of the i-th direct one.

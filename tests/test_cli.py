@@ -733,13 +733,13 @@ REPORT_DIGESTS = {
     ("stability",):
         "aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
     ("theorem1", "--input", "REAL6"):
-        "e2cb5ebd1a0792ef2fb7195fe1520c5b9d16af180dc199187a755b115ff3c9cd",
+        "17a46bee0b8abb3d27225eb677bdf12fa77a381b51c1395ec7fa4b68d8327e0a",
     ("theorem1", "--input", "COMPLEX6"):
-        "f12815fc5adaa37110b7889c4be3fc9bf4e27b841457ee0febc9224bfd69c465",
+        "6f3f583702a075469ccb32f58d656392b46237009a3c0f059e55e5c539791ca0",
     ("verify-all",):
-        "5ee090fa093a849e714fc65df8ac2f309768097dc64ba1c1ddbc6f33693602c0",
+        "7461517a569edde413591867adfbb6a8a493b2e269c97dcb12e8900a4181776d",
     ("verify-all", "--gamma", "0.2", "--trunc", "24", "--depth", "32"):
-        "b42048608f3ef4e486c01c2f7891ff2b04772938a2dc3c15bbb0a6342b412792",
+        "9ef4aa33b55bbec3909f96f125f683ae5bc485b511f1387ded0ac8a87604dc1a",
 }
 
 

@@ -236,7 +236,21 @@ def _reference_reflector(W, nz, lo, k, col, m):
     return tau
 
 
-def _reference_francis_sweep(W, lo, hi, stall, nz=0):
+def _reference_snap(estimates, computed):
+    """Each computed shift in turn takes the nearest estimate not yet taken;
+    with fewer estimates than shifts, the shifts stay as computed."""
+    if len(estimates) < len(computed):
+        return computed
+    free = list(estimates)
+    snapped = []
+    for shift in computed:
+        nearest = min(free, key=lambda e: abs(e - shift))
+        free.remove(nearest)
+        snapped.append(nearest)
+    return snapped
+
+
+def _reference_francis_sweep(W, lo, hi, stall, nz=0, estimates=None):
     H = W[nz:]
     if stall % 11 == 0:
         w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
@@ -244,6 +258,9 @@ def _reference_francis_sweep(W, lo, hi, stall, nz=0):
     else:
         rt1, rt2 = linalg._eig2(H[hi - 1, hi - 1], H[hi - 1, hi],
                                 H[hi, hi - 1], H[hi, hi])
+        if estimates is not None and rt1.imag == 0 and rt2.imag == 0:
+            rt1, rt2 = (complex(e) for e in _reference_snap(estimates,
+                                                           [rt1.real, rt2.real]))
         shifts = rt1.real, rt1.imag, rt2.real, rt2.imag
     diagonals = H.diagonal(), H.diagonal(-1), H.diagonal(1)
     start = lo
@@ -266,7 +283,7 @@ def _reference_francis_sweep(W, lo, hi, stall, nz=0):
         col = H[start + k + 1:start + k + 4, start + k]
 
 
-def _reference_wilkinson_sweep(W, lo, hi, stall, nz=0):
+def _reference_wilkinson_sweep(W, lo, hi, stall, nz=0, estimates=None):
     B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     m = B.shape[0]
     if stall % 11 == 0:
@@ -276,6 +293,8 @@ def _reference_wilkinson_sweep(W, lo, hi, stall, nz=0):
                               B[m - 1, m - 2], B[m - 1, m - 1])
         corner = B[m - 1, m - 1]
         sigma = e1 if abs(e1 - corner) <= abs(e2 - corner) else e2
+        if estimates is not None:
+            sigma, = _reference_snap(estimates, [sigma])
     x, z = complex(B[0, 0] - sigma), complex(B[1, 0])
     for k in range(m - 1):
         c, s = linalg._givens(x, z)
@@ -288,14 +307,17 @@ def _reference_wilkinson_sweep(W, lo, hi, stall, nz=0):
 
 
 @pytest.mark.parametrize("stall", [1, 11])
-@pytest.mark.parametrize("case", ["graded", "1e+120", "1e-120", "split", "vector"])
+@pytest.mark.parametrize("case", ["graded", "1e+120", "1e-120", "split", "vector",
+                                  "hinted"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
     # one sweep on the unreduced block 1..12 of a seeded 14x14 Hessenberg
     # matrix; "split" has two small consecutive subdiagonals, below which the
     # Francis bulge starts under the exceptional shift (stall 11); "vector"
     # is the split matrix in vector mode, W = [I; H] with nz = n, whose rows
-    # run to the last column and whose columns start at Z's first row
+    # run to the last column and whose columns start at Z's first row;
+    # "hinted" is a vector-mode sweep given eigenvalue estimates, with a
+    # symmetric trailing corner, whose two real roots the Francis sweep snaps
     rng = np.random.default_rng(53)
     n = 14
     m = rng.standard_normal((n, n))
@@ -307,25 +329,35 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
         m *= np.outer(grade, grade)
     elif case in ("split", "vector"):
         m[6, 5] = m[7, 6] = 1e-9
+    elif case == "hinted":
+        m[12, 11] = m[11, 12]
     else:
         m *= float(case)
     m[1, 0] = m[13, 12] = 0.0
-    nz = n if case == "vector" else 0
+    nz = n if case in ("vector", "hinted") else 0
     if nz:
         m = np.vstack([np.eye(n, dtype=m.dtype), m])
-    ours, ref = m.copy(), m.copy()
+    estimates = None
+    if case == "hinted":
+        estimates = np.linspace(-2.0, 2.0, 9) + (0.25j if dtype is complex else 0.0)
     if dtype is float:
-        linalg._francis_sweep(ours, 1, 12, stall, nz)
-        _reference_francis_sweep(ref, 1, 12, stall, nz)
+        sweep, reference = linalg._francis_sweep, _reference_francis_sweep
     else:
-        linalg._wilkinson_sweep(ours, 1, 12, stall, nz)
-        _reference_wilkinson_sweep(ref, 1, 12, stall, nz)
+        sweep, reference = linalg._wilkinson_sweep, _reference_wilkinson_sweep
+    ours, ref = m.copy(), m.copy()
+    sweep(ours, 1, 12, stall, nz, estimates)
+    reference(ref, 1, 12, stall, nz, estimates)
     assert not np.array_equal(ours, m)
     if nz:
         # the Schur vectors took the transform, and H outside the block did
         assert not np.array_equal(ours[:n], m[:n])
         assert not np.array_equal(ours[n:, 13], m[n:, 13])
     assert np.array_equal(ours, ref)
+    if estimates is not None:
+        # the estimates move the computed shifts, never the exceptional ones
+        plain = m.copy()
+        sweep(plain, 1, 12, stall, nz)
+        assert np.array_equal(ours, plain) == (stall == 11)
 
 
 @pytest.mark.parametrize("n, graded", [(8, False), (24, True), (48, False)])
@@ -461,13 +493,13 @@ def test_eig_dense_repeated_eigenvalue_gets_a_basis():
 
 def _real_spectrum_matrix(rng, n, complex_basis=False):
     # V D V^-1 with V = I + 0.25 R / sqrt(n) and distinct real D, as the
-    # theorem1 inputs of the benchmark are drawn
+    # theorem1 inputs of the benchmark are drawn; returns the matrix and D
     r = rng.uniform(-1.0, 1.0, (n, n))
     if complex_basis:
         r = r + 1j * rng.uniform(-1.0, 1.0, (n, n))
     v = np.eye(n) + 0.25 * r / np.sqrt(n)
     d = np.arange(n) + 0.2 * rng.uniform(0.0, 1.0, n)
-    return np.linalg.solve(v.T, (v * d).T).T
+    return np.linalg.solve(v.T, (v * d).T).T, d
 
 
 def test_vector_mode_francis_start_below_the_block_top(monkeypatch):
@@ -475,7 +507,7 @@ def test_vector_mode_francis_start_below_the_block_top(monkeypatch):
     # left of its first reflector once it transforms H whole; without that
     # this matrix's vector-mode values drift and its vectors miss the
     # residual contract
-    m = _real_spectrum_matrix(np.random.default_rng(0), 16)
+    m, _ = _real_spectrum_matrix(np.random.default_rng(0), 16)
     sweeps = []
     sweep, slabs = linalg._francis_sweep, linalg._slabs
 
@@ -501,14 +533,44 @@ def test_vector_mode_francis_start_below_the_block_top(monkeypatch):
 @given(n=st.integers(2, 24), complex_basis=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_schur_eigenvectors_build_the_similarity_to_rounding(n, complex_basis, seed):
-    m = _real_spectrum_matrix(np.random.default_rng(seed), n, complex_basis)
+    m, d = _real_spectrum_matrix(np.random.default_rng(seed), n, complex_basis)
     contract = linalg.RESIDUAL_TOL * norm2(m)
     for matrix in (m, m.conj().T):
         assert eig_dense(matrix, want_vectors=True).residuals.max() <= contract
+    # the adjoint QR as theorem1 runs it, steered by exact and by wrong values
+    for estimates in (d, d + 0.37):
+        report = eig_dense(m.conj().T, want_vectors=True, shifts=estimates)
+        assert report.residuals.max() <= contract
     similarity = verify_similarity(m)
     bound = 64 * n * np.finfo(float).eps
     assert similarity.biorth_error <= bound
     assert similarity.similarity_error <= bound
+
+
+def test_shift_estimates_steer_qr_but_never_move_a_value():
+    # the adjoint of V D V^-1 as theorem1 builds it, hinted with its exact
+    # values, with values 1e-6 off, with zeros and with the values reversed
+    # and 0.5 off: every run keeps its values within backward error of
+    # numpy's, each scaled by its condition number, and exact estimates
+    # deflate in at most 0.6 times the sweeps of unhinted QR
+    eps = np.finfo(float).eps
+    plain = exact = 0
+    for n, complex_basis in itertools.product((4, 9, 17, 30, 48), (False, True)):
+        m, d = _real_spectrum_matrix(np.random.default_rng(100 + n), n,
+                                     complex_basis)
+        a = m.conj().T
+        w, x = np.linalg.eig(a)
+        kappa = norm2(x.T, axis=-1) * norm2(np.linalg.inv(x), axis=-1)
+        order = np.argsort(w.real)
+        bound = 64 * n * eps * norm2(a) * kappa[order]
+        plain += eig_dense(a, want_vectors=True).iterations
+        for estimates in (d, d + 1e-6, np.zeros(n), d[::-1] + 0.5):
+            report = eig_dense(a, want_vectors=True, shifts=estimates)
+            assert report.residuals.max() <= linalg.RESIDUAL_TOL * norm2(a)
+            assert np.all(np.abs(report.values - w[order]) <= bound)
+            if estimates is d:
+                exact += report.iterations
+    assert exact <= 0.6 * plain
 
 
 def test_vector_mode_rotates_an_undeflated_real_pair():

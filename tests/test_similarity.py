@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pseudoboson import similarity
 from pseudoboson.linalg import eig_dense, multiset_distance
 from pseudoboson.model import ModelParams
 from pseudoboson.sectors import SectorSpec, pseudo_jacobi
@@ -93,6 +94,35 @@ def test_rejects_complex_spectrum():
     m = pseudo_jacobi(SectorSpec(0, 5), ModelParams(0.0, 0.75))
     with pytest.raises(ValueError, match="spectrum not real"):
         verify_similarity(m)
+
+
+def test_preconditions_run_before_the_adjoint_qr(monkeypatch):
+    # a failing matrix costs one QR; a passing one hands the adjoint QR its
+    # validated spectrum as shift estimates
+    calls = []
+
+    def counted(*args, **kwargs):
+        report = eig_dense(*args, **kwargs)
+        calls.append((kwargs.get("shifts"), report.values))
+        return report
+
+    monkeypatch.setattr(similarity, "eig_dense", counted)
+    m = pseudo_jacobi(SectorSpec(0, 5), ModelParams(0.0, 0.75))
+    with pytest.raises(ValueError, match="spectrum not real"):
+        verify_similarity(m)
+    assert len(calls) == 1
+    calls.clear()
+    verify_similarity(_random_real_spectrum_matrix(np.random.default_rng(61), 6))
+    (first, values), (second, _) = calls
+    assert first is None and np.array_equal(second, values.real)
+
+
+def test_gap_test_does_not_overflow_at_the_largest_floats():
+    # the gap between 1e308 and -1e308 overflows, and pytest raises numpy's
+    # warning; between the halved values it does not, so both preconditions
+    # pass and the adjoint eig_dense fails on the overflowing roots of its 2x2
+    with pytest.raises(RuntimeError, match="missed the residual contract"):
+        verify_similarity(np.array([[1e308, 1e308], [0.0, -1e308]]))
 
 
 def test_rejects_degenerate_spectrum():
