@@ -1,15 +1,18 @@
 """Command-line front end: parameter sweeps, verification suites, and
 machine-readable reports.
 
-Every numeric in a report comes from a library call; the CLI only assembles
-output and compares deviations against tolerances. Reports are deterministic:
-fixed key order, floats rounded to 15 significant digits, no timestamps.
-JSON reports carry a top-level {"schema": "1"}; CSV column sets are documented
-in the README. Subcommands hand raw floats, complex numbers and arrays to one
-JSON writer, `_json`, which does three things: it rounds floats to 15
-significant digits, it encodes complex numbers as {"re", "im"}, and it writes
-non-finite numbers as null, so reports are strict JSON. Each subcommand returns its payload, CSV rows and checks, and
-`main` renders the report; verify-all reruns the subcommands' own checks.
+Library calls give every solver result and model quantity in a report. The
+CLI forms only differences and maxima of them (sector abs errors, emm
+weighted pairings and residual maxima, the stability error, verify-all's
+hand-case distance and `sector_energy_cross_check`), assembles output and
+compares deviations against tolerances. Reports are deterministic: fixed key
+order, floats rounded to 15 significant digits, no timestamps. JSON reports carry a top-level {"schema": "1"}; CSV column sets
+are documented in the README. Subcommands hand raw floats, complex numbers
+and arrays to one JSON writer, `_json`, which does three things: it rounds
+floats to 15 significant digits, it encodes complex numbers as {"re", "im"},
+and it writes non-finite numbers as null, so reports are strict JSON. Each
+subcommand returns its payload, CSV rows and checks, and `main` renders the
+report; verify-all reruns the subcommands' own checks.
 
 Exit codes: 0 when every check in the selected suite passes; 1 on the first
 failing check, named on stderr, including checks that yield no value (a
@@ -213,6 +216,9 @@ def run_sectors(args):
                          "(the convergence protocol samples depth/4 and depth/2)")
     if args.k_range[0] > args.k_range[1]:
         raise UsageError("--k-range expects MIN <= MAX")
+    if not 1 <= args.n_eigs <= args.depth // 4:
+        raise UsageError(f"--n-eigs must be between 1 and --depth // 4 = "
+                         f"{args.depth // 4}, the levels of the start depth")
     return _sector_report(args)[0]
 
 
@@ -289,6 +295,8 @@ def run_biorth(args):
 
 
 def run_commutators(args):
+    if args.trunc < 1:
+        raise UsageError("--trunc must be at least 1")
     p = _params(args)
     trunc = TruncationSpec(args.trunc, args.trunc)
     report = commutation_report(p, trunc)
@@ -366,6 +374,8 @@ def run_emm(args):
 def run_stability(args):
     if len(args.depths) < 2:
         raise UsageError("--depths needs at least two values")
+    if min(args.depths) < 1:
+        raise UsageError("--depths must all be at least 1")
     scan = hermitian_variant_scan(args.k, args.beta, args.lam, args.depths)
     checks = []
     if scan.predicted is not None:
@@ -442,6 +452,9 @@ def _random_similarity_batch(count: int, size: int):
 def run_verify_all(args):
     """Every invariant suite at pinned points and tolerances. A suite that a
     subcommand also computes is the worst of that subcommand's checks."""
+    if args.depth < 16:
+        raise UsageError("--depth must be at least 16: the sector suites keep "
+                         "4 levels at depth // 4")
     p = _params(args)
     suites = []
 

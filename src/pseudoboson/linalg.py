@@ -3,14 +3,14 @@
 Provides the numerical backends used by every other module: a nonsymmetric
 eigensolver (Householder Hessenberg reduction followed by shifted QR
 iteration, Francis double shift for real matrices and Wilkinson single shift
-for complex ones, with eigenvectors from the Schur form), a symmetric
-tridiagonal eigensolver (implicit-shift QL, for real symmetric and complex
-symmetric input alike), Sturm bisection for the lowest eigenvalue of a real
-symmetric tridiagonal, a partial-pivoting LU solver, two-sided
-Rayleigh-quotient iteration for selected eigenpairs of a real tridiagonal in
-O(n) per value and round, residual and biorthonormalization utilities, and
-`norm2`, the package's one Euclidean norm, which rescales where the plain
-sum of squares would under- or overflow.
+for complex ones, with eigenvectors from the Schur form), a complex
+symmetric tridiagonal eigensolver (implicit-shift QL), Sturm bisection for
+the lowest eigenvalue of a real symmetric tridiagonal, a partial-pivoting LU
+solver, two-sided Rayleigh-quotient iteration for selected eigenpairs of a
+real tridiagonal in O(n) per value and round, residual and
+biorthonormalization utilities, and `norm2`, the package's one Euclidean
+norm, which rescales where the plain sum of squares would under- or
+overflow.
 
 At the sizes used here QR time goes to Python and numpy calls, not to flops,
 so each step makes few calls, and to the number of steps, so QR must deflate
@@ -69,19 +69,19 @@ pivoted elimination applied to the right-hand side as it runs (LAPACK's
 gtsv). Its eigenpairs come from one Rayleigh-quotient loop: each round
 solves J - s I at each current value s and moves s to the two-sided quotient.
 
-QL runs on Python scalars with one loop for both tridiagonal families, and
-its deflation scan takes each modulus once. Real input takes hypot
-rotations and keeps the textbook bits. Complex symmetric input takes complex
-orthogonal rotations, sqrt(f^2 + g^2) in place of hypot (Cullum and
-Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996), which the sector spectra
-use on the phase-similar form of the pseudo-Jacobi matrices. These rotations
-are not unitary, and QL raises RuntimeError on a breakdown, a stall or a
-non-finite value, as dense QR does at its sweep cap and dense eigenvectors
-do on a pair that misses the residual contract. QL scales its input by a
-power of two when the largest entry lies outside [2^-500, 2^500], the
-scaling step of LAPACK's dgeev, so squares near the overflow threshold
-neither stall it nor overflow; a power of two scales exactly, so in-range
-input keeps its bits and scaled input takes the same steps.
+QL runs on Python complex scalars, and its deflation scan takes each modulus
+once. It takes complex orthogonal rotations, sqrt(f^2 + g^2) in place of
+hypot (Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996), which
+the sector spectra use on the phase-similar form of the pseudo-Jacobi
+matrices; a real symmetric input is solved as the complex symmetric matrix
+it also is. These rotations are not unitary, and QL raises RuntimeError on a
+breakdown, a stall or a non-finite value, as dense QR does at its sweep cap
+and dense eigenvectors do on a pair that misses the residual contract. QL
+scales its input by a power of two when the largest entry lies outside
+[2^-500, 2^500], the scaling step of LAPACK's dgeev, so squares near the
+overflow threshold neither stall it nor overflow; a power of two scales
+exactly, so in-range input keeps its bits and scaled input takes the same
+steps.
 
 A caller that needs only the lowest eigenvalue of a real symmetric
 tridiagonal takes `sym_tridiag_lowest`: bisection on Sturm counts, O(n) per
@@ -317,12 +317,13 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
     """Eigenvalues of the upper Hessenberg H = W[nz:] by shifted QR, in place.
 
     Deflates 1x1 blocks from the bottom, and 2x2 blocks through block2 when
-    given; otherwise sweep(W, lo, hi, stall, nz) runs one QR sweep on the
-    unreduced block lo..hi, stall counting sweeps since the last deflation.
-    With shifts, an array of eigenvalue estimates, the first HINTED_SWEEPS
-    sweeps after each deflation run as sweep(W, lo, hi, stall, nz, shifts),
-    which snaps the computed shifts to the estimates; later sweeps take the
-    computed shifts, so a wrong estimate costs sweeps but cannot stall QR.
+    given; otherwise sweep(W, lo, hi, stall, nz, hint) runs one QR sweep on
+    the unreduced block lo..hi, stall counting sweeps since the last
+    deflation. hint is shifts, an array of eigenvalue estimates or None, on
+    the first HINTED_SWEEPS sweeps after each deflation, and the sweep snaps
+    its computed shifts to those estimates; later sweeps get None and take
+    the computed shifts, so a wrong estimate costs sweeps but cannot stall
+    QR.
     With nz = 0 a sweep transforms the block alone; with the n x n Z stacked
     above H (nz = n) it transforms H whole and Z with it, which leaves H in
     Schur form, upper triangular but for the 2x2 blocks of complex or
@@ -370,10 +371,7 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
                 f"{sweeps} sweeps")
         sweeps += 1
         stall += 1
-        if shifts is not None and stall <= HINTED_SWEEPS:
-            sweep(W, lo, hi, stall, nz, shifts)
-        else:
-            sweep(W, lo, hi, stall, nz)
+        sweep(W, lo, hi, stall, nz, shifts if stall <= HINTED_SWEEPS else None)
         d[lo:hi + 1] = copy(views[0][lo:hi + 1])
         sub[lo:hi] = copy(views[1][lo:hi])
     return eigs, sweeps
@@ -637,22 +635,19 @@ def _triangular_eigenvectors(T: NDArray) -> tuple[NDArray, bool]:
     X is unit upper triangular. A denominator T[i, i] - T[j, j] below
     smin = eps ||T||_F is replaced by smin, as in LAPACK's ztrevc, so a
     repeated value never divides by zero: where T couples its copies, their
-    vectors lean onto the head of the Jordan chain. T is first scaled by a power of two, which leaves
-    the vectors' bits alone and keeps the differences of entries near the
-    overflow threshold finite; a column whose entries grow past the point
-    where the next row step could overflow is scaled down, and the flag
-    returned is False when any column was, since X is then no longer unit
-    triangular."""
+    vectors lean onto the head of the Jordan chain. T is first scaled by the
+    power of two of `_power_of_two_exponent`, which leaves the vectors' bits
+    alone and keeps the differences of entries near the overflow threshold
+    finite; a column whose entries grow past the point where the next row
+    step could overflow is scaled down, and the flag returned is False when
+    any column was, since X is then no longer unit triangular."""
     n = T.shape[0]
-    big = float(np.abs(T).max())
-    if big > 0.0:
-        # two exact steps: 2^e alone overflows once big is subnormal
-        e = -math.frexp(big)[1]
-        T = T * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
+    T = _ldexp(T, -_power_of_two_exponent((T,), always=True))
     lam = T.diagonal().copy()
     smin = max(_EPS * norm2(T), np.finfo(float).tiny)
-    # the next row step sums at most n products with |T| < 1, then divides
-    # by at least smin
+    # T's parts lie below 1, so |T| < sqrt 2; the 2 n in limit keeps a row
+    # step's n products below smin times the largest float, then divides by
+    # at least smin
     limit = smin * np.finfo(float).max / (2 * n)
     X = np.eye(n, dtype=complex)
     unit = True
@@ -882,10 +877,6 @@ def _complex_radius(f: complex, g: complex) -> complex:
     return cmath.sqrt(f * f + g * g)
 
 
-def _away_real(g: float, r: float) -> float:
-    return g + math.copysign(r, g)
-
-
 def _away_complex(g: complex, r: complex) -> complex:
     """g + r or g - r, whichever has the larger modulus: |g + r|^2 - |g - r|^2
     is 4 Re(g conj(r)), so no modulus is formed."""
@@ -916,18 +907,18 @@ def _ql_failure(n: int, sweeps: int, why: str = "") -> RuntimeError:
         f"QL did not converge on a {n}x{n} tridiagonal after {sweeps} sweeps{why}")
 
 
-def _implicit_ql(d: list, e: list, size, radius, away) -> int:
-    """Implicit-shift QL sweeps on the Python-scalar diagonal d and
-    off-diagonal e (padded with a trailing 0), in place, until every value
-    deflates. size is the modulus, radius(f, g) a square root of f^2 + g^2 and
-    away(g, r) the shift denominator g +- r of larger modulus. The deflation
-    scan takes each modulus once, carrying that of d[mm + 1] to the next row.
+def _implicit_ql(d: list, e: list) -> int:
+    """Implicit-shift QL sweeps on the Python-complex diagonal d and
+    off-diagonal e (padded with a trailing 0) of a complex symmetric
+    tridiagonal, in place, until every value deflates. The deflation scan
+    takes each modulus once, carrying that of d[mm + 1] to the next row.
     Returns the sweep count. Raises RuntimeError after 50 sweeps on one value
     without deflation, and on a breakdown: a rotation with r == 0 while
-    (f, g) != 0, which exists only for complex f and g, in a block larger
-    than 2x2, or a non-finite value. A final value whose modulus overflows
-    counts as non-finite, since an infinite modulus makes every deflation
-    test beside it pass."""
+    (f, g) != 0 in a block larger than 2x2, or a non-finite value. A final
+    value whose modulus overflows counts as non-finite, since an infinite
+    modulus makes every deflation test beside it pass."""
+    # local names, so the inner loop pays no global lookups
+    size, radius, away = _modulus, _complex_radius, _away_complex
     n = len(d)
     total = 0
     for l in range(n):
@@ -991,22 +982,20 @@ def _implicit_ql(d: list, e: list, size, radius, away) -> int:
 
 
 def eig_sym_tridiag(diag, offdiag) -> EigenReport:
-    """All eigenvalues of a symmetric tridiagonal matrix, real or complex.
+    """All eigenvalues of a complex symmetric tridiagonal matrix (equal, not
+    conjugate, off-diagonals); real symmetric input is cast to complex.
 
     Implicit-shift QL iteration on the (diagonal, offdiagonal) arrays, run on
-    Python scalars; values are sorted by (real part, imaginary part). Real
-    input is the textbook real symmetric case, with hypot rotations and the
-    shift sign of g. Complex input is complex symmetric (equal, not
-    conjugate, off-diagonals), handled by the same loop with complex
-    orthogonal rotations c^2 + s^2 = 1: sqrt(f^2 + g^2) replaces hypot(f, g)
-    and the shift denominator g +- r takes the sign of larger modulus
-    (Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17, 1996). Such
-    rotations are not unitary, so no backward stability is guaranteed, and
-    a rotation breaks down where f^2 + g^2 = 0 with (f, g) != 0. A 2x2 block
-    does so only where it is defective ([[1, i], [i, -1]], say), and then
-    gives its double eigenvalue, the mean of its diagonal. Moduli are taken
-    by hypot, so a value past the overflow threshold gives inf rather than
-    raising. Where the largest real or imaginary part of an entry lies
+    Python complex scalars; values are sorted by (real part, imaginary part).
+    Its rotations are complex orthogonal, c^2 + s^2 = 1: sqrt(f^2 + g^2)
+    replaces hypot(f, g) and the shift denominator g +- r takes the sign of
+    larger modulus (Cullum and Willoughby, SIAM J. Matrix Anal. Appl. 17,
+    1996). Such rotations are not unitary, so no backward stability is
+    guaranteed, and a rotation breaks down where f^2 + g^2 = 0 with
+    (f, g) != 0. A 2x2 block does so only where it is defective
+    ([[1, i], [i, -1]], say), and then gives its double eigenvalue, the mean
+    of its diagonal. Moduli are taken by hypot, so a value past the overflow
+    threshold gives inf rather than raising. Where the largest real or imaginary part of an entry lies
     outside [2^-500, 2^500], QL runs on the entries scaled by the power of
     two that puts it in [0.5, 1), and the values are scaled back. Raises
     RuntimeError, naming the size and the sweep count, on a stall (50 sweeps
@@ -1014,28 +1003,22 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
     non-finite value or modulus, scaled back or not; finite or not, entries
     of the right shapes raise nothing else and warn of nothing.
     """
-    kind = complex if np.iscomplexobj(diag) or np.iscomplexobj(offdiag) else float
-    d_in = np.ascontiguousarray(diag, dtype=kind)
-    e_in = np.ascontiguousarray(offdiag, dtype=kind)
+    d_in = np.ascontiguousarray(diag, dtype=complex)
+    e_in = np.ascontiguousarray(offdiag, dtype=complex)
     n = d_in.shape[0]
     if e_in.shape[0] != max(n - 1, 0):
         raise ValueError(
             f"offdiagonal length {e_in.shape[0]} does not match diagonal length {n}")
     if n == 0:
         return EigenReport(values=np.zeros(0, complex))
-    if kind is float:
-        size, radius, away = abs, math.hypot, _away_real
-    else:
-        size, radius, away = _modulus, _complex_radius, _away_complex
     p = _power_of_two_exponent((d_in, e_in), always=False)
     if p:
         d_in, e_in = _ldexp(d_in, -p), _ldexp(e_in, -p)
-    # the loop runs on Python scalars, which round as float64 and complex128
-    # scalars do
+    # the loop runs on Python scalars, which round as complex128 scalars do
     d = d_in.tolist()
     e = e_in.tolist() + [0.0]
-    total_iter = _implicit_ql(d, e, size, radius, away)
-    values = np.sort(np.array(d)).astype(complex)
+    total_iter = _implicit_ql(d, e)
+    values = np.sort(np.array(d, dtype=complex))
     if p:
         with np.errstate(over="ignore"):
             values = _ldexp(values, p)

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .emm import su11_secular
 from .fock import TruncationSpec
 from .linalg import (eig_dense, eig_sym_tridiag, multiset_distance, norm2,
                      sym_tridiag_lowest, tridiag_rayleigh_iteration)
@@ -233,11 +234,11 @@ def pseudo_su11_generators(spec: SectorSpec, gamma: float) -> Su11Generators:
         minus = (gamma / 2 rho) ( alpha R + L / alpha + Z )
         zero  = (1/rho) ( Z + gamma (R - L) )
 
-    The coefficient triples of plus and minus are the +-2 rho eigenvectors of
-    the sector secular matrix (see `emm.su11_secular`); alpha = (rho - 1) /
-    gamma is computed without that cancellation, so small gamma stays
-    accurate. Undefined at gamma = 0, where the tilt degenerates to the
-    self-adjoint triple.
+    The coefficient triples of plus and minus are not formed here: they are
+    the +2 rho and -2 rho eigenvectors of the sector secular matrix, read
+    from `emm.su11_secular`, which forms alpha without the cancellation of
+    (rho - 1) / gamma, so small gamma stays accurate. Undefined at
+    gamma = 0, where the tilt degenerates to the self-adjoint triple.
     """
     if gamma == 0:
         raise ValueError("tilted triple undefined at gamma = 0; "
@@ -246,8 +247,9 @@ def pseudo_su11_generators(spec: SectorSpec, gamma: float) -> Su11Generators:
     rho = math.sqrt(1.0 + gamma ** 2)
     r, el, z = base.plus, base.minus, base.zero
     front = gamma / (2.0 * rho)
-    plus = front * (((1.0 + rho) / gamma) * r + (gamma / (1.0 + rho)) * el - z)
-    minus = front * ((gamma / (1.0 + rho)) * r + ((1.0 + rho) / gamma) * el + z)
+    pairs = su11_secular(gamma).pairs
+    plus, minus = (front * (a * r + b * el + c * z)
+                   for a, b, c in (pairs[2][1].real, pairs[0][1].real))
     zero = (z + gamma * (r - el)) / rho
     return Su11Generators(plus=plus, minus=minus, zero=zero)
 

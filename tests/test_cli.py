@@ -506,6 +506,24 @@ def test_negative_grid_sizes_are_usage_errors(capsys, argv):
     assert "must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv, flags", [
+    # the start depth 8 // 4 holds 2 levels, fewer than the default 3
+    (["sectors", "--depth", "8"], ["--n-eigs", "--depth"]),
+    (["sectors", "--n-eigs", "0"], ["--n-eigs", "--depth"]),
+    (["verify-all", "--depth", "12"], ["--depth", "16"]),
+    (["stability", "--depths", "0", "5"], ["--depths"]),
+    (["commutators", "--trunc", "0"], ["--trunc"]),
+], ids=["sectors-depth", "sectors-n-eigs", "verify-all-depth",
+        "stability-depths", "commutators-trunc"])
+def test_sector_layer_usage_errors_name_their_flag(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("pseudoboson: error: ")
+    assert "Traceback" not in err
+    for flag in flags:
+        assert flag in err
+
+
 def test_worst_takes_tolerance_and_mode_from_its_checks():
     worst = cli._worst("drop", [cli.Check("a", 3.0, 1.0, "ge"),
                                 cli.Check("b", 2.0, 1.0, "ge")])

@@ -41,7 +41,7 @@ from pseudoboson.similarity import verify_similarity
 TRIDIAG_SOLVE_CORPUS_SHA256 = (
     "939ceda9910834e4a3e0162d0d0a5e7f21e5326207e1777604bcd28ad67d8f16")
 QL_CORPUS_SHA256 = (
-    "86ec848eddf79f4ad6117f02e004daf58362a41d2ec681596fb17a4af96519f2")
+    "4743fa0d21415b2a359d43394893cee6b8096fb5f12474d95ef5da7a7d49f5e5")
 DENSE_QR_CORPUS_SHA256 = {
     "real": "eae909326dc17d7045925ec65b32615a087d4fdde802b59afa3761117bef1cff",
     "complex": "cb36f16858b5e28a7ddddb1c8b80d330f4b82f6cda31a5403fe8bb4ab79c6fa9",
@@ -511,9 +511,9 @@ def test_vector_mode_francis_start_below_the_block_top(monkeypatch):
     sweeps = []
     sweep, slabs = linalg._francis_sweep, linalg._slabs
 
-    def recorded_sweep(W, lo, hi, stall, nz=0):
+    def recorded_sweep(W, lo, hi, stall, nz, shifts):
         sweeps.append([nz, lo])
-        return sweep(W, lo, hi, stall, nz)
+        return sweep(W, lo, hi, stall, nz, shifts)
 
     def recorded_slabs(W, nz, top, hi):
         sweeps[-1].append(top)
@@ -805,13 +805,29 @@ def test_tridiag_solve_keeps_its_bits_on_a_corpus():
 
 
 def test_sym_tridiag_keeps_its_bits_on_a_corpus():
-    # sha256 of the values and sweep counts, recorded from the scan that took
-    # two diagonal moduli per row: every operand and its order must stay
+    # sha256 of the values and sweep counts, recorded from the one complex
+    # symmetric QL, real input cast to complex: every operand and its order
+    # must stay
     digest = hashlib.sha256()
     for diag, offdiag in _ql_corpus():
         report = eig_sym_tridiag(diag, offdiag)
         digest.update(report.values.tobytes() + str(report.iterations).encode())
     assert digest.hexdigest() == QL_CORPUS_SHA256
+
+
+def test_real_symmetric_ql_is_the_complex_symmetric_ql():
+    # one QL path: a real symmetric input gives the values and sweep count
+    # of the same input cast to complex, bit for bit, on the Hermitian
+    # cousins of the corpus and on seeded random draws
+    rng = np.random.default_rng(1985)
+    draws = [(rng.standard_normal(n), rng.standard_normal(n - 1))
+             for n in (1, 2, 3, 7, 20, 50)]
+    for diag, offdiag in _ql_corpus()[:36] + draws:
+        real = eig_sym_tridiag(diag, offdiag)
+        cast = eig_sym_tridiag(np.asarray(diag, dtype=complex),
+                               np.asarray(offdiag, dtype=complex))
+        assert real.values.tobytes() == cast.values.tobytes()
+        assert real.iterations == cast.iterations
 
 
 def test_tridiag_rayleigh_iteration_settles_on_the_eigenvalues():

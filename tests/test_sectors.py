@@ -10,6 +10,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pseudoboson import sectors
+from pseudoboson.emm import su11_secular
 from pseudoboson.fock import TruncationSpec, build_ladder_ops
 from pseudoboson.linalg import (EigenReport, eig_dense, eig_sym_tridiag,
                                 tridiag_rayleigh_iteration)
@@ -167,6 +168,33 @@ def test_tilted_zero_is_scaled_coupled_matrix():
     coupled = pseudo_jacobi(spec, ModelParams(0.0, 0.75))
     assert np.abs(gens.zero - coupled / ModelParams(0.0, 0.75).rho).max() < 1e-14
     assert np.abs(gens.zero - gens.zero.T).max() > 0.1
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e-8, 0.2, 0.75, 3.0, 1e150])
+def test_tilted_ladders_are_the_secular_eigenvectors(gamma):
+    # plus and minus are (gamma / 2 rho) (v . (R, L, Z)) for v the +2 rho
+    # and -2 rho eigenvectors of the su(1,1) secular matrix, bit for bit;
+    # the vectors meet their eigen-equation and alpha = gamma / (1 + rho)
+    rho = np.sqrt(1.0 + gamma ** 2)
+    secular = su11_secular(gamma)
+    (low, v_minus), _, (high, v_plus) = secular.pairs
+    assert (low, high) == (-2.0 * rho, 2.0 * rho)
+    for value, v in ((low, v_minus), (high, v_plus)):
+        res = secular.matrix @ v - value * v
+        assert np.abs(res).max() <= 1e-15 * np.abs(value * v).max()
+    alpha = gamma / (1.0 + rho)
+    eps = np.finfo(float).eps
+    assert np.allclose(v_plus, [1.0 / alpha, alpha, -1.0], rtol=4 * eps, atol=0)
+    assert np.allclose(v_minus, [alpha, 1.0 / alpha, 1.0], rtol=4 * eps, atol=0)
+    for k, depth in ((-3, 5), (0, 30), (2, 30)):
+        spec = SectorSpec(k, depth)
+        base = su11_generators(spec)
+        gens = pseudo_su11_generators(spec, gamma)
+        front = gamma / (2.0 * rho)
+        for got, v in ((gens.plus, v_plus), (gens.minus, v_minus)):
+            a, b, c = v.real
+            assert np.array_equal(got, front * (a * base.plus + b * base.minus
+                                                + c * base.zero))
 
 
 def test_tilted_generators_need_coupling():
