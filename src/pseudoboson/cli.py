@@ -6,13 +6,14 @@ CLI forms only differences and maxima of them (sector abs errors, emm
 weighted pairings and residual maxima, the stability error, verify-all's
 hand-case distance and `sector_energy_cross_check`), assembles output and
 compares deviations against tolerances. Reports are deterministic: fixed key
-order, floats rounded to 15 significant digits, no timestamps. JSON reports carry a top-level {"schema": "1"}; CSV column sets
-are documented in the README. Subcommands hand raw floats, complex numbers
-and arrays to one JSON writer, `_json`, which does three things: it rounds
-floats to 15 significant digits, it encodes complex numbers as {"re", "im"},
-and it writes non-finite numbers as null, so reports are strict JSON. Each
-subcommand returns its payload, CSV rows and checks, and `main` renders the
-report; verify-all reruns the subcommands' own checks.
+order, floats rounded to 15 significant digits by `_fmt`, no timestamps. JSON
+reports carry a top-level {"schema": "1"}; CSV column sets are documented in
+the README. Each subcommand returns its payload, CSV rows and checks, all
+holding raw floats, complex numbers and arrays, and `_render` writes the
+report: the JSON writer `_json` rounds floats, encodes complex numbers as
+{"re", "im"} and writes non-finite numbers as null, so reports are strict
+JSON, and every float CSV cell takes the same 15-digit rounding. verify-all
+reruns the subcommands' own checks under their own parser's defaults.
 
 Exit codes: 0 when every check in the selected suite passes; 1 on the first
 failing check, named on stderr, including checks that yield no value (a
@@ -146,7 +147,8 @@ def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerows([f"{_fmt(x):.15g}" if isinstance(x, float) else x
+                          for x in row] for row in csv_rows)
         text = buf.getvalue()
     if args.out:
         try:
@@ -184,11 +186,6 @@ def _params(args) -> ModelParams:
     return ModelParams(beta=args.beta, gamma=args.gamma)
 
 
-def _pinned(args, **flags) -> argparse.Namespace:
-    """verify-all's flags for a subcommand: the model point, the rest pinned."""
-    return argparse.Namespace(beta=args.beta, gamma=args.gamma, **flags)
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns (payload, csv header, csv rows, checks)
 
@@ -206,8 +203,7 @@ def run_spectrum(args):
         "entries": [{"m": m, "n": n, "energy": e} for m, n, e in grid],
         "blocks": blocks,
     }
-    rows = [[m, n, f"{_fmt(e):.15g}"] for m, n, e in grid]
-    return payload, ["m", "n", "energy"], rows, []
+    return payload, ["m", "n", "energy"], grid, []
 
 
 def run_sectors(args):
@@ -249,10 +245,8 @@ def _sector_report(args):
         checks.append(Check(f"sector_k{k}_closed_form", float(errors.max()), args.tol))
         for level in range(args.n_eigs):
             v = complex(conv.values[level])
-            csv_rows.append([k, level, conv.depths[-1],
-                             f"{_fmt(v.real):.15g}", f"{_fmt(v.imag):.15g}",
-                             f"{_fmt(conv.targets[level]):.15g}",
-                             f"{_fmt(errors[level]):.15g}"])
+            csv_rows.append([k, level, conv.depths[-1], v.real, v.imag,
+                             conv.targets[level], errors[level]])
     payload = {
         "beta": p.beta,
         "gamma": p.gamma,
@@ -288,8 +282,7 @@ def run_biorth(args):
     for row, (m, n) in enumerate(report.labels):
         for col, (q_m, q_n) in enumerate(report.labels):
             z = complex(report.gram[row, col])
-            csv_rows.append([m, n, q_m, q_n,
-                             f"{_fmt(z.real):.15g}", f"{_fmt(z.imag):.15g}"])
+            csv_rows.append([m, n, q_m, q_n, z.real, z.imag])
     header = ["m", "n", "p", "q", "re", "im"]
     return payload, header, csv_rows, checks
 
@@ -311,7 +304,7 @@ def run_commutators(args):
         "deviations": deviations,
         "diagonal_form": diagonal,
     }
-    csv_rows = [[name, f"{_fmt(dev):.15g}"] for name, dev in report.items()]
+    csv_rows = [[name, dev] for name, dev in report.items()]
     return payload, ["check", "deviation"], csv_rows, checks
 
 
@@ -343,7 +336,7 @@ def run_emm(args):
             pairing_products.append({"i": i, "j": j,
                                      "pairing": pairing, "weighted": product})
     pairing_dev = float(np.max(weighted))
-    secular = su11_secular(p.gamma)
+    secular = su11_secular(p)
     secular_res = float(np.max([residual(secular.matrix, val, vec)
                                 for val, vec in secular.pairs]))
     checks = [
@@ -367,7 +360,7 @@ def run_emm(args):
         "secular_vectors": [vec for _, vec in secular.pairs],
         "secular_degenerate": secular.degenerate,
     }
-    csv_rows = [[c.name, f"{_fmt(c.value):.15g}"] for c in checks]
+    csv_rows = [[c.name, c.value] for c in checks]
     return payload, ["check", "deviation"], csv_rows, checks
 
 
@@ -394,7 +387,7 @@ def run_stability(args):
         "final_drop": scan.final_drop,
         "bounded": scan.bounded,
     }
-    csv_rows = [[d, f"{_fmt(v):.15g}"] for d, v in zip(scan.depths, scan.lowest)]
+    csv_rows = [[d, v] for d, v in zip(scan.depths, scan.lowest)]
     return payload, ["depth", "lowest"], csv_rows, checks
 
 
@@ -430,7 +423,7 @@ def _similarity_report(args, matrix: np.ndarray):
         **fields,
         "transform": report.transform,
     }
-    csv_rows = [[name, f"{_fmt(value):.15g}"] for name, value in fields.items()]
+    csv_rows = [[name, value] for name, value in fields.items()]
     return payload, ["field", "value"], csv_rows, checks
 
 
@@ -450,22 +443,28 @@ def _random_similarity_batch(count: int, size: int):
 
 
 def run_verify_all(args):
-    """Every invariant suite at pinned points and tolerances. A suite that a
-    subcommand also computes is the worst of that subcommand's checks."""
+    """Every invariant suite. A suite that a subcommand also computes is the
+    worst of that subcommand's checks, run at that subcommand's defaults
+    save verify-all's --beta and --gamma and what verify-all pins: sectors
+    k -3..3 with --n-eigs 4 at verify-all's --depth, biorth at verify-all's
+    --trunc, and the unbounded stability run at --lam 1.2 --depths 40 80."""
     if args.depth < 16:
         raise UsageError("--depth must be at least 16: the sector suites keep "
                          "4 levels at depth // 4")
     p = _params(args)
+    parse = _parser().parse_args
+    beta = f"--beta={args.beta!r}"
+    point = [beta, f"--gamma={args.gamma!r}"]
     suites = []
 
     def suite(name, value, tol, mode="le"):
         suites.append(Check(name, value, tol, mode))
 
     # equation-of-motion layer
-    suites += run_emm(_pinned(args, tol=1e-10))[3]
+    suites += run_emm(parse(["emm", *point]))[3]
 
     # pseudo-boson algebra at small truncation (deviations are interior-exact)
-    comm = run_commutators(_pinned(args, trunc=8, tol=1e-10, action_tol=1e-9))[3]
+    comm = run_commutators(parse(["commutators", *point]))[3]
     action = [c for c in comm if c.name.startswith("[H,")]
     diagonal = [c for c in comm if c.name == "diagonal_form"]
     suites.append(_worst("wh_commutators",
@@ -477,7 +476,7 @@ def run_verify_all(args):
     rows = eigen_residuals(p, TruncationSpec(args.trunc, args.trunc), 3, 3)
     suite("eigen_residuals", max(r["residual"] for r in rows), 1e-8)
     suite("adjoint_residuals", max(r["adjoint_residual"] for r in rows), 1e-8)
-    bio = run_biorth(_pinned(args, trunc=args.trunc, m_max=4, n_max=4, tol=1e-9))[3]
+    bio = run_biorth(parse(["biorth", *point, f"--trunc={args.trunc}"]))[3]
     suites.append(_worst("biorthogonality", bio))
 
     # similarity layer
@@ -487,9 +486,9 @@ def run_verify_all(args):
               for k in range(-2, 3)), 1e-13)
 
     # sector spectra and the full-space cross-check
-    (_, _, _, sector_checks), convs = _sector_report(_pinned(
-        args, k_range=(-3, 3), depth=args.depth, n_eigs=4, tol=1e-6,
-        step_tol=1e-8))
+    (_, _, _, sector_checks), convs = _sector_report(parse(
+        ["sectors", *point, "--k-range", "-3", "3", f"--depth={args.depth}",
+         "--n-eigs", "4"]))
     steps = [c for c in sector_checks if c.name.endswith("_depth_step")]
     suites.append(_worst("sector_depth_step", steps))
     suites.append(_worst("sector_closed_form",
@@ -505,7 +504,7 @@ def run_verify_all(args):
                   for k in range(-2, 3) for variant in ("lowest", "highest"))
     suite("su11_commutators", gen_dev, 1e-10)
     tilted_dev = max(su11_commutation_check(
-        pseudo_su11_generators(SectorSpec(k, 30), p.gamma))
+        pseudo_su11_generators(SectorSpec(k, 30), p))
         for k in range(-2, 3)) if p.gamma != 0 else 0.0
     suite("tilted_su11_commutators", tilted_dev, 1e-10)
     casimir_dev = 0.0
@@ -513,18 +512,17 @@ def run_verify_all(args):
     if p.gamma != 0:
         for k in range(-2, 3):
             spec = SectorSpec(k, 30)
-            tilted, plain = casimir_reduction_check(spec, p.gamma)
+            tilted, plain = casimir_reduction_check(spec, p)
             casimir_dev = max(casimir_dev, tilted, plain)
-            weight_dev = max(weight_dev, *lowest_weight_residuals(spec, p.gamma))
+            weight_dev = max(weight_dev, *lowest_weight_residuals(spec, p))
     suite("casimir_reduction", casimir_dev, 1e-9)
     suite("lowest_weight", weight_dev, 1e-8)
 
     # stability contrast
-    bounded = run_stability(_pinned(args, k=0, lam=0.6, depths=[30, 60],
-                                    tol=1e-6, drop=1.0))[3]
+    bounded = run_stability(parse(["stability", beta]))[3]
     suites.append(_worst("stability_bounded", bounded))
-    unbounded = run_stability(_pinned(args, k=0, lam=1.2, depths=[40, 80],
-                                      tol=1e-6, drop=1.0))[3]
+    unbounded = run_stability(parse(["stability", beta, "--lam", "1.2",
+                                     "--depths", "40", "80"]))[3]
     suites.append(_worst("instability_witness", unbounded))
 
     # similarity construction on general matrices
@@ -533,7 +531,8 @@ def run_verify_all(args):
     suite("similarity_hand_case",
           float(np.abs(hand.transform - target).max()), 1e-10)
     suite("similarity_hand_nonunitary", hand.unitarity_defect, 1.0, mode="ge")
-    flags = _pinned(args, real_tol=1e-8, sim_tol=1e-8, biorth_tol=1e-10)
+    # the batch is built in memory: theorem1's required --input is never read
+    flags = parse(["theorem1", "--input", "-"])
     batch = [c for m in _random_similarity_batch(5, 5)
              for c in _similarity_report(flags, m)[3]]
     suites.append(_worst("similarity_random_batch",
@@ -548,8 +547,8 @@ def run_verify_all(args):
         "depth": args.depth,
         "suites": [c.as_json() for c in suites],
     }
-    csv_rows = [[c.name, f"{_fmt(c.value):.15g}", f"{_fmt(c.tol):.15g}",
-                 "pass" if c.passed else "FAIL"] for c in suites]
+    csv_rows = [[c.name, c.value, c.tol, "pass" if c.passed else "FAIL"]
+                for c in suites]
     header = ["suite", "max_deviation", "tolerance", "status"]
     return payload, header, csv_rows, suites
 
@@ -586,19 +585,28 @@ def _read_matrix(path: str) -> np.ndarray:
     # bool is an int subclass; a float n would be truncated or overflow
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise UsageError(f'{path}: "n" must be a JSON integer >= 1, got {json.dumps(n)}')
-    re_part = np.asarray(obj["re"], dtype=float)
-    if re_part.shape != (n, n):
-        raise UsageError(f'{path}: "re" must be an {n} x {n} grid')
     # the parts are assigned, not summed as re + 1j * im, so an infinite
     # entry reaches the finiteness check instead of turning into 0 * inf
     matrix = np.zeros((n, n), dtype=complex)
-    matrix.real = re_part
+    matrix.real = _json_grid(path, obj, "re", n)
     if "im" in obj and obj["im"] is not None:
-        im_part = np.asarray(obj["im"], dtype=float)
-        if im_part.shape != (n, n):
-            raise UsageError(f'{path}: "im" must be an {n} x {n} grid')
-        matrix.imag = im_part
+        matrix.imag = _json_grid(path, obj, "im", n)
     return matrix
+
+
+def _json_grid(path: str, obj: dict, key: str, n: int) -> np.ndarray:
+    """obj[key] as an n x n float array: a list of n rows of n JSON numbers.
+    numpy would read a bool as 1.0 and fail on a string or a ragged row with
+    a message that names neither the file nor the field."""
+    rows = obj[key]
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)
+            and {type(x) for row in rows for x in row} <= {int, float}):
+        raise UsageError(f'{path}: "{key}" must be an {n} x {n} grid of numbers')
+    try:
+        return np.array(rows, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise UsageError(f"{path}: matrix entries must be finite") from exc
 
 
 def _parse_csv_matrix(path: str, text: str) -> np.ndarray:

@@ -201,7 +201,7 @@ def su11_secular_matrix(gamma: float) -> NDArray[np.float64]:
     ])
 
 
-def su11_secular(gamma: float) -> EmmSolution:
+def su11_secular(p: ModelParams) -> EmmSolution:
     """Eigenpairs of the secular matrix: -2 rho, 0, 2 rho with vectors
     (alpha, 1/alpha, 1), (gamma, -gamma, 1) and (1/alpha, alpha, -1) for
     gamma != 0, where alpha = gamma/(1+rho) = (rho-1)/gamma; the first form
@@ -213,6 +213,7 @@ def su11_secular(gamma: float) -> EmmSolution:
     ladder operators. The matrix is not symmetric, so left and right
     eigenvectors differ; these are the right ones.
     """
+    gamma, rho, alpha = p.gamma, p.rho, p.alpha
     m = su11_secular_matrix(gamma)
     if gamma == 0:
         raw = [
@@ -221,10 +222,9 @@ def su11_secular(gamma: float) -> EmmSolution:
             (2.0, np.array([1.0, 0.0, 0.0])),
         ]
     else:
-        rho = float(np.sqrt(1.0 + gamma ** 2))
         raw = [
-            (-2.0 * rho, np.array([gamma / (1.0 + rho), (1.0 + rho) / gamma, 1.0])),
+            (-2.0 * rho, np.array([alpha, (1.0 + rho) / gamma, 1.0])),
             (0.0, np.array([gamma, -gamma, 1.0])),
-            (2.0 * rho, np.array([(1.0 + rho) / gamma, gamma / (1.0 + rho), -1.0])),
+            (2.0 * rho, np.array([(1.0 + rho) / gamma, alpha, -1.0])),
         ]
     return _solution(m, raw, degenerate=(gamma == 0))

@@ -177,12 +177,12 @@ def casimir_check(gens, k: int, margin: int = 0) -> float:
     return _interior_max(c - target, margin)
 
 
-def casimir_reduction_check(spec: SectorSpec, gamma: float) -> tuple[float, float]:
+def casimir_reduction_check(spec: SectorSpec, p: ModelParams) -> tuple[float, float]:
     """Casimir deviations from (k^2 - 1) for the tilted triple (margin 2, the
     products widen the corrupted boundary) and the self-adjoint triple
     (margin 2 as well, for a like-for-like comparison; it is exact even at
     margin 0). Returned as (tilted, self_adjoint)."""
-    tilted = casimir_check(pseudo_su11_generators(spec, gamma), spec.k, margin=2)
+    tilted = casimir_check(pseudo_su11_generators(spec, p), spec.k, margin=2)
     plain = casimir_check(su11_generators(spec), spec.k, margin=2)
     return tilted, plain
 
@@ -221,8 +221,8 @@ def transpose_similarity_check(spec: SectorSpec, p: ModelParams) -> float:
     return float(np.abs(m.T - conjugated).max())
 
 
-def pseudo_su11_generators(spec: SectorSpec, gamma: float) -> Su11Generators:
-    """The tilted su(1,1) triple of sector k at coupling gamma.
+def pseudo_su11_generators(spec: SectorSpec, p: ModelParams) -> Su11Generators:
+    """The tilted su(1,1) triple of sector k at coupling p.gamma.
 
     Same commutation relations and Casimir value as the self-adjoint triple,
     but raising and lowering are no longer transposes of each other and the
@@ -236,43 +236,43 @@ def pseudo_su11_generators(spec: SectorSpec, gamma: float) -> Su11Generators:
 
     The coefficient triples of plus and minus are not formed here: they are
     the +2 rho and -2 rho eigenvectors of the sector secular matrix, read
-    from `emm.su11_secular`, which forms alpha without the cancellation of
-    (rho - 1) / gamma, so small gamma stays accurate. Undefined at
-    gamma = 0, where the tilt degenerates to the self-adjoint triple.
+    from `emm.su11_secular`, whose alpha is `ModelParams.alpha`, free of the
+    cancellation of (rho - 1) / gamma, so small gamma stays accurate.
+    Undefined at gamma = 0, where the tilt degenerates to the self-adjoint
+    triple.
     """
+    gamma, rho = p.gamma, p.rho
     if gamma == 0:
         raise ValueError("tilted triple undefined at gamma = 0; "
                          "use su11_generators for the self-adjoint triple")
     base = su11_generators(spec)
-    rho = math.sqrt(1.0 + gamma ** 2)
     r, el, z = base.plus, base.minus, base.zero
     front = gamma / (2.0 * rho)
-    pairs = su11_secular(gamma).pairs
+    pairs = su11_secular(p).pairs
     plus, minus = (front * (a * r + b * el + c * z)
                    for a, b, c in (pairs[2][1].real, pairs[0][1].real))
     zero = (z + gamma * (r - el)) / rho
     return Su11Generators(plus=plus, minus=minus, zero=zero)
 
 
-def lowest_weight_vector(spec: SectorSpec, gamma: float) -> NDArray[np.float64]:
+def lowest_weight_vector(spec: SectorSpec, p: ModelParams) -> NDArray[np.float64]:
     """Sector slice of the pseudo-boson vacuum: components
     (-alpha)^j sqrt(binom(|k|+j, j)) with alpha = gamma / (1 + rho).
 
     Annihilated by the tilted `minus` and an eigenvector of the tilted `zero`
     with eigenvalue |k| + 1, up to the geometric truncation tail.
     """
-    rho = math.sqrt(1.0 + gamma ** 2)
-    alpha = gamma / (1.0 + rho)
+    alpha = p.alpha
     a = abs(spec.k)
     return np.array([(-alpha) ** j * math.sqrt(math.comb(a + j, j))
                      for j in range(spec.depth)])
 
 
-def lowest_weight_residuals(spec: SectorSpec, gamma: float) -> tuple[float, float]:
+def lowest_weight_residuals(spec: SectorSpec, p: ModelParams) -> tuple[float, float]:
     """Relative residuals (|minus v| / |v|, |zero v - (|k|+1) v| / |v|) for the
     lowest-weight vector of the tilted triple."""
-    gens = pseudo_su11_generators(spec, gamma)
-    v = lowest_weight_vector(spec, gamma)
+    gens = pseudo_su11_generators(spec, p)
+    v = lowest_weight_vector(spec, p)
     scale = norm2(v)
     shifted = gens.zero @ v - (abs(spec.k) + 1.0) * v
     return norm2(gens.minus @ v) / scale, norm2(shifted) / scale

@@ -139,12 +139,12 @@ def test_criterion_08_su11_structure():
     for k in range(-2, 3):
         spec = SectorSpec(k, 30)
         assert su11_commutation_check(su11_generators(spec), margin=1) < 1e-10
-        tilted = pseudo_su11_generators(spec, P.gamma)
+        tilted = pseudo_su11_generators(spec, P)
         assert su11_commutation_check(tilted, margin=1) < 1e-10
-        tilted_dev, plain_dev = casimir_reduction_check(spec, P.gamma)
+        tilted_dev, plain_dev = casimir_reduction_check(spec, P)
         assert tilted_dev < 1e-9
         assert plain_dev < 1e-9
-        lowering_res, diagonal_res = lowest_weight_residuals(spec, P.gamma)
+        lowering_res, diagonal_res = lowest_weight_residuals(spec, P)
         assert lowering_res < 1e-8
         assert diagonal_res < 1e-8
 

@@ -360,6 +360,23 @@ def test_theorem1_json_size_must_be_an_integer(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "re": [["a", 0], [0, 1]]}', '"re" must be an 2 x 2 grid of numbers'),
+    ('{"n": 2, "re": [[1, 0], [0]]}', '"re" must be an 2 x 2 grid of numbers'),
+    ('{"n": 2, "re": [[true, 0], [0, 1]]}', '"re" must be an 2 x 2 grid of numbers'),
+    ('{"n": 1, "re": [[1]], "im": [[null]]}', '"im" must be an 1 x 1 grid of numbers'),
+    ('{"n": 1, "re": [2]}', '"re" must be an 1 x 1 grid of numbers'),
+    ('{"n": 1, "re": [[1' + "0" * 400 + ']]}', "matrix entries must be finite"),
+], ids=["string", "ragged", "bool", "null", "flat", "huge-integer"])
+def test_theorem1_json_grid_must_hold_numbers(tmp_path, capsys, text, message):
+    # numpy named no file for a string or a ragged row, read true as 1.0 and
+    # raised an OverflowError for an integer beyond the float range
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run(capsys, "theorem1", "--input", str(path)) == (
+        2, "", f"pseudoboson: error: {path}: {message}\n")
+
+
 def test_tolerance_failure_names_first_check(capsys):
     code, out, err = run(capsys, "commutators", "--trunc", "6",
                          "--tol", "1e-20", "--action-tol", "1e-20")
@@ -620,6 +637,36 @@ def test_verify_all_builds_no_deep_truncation_matrix(capsys, monkeypatch):
     assert dims == [121]
 
 
+# the verify-all suites whose tolerance is a subcommand's default flag;
+# theorem1's --real-tol gates a precondition and reaches no suite
+_SUITE_TOLERANCE_FLAGS = {
+    "emm_eigenvalue_multiset": ("emm", "--tol"),
+    "wh_commutators": ("commutators", "--tol"),
+    "diagonal_form": ("commutators", "--tol"),
+    "hamiltonian_action": ("commutators", "--action-tol"),
+    "biorthogonality": ("biorth", "--tol"),
+    "sector_depth_step": ("sectors", "--step-tol"),
+    "sector_closed_form": ("sectors", "--tol"),
+    "stability_bounded": ("stability", "--tol"),
+    "instability_witness": ("stability", "--drop"),
+    "similarity_random_batch": ("theorem1", "--sim-tol"),
+    "similarity_random_biorth": ("theorem1", "--biorth-tol"),
+}
+
+
+def test_verify_all_tolerances_are_the_subcommand_defaults(capsys):
+    assert set(_SUITE_TOLERANCE_FLAGS.values()) == {
+        (argv[0], flag) for argv, flag in TOLERANCE_FLAGS} - {("theorem1", "--real-tol")}
+    subs = next(a for a in cli._parser()._actions if a.dest == "command").choices
+    code, out, _ = run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
+                       "--depth", "32")
+    assert code == 0
+    tolerances = {s["name"]: s["tolerance"] for s in json.loads(out)["suites"]}
+    assert {name: tolerances[name] for name in _SUITE_TOLERANCE_FLAGS} == {
+        name: subs[command].get_default(flag[2:].replace("-", "_"))
+        for name, (command, flag) in _SUITE_TOLERANCE_FLAGS.items()}
+
+
 def test_commutators_build_no_matrix(capsys, monkeypatch):
     dims = _matrix_dims(monkeypatch)
     code, _, _ = run(capsys, "commutators", "--trunc", "12")
@@ -729,47 +776,60 @@ _REAL6[0, 2], _REAL6[1, 4], _REAL6[0, 5] = 0.125, -0.25, 0.0625
 _COMPLEX6 = (np.diag(np.arange(6) + 0.5) + np.diag([0.25 - 0.125j] * 5, -1)
              + np.diag([(0.5 + 0.25j) * (1 + i / 4) for i in range(5)], 1))
 
-# sha256 of the JSON stdout of each line; a change that moves a reported
-# value updates its digest and says so in CHANGES.md
+# sha256 of the JSON and of the CSV stdout of each line; a change that moves
+# a reported value updates its digests and says so in CHANGES.md
 REPORT_DIGESTS = {
     ("spectrum",):
-        "614245098333b32b6d2eb2127f4b41ef5776161964aa4fa2375b4b0d5cdd88ec",
+        ("614245098333b32b6d2eb2127f4b41ef5776161964aa4fa2375b4b0d5cdd88ec",
+         "8b947dab185a1edf44543e38b5668dca5b577d4a235aaa45026fd3ea9df41517"),
     ("sectors",):
-        "51a04335defee1dc8f77d9be43e5e154448055324ee448feb2f018947fc92186",
+        ("51a04335defee1dc8f77d9be43e5e154448055324ee448feb2f018947fc92186",
+         "2387e3792ac4301977855ef739e21cbffd7bdfb12a58dc02970e74af2fc6ab9b"),
     ("biorth",):
-        "22ff4508d752378f1a27bd75d41b9ff36f6b321ca011a8b62166157e646f68cd",
+        ("22ff4508d752378f1a27bd75d41b9ff36f6b321ca011a8b62166157e646f68cd",
+         "13a3d728f349effd47db843d298867fd77453ee0d53c69b85892c3b97096c4e7"),
     ("commutators",):
-        "d747437bc3fc336084392ffa41ac06ae2b140008b01ec864ef96daf36f37c47e",
+        ("d747437bc3fc336084392ffa41ac06ae2b140008b01ec864ef96daf36f37c47e",
+         "f07b0081eeec0d97a720900f478238f71c6232aa723053f0d2c3dc70d064d7c0"),
     ("emm",):
-        "45e3bf95570d3148b8eecad063532cb2d2166d80fbcec1017f93d376d3ebac85",
+        ("45e3bf95570d3148b8eecad063532cb2d2166d80fbcec1017f93d376d3ebac85",
+         "7b3d61021af5e2a1f7fa5aa8b2c77e27171332f68aabad3afa8cdbe5147dc9ac"),
     # gamma = 0 takes the degenerate branch; beta = 1.25 = rho at the default
     # gamma = 0.75 takes the repeated-value branch
     ("emm", "--gamma", "0"):
-        "1bca72c3de7f2df70157127ea1bd93369428f8b610fe4b2ca05c3de9ea8cf882",
+        ("1bca72c3de7f2df70157127ea1bd93369428f8b610fe4b2ca05c3de9ea8cf882",
+         "1f4b818429c2b3649ad0c12e5132eb3a4d9a4525b7c6892c57bc605dc2d43965"),
     ("emm", "--beta", "1.25"):
-        "87bba05ae89b8fb08a236bef0a51fedd366da268a2cccdbf1a3f912bd6f5f0af",
+        ("87bba05ae89b8fb08a236bef0a51fedd366da268a2cccdbf1a3f912bd6f5f0af",
+         "7b3d61021af5e2a1f7fa5aa8b2c77e27171332f68aabad3afa8cdbe5147dc9ac"),
     ("stability",):
-        "aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
+        ("aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
+         "7312daaa7ea166f3c6df74fa05360d67790e1b4f1b2adb56abb2f563276c8e66"),
     ("theorem1", "--input", "REAL6"):
-        "17a46bee0b8abb3d27225eb677bdf12fa77a381b51c1395ec7fa4b68d8327e0a",
+        ("17a46bee0b8abb3d27225eb677bdf12fa77a381b51c1395ec7fa4b68d8327e0a",
+         "0a9dbabebfa4a6ae13f856ddb9092956c336d86d638154431f8e8f5bcc1e12d7"),
     ("theorem1", "--input", "COMPLEX6"):
-        "6f3f583702a075469ccb32f58d656392b46237009a3c0f059e55e5c539791ca0",
+        ("6f3f583702a075469ccb32f58d656392b46237009a3c0f059e55e5c539791ca0",
+         "6f9cad68b96052441e6570a6fa2c4ba51328285164364e497ff1c3ec1aeb952a"),
     ("verify-all",):
-        "7461517a569edde413591867adfbb6a8a493b2e269c97dcb12e8900a4181776d",
+        ("7461517a569edde413591867adfbb6a8a493b2e269c97dcb12e8900a4181776d",
+         "6c4c116b7cb2bc8f465c6a7d4f346a1b52f90558bd4e9e6599c99a5484ada14f"),
     ("verify-all", "--gamma", "0.2", "--trunc", "24", "--depth", "32"):
-        "9ef4aa33b55bbec3909f96f125f683ae5bc485b511f1387ded0ac8a87604dc1a",
+        ("9ef4aa33b55bbec3909f96f125f683ae5bc485b511f1387ded0ac8a87604dc1a",
+         "df4bc36fc61d2fd6bb22f7a8d78895d6a4f5e76c5415999727a4f8edd1680664"),
 }
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS),
                          ids=["-".join(a).replace("--", "") for a in REPORT_DIGESTS])
 def test_reports_keep_their_bytes(capsys, tmp_path, argv):
-    digest = REPORT_DIGESTS[argv]
+    digests = REPORT_DIGESTS[argv]
     for name, m in (("REAL6", _REAL6), ("COMPLEX6", _COMPLEX6)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"n": 6, "re": m.real.tolist(),
                                     "im": m.imag.tolist()}))
         argv = [str(path) if a == name else a for a in argv]
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for fmt, digest in zip(("json", "csv"), digests):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

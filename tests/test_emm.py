@@ -207,7 +207,7 @@ def test_secular_matrix_shape_and_asymmetry():
 
 
 def test_secular_eigenpairs():
-    sec = su11_secular(0.75)
+    sec = su11_secular(ModelParams(0.0, 0.75))
     values = [val.real for val, _ in sec.pairs]
     assert values == pytest.approx([-2.5, 0.0, 2.5])
     for val, vec in sec.pairs:
@@ -220,7 +220,7 @@ def test_secular_eigenpairs():
 
 
 def test_secular_decoupled_limit():
-    sec = su11_secular(0.0)
+    sec = su11_secular(ModelParams(0.0, 0.0))
     assert sec.degenerate
     values = [val.real for val, _ in sec.pairs]
     assert values == pytest.approx([-2.0, 0.0, 2.0])
@@ -232,7 +232,7 @@ def test_both_closed_forms_share_one_record():
     # one record and one pair shape for the model's 4 x 4 and the secular
     # 3 x 3: complex values sorted by real part, with complex vectors
     for sol, size in ((model_emm_eigenpairs(ModelParams(-0.7, 1.0)), 4),
-                      (su11_secular(1.0), 3)):
+                      (su11_secular(ModelParams(-0.7, 1.0)), 3)):
         assert isinstance(sol, EmmSolution)
         assert sol.matrix.shape == (size, size)
         values = [val for val, _ in sol.pairs]

@@ -158,15 +158,16 @@ def test_sector_spectrum_symmetric_under_transpose():
 def test_tilted_generators_close_the_algebra():
     for gamma in (0.25, 0.75, 2.0):
         for k in range(-3, 4):
-            gens = pseudo_su11_generators(SectorSpec(k, 8), gamma)
+            gens = pseudo_su11_generators(SectorSpec(k, 8), ModelParams(0.0, gamma))
             assert su11_commutation_check(gens, margin=1) < 1e-10
 
 
 def test_tilted_zero_is_scaled_coupled_matrix():
     spec = SectorSpec(1, 10)
-    gens = pseudo_su11_generators(spec, 0.75)
-    coupled = pseudo_jacobi(spec, ModelParams(0.0, 0.75))
-    assert np.abs(gens.zero - coupled / ModelParams(0.0, 0.75).rho).max() < 1e-14
+    p = ModelParams(0.0, 0.75)
+    gens = pseudo_su11_generators(spec, p)
+    coupled = pseudo_jacobi(spec, p)
+    assert np.abs(gens.zero - coupled / p.rho).max() < 1e-14
     assert np.abs(gens.zero - gens.zero.T).max() > 0.1
 
 
@@ -175,8 +176,9 @@ def test_tilted_ladders_are_the_secular_eigenvectors(gamma):
     # plus and minus are (gamma / 2 rho) (v . (R, L, Z)) for v the +2 rho
     # and -2 rho eigenvectors of the su(1,1) secular matrix, bit for bit;
     # the vectors meet their eigen-equation and alpha = gamma / (1 + rho)
+    p = ModelParams(0.0, gamma)
     rho = np.sqrt(1.0 + gamma ** 2)
-    secular = su11_secular(gamma)
+    secular = su11_secular(p)
     (low, v_minus), _, (high, v_plus) = secular.pairs
     assert (low, high) == (-2.0 * rho, 2.0 * rho)
     for value, v in ((low, v_minus), (high, v_plus)):
@@ -189,7 +191,7 @@ def test_tilted_ladders_are_the_secular_eigenvectors(gamma):
     for k, depth in ((-3, 5), (0, 30), (2, 30)):
         spec = SectorSpec(k, depth)
         base = su11_generators(spec)
-        gens = pseudo_su11_generators(spec, gamma)
+        gens = pseudo_su11_generators(spec, p)
         front = gamma / (2.0 * rho)
         for got, v in ((gens.plus, v_plus), (gens.minus, v_minus)):
             a, b, c = v.real
@@ -199,7 +201,7 @@ def test_tilted_ladders_are_the_secular_eigenvectors(gamma):
 
 def test_tilted_generators_need_coupling():
     with pytest.raises(ValueError):
-        pseudo_su11_generators(SectorSpec(0, 5), 0.0)
+        pseudo_su11_generators(SectorSpec(0, 5), ModelParams(0.5, 0.0))
 
 
 def test_casimir_values():
@@ -208,25 +210,25 @@ def test_casimir_values():
         assert casimir_check(gens, k, margin=2) < 1e-12
         c = casimir_matrix(gens)
         assert c[0, 0] == pytest.approx(k * k - 1)
-    tilted_dev, plain_dev = casimir_reduction_check(SectorSpec(1, 30), 0.75)
+    tilted_dev, plain_dev = casimir_reduction_check(SectorSpec(1, 30), P)
     assert tilted_dev < 1e-9
     assert plain_dev < 1e-12
 
 
 def test_lowest_weight_vector_components():
-    v = lowest_weight_vector(SectorSpec(1, 4), 0.75)
+    v = lowest_weight_vector(SectorSpec(1, 4), P)
     assert v[0] == pytest.approx(1.0)
     assert v[1] == pytest.approx(-0.4714045207910317)
     assert v[2] == pytest.approx(0.19245008972987526)
     assert v[3] == pytest.approx(-0.07407407407407407)
     # k = 0: plain geometric profile in -alpha
-    w = lowest_weight_vector(SectorSpec(0, 5), 0.75)
+    w = lowest_weight_vector(SectorSpec(0, 5), P)
     assert np.allclose(w, [(-1.0 / 3.0) ** j for j in range(5)])
 
 
 def test_lowest_weight_is_annihilated():
     for k in (-1, 0, 2):
-        lowering_res, diagonal_res = lowest_weight_residuals(SectorSpec(k, 30), 0.75)
+        lowering_res, diagonal_res = lowest_weight_residuals(SectorSpec(k, 30), P)
         assert lowering_res < 1e-8
         assert diagonal_res < 1e-8
 
