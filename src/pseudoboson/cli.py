@@ -2,18 +2,19 @@
 machine-readable reports.
 
 Library calls give every solver result and model quantity in a report. The
-CLI forms only differences and maxima of them (sector abs errors, emm
-weighted pairings and residual maxima, the stability error, verify-all's
-hand-case distance and `sector_energy_cross_check`), assembles output and
-compares deviations against tolerances. Reports are deterministic: fixed key
-order, floats rounded to 15 significant digits by `_fmt`, no timestamps. JSON
-reports carry a top-level {"schema": "1"}; CSV column sets are documented in
-the README. Each subcommand returns its payload, CSV rows and checks, all
-holding raw floats, complex numbers and arrays, and `_render` writes the
-report: the JSON writer `_json` rounds floats, encodes complex numbers as
-{"re", "im"} and writes non-finite numbers as null, so reports are strict
-JSON, and every float CSV cell takes the same 15-digit rounding. verify-all
-reruns the subcommands' own checks under their own parser's defaults.
+CLI forms only differences of them and the entrywise maxima that make one
+check's value (sector abs errors, emm residuals and weighted pairings,
+verify-all's hand case); only `_worst` forms a maximum over checks, the
+value of a verify-all suite. It assembles output and compares deviations
+against tolerances. Reports are deterministic: fixed key order, floats
+rounded to 15 significant digits by `_fmt`, no timestamps. JSON reports
+carry a top-level {"schema": "1"}; CSV column sets are documented in the
+README. Each subcommand returns its payload, CSV rows and checks, all holding
+raw floats, complex numbers and arrays, and `_render` writes the report: the
+JSON writer `_json` rounds floats, encodes complex numbers as {"re", "im"}
+and writes non-finite numbers as null, so reports are strict JSON, and every
+float CSV cell takes the same 15-digit rounding. verify-all reruns the
+subcommands' own checks under their own parser's defaults.
 
 Exit codes: 0 when every check in the selected suite passes; 1 on the first
 failing check, named on stderr, including checks that yield no value (a
@@ -172,14 +173,17 @@ def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
 def _worst(name: str, checks: list) -> Check:
     """The worst of several checks of one kind (for 'ge' checks, the
     smallest), with their common tolerance and mode; raises ValueError when
-    they have none."""
+    they have none. The first non-finite value is the worst in either mode:
+    min and max would drop a NaN that does not come first."""
     kinds = {(c.tol, c.mode) for c in checks}
     if len(kinds) != 1:
         raise ValueError(f"suite {name} collapses checks with tolerances and "
                          f"modes {sorted(kinds)}")
     ((tol, mode),) = kinds
+    values = [c.value for c in checks]
     pick = min if mode == "ge" else max
-    return Check(name, pick(c.value for c in checks), tol, mode)
+    return Check(name, next((v for v in values if not math.isfinite(v)),
+                            pick(values)), tol, mode)
 
 
 def _params(args) -> ModelParams:
@@ -215,21 +219,18 @@ def run_sectors(args):
     if not 1 <= args.n_eigs <= args.depth // 4:
         raise UsageError(f"--n-eigs must be between 1 and --depth // 4 = "
                          f"{args.depth // 4}, the levels of the start depth")
-    return _sector_report(args)[0]
+    return _sector_report(args)
 
 
 def _sector_report(args):
-    """The sectors report without the flag checks of `run_sectors`, and the
-    converged spectra behind it, keyed by k."""
+    """The sectors report without the flag checks of `run_sectors`."""
     p = _params(args)
     checks = []
     sectors_payload = []
     csv_rows = []
-    convs = {}
     for k in range(args.k_range[0], args.k_range[1] + 1):
         conv = converged_sector_spectrum(
             k, p, n_eigs=args.n_eigs, start_depth=args.depth // 4, tol=args.step_tol)
-        convs[k] = conv
         errors = np.abs(conv.values - conv.targets)
         sectors_payload.append({
             "k": k,
@@ -255,7 +256,7 @@ def _sector_report(args):
         "sectors": sectors_payload,
     }
     header = ["k", "level", "depth", "value_re", "value_im", "target", "abs_error"]
-    return (payload, header, csv_rows, checks), convs
+    return payload, header, csv_rows, checks
 
 
 def run_biorth(args):
@@ -313,9 +314,8 @@ def run_emm(args):
     # the -beta + rho and beta - rho vectors pair to
     # gamma (1 + rho) + gamma^3 / (1 + rho), about 2 gamma^2, which overflows
     # before gamma^2 does
-    g, rho = p.gamma, p.rho
-    if not math.isfinite(g * (1.0 + rho) + g * (g * g / (1.0 + rho))):
-        raise UsageError(f"gamma = {g:g} is too large: the symplectic pairing "
+    if not math.isfinite(p.gamma * (1.0 + p.rho) + p.gamma * p.rho_minus_one):
+        raise UsageError(f"gamma = {p.gamma:g} is too large: the symplectic pairing "
                          "gamma (1 + rho) + gamma^3 / (1 + rho) overflows")
     solution = model_emm_eigenpairs(p)
     matrix = solution.matrix
@@ -443,11 +443,13 @@ def _random_similarity_batch(count: int, size: int):
 
 
 def run_verify_all(args):
-    """Every invariant suite. A suite that a subcommand also computes is the
-    worst of that subcommand's checks, run at that subcommand's defaults
-    save verify-all's --beta and --gamma and what verify-all pins: sectors
-    k -3..3 with --n-eigs 4 at verify-all's --depth, biorth at verify-all's
-    --trunc, and the unbounded stability run at --lam 1.2 --depths 40 80."""
+    """Every invariant suite, as one fold: each run files its checks by one
+    rule from check name to suite (the identity unless given; None drops a
+    check), and each suite is the `_worst` of its checks, in first-filed
+    order. Subcommand runs take their parser's defaults save verify-all's
+    --beta and --gamma and what it pins: sectors k -3..3 with --n-eigs 4 at
+    its --depth, biorth at its --trunc, and the unbounded stability run at
+    --lam 1.2 --depths 40 80."""
     if args.depth < 16:
         raise UsageError("--depth must be at least 16: the sector suites keep "
                          "4 levels at depth // 4")
@@ -455,91 +457,82 @@ def run_verify_all(args):
     parse = _parser().parse_args
     beta = f"--beta={args.beta!r}"
     point = [beta, f"--gamma={args.gamma!r}"]
-    suites = []
+    specs = [SectorSpec(k, 30) for k in range(-2, 3)]
+    grouped = {}
 
-    def suite(name, value, tol, mode="le"):
-        suites.append(Check(name, value, tol, mode))
+    def file(checks, rule=lambda name: name):
+        for check in checks:
+            if (suite := rule(check.name)) is not None:
+                grouped.setdefault(suite, []).append(check)
 
     # equation-of-motion layer
-    suites += run_emm(parse(["emm", *point]))[3]
+    file(run_emm(parse(["emm", *point]))[3])
 
     # pseudo-boson algebra at small truncation (deviations are interior-exact)
-    comm = run_commutators(parse(["commutators", *point]))[3]
-    action = [c for c in comm if c.name.startswith("[H,")]
-    diagonal = [c for c in comm if c.name == "diagonal_form"]
-    suites.append(_worst("wh_commutators",
-                         [c for c in comm if c not in action + diagonal]))
-    suites.append(_worst("hamiltonian_action", action))
-    suites.append(_worst("diagonal_form", diagonal))
+    file(run_commutators(parse(["commutators", *point]))[3],
+         lambda name: "hamiltonian_action" if name.startswith("[H,")
+         else name if name == "diagonal_form" else "wh_commutators")
 
     # eigenvector families at deep truncation
     rows = eigen_residuals(p, TruncationSpec(args.trunc, args.trunc), 3, 3)
-    suite("eigen_residuals", max(r["residual"] for r in rows), 1e-8)
-    suite("adjoint_residuals", max(r["adjoint_residual"] for r in rows), 1e-8)
-    bio = run_biorth(parse(["biorth", *point, f"--trunc={args.trunc}"]))[3]
-    suites.append(_worst("biorthogonality", bio))
+    file(Check(suite, row[key], 1e-8) for row in rows
+         for suite, key in (("eigen_residuals", "residual"),
+                            ("adjoint_residuals", "adjoint_residual")))
+    file(run_biorth(parse(["biorth", *point, f"--trunc={args.trunc}"]))[3],
+         lambda name: "biorthogonality")
 
     # similarity layer
-    suite("phase_similarity", similarity_check(p, TruncationSpec(6, 6)), 1e-13)
-    suite("sector_transpose_similarity",
-          max(transpose_similarity_check(SectorSpec(k, 30), p)
-              for k in range(-2, 3)), 1e-13)
+    file([Check("phase_similarity", similarity_check(p, TruncationSpec(6, 6)), 1e-13)])
+    file(Check("sector_transpose_similarity", transpose_similarity_check(spec, p), 1e-13)
+         for spec in specs)
 
     # sector spectra and the full-space cross-check
-    (_, _, _, sector_checks), convs = _sector_report(parse(
+    sectors, _, _, sector_checks = _sector_report(parse(
         ["sectors", *point, "--k-range", "-3", "3", f"--depth={args.depth}",
          "--n-eigs", "4"]))
-    steps = [c for c in sector_checks if c.name.endswith("_depth_step")]
-    suites.append(_worst("sector_depth_step", steps))
-    suites.append(_worst("sector_closed_form",
-                         [c for c in sector_checks if c not in steps]))
-    suite("sector_energy_cross_check",
-          max(abs(energy(p, m, n) - convs[m - n].values[min(m, n)])
-              for m in range(4) for n in range(4)), 1e-6)
-    suite("full_vs_sector_union",
-          full_vs_sector_check(p, TruncationSpec(10, 10)), 1e-8)
+    file(sector_checks, lambda name: "sector_depth_step"
+         if name.endswith("_depth_step") else "sector_closed_form")
+    values = {sector["k"]: sector["values"] for sector in sectors["sectors"]}
+    file(Check("sector_energy_cross_check",
+               abs(energy(p, m, n) - values[m - n][min(m, n)]), 1e-6)
+         for m in range(4) for n in range(4))
+    file([Check("full_vs_sector_union",
+                full_vs_sector_check(p, TruncationSpec(10, 10)), 1e-8)])
 
-    # su(1,1) structure
-    gen_dev = max(su11_commutation_check(su11_generators(SectorSpec(k, 30), variant))
-                  for k in range(-2, 3) for variant in ("lowest", "highest"))
-    suite("su11_commutators", gen_dev, 1e-10)
-    tilted_dev = max(su11_commutation_check(
-        pseudo_su11_generators(SectorSpec(k, 30), p))
-        for k in range(-2, 3)) if p.gamma != 0 else 0.0
-    suite("tilted_su11_commutators", tilted_dev, 1e-10)
-    casimir_dev = 0.0
-    weight_dev = 0.0
-    if p.gamma != 0:
-        for k in range(-2, 3):
-            spec = SectorSpec(k, 30)
-            tilted, plain = casimir_reduction_check(spec, p)
-            casimir_dev = max(casimir_dev, tilted, plain)
-            weight_dev = max(weight_dev, *lowest_weight_residuals(spec, p))
-    suite("casimir_reduction", casimir_dev, 1e-9)
-    suite("lowest_weight", weight_dev, 1e-8)
+    # su(1,1) structure; at gamma = 0 the tilted triple is the self-adjoint
+    # one, and the three tilted suites keep only the 0.0 each starts from
+    file(Check("su11_commutators", su11_commutation_check(su11_generators(spec, variant)),
+               1e-10) for spec in specs for variant in ("lowest", "highest"))
+    tilted = specs if p.gamma != 0 else []
+    file([Check("tilted_su11_commutators", 0.0, 1e-10),
+          Check("casimir_reduction", 0.0, 1e-9), Check("lowest_weight", 0.0, 1e-8)])
+    file(Check("tilted_su11_commutators",
+               su11_commutation_check(pseudo_su11_generators(spec, p)), 1e-10)
+         for spec in tilted)
+    file(Check(suite, dev, tol) for spec in tilted for suite, tol, devs in (
+        ("casimir_reduction", 1e-9, casimir_reduction_check(spec, p)),
+        ("lowest_weight", 1e-8, lowest_weight_residuals(spec, p))) for dev in devs)
 
     # stability contrast
-    bounded = run_stability(parse(["stability", beta]))[3]
-    suites.append(_worst("stability_bounded", bounded))
-    unbounded = run_stability(parse(["stability", beta, "--lam", "1.2",
-                                     "--depths", "40", "80"]))[3]
-    suites.append(_worst("instability_witness", unbounded))
+    file(run_stability(parse(["stability", beta]))[3], lambda name: "stability_bounded")
+    file(run_stability(parse(["stability", beta, "--lam", "1.2", "--depths", "40",
+                              "80"]))[3], lambda name: "instability_witness")
 
     # similarity construction on general matrices
     hand = verify_similarity(np.array([[1.0, 1.0], [0.0, 2.0]]))
     target = np.array([[1.0, -1.0], [-1.0, 2.0]])
-    suite("similarity_hand_case",
-          float(np.abs(hand.transform - target).max()), 1e-10)
-    suite("similarity_hand_nonunitary", hand.unitarity_defect, 1.0, mode="ge")
-    # the batch is built in memory: theorem1's required --input is never read
+    file([Check("similarity_hand_case",
+                float(np.abs(hand.transform - target).max()), 1e-10),
+          Check("similarity_hand_nonunitary", hand.unitarity_defect, 1.0, mode="ge")])
+    # the batch is built in memory: theorem1's required --input is never
+    # read, and each matrix's spectrum_match reaches no suite
     flags = parse(["theorem1", "--input", "-"])
-    batch = [c for m in _random_similarity_batch(5, 5)
-             for c in _similarity_report(flags, m)[3]]
-    suites.append(_worst("similarity_random_batch",
-                         [c for c in batch if c.name == "similarity_error"]))
-    suites.append(_worst("similarity_random_biorth",
-                         [c for c in batch if c.name == "biorth_error"]))
+    file((c for m in _random_similarity_batch(5, 5)
+          for c in _similarity_report(flags, m)[3]),
+         {"similarity_error": "similarity_random_batch",
+          "biorth_error": "similarity_random_biorth"}.get)
 
+    suites = [_worst(name, checks) for name, checks in grouped.items()]
     payload = {
         "beta": p.beta,
         "gamma": p.gamma,

@@ -151,10 +151,10 @@ def model_emm_eigenpairs(p: ModelParams) -> EmmSolution:
     beta+rho with (1+rho, 0, 0, -gamma); vectors unnormalized (the
     pseudo-boson normalization is applied only when building operators).
     The eigenvectors mix one creation with the opposite annihilation and are
-    exactly the pseudo-boson ladder directions; rho - 1 is evaluated as
-    gamma^2 / (1 + rho), free of cancellation. At gamma = 0 each vector is
-    the gamma -> 0 limit of its direction, a coordinate axis: e3 for
-    -beta-rho, e4 for beta-rho, e2 for -beta+rho, e1 for beta+rho.
+    exactly the pseudo-boson ladder directions; rho - 1 is
+    `ModelParams.rho_minus_one`. At gamma = 0 each vector is the gamma -> 0
+    limit of its direction, a coordinate axis: e3 for -beta-rho, e4 for
+    beta-rho, e2 for -beta+rho, e1 for beta+rho.
     """
     rho = p.rho
     beta = p.beta
@@ -168,8 +168,8 @@ def model_emm_eigenpairs(p: ModelParams) -> EmmSolution:
         ]
     else:
         raw = [
-            (-beta - rho, np.array([0.0, gamma * gamma / (1.0 + rho), gamma, 0.0])),
-            (beta - rho, np.array([gamma * gamma / (1.0 + rho), 0.0, 0.0, gamma])),
+            (-beta - rho, np.array([0.0, p.rho_minus_one, gamma, 0.0])),
+            (beta - rho, np.array([p.rho_minus_one, 0.0, 0.0, gamma])),
             (-beta + rho, np.array([0.0, 1.0 + rho, -gamma, 0.0])),
             (beta + rho, np.array([1.0 + rho, 0.0, 0.0, -gamma])),
         ]

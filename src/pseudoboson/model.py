@@ -96,6 +96,11 @@ class ModelParams:
         return math.sqrt(1.0 + self.gamma ** 2)
 
     @property
+    def rho_minus_one(self) -> float:
+        """rho - 1 as gamma^2 / (1 + rho), free of cancellation at small gamma."""
+        return self.gamma * self.gamma / (1.0 + self.rho)
+
+    @property
     def alpha(self) -> float:
         return self.gamma / (1.0 + self.rho)
 
@@ -156,16 +161,16 @@ def build_pseudoboson_ops(p: ModelParams, trunc: TruncationSpec) -> PseudoBosonS
     d" = N ((rho+1) b' - gamma a),  c" = N ((rho+1) a' - gamma b),
     with N = (2 gamma rho)^(-1/2) folded into each weight as N (coef sqrt(k)),
     as in the matrix entries; scaling a raised state by N afterwards would
-    underflow at tiny gamma. rho - 1 is evaluated as gamma^2 / (1 + rho),
-    free of cancellation at small gamma. At gamma = 0 the construction
-    degenerates (N diverges) and the ordinary bosons are returned.
+    underflow at tiny gamma. rho - 1 is `ModelParams.rho_minus_one`. At
+    gamma = 0 the construction degenerates (N diverges) and the ordinary
+    bosons are returned.
     """
     a, b, a_dag, b_dag = build_ladder_ops(trunc)
     if p.gamma == 0:
         return PseudoBosonSet(c=a, d=b, c_ddag=a_dag, d_ddag=b_dag)
     N = p.norm_scale
     g = p.gamma
-    low, high = g * g / (1.0 + p.rho), 1.0 + p.rho
+    low, high = p.rho_minus_one, 1.0 + p.rho
 
     def combine(*pairs) -> GridMap:
         return GridMap(trunc, tuple((N * (coef * w), da, db)

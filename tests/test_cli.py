@@ -542,14 +542,40 @@ def test_sector_layer_usage_errors_name_their_flag(capsys, argv, flags):
 
 
 def test_worst_takes_tolerance_and_mode_from_its_checks():
-    worst = cli._worst("drop", [cli.Check("a", 3.0, 1.0, "ge"),
-                                cli.Check("b", 2.0, 1.0, "ge")])
-    assert (worst.name, worst.value, worst.tol, worst.mode) == ("drop", 2.0, 1.0, "ge")
+    # min and max drop a NaN that does not come first; the suite keeps the
+    # first non-finite value, so it fails in either mode
+    for values, mode, expected in (([3.0, 2.0], "ge", 2.0),
+                                   ([0.0, 0.5], "le", 0.5),
+                                   ([0.0, math.nan], "le", math.nan),
+                                   ([3.0, math.nan], "ge", math.nan),
+                                   ([3.0, math.inf, 2.0], "ge", math.inf),
+                                   ([0.0, -math.inf, math.nan], "le", -math.inf)):
+        worst = cli._worst("drop", [cli.Check(f"c{i}", v, 1.0, mode)
+                                    for i, v in enumerate(values)])
+        assert (worst.name, worst.tol, worst.mode) == ("drop", 1.0, mode)
+        assert worst.value == expected or math.isnan(worst.value) and math.isnan(expected)
+        assert worst.passed == math.isfinite(expected)
     for checks in ([cli.Check("a", 1.0, 1e-8), cli.Check("b", 1.0, 1e-9)],
                    [cli.Check("a", 1.0, 1.0), cli.Check("b", 1.0, 1.0, "ge")],
                    []):
         with pytest.raises(ValueError, match="suite x collapses checks"):
             cli._worst("x", checks)
+
+
+def test_verify_all_fails_a_nan_that_is_not_the_suites_first_check(capsys, monkeypatch):
+    report = cli.commutation_report
+
+    def nan_ddag(p, trunc):
+        deviations = report(p, trunc)
+        assert list(deviations).index("[c_ddag,c_ddag]") > 0
+        deviations["[c_ddag,c_ddag]"] = math.nan
+        return deviations
+
+    monkeypatch.setattr(cli, "commutation_report", nan_ddag)
+    code, _, err = run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
+                       "--depth", "32")
+    assert code == 1
+    assert err == "first failing check: wh_commutators (value nan is not finite)\n"
 
 
 def test_commutators_build_the_operators_once(capsys, monkeypatch):
