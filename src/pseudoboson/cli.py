@@ -499,17 +499,13 @@ def run_verify_all(args):
     file([Check("full_vs_sector_union",
                 full_vs_sector_check(p, TruncationSpec(10, 10)), 1e-8)])
 
-    # su(1,1) structure; at gamma = 0 the tilted triple is the self-adjoint
-    # one, and the three tilted suites keep only the 0.0 each starts from
+    # su(1,1) structure; at gamma = 0 the tilted triple is the self-adjoint one
     file(Check("su11_commutators", su11_commutation_check(su11_generators(spec, variant)),
                1e-10) for spec in specs for variant in ("lowest", "highest"))
-    tilted = specs if p.gamma != 0 else []
-    file([Check("tilted_su11_commutators", 0.0, 1e-10),
-          Check("casimir_reduction", 0.0, 1e-9), Check("lowest_weight", 0.0, 1e-8)])
     file(Check("tilted_su11_commutators",
                su11_commutation_check(pseudo_su11_generators(spec, p)), 1e-10)
-         for spec in tilted)
-    file(Check(suite, dev, tol) for spec in tilted for suite, tol, devs in (
+         for spec in specs)
+    file(Check(suite, dev, tol) for spec in specs for suite, tol, devs in (
         ("casimir_reduction", 1e-9, casimir_reduction_check(spec, p)),
         ("lowest_weight", 1e-8, lowest_weight_residuals(spec, p))) for dev in devs)
 

@@ -76,19 +76,18 @@ the sector spectra use on the phase-similar form of the pseudo-Jacobi
 matrices; a real symmetric input is solved as the complex symmetric matrix
 it also is. These rotations are not unitary, and QL raises RuntimeError on a
 breakdown, a stall or a non-finite value, as dense QR does at its sweep cap
-and dense eigenvectors do on a pair that misses the residual contract. QL
-scales its input by a power of two when the largest entry lies outside
-[2^-500, 2^500], the scaling step of LAPACK's dgeev, so squares near the
-overflow threshold neither stall it nor overflow; a power of two scales
-exactly, so in-range input keeps its bits and scaled input takes the same
-steps.
+and dense eigenvectors do on a pair that misses the residual contract.
 
 A caller that needs only the lowest eigenvalue of a real symmetric
 tridiagonal takes `sym_tridiag_lowest`: bisection on Sturm counts, O(n) per
-count and about 53 counts, where QL costs O(n^2) for every value. It always
-scales the largest entry into [0.5, 1), with the same helper as QL, so its
-bracket cannot overflow and a value past the overflow threshold rounds to
--inf rather than to a wrong finite number.
+count and about 53 counts, where QL costs O(n^2) for every value. A value
+past the overflow threshold rounds to -inf, not to a wrong finite number.
+
+All four eigensolvers take one power-of-two scaling rule, the scaling step
+of LAPACK's dgeev (`_power_of_two_exponent`): dense QR and QL scale input
+whose largest part lies outside [2^-500, 2^500] into [0.5, 1), Sturm
+bisection and the triangular eigenvectors always, so no square near the
+overflow or underflow threshold stalls a solver or makes a wrong value.
 
 numpy is used as the array substrate only; no factorizations or eigensolvers
 of numpy's linear-algebra module are called here, so results can be
@@ -134,7 +133,7 @@ DIM_CAP = 4096
 HINTED_SWEEPS = 2
 
 _EPS = float(np.finfo(np.float64).eps)
-#: smallest normal float; a Sturm pivot below it counts as negative
+#: smallest normal float: the floor of Sturm pivots and of ||A||_F in the residual contract
 _PIVMIN = float(np.finfo(np.float64).tiny)
 
 
@@ -331,16 +330,13 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
     subdiagonal entries are set to zero. Raises RuntimeError when max_sweeps
     sweeps leave values undeflated.
 
-    The deflation scan reads copies of the diagonal and subdiagonal, Python
-    floats for a real H, and each sweep recopies only its block. Complex
-    entries stay numpy scalars, whose abs overflows to inf where Python's
-    raises.
+    The deflation scan reads Python-scalar copies of the diagonal and
+    subdiagonal, and each sweep recopies only its block.
     """
     H = W[nz:]
     n = H.shape[0]
-    copy = np.ndarray.tolist if H.dtype.kind == "f" else list
     views = H.diagonal(), H.diagonal(-1)
-    d, sub = copy(views[0]), copy(views[1])
+    d, sub = views[0].tolist(), views[1].tolist()
     eigs: list[complex] = []
     hi = n - 1
     sweeps = 0
@@ -372,8 +368,8 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
         sweeps += 1
         stall += 1
         sweep(W, lo, hi, stall, nz, shifts if stall <= HINTED_SWEEPS else None)
-        d[lo:hi + 1] = copy(views[0][lo:hi + 1])
-        sub[lo:hi] = copy(views[1][lo:hi])
+        d[lo:hi + 1] = views[0][lo:hi + 1].tolist()
+        sub[lo:hi] = views[1][lo:hi].tolist()
     return eigs, sweeps
 
 
@@ -728,7 +724,7 @@ def _schur_eigenpairs(A: NDArray, W: NDArray) -> tuple[NDArray, NDArray, NDArray
         keep = refined_res <= res + n * _EPS * norm_scale
         vectors[:, keep] = refined[:, keep]
         res[keep] = refined_res[keep]
-    if not np.all(res <= RESIDUAL_TOL * max(norm_scale, _EPS)):
+    if not np.all(res <= RESIDUAL_TOL * max(norm_scale, _PIVMIN)):
         raise RuntimeError(
             f"Schur eigenvectors missed the residual contract on a {n}x{n} "
             f"matrix (worst residual {res.max():.3g})")
@@ -756,7 +752,9 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     `_schur_eigenpairs`). A repeated eigenvalue of a diagonalizable matrix
     gets independent vectors, a basis of its eigenspace. Every reported pair
     satisfies the residual contract (relative residual <= 1e-8 times the
-    matrix norm).
+    matrix norm). All of this runs on the input scaled by the module's
+    power-of-two rule, with the values, shifts and residuals scaled to match;
+    input whose largest part lies in [2^-500, 2^500] keeps its bits.
 
     shifts, a sequence of eigenvalue estimates, steers QR: on the first
     HINTED_SWEEPS sweeps after each deflation a computed shift is replaced by
@@ -779,13 +777,16 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
         res = np.zeros(1) if want_vectors else None
         return EigenReport(values=values, vectors=vectors, residuals=res)
     max_sweeps = MAX_SWEEPS_PER_DIM * n
-    W = np.array(A0.real if is_real else A0, dtype=float if is_real else complex)
+    A = np.array(A0, dtype=complex)
+    if p := _power_of_two_exponent((A,), always=False):
+        A = _ldexp(A, -p)
+    W = np.array(A.real if is_real else A)
     nz = n if want_vectors else 0
     if want_vectors:
         W = np.vstack([np.eye(n, dtype=W.dtype), W])
     hint = None
     if shifts is not None:
-        hint = np.asarray(shifts, dtype=complex)
+        hint = _ldexp(np.asarray(shifts, dtype=complex), -p)
         if is_real:
             # a real double shift is a real or a conjugate pair
             hint = hint.real[hint.imag == 0.0]
@@ -794,17 +795,14 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
         eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _francis_sweep, _eig2, nz,
                                        hint)
     else:
-        # near the overflow threshold the 2x2 shift overflows to inf and the
-        # rotations turn nan; QR then stalls and raises at its sweep cap, so
-        # numpy's warnings would only repeat that failure
-        with np.errstate(over="ignore", invalid="ignore"):
-            eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _wilkinson_sweep,
-                                           nz=nz, shifts=hint)
+        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _wilkinson_sweep,
+                                       nz=nz, shifts=hint)
     if not want_vectors:
-        values = np.array(eigs, dtype=complex)
+        values = _ldexp(np.array(eigs, dtype=complex), p)
         order = np.lexsort((values.imag, values.real))
         return EigenReport(values=values[order], iterations=sweeps)
-    values, vectors, res = _schur_eigenpairs(np.array(A0, dtype=complex), W)
+    values, vectors, res = _schur_eigenpairs(A, W)
+    values, res = _ldexp(values, p), np.ldexp(res, p)
     order = np.lexsort((values.imag, values.real))
     return EigenReport(values=values[order], vectors=vectors[:, order],
                        residuals=res[order], iterations=sweeps)
@@ -864,7 +862,7 @@ def tridiag_rayleigh_iteration(sub, diag, sup, left, shifts) -> EigenReport:
     norm_scale = norm2([norm2(a) for a in (d, lower, upper)])
     return EigenReport(values=values, vectors=vectors, residuals=res,
                        iterations=rounds,
-                       converged=bool(np.all(res <= RESIDUAL_TOL * max(norm_scale, _EPS))))
+                       converged=bool(np.all(res <= RESIDUAL_TOL * max(norm_scale, _PIVMIN))))
 
 
 def _modulus(z: complex) -> float:
@@ -885,21 +883,22 @@ def _away_complex(g: complex, r: complex) -> complex:
 
 def _power_of_two_exponent(arrays, always: bool) -> int:
     """The exponent p for which 2^-p puts the largest real or imaginary part
-    of any entry of the contiguous arrays in [0.5, 1); 0 where every entry is
+    of any entry of the arrays in [0.5, 1); 0 where every entry is
     0 or the largest part is not finite. Unless always, p is 0 as well where
     the largest part lies in [2^-500, 2^500], so that input in that range
     keeps its bits. Scaling by 2^-p is exact away from underflow, and a
     solver whose steps are homogeneous in the entries takes the same
     decisions on the scaled entries, with every value scaled by 2^-p."""
-    big = max(float(np.abs(a.view(float)).max(initial=0.0)) for a in arrays)
+    big = max(float(np.abs(a.ravel("K").view(float)).max(initial=0.0)) for a in arrays)
     if not always and 2.0 ** -500 <= big <= 2.0 ** 500:
         return 0
     return math.frexp(big)[1]
 
 
 def _ldexp(a: NDArray, p: int) -> NDArray:
-    """a 2^p for a contiguous real or complex array, part by part."""
-    return np.ldexp(a.view(float), p).view(a.dtype)
+    """a 2^p for a real or complex array, part by part, in C order; inf past overflow."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.ascontiguousarray(a).view(float), p).view(a.dtype)
 
 
 def _ql_failure(n: int, sweeps: int, why: str = "") -> RuntimeError:
@@ -995,9 +994,8 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
     (f, g) != 0. A 2x2 block does so only where it is defective
     ([[1, i], [i, -1]], say), and then gives its double eigenvalue, the mean
     of its diagonal. Moduli are taken by hypot, so a value past the overflow
-    threshold gives inf rather than raising. Where the largest real or imaginary part of an entry lies
-    outside [2^-500, 2^500], QL runs on the entries scaled by the power of
-    two that puts it in [0.5, 1), and the values are scaled back. Raises
+    threshold gives inf rather than raising. QL runs on the entries scaled
+    by the module's power-of-two rule, and the values are scaled back. Raises
     RuntimeError, naming the size and the sweep count, on a stall (50 sweeps
     without deflation), on a breakdown in a larger block, and on any
     non-finite value or modulus, scaled back or not; finite or not, entries
@@ -1020,8 +1018,7 @@ def eig_sym_tridiag(diag, offdiag) -> EigenReport:
     total_iter = _implicit_ql(d, e)
     values = np.sort(np.array(d, dtype=complex))
     if p:
-        with np.errstate(over="ignore"):
-            values = _ldexp(values, p)
+        values = _ldexp(values, p)
         if not all(_modulus(z) < math.inf for z in values.tolist()):
             raise _ql_failure(n, total_iter, " (non-finite value)")
     return EigenReport(values=values, iterations=total_iter)
@@ -1116,15 +1113,18 @@ def multiset_distance(xs, ys) -> float:
     """Greedy matching distance between two equal-size multisets of scalars.
 
     Each element of xs is matched to the nearest unused element of ys; the
-    largest matched distance is returned.
+    largest matched distance is returned, or at once the first that is not
+    finite: max would drop a NaN, and an overflow is inf with no warning.
     """
-    a = list(np.asarray(xs, dtype=complex))
-    b = list(np.asarray(ys, dtype=complex))
+    a = np.asarray(xs, dtype=complex).tolist()
+    b = np.asarray(ys, dtype=complex).tolist()
     if len(a) != len(b):
         raise ValueError(f"multiset sizes differ: {len(a)} vs {len(b)}")
     worst = 0.0
     for x in a:
-        best_j = min(range(len(b)), key=lambda j: abs(x - b[j]))
-        worst = max(worst, abs(x - b[best_j]))
-        b.pop(best_j)
+        d, j = min((_modulus(x - y), j) for j, y in enumerate(b))
+        if not math.isfinite(d):
+            return d
+        worst = max(worst, d)
+        b.pop(j)
     return worst

@@ -151,16 +151,16 @@ def su11_commutation_check(gens, margin: int = 1) -> float:
 
     Works for the self-adjoint, mirrored, and tilted triples alike. The
     default margin of 1 hides the single boundary row where the truncated
-    product [minus, plus] is cut short.
+    product [minus, plus] is cut short. The first non-finite deviation is the
+    result, since max would drop a NaN that does not come first.
     """
-    dev = 0.0
-    dev = max(dev, _interior_max(gens.zero @ gens.plus - gens.plus @ gens.zero
-                                 - 2.0 * gens.plus, margin))
-    dev = max(dev, _interior_max(gens.zero @ gens.minus - gens.minus @ gens.zero
-                                 + 2.0 * gens.minus, margin))
-    dev = max(dev, _interior_max(gens.minus @ gens.plus - gens.plus @ gens.minus
-                                 - gens.zero, margin))
-    return dev
+    devs = [_interior_max(gens.zero @ gens.plus - gens.plus @ gens.zero
+                          - 2.0 * gens.plus, margin),
+            _interior_max(gens.zero @ gens.minus - gens.minus @ gens.zero
+                          + 2.0 * gens.minus, margin),
+            _interior_max(gens.minus @ gens.plus - gens.plus @ gens.minus
+                          - gens.zero, margin)]
+    return next((d for d in devs if not math.isfinite(d)), max(devs))
 
 
 def casimir_matrix(gens) -> NDArray:
@@ -238,14 +238,13 @@ def pseudo_su11_generators(spec: SectorSpec, p: ModelParams) -> Su11Generators:
     the +2 rho and -2 rho eigenvectors of the sector secular matrix, read
     from `emm.su11_secular`, whose alpha is `ModelParams.alpha`, free of the
     cancellation of (rho - 1) / gamma, so small gamma stays accurate.
-    Undefined at gamma = 0, where the tilt degenerates to the self-adjoint
-    triple.
+    At gamma = 0 it is the self-adjoint triple, the gamma -> 0 limit of these
+    formulas.
     """
     gamma, rho = p.gamma, p.rho
-    if gamma == 0:
-        raise ValueError("tilted triple undefined at gamma = 0; "
-                         "use su11_generators for the self-adjoint triple")
     base = su11_generators(spec)
+    if gamma == 0:
+        return base
     r, el, z = base.plus, base.minus, base.zero
     front = gamma / (2.0 * rho)
     pairs = su11_secular(p).pairs

@@ -172,7 +172,8 @@ def test_eig_dense_raises_at_the_sweep_cap(monkeypatch, dtype, split):
 def test_givens_past_overflow_gives_a_nan_or_zero_rotation(f, g):
     # a pair with finite parts whose modulus overflows, where Python's abs()
     # raises OverflowError: the rotation turns nan or zero, as it does on
-    # numpy scalars, so QR stalls and raises at its sweep cap instead
+    # numpy scalars, and raises nothing; dense QR scales its input so that
+    # no such pair arises there
     c, s = linalg._givens(f, g)
     assert math.isnan(c) or (c == 0.0 and s == 0)
 
@@ -438,12 +439,85 @@ def test_eig_dense_vectors_of_a_subnormal_matrix():
     assert np.array_equal(report.residuals, [0.0, 0.0])
 
 
-def test_eig_dense_nan_residuals_miss_the_contract():
-    # the values come out wrong here and the unit vectors nan (ROADMAP item
-    # 6); a nan residual is a miss, never a pass
+def test_eig_dense_solves_a_subnormal_pair():
+    # every entry subnormal, where the discriminant of the unscaled 2x2 would
+    # underflow to 0: scaled into [0.5, 1), both modes give
+    # 3e-320 +- sqrt(2) 1e-320 to the last subnormal bit, with unit vectors
+    # whose residuals are exact
     m = np.array([[4e-320, 1e-320], [1e-320, 2e-320]])
-    with np.errstate(all="ignore"), pytest.raises(
-            RuntimeError, match="missed the residual contract"):
+    exact = np.ldexp(np.linalg.eigvalsh(np.ldexp(m, 1070)), -1070)
+    assert exact == pytest.approx([3e-320 - math.sqrt(2.0) * 1e-320,
+                                   3e-320 + math.sqrt(2.0) * 1e-320], rel=1e-3)
+    for want_vectors in (False, True):
+        report = eig_dense(m, want_vectors=want_vectors)
+        assert np.array_equal(report.values, exact)
+    assert np.array_equal(report.residuals, [0.0, 0.0])
+    assert np.allclose(norm2(report.vectors.T, axis=-1), 1.0, rtol=1e-15, atol=0)
+
+
+_THREE = np.array([[1.0, 2.0, 0.5], [0.3, 2.0, 1.0], [0.0, 0.7, 3.0]])
+# all six powers of two lie outside [2^-500, 2^500]; at 1e-310 every entry
+# is subnormal, and rounding the entries alone moves 0.3 by 7e-14 relative
+_OUT_OF_RANGE_SCALES = [2.0 ** e for e in (-1000, -600, -560, 520, 600, 1000)]
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_eig_dense_is_right_at_every_scale(want_vectors):
+    # the 3x3 and seeded V D V^-1 matrices scaled far outside the range where
+    # QR runs on its input as given: each is scaled into [0.5, 1), so the
+    # powers of two give the same bits up to that power (but at 2^-1000,
+    # where rounding-level imaginary parts scale back to subnormals), and the
+    # values lie within 64 n eps of the exact spectrum, relative to its radius
+    eps = np.finfo(float).eps
+    cases = [(_THREE, np.linalg.eigvals(_THREE))]
+    for i, complex_basis in itertools.product((0, 5, 13, 26), (False, True)):
+        cases.append(_real_spectrum_matrix(np.random.default_rng(5000 + i), 4 + i,
+                                           complex_basis))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, exact in cases:
+            exact = np.sort(exact.real)
+            bound = 64 * m.shape[0] * eps * np.abs(exact).max()
+            unscaled = set()
+            for scale in _OUT_OF_RANGE_SCALES + [1e-310]:
+                values = eig_dense(m * scale, want_vectors=want_vectors).values
+                back = np.array([complex(z.real / scale, z.imag / scale)
+                                 for z in values.tolist()])
+                assert np.abs(back - exact).max() <= bound
+                if 2.0 ** -1000 < scale:
+                    unscaled.add(back.tobytes())
+            assert len(unscaled) == 1
+
+
+def test_eig_dense_keeps_the_3x3_bits_at_every_power_of_two():
+    # scaling by a power of two is exact, and QR's steps are homogeneous in
+    # the entries, so the scaled 3x3 takes the same steps as the unscaled one
+    for want_vectors in (False, True):
+        values = eig_dense(_THREE, want_vectors=want_vectors).values
+        for scale in _OUT_OF_RANGE_SCALES:
+            scaled = eig_dense(_THREE * scale, want_vectors=want_vectors).values
+            assert np.array_equal(scaled / scale, values)
+
+
+def test_eig_dense_value_past_the_largest_float_is_inf():
+    # the eigenvalues are 0 and 3e308; QR on the scaled matrix finds both,
+    # and the larger scales back to inf, with no warning
+    m = np.full((2, 2), 1.5e308)
+    for want_vectors in (False, True):
+        assert np.array_equal(eig_dense(m, want_vectors=want_vectors).values,
+                              [0.0, math.inf])
+
+
+def test_residual_contract_is_relative_below_eps(monkeypatch):
+    # ||A||_F near 5e-30 lies below eps, and in range, so QR runs on A as
+    # given; the contract stays relative to ||A||_F there, so Schur vectors
+    # that are not eigenvectors miss it
+    m = _THREE * 1e-30
+    assert eig_dense(m, want_vectors=True).residuals.max() <= (
+        64 * 3 * np.finfo(float).eps * norm2(m))
+    monkeypatch.setattr(linalg, "_triangular_eigenvectors",
+                        lambda T: (np.eye(T.shape[0], dtype=complex), False))
+    with pytest.raises(RuntimeError, match="missed the residual contract"):
         eig_dense(m, want_vectors=True)
 
 
@@ -1209,6 +1283,17 @@ def test_biorthonormalize_rejects_orthogonal_pair():
 def test_multiset_distance_is_order_free():
     assert multiset_distance([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]) == 0.0
     assert multiset_distance([1.0, 1.0], [1.0, 1.1]) == pytest.approx(0.1)
+
+
+def test_multiset_distance_keeps_a_non_finite_distance():
+    # a NaN that does not come first, and one followed by a finite distance,
+    # both survive; a distance past the largest float is inf, with no warning
+    assert math.isnan(multiset_distance([1.0, math.nan], [1.0, 2.0]))
+    assert math.isnan(multiset_distance([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert multiset_distance([1e308], [-1e308]) == math.inf
+        assert multiset_distance([1e308, 2.0], [2.0, 1e308]) == 0.0
 
 
 def test_multiset_distance_rejects_size_mismatch():

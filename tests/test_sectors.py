@@ -1,6 +1,7 @@
 """Sector decomposition: su(1,1) ladders, the tridiagonal sector matrices,
 their spectra, the tilted generator triple, and the Hermitian cousin."""
 
+import math
 import re
 import warnings
 
@@ -17,6 +18,7 @@ from pseudoboson.linalg import (EigenReport, eig_dense, eig_sym_tridiag,
 from pseudoboson.model import ModelParams, build_hamiltonian, energy
 from pseudoboson.sectors import (
     SectorSpec,
+    Su11Generators,
     casimir_check,
     casimir_matrix,
     casimir_reduction_check,
@@ -85,6 +87,15 @@ def test_su11_commutation_interior():
     for k in (-3, -1, 0, 2):
         gens = su11_generators(SectorSpec(k, 12))
         assert su11_commutation_check(gens, margin=1) < 1e-12
+
+
+def test_su11_commutation_keeps_a_nan():
+    # a NaN deviation after the 0.0 a running max starts from is dropped by
+    # max(0.0, nan); the check must return it
+    zero = np.zeros((4, 4))
+    zero[0, 0] = np.nan
+    gens = Su11Generators(plus=np.zeros((4, 4)), minus=np.zeros((4, 4)), zero=zero)
+    assert math.isnan(su11_commutation_check(gens))
 
 
 def test_su11_commutation_boundary_row_breaks():
@@ -199,9 +210,14 @@ def test_tilted_ladders_are_the_secular_eigenvectors(gamma):
                                                 + c * base.zero))
 
 
-def test_tilted_generators_need_coupling():
-    with pytest.raises(ValueError):
-        pseudo_su11_generators(SectorSpec(0, 5), ModelParams(0.5, 0.0))
+def test_tilted_generators_at_zero_coupling_are_the_self_adjoint_triple():
+    # the gamma -> 0 limit of the tilt: plus -> R, minus -> L, zero -> Z
+    for k, depth in ((-3, 5), (0, 30), (2, 30)):
+        spec = SectorSpec(k, depth)
+        tilted = pseudo_su11_generators(spec, ModelParams(0.5, 0.0))
+        base = su11_generators(spec)
+        for name in ("plus", "minus", "zero"):
+            assert np.array_equal(getattr(tilted, name), getattr(base, name))
 
 
 def test_casimir_values():

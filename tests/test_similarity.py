@@ -120,9 +120,13 @@ def test_preconditions_run_before_the_adjoint_qr(monkeypatch):
 def test_gap_test_does_not_overflow_at_the_largest_floats():
     # the gap between 1e308 and -1e308 overflows, and pytest raises numpy's
     # warning; between the halved values it does not, so both preconditions
-    # pass and the adjoint eig_dense fails on the overflowing roots of its 2x2
-    with pytest.raises(RuntimeError, match="missed the residual contract"):
-        verify_similarity(np.array([[1e308, 1e308], [0.0, -1e308]]))
+    # pass, and both QRs run on the matrix scaled into [0.5, 1), so the
+    # similarity is built exactly: S = [[1, 1/2], [1/2, 5/4]]
+    report = verify_similarity(np.array([[1e308, 1e308], [0.0, -1e308]]))
+    assert report.spectrum_match == 0.0
+    assert report.similarity_error == 0.0
+    assert report.biorth_error < 1e-30
+    assert np.array_equal(report.transform, [[1.0, 0.5], [0.5, 1.25]])
 
 
 def test_rejects_degenerate_spectrum():
