@@ -1,11 +1,12 @@
 """Self-contained dense linear algebra kernel.
 
 Provides the numerical backends used by every other module: a nonsymmetric
-eigensolver (Householder Hessenberg reduction followed by shifted QR
-iteration, Francis double shift for real matrices and Wilkinson single shift
-for complex ones, with eigenvectors from the Schur form), a complex
-symmetric tridiagonal eigensolver (implicit-shift QL), Sturm bisection for
-the lowest eigenvalue of a real symmetric tridiagonal, a partial-pivoting LU
+eigensolver (Householder Hessenberg reduction followed by implicit
+double-shift QR iteration, with a real shift pair for real matrices and two
+complex shifts for complex ones, with eigenvectors from the Schur form), a
+complex symmetric tridiagonal eigensolver (implicit-shift QL), Sturm
+bisection for the lowest eigenvalue of a real symmetric tridiagonal, a
+partial-pivoting LU
 solver, two-sided Rayleigh-quotient iteration for selected eigenpairs of a
 real tridiagonal in O(n) per value and round, residual and
 biorthonormalization utilities, and `norm2`, the package's one Euclidean
@@ -24,21 +25,30 @@ m - n, so the Hessenberg form of its 121 x 121 box truncation splits into
 blocks of 11, 10, 2, 10, 8, 79 and 1 rows; the unit-vector form I - 2 v v^H
 leaks eps-sized entries there, which Arnoldi grows about tenfold per
 column, and QR then chases its bulges across all 121 rows. A 3-row bulge
-step builds u and tau from Python floats and applies P with two
-matrix-vector products and two broadcast rank-one updates: 15 numpy calls
-in all, indexing included. Every floating-point operation keeps its
+step on a real block builds u and tau from Python floats and applies P with
+two matrix-vector products and two broadcast rank-one updates: 15 numpy
+calls in all, indexing included. Every floating-point operation keeps its
 operands and their order, so it gives the same bits as array code. It stays
 at 15: one 3x3 product per side would make fewer calls, but it rounds
-differently and moved verify-all's full-versus-sector distance. The deflation
-scan of the driver and the start-row scan of the Francis sweep read
-Python-float copies of the diagonals, so they make no numpy call per row. A
-Wilkinson step computes its rotation G on Python complex scalars and applies
-it as one 2x2 product per side, G on the two rows and G^H on the two
-columns, each written back in place: 10 numpy calls, the read of the next
-bulge pair included. A product may round its two-term sums otherwise than
-four elementwise updates would, so this path is pinned by a reference of
-the same products rather than by array code. Both shifts, the roots of a
-deflated real 2x2 block and its rotation into complex triangular form take
+differently and moved verify-all's full-versus-sector distance. The
+deflation scan of the driver and the start-row scans of both sweeps read
+Python-scalar copies of the diagonals, so they make no numpy call per row.
+
+Complex QR chases the same 3-row bulge with two complex shifts, both roots
+of the trailing 2x2, as LAPACK's zlaqr5 does with one shift pair. Its step
+forms the reflector on Python complex scalars, builds P = I - tau u u^H as
+one 3x3 (or 2x2) array and applies it as one product per side, P^H on the
+rows and P on the columns, each written back in place: 11 numpy calls, the
+read of the bulge column included. A product may round its sums otherwise
+than rank-one updates would, so this path is pinned by a reference of the
+same products rather than by the real step's array code. On the 45
+complex-basis theorem1 matrices of the plane-sweep benchmark (n = 9 to 48)
+values-only QR takes 1,705 sweeps, 1.32 per eigenvalue, where the
+single-shift Givens sweep it replaced took 3,029, 2.35 per eigenvalue. Both
+flavours deflate 2x2 blocks, since a double-shift bulge needs 3 rows; with
+eigenvectors, complex QR rotates each deflated 2x2 block into triangular
+form at once, so its Schur form is upper triangular. Both shift pairs, the
+roots of a deflated 2x2 block and its rotation into triangular form take
 one 2x2 formula, `_eig2`: half the trace plus and minus
 sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det cancels for two close
 real roots, as at the double eigenvalues of the Hamiltonian at beta = 0.
@@ -311,30 +321,34 @@ def _first_column(d, sub, sup, k: int, rt1r, rt1i, rt2r, rt2i) -> list:
     return [x, y, z]
 
 
-def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
-                    nz: int = 0, shifts=None) -> tuple[list[complex], int]:
+def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
+                    shifts=None) -> tuple[list[complex], int]:
     """Eigenvalues of the upper Hessenberg H = W[nz:] by shifted QR, in place.
 
-    Deflates 1x1 blocks from the bottom, and 2x2 blocks through block2 when
-    given; otherwise sweep(W, lo, hi, stall, nz, hint) runs one QR sweep on
-    the unreduced block lo..hi, stall counting sweeps since the last
-    deflation. hint is shifts, an array of eigenvalue estimates or None, on
-    the first HINTED_SWEEPS sweeps after each deflation, and the sweep snaps
-    its computed shifts to those estimates; later sweeps get None and take
-    the computed shifts, so a wrong estimate costs sweeps but cannot stall
-    QR.
+    Deflates 1x1 and 2x2 blocks from the bottom, the roots of a 2x2 block by
+    `_eig2`; otherwise one double-shift sweep runs on the unreduced block
+    lo..hi, `_francis_sweep` for real W and `_complex_francis_sweep` for
+    complex W, as sweep(W, lo, hi, stall, nz, hint), stall counting sweeps
+    since the last deflation. hint is shifts, an array of eigenvalue
+    estimates or None, on the first HINTED_SWEEPS sweeps after each
+    deflation, and the sweep snaps its computed shifts to those estimates;
+    later sweeps get None and take the computed shifts, so a wrong estimate
+    costs sweeps but cannot stall QR.
     With nz = 0 a sweep transforms the block alone; with the n x n Z stacked
-    above H (nz = n) it transforms H whole and Z with it, which leaves H in
-    Schur form, upper triangular but for the 2x2 blocks of complex or
-    undeflated real pairs, and W[:nz] the Schur vectors. Deflated
-    subdiagonal entries are set to zero. Raises RuntimeError when max_sweeps
-    sweeps leave values undeflated.
+    above H (nz = n) it transforms H whole and Z with it, which leaves W[:nz]
+    the Schur vectors and H in Schur form: upper triangular for complex W,
+    whose deflated 2x2 blocks `_triangularize_2x2` rotates into triangular
+    form, and for real W upper triangular but for the 2x2 blocks of complex
+    or undeflated real pairs. Deflated subdiagonal entries are set to zero.
+    Raises RuntimeError when max_sweeps sweeps leave values undeflated.
 
     The deflation scan reads Python-scalar copies of the diagonal and
     subdiagonal, and each sweep recopies only its block.
     """
     H = W[nz:]
     n = H.shape[0]
+    is_complex = np.iscomplexobj(W)
+    sweep = _complex_francis_sweep if is_complex else _francis_sweep
     views = H.diagonal(), H.diagonal(-1)
     d, sub = views[0].tolist(), views[1].tolist()
     eigs: list[complex] = []
@@ -356,8 +370,12 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, sweep, block2=None,
             hi -= 1
             stall = 0
             continue
-        if block2 is not None and lo == hi - 1:
-            eigs.extend(block2(d[hi - 1], H[hi - 1, hi], sub[hi - 1], d[hi]))
+        if lo == hi - 1:
+            block = d[hi - 1], H[hi - 1, hi], sub[hi - 1], d[hi]
+            if nz and is_complex:
+                eigs.extend(_triangularize_2x2(W, nz, hi - 1, *block))
+            else:
+                eigs.extend(_eig2(*block))
             hi -= 2
             stall = 0
             continue
@@ -441,52 +459,111 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
         _apply_reflector(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
 
 
-def _givens(f: complex, g: complex) -> tuple[float, complex]:
-    """Return (c, s) with c real so that [[c, s], [-conj(s), c]] @ (f, g) = (r, 0).
-    f and g are Python complex scalars, so no numpy call is made; a modulus
-    that overflows is inf, and the rotation then turns nan, as numpy's would."""
-    if g == 0:
-        return 1.0, 0j
-    if f == 0:
-        return 0.0, g.conjugate() / _modulus(g)
-    af = _modulus(f)
-    d = math.hypot(af, _modulus(g))
-    return af / d, (f / af) * g.conjugate() / d
+def _complex_first_column(d, sub, sup, k: int, s1: complex, s2: complex) -> list:
+    """First column of (H - s1)(H - s2) at row k of the complex Hessenberg
+    matrix with diagonal d, subdiagonal sub and superdiagonal sup, as Python
+    complex scalars, in the factored form of LAPACK's zlaqr1: scaled by
+    s = |H[k, k] - s2| + |H[k + 1, k]|, with the differences H[k, k] - s kept
+    explicit, as `_first_column` keeps them."""
+    h = d[k] - s2
+    s = abs(h) + abs(sub[k])
+    if s == 0.0:
+        return [0j, 0j, 0j]
+    h21s = sub[k] / s
+    return [(d[k] - s1) * (h / s) + sup[k] * h21s,
+            h21s * (d[k] + d[k + 1] - s1 - s2),
+            h21s * sub[k + 1]]
 
 
-def _wilkinson_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
-                     shifts=None) -> None:
-    """One implicit single-shift sweep with a Wilkinson shift on the complex
-    Hessenberg block lo..hi of H = W[nz:], by Givens rotations on the slabs
-    of `_slabs`; given an array of eigenvalue estimates, the Wilkinson shift
-    is replaced by the estimate nearest to it, the exceptional shift never.
-    Each rotation G is one 2x2 product per side, G on the two rows and G^H
-    on the two columns, each written back in place; with the read of the
-    next bulge pair as Python complex, a step makes 10 numpy calls. The
-    entry a rotation annihilates keeps its rounding residue, below the
-    subdiagonal, where later rotations carry it along."""
+def _complex_reflector(col: list) -> tuple[NDArray, complex] | None:
+    """The 2x2 or 3x3 matrix P = I - tau u u^H of `_householder`'s reflector
+    for the Python complex column col, and tau; None where P is I. u and tau
+    are Python scalars, u[1:] a quotient as in `_householder`, and P's
+    entries are delta_ij - (tau u_i) conj(u_j), in one array, written out
+    for the two sizes: a comprehension over i and j took about four times as
+    long. beta is the norm of the column's real and imaginary parts, so a
+    column whose parts are finite but whose modulus overflows gives an
+    infinite beta and a nan tau, and raises nothing."""
+    alpha = col[0]
+    tail = col[1:]
+    if alpha.imag == 0.0 and not any(tail):
+        return None
+    beta = norm2([part for z in col for part in (z.real, z.imag)])
+    if alpha.real >= 0.0:
+        beta = -beta
+    scale = alpha - beta
+    tau = (beta - alpha) / beta
+    u1 = tail[0] / scale
+    t1, c1 = tau * u1, u1.conjugate()
+    if len(tail) == 1:
+        return np.array([[1 - tau, -tau * c1], [-t1, 1 - t1 * c1]]), tau
+    u2 = tail[1] / scale
+    t2, c2 = tau * u2, u2.conjugate()
+    return np.array([[1 - tau, -tau * c1, -tau * c2],
+                     [-t1, 1 - t1 * c1, -t1 * c2],
+                     [-t2, -t2 * c1, 1 - t2 * c2]]), tau
+
+
+def _complex_francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
+                           shifts=None) -> None:
+    """One implicit double-shift sweep with two complex shifts on the
+    complex Hessenberg block lo..hi, at least 3 rows, of H = W[nz:], with
+    the slabs of `_slabs`: the 3-row bulge of `_francis_sweep`, as LAPACK's
+    zlaqr5 chases it with one shift pair (D. S. Watkins, The Matrix
+    Eigenvalue Problem, SIAM 2007). The shifts are both roots of the
+    trailing 2x2; given an array of eigenvalue estimates, each is replaced
+    by a distinct estimate nearest to it (see `_snapped`). The exceptional
+    pair puts both shifts at H[hi, hi] + 0.75 |H[hi, hi - 1]|, as
+    LAPACK's zlaqr0 does.
+
+    The shift and start-row scans read Python complex copies of the block's
+    three diagonals, and each bulge step reads its column as Python complex.
+    A step applies its reflector's P as one product per side,
+    rows = P^H rows and cols = cols P, each written back in place: 11 numpy
+    calls, the read of the column included. As in `_francis_sweep`, a sweep
+    that starts below the block top scales H[start, start - 1] by the
+    reflector's factor 1 - conj(tau) when Z is stacked above H."""
     B = W[nz + lo:nz + hi + 1, lo:hi + 1]
-    m = B.shape[0]
+    d, sub, sup = (B.diagonal(i).tolist() for i in (0, -1, 1))
+    b = hi - lo
     if stall % 11 == 0:
-        sigma = B[m - 1, m - 1] + 0.75 * abs(B[m - 1, m - 2])
+        # exceptional shift pair after repeated stalls (ad hoc, as zlaqr0)
+        s1 = s2 = d[b] + 0.75 * abs(sub[b - 1])
     else:
-        (a, b), (c, d) = B[m - 2:, m - 2:].tolist()
-        e1, e2 = _eig2(a, b, c, d)
-        sigma = e1 if _modulus(e1 - d) <= _modulus(e2 - d) else e2
+        s1, s2 = _eig2(d[b - 1], sup[b - 1], sub[b - 1], d[b])
         if shifts is not None:
-            sigma, = _snapped(shifts, [sigma])
-    R, C, top = _slabs(W, nz, lo, hi)
-    x, z = B[:2, 0].tolist()
-    x -= complex(sigma)
+            s1, s2 = _snapped(shifts, [s1, s2])
+    # start below two small consecutive subdiagonals, as `_francis_sweep` does
+    start = 0
+    for k in range(b - 2, 0, -1):
+        x, y, z = _complex_first_column(d, sub, sup, k, s1, s2)
+        head, rest = abs(x), abs(y) + abs(z)
+        s = head + rest
+        if s != 0.0:
+            head, rest = head / s, rest / s
+        anchor = head * (abs(d[k - 1]) + abs(d[k]) + abs(d[k + 1]))
+        if anchor + abs(sub[k - 1]) * rest == anchor:
+            start = k
+            break
+    top = lo + start
+    R, C, above = _slabs(W, nz, top, hi)
+    m = hi - top + 1
+    # the bulge column is three long until the last step, which takes two
+    col = _complex_first_column(d, sub, sup, start, s1, s2)
     for k in range(m - 1):
-        c, s = _givens(x, z)
-        sh = s.conjugate()
-        rows = R[k:k + 2, max(k - 1, 0):]
-        rows[:] = np.array([[c, s], [-sh, c]]) @ rows
-        cols = C[:top + min(k + 3, m), k:k + 2]
-        cols[:] = cols @ np.array([[c, -s], [sh, c]])
-        if k < m - 2:
-            x, z = B[k + 1:k + 3, k].tolist()
+        if k:
+            col = R[k:k + 3, k - 1].tolist()
+        reflector = _complex_reflector(col)
+        if reflector is None:
+            continue
+        P, tau = reflector
+        w = len(col)
+        rows = R[k:k + w, max(k - 1, 0):]
+        rows[:] = P.conj().T @ rows
+        cols = C[:above + min(k + w + 1, m), k:k + w]
+        cols[:] = cols @ P
+        if not k and nz and start:
+            W[nz + top, top - 1] *= 1.0 - tau.conjugate()
 
 
 def solve_matrix(M, B) -> NDArray[np.complex128]:
@@ -601,18 +678,20 @@ def _start_vector(n: int) -> NDArray:
     return start / norm2(start)
 
 
-def _triangularize_2x2(W: NDArray, nz: int, i: int) -> None:
-    """Make the real 2x2 diagonal block at rows i, i + 1 of the complex Schur
-    form T = W[nz:] upper triangular by one unitary rotation, applied to T
-    and to the Schur vectors W[:nz] (LAPACK's rsf2csf step).
+def _triangularize_2x2(W: NDArray, nz: int, i: int, a, b, c,
+                       d) -> tuple[complex, complex]:
+    """Make the 2x2 diagonal block [[a, b], [c, d]] at rows i, i + 1 of the
+    Schur form T = W[nz:] upper triangular by one unitary rotation, applied to
+    T and to the Schur vectors W[:nz] (LAPACK's rsf2csf step), and return
+    its roots. The entries are Python floats for a block of the real Schur
+    form, read before W was cast to complex, so that its roots take real
+    arithmetic, and complex for a block that complex QR deflates.
 
     The rotation's first column is the block's eigenvector (lambda - d, c)
     for the root lambda farther from the (2,2) entry d: the nearer root would
     cancel in lambda - d. The roots are those `_eig2` gives the QR driver,
     and they are written onto the diagonal, lambda first."""
     T = W[nz:]
-    a, b, c, d = (float(T[r, q].real) for r, q in ((i, i), (i, i + 1),
-                                                    (i + 1, i), (i + 1, i + 1)))
     far, near = sorted(_eig2(a, b, c, d), key=lambda r: -_modulus(r - d))
     x = np.array([far - d, c])
     x /= norm2(x)
@@ -622,6 +701,7 @@ def _triangularize_2x2(W: NDArray, nz: int, i: int) -> None:
     cols = W[:nz + i + 2, i:i + 2]
     cols[:] = cols @ G
     T[i, i], T[i + 1, i], T[i + 1, i + 1] = far, 0.0, near
+    return far, near
 
 
 def _triangular_eigenvectors(T: NDArray) -> tuple[NDArray, bool]:
@@ -699,10 +779,12 @@ def _schur_eigenpairs(A: NDArray, W: NDArray) -> tuple[NDArray, NDArray, NDArray
     none is taken when X had to be scaled against overflow. Raises
     RuntimeError when a unit pair misses the residual contract."""
     n = A.shape[0]
+    blocks = [(i, W[n + i:n + i + 2, i:i + 2].ravel().tolist())
+              for i in np.flatnonzero(W[n:].diagonal(-1))]
     W = W.astype(complex)
     Z, T = W[:n], W[n:]
-    for i in np.flatnonzero(T.diagonal(-1)):
-        _triangularize_2x2(W, n, i)
+    for i, block in blocks:
+        _triangularize_2x2(W, n, i, *block)
     T = np.triu(T)
     lam = T.diagonal().copy()
     X, unit = _triangular_eigenvectors(T)
@@ -737,15 +819,18 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
 
     Real input goes through Francis double-shift QR (complex pairs come out of
     irreducible 2x2 blocks of the real Schur form); complex input through
-    single-shift Wilkinson QR, each with few numpy calls per step (see the
-    module docstring). Values only, each sweep transforms its block alone.
+    the same 3-row bulge chase with two complex shifts, each with few numpy
+    calls per step (see the module docstring). Both deflate 2x2 blocks by
+    `_eig2`. Values only, each sweep transforms its block alone.
 
     With want_vectors the same sweeps run on W = [Z; H], the Schur vectors Z
     stacked above H, and on wide slabs: each row update runs to the last
     column and each column update covers Z and H from their first rows, in
     one numpy call, so QR ends in the Schur form A = Z T Z^H (T upper
-    triangular once each real 2x2 block is rotated into complex triangular
-    form). The values are T's diagonal; they lie within backward error of
+    triangular once each 2x2 block is rotated into complex triangular form:
+    complex QR rotates its blocks as they deflate, and the real Schur form's
+    blocks are rotated after QR). The values are T's diagonal; they lie
+    within backward error of
     the values-only ones but need not share their bits. The vectors are
     those of T by back substitution, mapped back by Z and refined by one
     first-order step whose residual is formed in extended precision (see
@@ -754,7 +839,9 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     satisfies the residual contract (relative residual <= 1e-8 times the
     matrix norm). All of this runs on the input scaled by the module's
     power-of-two rule, with the values, shifts and residuals scaled to match;
-    input whose largest part lies in [2^-500, 2^500] keeps its bits.
+    input whose largest part lies in [2^-500, 2^500] keeps its bits. The
+    input is copied to C order first, so the results do not depend on its
+    memory layout.
 
     shifts, a sequence of eigenvalue estimates, steers QR: on the first
     HINTED_SWEEPS sweeps after each deflation a computed shift is replaced by
@@ -777,7 +864,9 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
         res = np.zeros(1) if want_vectors else None
         return EigenReport(values=values, vectors=vectors, residuals=res)
     max_sweeps = MAX_SWEEPS_PER_DIM * n
-    A = np.array(A0, dtype=complex)
+    # C order: matmul on Fortran-order slabs takes other kernels, whose bits
+    # differ, so the input's layout would reach the values
+    A = np.array(A0, dtype=complex, order="C")
     if p := _power_of_two_exponent((A,), always=False):
         A = _ldexp(A, -p)
     W = np.array(A.real if is_real else A)
@@ -791,12 +880,7 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
             # a real double shift is a real or a conjugate pair
             hint = hint.real[hint.imag == 0.0]
     _hessenberg(W, nz)
-    if is_real:
-        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _francis_sweep, _eig2, nz,
-                                       hint)
-    else:
-        eigs, sweeps = _qr_eigenvalues(W, max_sweeps, _wilkinson_sweep,
-                                       nz=nz, shifts=hint)
+    eigs, sweeps = _qr_eigenvalues(W, max_sweeps, nz, hint)
     if not want_vectors:
         values = _ldexp(np.array(eigs, dtype=complex), p)
         order = np.lexsort((values.imag, values.real))

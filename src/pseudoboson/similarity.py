@@ -90,9 +90,11 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
             f"> {real_tol:.1e}); the similarity construction needs a real spectrum")
     if n > 1:
         # gaps between halved values, so the gap between two finite values
-        # cannot overflow
+        # cannot overflow; compared with the norm itself, which no floor
+        # replaces, so a matrix at any scale keeps a relative test, and a
+        # zero matrix, with its zero gap, fails it
         half_gap = float(np.diff(np.sort(0.5 * direct.values.real)).min())
-        if half_gap <= 0.5e-8 * max(norm, 1e-300):
+        if half_gap <= 0.5e-8 * norm:
             raise ValueError(
                 f"precondition failed: spectrum not simple (min gap = "
                 f"{2.0 * half_gap:.3e} relative to matrix norm {norm:.3e}); "

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,12 +206,15 @@ def test_theorem1_precondition_failure_is_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("matrix, failure", [
-    # every entry is subnormal: the eigenvector scaling must not overflow
-    ([[1e-320, 0.0], [0.0, 2e-320]], "precondition"),
+    # every entry is subnormal: the eigenvector scaling must not overflow, and
+    # the gap test, relative to the norm itself, finds the spectrum simple
+    ([[1e-320, 0.0], [0.0, 2e-320]], None),
     # QR runs on the matrix scaled into [0.5, 1), and spectrum_match's
     # distance between the far pair is inf with no warning, so it passes
     ([[1e308, 1e308], [0.0, -1e308]], None),
-], ids=["subnormal", "huge"])
+    # a zero gap is no gap at a zero norm either
+    ([[0.0, 0.0], [0.0, 0.0]], "precondition"),
+], ids=["subnormal", "huge", "zero"])
 def test_theorem1_extreme_input_ends_without_traceback(tmp_path, capsys, matrix,
                                                        failure):
     path = tmp_path / "m.json"
@@ -223,6 +227,19 @@ def test_theorem1_extreme_input_ends_without_traceback(tmp_path, capsys, matrix,
     assert code == 1
     assert out == ""
     assert err.startswith(f"first failing check: {failure} (")
+
+
+def test_theorem1_solves_a_simple_spectrum_below_1e_300(tmp_path, capsys):
+    # the eigenvalues 3e-320 +- sqrt(2) 1e-320 lie 2.83e-320 apart at norm
+    # 4.69e-320: simple relative to the norm, with no floor in between
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[4e-320, 1e-320], [1e-320, 2e-320]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "theorem1", "--input", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["all_passed"] and report["similarity_error"] == 0.0
 
 
 @pytest.mark.parametrize("name, text", [
@@ -843,8 +860,8 @@ REPORT_DIGESTS = {
         ("17a46bee0b8abb3d27225eb677bdf12fa77a381b51c1395ec7fa4b68d8327e0a",
          "0a9dbabebfa4a6ae13f856ddb9092956c336d86d638154431f8e8f5bcc1e12d7"),
     ("theorem1", "--input", "COMPLEX6"):
-        ("6f3f583702a075469ccb32f58d656392b46237009a3c0f059e55e5c539791ca0",
-         "6f9cad68b96052441e6570a6fa2c4ba51328285164364e497ff1c3ec1aeb952a"),
+        ("198f7aed99126654e51f46482639f42a11f23f904effde8d0de292d669f2d713",
+         "b584f76fbcab5f253ab6b7aef9ec0ef5faa35d343a0fbb4536748c8a8088c1e7"),
     ("verify-all",):
         ("7461517a569edde413591867adfbb6a8a493b2e269c97dcb12e8900a4181776d",
          "6c4c116b7cb2bc8f465c6a7d4f346a1b52f90558bd4e9e6599c99a5484ada14f"),
