@@ -24,24 +24,29 @@ matrix whose Krylov space from e_1 closes early. The Hamiltonian conserves
 m - n, so the Hessenberg form of its 121 x 121 box truncation splits into
 blocks of 11, 10, 2, 10, 8, 79 and 1 rows; the unit-vector form I - 2 v v^H
 leaks eps-sized entries there, which Arnoldi grows about tenfold per
-column, and QR then chases its bulges across all 121 rows. A 3-row bulge
-step on a real block builds u and tau from Python floats and applies P with
-two matrix-vector products and two broadcast rank-one updates: 15 numpy
-calls in all, indexing included. Every floating-point operation keeps its
-operands and their order, so it gives the same bits as array code. It stays
-at 15: one 3x3 product per side would make fewer calls, but it rounds
-differently and moved verify-all's full-versus-sector distance. The
-deflation scan of the driver and the start-row scans of both sweeps read
-Python-scalar copies of the diagonals, so they make no numpy call per row.
+column, and QR then chases its bulges across all 121 rows. Both bulge steps
+form u and tau on Python scalars by one helper, `_reflector`, with u[1:] a
+quotient as in the reduction. A 3-row step on a real block builds
+U = tau u u^T as one 3x3 (or 2x2) array and applies P = I - U as one
+product per side with the subtraction kept, rows -= U rows and
+cols -= cols U, as the refsum update of LAPACK's dlaqr5 (Braman, Byers and
+Mathias, SIAM J. Matrix Anal. Appl. 23, 2002): 9 numpy calls, the read of
+the bulge column included, where two matrix-vector products and two
+rank-one updates took 15. On the trunc-10 H it left the full-versus-sector
+distance of verify-all no larger at six model points and smaller in the
+geometric mean over 64 points of the plane; the product P rows instead of
+rows - U rows had moved it from 2.64e-13 to 3.30e-13. The rank-one form
+serves the Hessenberg reduction, whose columns are long. The deflation scan
+of the driver and the start-row scans of both sweeps read Python-scalar
+copies of the diagonals, so they make no numpy call per row.
 
 Complex QR chases the same 3-row bulge with two complex shifts, both roots
 of the trailing 2x2, as LAPACK's zlaqr5 does with one shift pair. Its step
-forms the reflector on Python complex scalars, builds P = I - tau u u^H as
-one 3x3 (or 2x2) array and applies it as one product per side, P^H on the
-rows and P on the columns, each written back in place: 11 numpy calls, the
-read of the bulge column included. A product may round its sums otherwise
-than rank-one updates would, so this path is pinned by a reference of the
-same products rather than by the real step's array code. On the 45
+builds P = I - tau u u^H itself as one 3x3 (or 2x2) array and applies it as
+one product per side, P^H on the rows and P on the columns, each written
+back in place: 11 numpy calls, the read of the bulge column included. A
+product may round its sums otherwise than rank-one updates would, so both
+steps are pinned by array references of the same products. On the 45
 complex-basis theorem1 matrices of the plane-sweep benchmark (n = 9 to 48)
 values-only QR takes 1,705 sweeps, 1.32 per eigenvalue, where the
 single-shift Givens sweep it replaced took 3,029, 2.35 per eigenvalue. Both
@@ -210,36 +215,48 @@ def norm2(x, axis=None):
     return float(norm[0]) if axis is None else norm
 
 
-def _householder(x) -> tuple[NDArray, float | complex] | None:
+def _householder(x: NDArray) -> tuple[NDArray, float | complex] | None:
     """LAPACK's elementary reflector (zlarfg): (u, tau) with u[0] = 1 and
     (I - tau u u^H)^H x = beta e_1, where beta = -sign(Re x[0]) ||x|| is real,
     tau = (beta - x[0]) / beta and u[1:] = x[1:] / (x[0] - beta). Returns None
-    when x[1:] is zero and x[0] is real, where the reflector is I. x is an
-    array, or a list of real floats, whose u is built and tau formed on
-    Python floats.
+    when x[1:] is zero and x[0] is real, where the reflector is I.
 
     u[1:] is a quotient, not a product with the reciprocal, so a column with
     one nonzero, below its first entry, gives u = (1, +-1) and tau = 1
     exactly: an exact signed swap, which keeps the exact zeros of a matrix
     that decouples."""
-    if isinstance(x, list):
-        alpha, tail = x[0], x[1:]
-        if not any(tail):
-            return None
-    else:
-        alpha, tail = x[0].item(), x[1:]
-        if alpha.imag == 0 and not tail.any():
-            return None
+    alpha, tail = x[0].item(), x[1:]
+    if alpha.imag == 0 and not tail.any():
+        return None
     beta = norm2(x)
     if alpha.real >= 0.0:
         beta = -beta
-    scale = alpha - beta
-    if isinstance(x, list):
-        u = np.array([1.0] + [t / scale for t in tail])
-    else:
-        u = x / scale
-        u[0] = 1.0
+    u = x / (alpha - beta)
+    u[0] = 1.0
     return u, (beta - alpha) / beta
+
+
+def _reflector(col: list) -> tuple[list, float | complex] | None:
+    """`_householder`'s reflector of a bulge column of two or three Python
+    floats or Python complex scalars, on Python scalars: (u[1:], tau), u[1:]
+    a quotient as there, so a column with one nonzero below its first entry
+    still gives an exact signed swap; None where the reflector is I. The
+    real and the complex bulge steps both take it. beta is the norm of the
+    column's real and imaginary parts, so a column whose parts are finite but
+    whose modulus overflows gives an infinite beta and a nan tau, and raises
+    nothing."""
+    alpha = col[0]
+    tail = col[1:]
+    if alpha.imag == 0.0 and not any(tail):
+        return None
+    if isinstance(alpha, complex):
+        beta = norm2([part for z in col for part in (z.real, z.imag)])
+    else:
+        beta = norm2(col)
+    if alpha.real >= 0.0:
+        beta = -beta
+    scale = alpha - beta
+    return [t / scale for t in tail], (beta - alpha) / beta
 
 
 def _slabs(W: NDArray, nz: int, lo: int, hi: int):
@@ -255,7 +272,7 @@ def _slabs(W: NDArray, nz: int, lo: int, hi: int):
     return W[nz + lo:nz + hi + 1, lo:], W[:nz + hi + 1, lo:hi + 1], nz + lo
 
 
-def _apply_reflector(R: NDArray, C: NDArray, top: int, k: int, col, m: int):
+def _apply_reflector(R: NDArray, C: NDArray, top: int, k: int, col: NDArray, m: int):
     """Apply, on rows and columns k .. k + len(col) - 1 of an m x m block, the
     similarity P^H A P by the reflector P = I - tau u u^H of `_householder`
     that maps col onto its first axis, as LAPACK's zgehd2 does; R and C are
@@ -263,8 +280,9 @@ def _apply_reflector(R: NDArray, C: NDArray, top: int, k: int, col, m: int):
     (see `_slabs`). Returns tau, or None when P is I and nothing was applied.
     The rows take rows -= conj(tau) u (u^H rows) and the columns
     cols -= (cols u) (tau u^H): each side is one matrix-vector product and one
-    broadcast rank-one update. A real tau is a Python float, so it adds no
-    numpy call."""
+    broadcast rank-one update, the cheap form for the long columns of the
+    Hessenberg reduction, the one caller. A real tau is a Python float, so it
+    adds no numpy call."""
     reflector = _householder(col)
     if reflector is None:
         return None
@@ -303,7 +321,7 @@ def _eig2(a, b, c, d) -> tuple[complex, complex]:
 def _first_column(d, sub, sup, k: int, rt1r, rt1i, rt2r, rt2i) -> list:
     """First column of the double-shift polynomial at row k of the Hessenberg
     matrix with diagonal d, subdiagonal sub and superdiagonal sup, in
-    factored form; a list, so that `_householder` builds on floats.
+    factored form; a list, so that `_reflector` builds on floats.
 
     The expanded polynomial (H - s1)(H - s2) e_k cancels catastrophically for
     eigenvalue clusters tight relative to eps * |H|; keeping the differences
@@ -452,11 +470,40 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
     m = hi - top + 1
     # the bulge column is three long until the last step, which takes two
     col = _first_column(d, sub, sup, start, rt1r, rt1i, rt2r, rt2i)
-    tau = _apply_reflector(R, C, above, 0, col, m)
+    tau = _real_bulge_step(R, C, above, 0, col, m)
     if nz and start and tau is not None:
         W[nz + top, top - 1] *= 1.0 - tau
     for k in range(1, m - 1):
-        _apply_reflector(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
+        _real_bulge_step(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
+
+
+def _real_bulge_step(R: NDArray, C: NDArray, top: int, k: int, col: list,
+                     m: int) -> float | None:
+    """One bulge step of `_francis_sweep`: the similarity P A P on rows and
+    columns k .. k + len(col) - 1 of an m x m block, with R, C and top as in
+    `_apply_reflector`, by the reflector P = I - U of the float column col,
+    U = tau u u^T from `_reflector`. U[i][j] = (tau u_i) u_j is built as one
+    2x2 or 3x3 array and taken on both sides, rows -= U rows and
+    cols -= cols U, so the subtraction stays explicit, as in the refsum
+    update of LAPACK's dlaqr5. Returns tau, or None when P is I."""
+    reflector = _reflector(col)
+    if reflector is None:
+        return None
+    tail, tau = reflector
+    u1 = tail[0]
+    t1 = tau * u1
+    if len(tail) == 1:
+        U = np.array([[tau, t1], [t1, t1 * u1]])
+    else:
+        u2 = tail[1]
+        t2 = tau * u2
+        U = np.array([[tau, t1, t2], [t1, t1 * u1, t1 * u2], [t2, t2 * u1, t2 * u2]])
+    w = len(col)
+    rows = R[k:k + w, max(k - 1, 0):]
+    rows -= U @ rows
+    cols = C[:top + min(k + w + 1, m), k:k + w]
+    cols -= cols @ U
+    return tau
 
 
 def _complex_first_column(d, sub, sup, k: int, s1: complex, s2: complex) -> list:
@@ -476,28 +523,19 @@ def _complex_first_column(d, sub, sup, k: int, s1: complex, s2: complex) -> list
 
 
 def _complex_reflector(col: list) -> tuple[NDArray, complex] | None:
-    """The 2x2 or 3x3 matrix P = I - tau u u^H of `_householder`'s reflector
-    for the Python complex column col, and tau; None where P is I. u and tau
-    are Python scalars, u[1:] a quotient as in `_householder`, and P's
-    entries are delta_ij - (tau u_i) conj(u_j), in one array, written out
-    for the two sizes: a comprehension over i and j took about four times as
-    long. beta is the norm of the column's real and imaginary parts, so a
-    column whose parts are finite but whose modulus overflows gives an
-    infinite beta and a nan tau, and raises nothing."""
-    alpha = col[0]
-    tail = col[1:]
-    if alpha.imag == 0.0 and not any(tail):
+    """The 2x2 or 3x3 matrix P = I - tau u u^H of `_reflector` for the
+    Python complex column col, and tau; None where P is I. P's entries are
+    delta_ij - (tau u_i) conj(u_j), in one array, written out for the two
+    sizes: a comprehension over i and j took about four times as long."""
+    reflector = _reflector(col)
+    if reflector is None:
         return None
-    beta = norm2([part for z in col for part in (z.real, z.imag)])
-    if alpha.real >= 0.0:
-        beta = -beta
-    scale = alpha - beta
-    tau = (beta - alpha) / beta
-    u1 = tail[0] / scale
+    tail, tau = reflector
+    u1 = tail[0]
     t1, c1 = tau * u1, u1.conjugate()
     if len(tail) == 1:
         return np.array([[1 - tau, -tau * c1], [-t1, 1 - t1 * c1]]), tau
-    u2 = tail[1] / scale
+    u2 = tail[1]
     t2, c2 = tau * u2, u2.conjugate()
     return np.array([[1 - tau, -tau * c1, -tau * c2],
                      [-t1, 1 - t1 * c1, -t1 * c2],
@@ -608,13 +646,28 @@ def solve_matrix(M, B) -> NDArray[np.complex128]:
 
 
 def residual(M, lam, v) -> float:
-    """Relative eigenpair residual ||M v - lam v|| / ||v||."""
-    A = _as_square(M)
-    vec = np.asarray(v)
-    nv = norm2(vec)
-    if nv == 0.0:
+    """Relative eigenpair residual ||M v - lam v|| / ||v||.
+
+    M and lam are scaled by one power of two and v by another, each by the
+    module's rule (`_power_of_two_exponent`), so that neither the product nor
+    the norms overflow or lose digits to underflow; the result is scaled
+    back, inf past overflow. Input whose largest parts lie in
+    [2^-500, 2^500] keeps its bits."""
+    # float64 or complex128 parts, which the power-of-two rule reads
+    A, lam, vec = (np.asarray(x) for x in (_as_square(M), lam, v))
+    A, lam, vec = (x.astype(np.result_type(x, np.float64), copy=False)
+                   for x in (A, lam, vec))
+    if norm2(vec) == 0.0:
         raise ValueError("residual of a zero vector is undefined")
-    return norm2(A @ vec - lam * vec) / nv
+    if p := _power_of_two_exponent((A, lam), always=False):
+        A, lam = _ldexp(A, -p), _ldexp(lam, -p)
+    if q := _power_of_two_exponent((vec,), always=False):
+        vec = _ldexp(vec, -q)
+    res = norm2(A @ vec - lam * vec) / norm2(vec)
+    try:
+        return math.ldexp(res, p)
+    except OverflowError:
+        return math.inf
 
 
 def _tridiag_solve(sub, diag, sup, rhs) -> NDArray:

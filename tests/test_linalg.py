@@ -43,7 +43,7 @@ TRIDIAG_SOLVE_CORPUS_SHA256 = (
 QL_CORPUS_SHA256 = (
     "4743fa0d21415b2a359d43394893cee6b8096fb5f12474d95ef5da7a7d49f5e5")
 DENSE_QR_CORPUS_SHA256 = {
-    "real": "eae909326dc17d7045925ec65b32615a087d4fdde802b59afa3761117bef1cff",
+    "real": "4679da99e8b1880abb8c77961bcd1227bc094201db6211aa41f593d70f4f20af",
     "complex": "3ca238beba25a9e6ef8b806af0386eeb8baca97a8ed763c199f421dcdcb6676e",
 }
 
@@ -213,9 +213,10 @@ def test_norm2_short_list_matches_the_array_path(entries):
 
 # Reference copies of the bulge steps in array code: numpy arrays and
 # scalars, LAPACK's reflector I - tau u u^H with u[0] = 1 (zlarfg) and u[1:]
-# built by division. The real step updates by np.outer; the complex step
-# builds P = I - np.outer(tau u, u^H) and applies it as one product per side
-# on copied rows and columns. Its column, u and P are object arrays of Python
+# built by division. The real step builds U = np.outer(tau u, u) and updates
+# rows -= U rows and cols -= cols U in place; the complex step builds
+# P = I - np.outer(tau u, u^H) and applies it as one product per side on
+# copied rows and columns. Its column, u and P are object arrays of Python
 # complex scalars, so that each entry rounds as the sweep's scalar arithmetic
 # does: numpy's vectorized complex multiply may fuse its multiply-adds, and
 # its complex division multiplies by a reciprocal. Each works on
@@ -243,9 +244,10 @@ def _reference_reflector(W, nz, lo, k, col, m):
     u = x / (alpha - beta)
     u[0] = 1.0
     tau = (beta - alpha) / beta
+    U = np.outer(tau * u, u)
     rows, cols = _reference_extents(W, nz, lo, k, len(u), min(k + len(u) + 1, m), m)
-    W[rows] -= np.outer(u, np.conj(tau) * (u.conj() @ W[rows]))
-    W[cols] -= np.outer(W[cols] @ u, tau * u.conj())
+    W[rows] -= U @ W[rows]
+    W[cols] -= W[cols] @ U
     return tau
 
 
@@ -411,6 +413,45 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
         plain = m.copy()
         sweep(plain, 1, 12, stall, nz)
         assert np.array_equal(ours, plain) == (stall == 11)
+
+
+@pytest.mark.parametrize("nz", [0, 9], ids=["values", "vectors"])
+@pytest.mark.parametrize("d", [1, 2], ids=["0-y-0", "0-0-z"])
+def test_real_bulge_step_keeps_an_exact_signed_swap(d, nz):
+    # a bulge column [0, y, 0] or [0, 0, z], one nonzero d rows below its
+    # zero head, gives tau = 1 and u = (1, +-1) at rows k and k + d: the step
+    # is the signed swap of those rows and columns. Where the two rows, and
+    # the two columns, never hold two nonzeros in one place, rows -= U rows
+    # and cols -= cols U add a zero to each entry they subtract, so every
+    # zero stays an exact zero and every moved entry an exact signed copy;
+    # with Z = I stacked above H, Z becomes the signed swap itself
+    n, k = 9, 2
+    rng = np.random.default_rng(290 + d)
+    i, j = np.indices((n, n))
+    # upper Hessenberg with a bulge in column k - 1 down to row k + 2, and
+    # nonzeros only where i // d + j // d is even
+    mask = (i <= j + 1) | ((j == k - 1) & (i <= k + 2))
+    mask &= (i // d + j // d) % 2 == 0
+    h = np.where(mask, rng.uniform(0.5, 2.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n)),
+                 0.0)
+    # 49 (1 / 49) rounds below 1: a u[1:] formed with the reciprocal would
+    # not swap exactly
+    h[k + d, k - 1] = 49.0 * (-1) ** d
+    col = h[k:k + 3, k - 1].tolist()
+    assert col[0] == 0.0 and col[3 - d] == 0.0 and col[d] != 0.0
+    s = math.copysign(1.0, col[d])
+    perm = np.arange(n)
+    perm[[k, k + d]] = k + d, k
+    sign = np.ones(n)
+    sign[[k, k + d]] = -s
+    swapped = (sign[:, None] * h[perm])[:, perm] * sign
+    W = np.vstack([np.eye(n), h]) if nz else h.copy()
+    R, C, top = linalg._slabs(W, nz, 0, n - 1)
+    assert linalg._real_bulge_step(R, C, top, k, col, n) == 1.0
+    assert np.array_equal(W[nz:], swapped)
+    assert W[nz:][k:k + 3, k - 1].tolist() == [-abs(col[d]), 0.0, 0.0]
+    if nz:
+        assert np.array_equal(W[:nz], np.eye(n)[:, perm] * sign)
 
 
 @pytest.mark.parametrize("n, graded", [(8, False), (24, True), (48, False)])
@@ -949,17 +990,17 @@ def test_householder_is_lapacks_reflector():
     # with the sign opposite to Re x[0] (a zero counts as positive); an x
     # already along e_1 with a real first entry gives None, and one with a
     # complex first entry a phase
-    for x in ([0.0, -2.5], [3.0, 4.0, 0.0], np.array([1j, 2.0, -1 + 1j]),
-              np.array([-2j, 0, 0])):
+    for x in (np.array([0.0, -2.5]), np.array([3.0, 4.0, 0.0]),
+              np.array([1j, 2.0, -1 + 1j]), np.array([-2j, 0, 0])):
         u, tau = linalg._householder(x)
         x = np.asarray(x, dtype=complex)
         assert u[0] == 1.0
         image = x - np.conj(tau) * u * np.vdot(u, x)
         beta = np.linalg.norm(x) * (-1.0 if x[0].real >= 0.0 else 1.0)
         assert np.allclose(image, beta * np.eye(len(x))[0], rtol=0, atol=1e-15)
-    u, tau = linalg._householder([0.0, -2.5])
+    u, tau = linalg._householder(np.array([0.0, -2.5]))
     assert u.tolist() == [1.0, -1.0] and tau == 1.0
-    assert linalg._householder([-2.0, 0.0, 0.0]) is None
+    assert linalg._householder(np.array([-2.0, 0.0, 0.0])) is None
     assert linalg._householder(np.array([3.0 + 0j, 0j])) is None
 
 
