@@ -2,8 +2,9 @@
 
 Provides the numerical backends used by every other module: a nonsymmetric
 eigensolver (Householder Hessenberg reduction followed by implicit
-double-shift QR iteration, with a real shift pair for real matrices and two
-complex shifts for complex ones, with eigenvectors from the Schur form), a
+double-shift QR iteration, a real or conjugate shift pair for real matrices
+and two complex shifts for complex ones, with eigenvectors from the Schur
+form), a
 complex symmetric tridiagonal eigensolver (implicit-shift QL), Sturm
 bisection for the lowest eigenvalue of a real symmetric tridiagonal, a
 partial-pivoting LU
@@ -24,39 +25,36 @@ matrix whose Krylov space from e_1 closes early. The Hamiltonian conserves
 m - n, so the Hessenberg form of its 121 x 121 box truncation splits into
 blocks of 11, 10, 2, 10, 8, 79 and 1 rows; the unit-vector form I - 2 v v^H
 leaks eps-sized entries there, which Arnoldi grows about tenfold per
-column, and QR then chases its bulges across all 121 rows. Both bulge steps
-form u and tau on Python scalars by one helper, `_reflector`, with u[1:] a
-quotient as in the reduction. A 3-row step on a real block builds
-U = tau u u^T as one 3x3 (or 2x2) array and applies P = I - U as one
-product per side with the subtraction kept, rows -= U rows and
-cols -= cols U, as the refsum update of LAPACK's dlaqr5 (Braman, Byers and
-Mathias, SIAM J. Matrix Anal. Appl. 23, 2002): 9 numpy calls, the read of
-the bulge column included, where two matrix-vector products and two
-rank-one updates took 15. On the trunc-10 H it left the full-versus-sector
-distance of verify-all no larger at six model points and smaller in the
-geometric mean over 64 points of the plane; the product P rows instead of
-rows - U rows had moved it from 2.64e-13 to 3.30e-13. The rank-one form
-serves the Hessenberg reduction, whose columns are long. The deflation scan
-of the driver and the start-row scans of both sweeps read Python-scalar
-copies of the diagonals, so they make no numpy call per row.
-
-Complex QR chases the same 3-row bulge with two complex shifts, both roots
-of the trailing 2x2, as LAPACK's zlaqr5 does with one shift pair. Its step
-builds P = I - tau u u^H itself as one 3x3 (or 2x2) array and applies it as
-one product per side, P^H on the rows and P on the columns, each written
-back in place: 11 numpy calls, the read of the bulge column included. A
-product may round its sums otherwise than rank-one updates would, so both
-steps are pinned by array references of the same products. On the 45
-complex-basis theorem1 matrices of the plane-sweep benchmark (n = 9 to 48)
-values-only QR takes 1,705 sweeps, 1.32 per eigenvalue, where the
-single-shift Givens sweep it replaced took 3,029, 2.35 per eigenvalue. Both
-flavours deflate 2x2 blocks, since a double-shift bulge needs 3 rows; with
-eigenvectors, complex QR rotates each deflated 2x2 block into triangular
-form at once, so its Schur form is upper triangular. Both shift pairs, the
-roots of a deflated 2x2 block and its rotation into triangular form take
-one 2x2 formula, `_eig2`: half the trace plus and minus
-sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det cancels for two close
-real roots, as at the double eigenvalues of the Hamiltonian at beta = 0.
+column, and QR then chases its bulges across all 121 rows. Real and
+complex QR run one double-shift sweep, `_francis_sweep`: a 3-row bulge
+with both roots of the trailing 2x2 as shifts, as LAPACK's dlaqr5 and
+zlaqr5 chase one shift pair. Two things follow the dtype: the bulge's
+first column, in dlaqr1's float form for real input and zlaqr1's form for
+complex input (one complex formula would move every real bit), and the
+form in which a step, `_bulge_step`, applies its reflector, built on Python
+scalars by `_reflector` as one 3x3 (or 2x2) array and taken as one product
+per side. A real step keeps the subtraction, rows -= U rows and
+cols -= cols U with U = tau u u^T, as the refsum update of dlaqr5 (Braman,
+Byers and Mathias, SIAM J. Matrix Anal. Appl. 23, 2002): 9 numpy calls,
+the read of the bulge column included, where two matrix-vector products
+and two rank-one updates took 15; on the trunc-10 H the product P rows had
+moved the full-versus-sector distance of verify-all from 2.64e-13 to
+3.30e-13. A complex step writes rows = P^H rows and cols = cols P back in
+place, 11 calls; there the refsum form made the backward error larger on
+most matrices. Array references of the same products pin both. The
+rank-one form serves the Hessenberg reduction, whose columns are long. The
+deflation scan of the driver and the start-row scan of the sweep read
+Python-scalar copies of the diagonals, so they make no numpy call per row.
+Complex double-shift QR takes 1,705 sweeps on the 45 complex-basis
+theorem1 matrices of the plane-sweep benchmark (n = 9 to 48), where a
+single-shift Givens sweep took 3,029. QR deflates 2x2 blocks, since a
+double-shift bulge needs 3 rows; with eigenvectors, complex QR rotates
+each deflated 2x2 block into triangular form at once, so its Schur form is
+upper triangular. The shift pair, the roots of a deflated 2x2 block and
+its rotation into triangular form take one 2x2 formula, `_eig2`: half the
+trace plus and minus sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det
+cancels for two close real roots, as at the double eigenvalues of the
+Hamiltonian at beta = 0.
 
 Eigenvectors run the same sweeps on wider slabs. The Schur vectors Z are
 stacked above H in one array, so each column update transforms Z and H in
@@ -185,10 +183,12 @@ def _as_square(M) -> NDArray:
 
 def norm2(x, axis=None):
     """Euclidean norm, or with axis=-1 the norm of each row of a 2-D x: the
-    plain sum of squares, rescaled by the largest entry of the row where that
-    sum under- or overflows, the remedy of J. L. Blue (ACM TOMS 4, 1978) and
-    LAPACK's dnrm2 taken only where the plain sum fails. The package's only
-    Euclidean norm; squares that overflow raise no warning.
+    plain sum of squares, rescaled where that sum under- or overflows, the
+    remedy of J. L. Blue (ACM TOMS 4, 1978) and LAPACK's dnrm2 taken only
+    where the plain sum fails. The rescale divides the row by the power of
+    two of its largest entry, exactly, so that x 2^k has the norm of x times
+    2^k, bit for bit, wherever neither under- nor overflows. The package's
+    only Euclidean norm; squares that overflow raise no warning.
 
     A list of fewer than 8 real floats, such as the two or three entries of a
     bulge column, is summed on Python floats. numpy sums fewer than 8 entries
@@ -211,7 +211,9 @@ def norm2(x, axis=None):
     for i in np.flatnonzero((norm <= 1e-150) | (norm >= 1e150)):
         big = float(a[i].max(initial=0.0))
         if big != 0.0 and math.isfinite(big):
-            norm[i] = big * float(np.sqrt(((a[i] / big) ** 2).sum()))
+            p = math.frexp(big)[1]
+            with np.errstate(over="ignore"):
+                norm[i] = np.ldexp(np.sqrt((np.ldexp(a[i], -p) ** 2).sum()), p)
     return float(norm[0]) if axis is None else norm
 
 
@@ -240,8 +242,8 @@ def _reflector(col: list) -> tuple[list, float | complex] | None:
     """`_householder`'s reflector of a bulge column of two or three Python
     floats or Python complex scalars, on Python scalars: (u[1:], tau), u[1:]
     a quotient as there, so a column with one nonzero below its first entry
-    still gives an exact signed swap; None where the reflector is I. The
-    real and the complex bulge steps both take it. beta is the norm of the
+    still gives an exact signed swap; None where the reflector is I; the
+    bulge step of either dtype takes it. beta is the norm of the
     column's real and imaginary parts, so a column whose parts are finite but
     whose modulus overflows gives an infinite beta and a nan tau, and raises
     nothing."""
@@ -318,25 +320,37 @@ def _eig2(a, b, c, d) -> tuple[complex, complex]:
     return half_tr + sq, half_tr - sq
 
 
-def _first_column(d, sub, sup, k: int, rt1r, rt1i, rt2r, rt2i) -> list:
-    """First column of the double-shift polynomial at row k of the Hessenberg
-    matrix with diagonal d, subdiagonal sub and superdiagonal sup, in
-    factored form; a list, so that `_reflector` builds on floats.
+def _first_column(d, sub, sup, k: int, s1, s2) -> list:
+    """First column of the double-shift polynomial (H - s1)(H - s2) e_k at
+    row k of the Hessenberg matrix with diagonal d, subdiagonal sub and
+    superdiagonal sup, Python floats or Python complex scalars, in factored
+    form; a list, so that `_reflector` builds on scalars. Real d takes the
+    float form of LAPACK's dlaqr1, scaled by
+    s = |H[k, k] - Re s2| + |Im s2| + |H[k + 1, k]|, with a conjugate pair
+    entering through its parts; complex d takes zlaqr1's, scaled by
+    s = |H[k, k] - s2| + |H[k + 1, k]|. A zero s gives a zero column.
 
-    The expanded polynomial (H - s1)(H - s2) e_k cancels catastrophically for
-    eigenvalue clusters tight relative to eps * |H|; keeping the differences
-    (H[k, k] - rt) explicit preserves the bulge direction there.
+    The expanded polynomial cancels catastrophically for eigenvalue clusters
+    tight relative to eps * |H|; keeping the differences H[k, k] - s
+    explicit preserves the bulge direction there.
     """
-    s = abs(d[k] - rt2r) + abs(rt2i) + abs(sub[k])
-    if s == 0.0:
-        return [0.0, 0.0, 0.0]
-    h21s = sub[k] / s
-    x = (h21s * sup[k]
-         + (d[k] - rt1r) * ((d[k] - rt2r) / s)
-         - rt1i * (rt2i / s))
-    y = h21s * (d[k] + d[k + 1] - rt1r - rt2r)
-    z = h21s * sub[k + 1]
-    return [x, y, z]
+    a, h21 = d[k], sub[k]
+    if isinstance(a, complex):
+        h = a - s2
+        s = abs(h) + abs(h21)
+        if s == 0.0:
+            return [0.0, 0.0, 0.0]
+        h21s = h21 / s
+        x = (a - s1) * (h / s) + sup[k] * h21s
+    else:
+        i1, i2 = s1.imag, s2.imag
+        s1, s2 = s1.real, s2.real
+        s = abs(a - s2) + abs(i2) + abs(h21)
+        if s == 0.0:
+            return [0.0, 0.0, 0.0]
+        h21s = h21 / s
+        x = h21s * sup[k] + (a - s1) * ((a - s2) / s) - i1 * (i2 / s)
+    return [x, h21s * (a + d[k + 1] - s1 - s2), h21s * sub[k + 1]]
 
 
 def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
@@ -344,10 +358,10 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
     """Eigenvalues of the upper Hessenberg H = W[nz:] by shifted QR, in place.
 
     Deflates 1x1 and 2x2 blocks from the bottom, the roots of a 2x2 block by
-    `_eig2`; otherwise one double-shift sweep runs on the unreduced block
-    lo..hi, `_francis_sweep` for real W and `_complex_francis_sweep` for
-    complex W, as sweep(W, lo, hi, stall, nz, hint), stall counting sweeps
-    since the last deflation. hint is shifts, an array of eigenvalue
+    `_eig2`; otherwise one double-shift sweep, `_francis_sweep` for real and
+    complex W alike, runs on the unreduced block lo..hi as
+    _francis_sweep(W, lo, hi, stall, nz, hint), stall counting sweeps since
+    the last deflation. hint is shifts, an array of eigenvalue
     estimates or None, on the first HINTED_SWEEPS sweeps after each
     deflation, and the sweep snaps its computed shifts to those estimates;
     later sweeps get None and take the computed shifts, so a wrong estimate
@@ -366,7 +380,6 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
     H = W[nz:]
     n = H.shape[0]
     is_complex = np.iscomplexobj(W)
-    sweep = _complex_francis_sweep if is_complex else _francis_sweep
     views = H.diagonal(), H.diagonal(-1)
     d, sub = views[0].tolist(), views[1].tolist()
     eigs: list[complex] = []
@@ -403,7 +416,8 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
                 f"{sweeps} sweeps")
         sweeps += 1
         stall += 1
-        sweep(W, lo, hi, stall, nz, shifts if stall <= HINTED_SWEEPS else None)
+        _francis_sweep(W, lo, hi, stall, nz,
+                       shifts if stall <= HINTED_SWEEPS else None)
         d[lo:hi + 1] = views[0][lo:hi + 1].tolist()
         sub[lo:hi] = views[1][lo:hi].tolist()
     return eigs, sweeps
@@ -426,182 +440,107 @@ def _snapped(shifts: NDArray, computed: list) -> list:
 
 def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
                    shifts=None) -> None:
-    """One Francis implicit double-shift sweep on the real Hessenberg block
-    lo..hi of H = W[nz:], with the slabs of `_slabs`. Given a real array of
-    eigenvalue estimates, a sweep whose trailing 2x2 has two real roots
-    replaces them by two distinct estimates, each nearest its root (see
-    `_snapped`); a complex pair and the exceptional shifts stay as computed.
+    """One Francis implicit double-shift sweep on the Hessenberg block lo..hi,
+    at least 3 rows, of the real or complex H = W[nz:], with the slabs of
+    `_slabs`: the 3-row bulge that LAPACK's dlaqr5 and zlaqr5 chase with one
+    shift pair (D. S. Watkins, The Matrix Eigenvalue Problem, SIAM 2007).
+    The shifts are both roots of the trailing 2x2, a real or a conjugate
+    pair for real W. Given an array of eigenvalue estimates, each root is
+    replaced by a distinct estimate nearest to it (see `_snapped`); real W
+    snaps only a pair of real roots, to real estimates. Every eleventh sweep
+    since the last deflation takes the exceptional double shift
+    H[hi, hi] + 0.75 |H[hi, hi - 1]| of LAPACK's zlaqr0 instead, real for
+    real W.
 
-    The shift and start-row scans read Python-float copies of the block's
-    three diagonals, and each bulge step reads its column as floats. A sweep
-    that starts below the block top leaves H[start, start - 1] out of its
-    first reflector; with Z stacked above H that entry takes the reflector's
-    factor 1 - tau, as in LAPACK's dlahqr, so that the transform applied
-    to H whole is a similarity. The values-only sweep leaves it as it is."""
+    The shift and start-row scans read Python-scalar copies of the block's
+    three diagonals, and each bulge step reads its column as Python scalars.
+    A sweep that starts below the block top leaves H[start, start - 1] out
+    of its first reflector; with Z stacked above H that entry takes the
+    reflector's factor 1 - conj(tau), as in LAPACK's dlahqr, so that the
+    transform applied to H whole is a similarity. The values-only sweep
+    leaves it as it is."""
     B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     d, sub, sup = (B.diagonal(i).tolist() for i in (0, -1, 1))
     b = hi - lo
     if stall % 11 == 0:
-        # exceptional shift pair after repeated stalls (ad hoc EISPACK choice)
-        w = abs(sub[b - 1]) + abs(sub[b - 2])
-        rt1r, rt1i, rt2r, rt2i = 1.75 * w, 0.0, -0.25 * w, 0.0
+        # exceptional double shift after repeated stalls (ad hoc, as zlaqr0)
+        s1 = s2 = d[b] + 0.75 * abs(sub[b - 1])
     else:
-        rt1, rt2 = _eig2(d[b - 1], sup[b - 1], sub[b - 1], d[b])
-        if shifts is not None and rt1.imag == rt2.imag == 0.0:
-            rt1, rt2 = _snapped(shifts, [rt1.real, rt2.real])
-        rt1r, rt1i, rt2r, rt2i = rt1.real, rt1.imag, rt2.real, rt2.imag
+        s1, s2 = _eig2(d[b - 1], sup[b - 1], sub[b - 1], d[b])
+        if shifts is not None and (isinstance(d[b], complex)
+                                   or s1.imag == s2.imag == 0.0):
+            s1, s2 = _snapped(shifts, [s1, s2])
     # a tiny interior subdiagonal kills the bulge as it passes, so the
     # shifts never reach the bottom; start below any such entry instead
     # (two-consecutive-small-subdiagonals test)
     start = 0
-    k = b - 2
-    while k > 0:
-        x, y, z = _first_column(d, sub, sup, k, rt1r, rt1i, rt2r, rt2i)
-        s = abs(x) + abs(y) + abs(z)
+    for k in range(b - 2, 0, -1):
+        x, y, z = _first_column(d, sub, sup, k, s1, s2)
+        x, y, z = abs(x), abs(y), abs(z)
+        s = x + y + z
         if s != 0.0:
             x, y, z = x / s, y / s, z / s
-        anchor = abs(x) * (abs(d[k - 1]) + abs(d[k]) + abs(d[k + 1]))
-        if anchor + abs(sub[k - 1]) * (abs(y) + abs(z)) == anchor:
+        anchor = x * (abs(d[k - 1]) + abs(d[k]) + abs(d[k + 1]))
+        if anchor + abs(sub[k - 1]) * (y + z) == anchor:
             start = k
             break
-        k -= 1
     top = lo + start
     R, C, above = _slabs(W, nz, top, hi)
     m = hi - top + 1
     # the bulge column is three long until the last step, which takes two
-    col = _first_column(d, sub, sup, start, rt1r, rt1i, rt2r, rt2i)
-    tau = _real_bulge_step(R, C, above, 0, col, m)
+    col = _first_column(d, sub, sup, start, s1, s2)
+    tau = _bulge_step(R, C, above, 0, col, m)
     if nz and start and tau is not None:
-        W[nz + top, top - 1] *= 1.0 - tau
+        W[nz + top, top - 1] *= 1.0 - tau.conjugate()
     for k in range(1, m - 1):
-        _real_bulge_step(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
+        _bulge_step(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
 
 
-def _real_bulge_step(R: NDArray, C: NDArray, top: int, k: int, col: list,
-                     m: int) -> float | None:
-    """One bulge step of `_francis_sweep`: the similarity P A P on rows and
+def _bulge_step(R: NDArray, C: NDArray, top: int, k: int, col: list,
+                m: int) -> float | complex | None:
+    """One bulge step of `_francis_sweep`: the similarity P^H A P on rows and
     columns k .. k + len(col) - 1 of an m x m block, with R, C and top as in
-    `_apply_reflector`, by the reflector P = I - U of the float column col,
-    U = tau u u^T from `_reflector`. U[i][j] = (tau u_i) u_j is built as one
-    2x2 or 3x3 array and taken on both sides, rows -= U rows and
-    cols -= cols U, so the subtraction stays explicit, as in the refsum
-    update of LAPACK's dlaqr5. Returns tau, or None when P is I."""
+    `_apply_reflector`, by the reflector P = I - tau u u^H of the column col
+    of Python floats or Python complex scalars, from `_reflector`. Returns
+    tau, or None when P is I.
+
+    One 2x2 or 3x3 array is built from the same scalars, its entries
+    written out for each size (a comprehension over them took about four
+    times as long), and taken as one product per side, in the form of the
+    dtype (see the module docstring): a real step builds U = tau u u^T and
+    takes rows -= U rows and cols -= cols U; a complex step builds P and
+    writes rows = P^H rows and cols = cols P back in place."""
     reflector = _reflector(col)
     if reflector is None:
         return None
     tail, tau = reflector
     u1 = tail[0]
     t1 = tau * u1
-    if len(tail) == 1:
-        U = np.array([[tau, t1], [t1, t1 * u1]])
-    else:
+    if len(tail) == 2:
         u2 = tail[1]
         t2 = tau * u2
-        U = np.array([[tau, t1, t2], [t1, t1 * u1, t1 * u2], [t2, t2 * u1, t2 * u2]])
     w = len(col)
     rows = R[k:k + w, max(k - 1, 0):]
-    rows -= U @ rows
     cols = C[:top + min(k + w + 1, m), k:k + w]
+    if isinstance(tau, complex):
+        c1 = u1.conjugate()
+        if w == 2:
+            P = np.array([[1 - tau, -tau * c1], [-t1, 1 - t1 * c1]])
+        else:
+            c2 = u2.conjugate()
+            P = np.array([[1 - tau, -tau * c1, -tau * c2],
+                          [-t1, 1 - t1 * c1, -t1 * c2],
+                          [-t2, -t2 * c1, 1 - t2 * c2]])
+        rows[:] = P.conj().T @ rows
+        cols[:] = cols @ P
+        return tau
+    if w == 2:
+        U = np.array([[tau, t1], [t1, t1 * u1]])
+    else:
+        U = np.array([[tau, t1, t2], [t1, t1 * u1, t1 * u2], [t2, t2 * u1, t2 * u2]])
+    rows -= U @ rows
     cols -= cols @ U
     return tau
-
-
-def _complex_first_column(d, sub, sup, k: int, s1: complex, s2: complex) -> list:
-    """First column of (H - s1)(H - s2) at row k of the complex Hessenberg
-    matrix with diagonal d, subdiagonal sub and superdiagonal sup, as Python
-    complex scalars, in the factored form of LAPACK's zlaqr1: scaled by
-    s = |H[k, k] - s2| + |H[k + 1, k]|, with the differences H[k, k] - s kept
-    explicit, as `_first_column` keeps them."""
-    h = d[k] - s2
-    s = abs(h) + abs(sub[k])
-    if s == 0.0:
-        return [0j, 0j, 0j]
-    h21s = sub[k] / s
-    return [(d[k] - s1) * (h / s) + sup[k] * h21s,
-            h21s * (d[k] + d[k + 1] - s1 - s2),
-            h21s * sub[k + 1]]
-
-
-def _complex_reflector(col: list) -> tuple[NDArray, complex] | None:
-    """The 2x2 or 3x3 matrix P = I - tau u u^H of `_reflector` for the
-    Python complex column col, and tau; None where P is I. P's entries are
-    delta_ij - (tau u_i) conj(u_j), in one array, written out for the two
-    sizes: a comprehension over i and j took about four times as long."""
-    reflector = _reflector(col)
-    if reflector is None:
-        return None
-    tail, tau = reflector
-    u1 = tail[0]
-    t1, c1 = tau * u1, u1.conjugate()
-    if len(tail) == 1:
-        return np.array([[1 - tau, -tau * c1], [-t1, 1 - t1 * c1]]), tau
-    u2 = tail[1]
-    t2, c2 = tau * u2, u2.conjugate()
-    return np.array([[1 - tau, -tau * c1, -tau * c2],
-                     [-t1, 1 - t1 * c1, -t1 * c2],
-                     [-t2, -t2 * c1, 1 - t2 * c2]]), tau
-
-
-def _complex_francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
-                           shifts=None) -> None:
-    """One implicit double-shift sweep with two complex shifts on the
-    complex Hessenberg block lo..hi, at least 3 rows, of H = W[nz:], with
-    the slabs of `_slabs`: the 3-row bulge of `_francis_sweep`, as LAPACK's
-    zlaqr5 chases it with one shift pair (D. S. Watkins, The Matrix
-    Eigenvalue Problem, SIAM 2007). The shifts are both roots of the
-    trailing 2x2; given an array of eigenvalue estimates, each is replaced
-    by a distinct estimate nearest to it (see `_snapped`). The exceptional
-    pair puts both shifts at H[hi, hi] + 0.75 |H[hi, hi - 1]|, as
-    LAPACK's zlaqr0 does.
-
-    The shift and start-row scans read Python complex copies of the block's
-    three diagonals, and each bulge step reads its column as Python complex.
-    A step applies its reflector's P as one product per side,
-    rows = P^H rows and cols = cols P, each written back in place: 11 numpy
-    calls, the read of the column included. As in `_francis_sweep`, a sweep
-    that starts below the block top scales H[start, start - 1] by the
-    reflector's factor 1 - conj(tau) when Z is stacked above H."""
-    B = W[nz + lo:nz + hi + 1, lo:hi + 1]
-    d, sub, sup = (B.diagonal(i).tolist() for i in (0, -1, 1))
-    b = hi - lo
-    if stall % 11 == 0:
-        # exceptional shift pair after repeated stalls (ad hoc, as zlaqr0)
-        s1 = s2 = d[b] + 0.75 * abs(sub[b - 1])
-    else:
-        s1, s2 = _eig2(d[b - 1], sup[b - 1], sub[b - 1], d[b])
-        if shifts is not None:
-            s1, s2 = _snapped(shifts, [s1, s2])
-    # start below two small consecutive subdiagonals, as `_francis_sweep` does
-    start = 0
-    for k in range(b - 2, 0, -1):
-        x, y, z = _complex_first_column(d, sub, sup, k, s1, s2)
-        head, rest = abs(x), abs(y) + abs(z)
-        s = head + rest
-        if s != 0.0:
-            head, rest = head / s, rest / s
-        anchor = head * (abs(d[k - 1]) + abs(d[k]) + abs(d[k + 1]))
-        if anchor + abs(sub[k - 1]) * rest == anchor:
-            start = k
-            break
-    top = lo + start
-    R, C, above = _slabs(W, nz, top, hi)
-    m = hi - top + 1
-    # the bulge column is three long until the last step, which takes two
-    col = _complex_first_column(d, sub, sup, start, s1, s2)
-    for k in range(m - 1):
-        if k:
-            col = R[k:k + 3, k - 1].tolist()
-        reflector = _complex_reflector(col)
-        if reflector is None:
-            continue
-        P, tau = reflector
-        w = len(col)
-        rows = R[k:k + w, max(k - 1, 0):]
-        rows[:] = P.conj().T @ rows
-        cols = C[:above + min(k + w + 1, m), k:k + w]
-        cols[:] = cols @ P
-        if not k and nz and start:
-            W[nz + top, top - 1] *= 1.0 - tau.conjugate()
 
 
 def solve_matrix(M, B) -> NDArray[np.complex128]:
@@ -870,11 +809,12 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     """All eigenvalues of a dense square matrix, and on request their unit
     eigenvectors.
 
-    Real input goes through Francis double-shift QR (complex pairs come out of
-    irreducible 2x2 blocks of the real Schur form); complex input through
-    the same 3-row bulge chase with two complex shifts, each with few numpy
-    calls per step (see the module docstring). Both deflate 2x2 blocks by
-    `_eig2`. Values only, each sweep transforms its block alone.
+    Real and complex input go through one Francis double-shift QR sweep,
+    with a real or a conjugate shift pair for real input (complex pairs come
+    out of irreducible 2x2 blocks of the real Schur form) and two complex
+    shifts for complex input, each step a few numpy calls (see the module
+    docstring). QR deflates 2x2 blocks by `_eig2`. Values only, each sweep
+    transforms its block alone.
 
     With want_vectors the same sweeps run on W = [Z; H], the Schur vectors Z
     stacked above H, and on wide slabs: each row update runs to the last

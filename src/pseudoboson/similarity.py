@@ -34,10 +34,12 @@ __all__ = ["SimilarityReport", "verify_similarity"]
 class SimilarityReport:
     """Outcome of the similarity construction.
 
-    similarity_error is ||M^H - S M S^-1||_F / ||M||_F, scale invariant;
-    biorth_error the largest off-diagonal |<psi_i, phi_j>| after
-    normalization; spectrum_match the greedy matching distance between the
-    spectrum of M and the conjugated spectrum of M^H; unitarity_defect the
+    similarity_error is ||M^H - S M S^-1||_F / ||M||_F; spectrum_match the
+    greedy matching distance between the spectrum of M and the conjugated
+    spectrum of M^H, divided by ||M||_F as well; both are scale free, and M
+    scaled by a power of two away from under- and overflow gives their bits
+    (each norm has a floor of 1e-300). biorth_error is the largest
+    off-diagonal |<psi_i, phi_j>| after normalization; unitarity_defect the
     Frobenius distance of S^H S from the identity (informational only).
     """
 
@@ -104,7 +106,8 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
 
     # Both solvers sort by (real, imag); with a real simple spectrum the i-th
     # adjoint eigenvalue is the conjugate of the i-th direct one.
-    spectrum_match = multiset_distance(direct.values, adjoint.values.conj())
+    spectrum_match = (multiset_distance(direct.values, adjoint.values.conj())
+                      / max(norm, 1e-300))
 
     both = _largest_component_one(np.hstack([direct.vectors, adjoint.vectors]))
     phi, psi, gram = biorthonormalize(both[:, :n], both[:, n:])

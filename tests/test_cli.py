@@ -214,11 +214,14 @@ def test_theorem1_precondition_failure_is_exit_one(tmp_path, capsys):
     ([[1e308, 1e308], [0.0, -1e308]], None),
     # a zero gap is no gap at a zero norm either
     ([[0.0, 0.0], [0.0, 0.0]], "precondition"),
-], ids=["subnormal", "huge", "zero"])
+    # spectrum_match is relative to the norm: the absolute distance failed
+    # here with 2.76e+165
+    (np.ldexp([[1.0, 2.0, 0.5], [0.3, 2.0, 1.0], [0.0, 0.7, 3.0]], 600).tolist(), None),
+], ids=["subnormal", "huge", "zero", "scaled-2^600"])
 def test_theorem1_extreme_input_ends_without_traceback(tmp_path, capsys, matrix,
                                                        failure):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"n": 2, "re": matrix}))
+    path.write_text(json.dumps({"n": len(matrix), "re": matrix}))
     code, out, err = run(capsys, "theorem1", "--input", str(path))
     if failure is None:
         assert (code, err) == (0, "")
@@ -866,11 +869,11 @@ REPORT_DIGESTS = {
         ("aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
          "7312daaa7ea166f3c6df74fa05360d67790e1b4f1b2adb56abb2f563276c8e66"),
     ("theorem1", "--input", "REAL6"):
-        ("ff028e3949b7fb2b18b4ad60b30d021de2a3e6633a4d7933abc3e5a4d72e18bc",
-         "13be2b5c8ba43bb7757101cbb0746e77809b15f7842586aa5cc1cdd9fdda5660"),
+        ("3fae882485888512b9076d3b267439cdbe318da3ee20ae048402430395076958",
+         "56ddeb9856936637b73a052ccb423f91bff182296264502a7b121be303fa9cb5"),
     ("theorem1", "--input", "COMPLEX6"):
-        ("198f7aed99126654e51f46482639f42a11f23f904effde8d0de292d669f2d713",
-         "b584f76fbcab5f253ab6b7aef9ec0ef5faa35d343a0fbb4536748c8a8088c1e7"),
+        ("91ba20f1099c006f8cde35834e010a3c18de9b32589d13376a64fc3b08cb0cd7",
+         "358667eaac4435a6ff1551a591456d909177c5208d43b8d8bdd3df762485355d"),
     ("verify-all",):
         ("184c2a308739040a7498dcfeba854d06138b75dd8b917a88f65e41985b8ba63a",
          "502791e21411cdc662b983f5abfbfc2bda2e30f6227aed269be659faf197dbef"),

@@ -43,7 +43,7 @@ TRIDIAG_SOLVE_CORPUS_SHA256 = (
 QL_CORPUS_SHA256 = (
     "4743fa0d21415b2a359d43394893cee6b8096fb5f12474d95ef5da7a7d49f5e5")
 DENSE_QR_CORPUS_SHA256 = {
-    "real": "4679da99e8b1880abb8c77961bcd1227bc094201db6211aa41f593d70f4f20af",
+    "real": "82bebf7927c4f024404b2c66112e8da73603f9f537a77661f65d4ce067143e71",
     "complex": "3ca238beba25a9e6ef8b806af0386eeb8baca97a8ed763c199f421dcdcb6676e",
 }
 
@@ -173,16 +173,17 @@ def test_eig_dense_raises_at_the_sweep_cap(monkeypatch, dtype, split):
                          ids=["huge-head", "huge-tail", "zero-head"])
 def test_complex_reflector_past_overflow_gives_a_nan_step(col):
     # a bulge column with finite parts whose modulus overflows, where Python's
-    # abs() raises OverflowError: the reflector turns nan, and forming and
-    # applying it raise nothing and warn of nothing; dense QR scales its
-    # input so that no such column arises there
+    # abs() raises OverflowError: the reflector turns nan, and the complex
+    # bulge step forms and applies it raising nothing and warning of
+    # nothing; dense QR scales its input so that no such column arises there
+    block = np.zeros((4, 4), dtype=complex)
+    block[:len(col), 0] = col
+    block[:len(col), 1] = col[::-1]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        P, tau = linalg._complex_reflector(col)
-        rows = np.array([col, col[::-1]]).T
-        rows[:] = P.conj().T @ rows
+        tau = linalg._bulge_step(block, block, 0, 0, col, 4)
     assert math.isnan(tau.real) or math.isnan(tau.imag)
-    assert not np.all(np.isfinite(P))
+    assert not np.all(np.isfinite(block))
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -268,15 +269,15 @@ def _reference_snap(estimates, computed):
 def _reference_francis_sweep(W, lo, hi, stall, nz=0, estimates=None):
     H = W[nz:]
     if stall % 11 == 0:
-        w = abs(H[hi, hi - 1]) + abs(H[hi - 1, hi - 2])
-        shifts = 1.75 * w, 0.0, -0.25 * w, 0.0
+        # a real double shift, as LAPACK's zlaqr0 places it
+        shifts = 2 * [H[hi, hi] + 0.75 * abs(H[hi, hi - 1])]
     else:
         rt1, rt2 = linalg._eig2(H[hi - 1, hi - 1], H[hi - 1, hi],
                                 H[hi, hi - 1], H[hi, hi])
         if estimates is not None and rt1.imag == 0 and rt2.imag == 0:
             rt1, rt2 = (complex(e) for e in _reference_snap(estimates,
                                                            [rt1.real, rt2.real]))
-        shifts = rt1.real, rt1.imag, rt2.real, rt2.imag
+        shifts = rt1, rt2
     diagonals = H.diagonal(), H.diagonal(-1), H.diagonal(1)
     start = lo
     for k in range(hi - 2, lo, -1):
@@ -366,12 +367,13 @@ def _reference_complex_francis_sweep(W, lo, hi, stall, nz=0, estimates=None):
 def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
     # one sweep on the unreduced block 1..12 of a seeded 14x14 Hessenberg
     # matrix; "split" has two small consecutive subdiagonals, below which the
-    # Francis bulge starts under the exceptional shift (stall 11); "vector"
-    # is the split matrix in vector mode, W = [I; H] with nz = n, whose rows
-    # run to the last column and whose columns start at Z's first row;
-    # "hinted" is a vector-mode sweep given eigenvalue estimates, with a
-    # symmetric trailing corner, whose two real roots the real sweep snaps
-    # (the complex sweep snaps both its roots)
+    # Francis bulge starts under both the computed and the exceptional shifts
+    # (stall 11), so H[1, 1] stays as it is; "vector" is the split matrix in
+    # vector mode, W = [I; H] with nz = n, whose rows run to the last column
+    # and whose columns start at Z's first row; "hinted" is a vector-mode
+    # sweep given eigenvalue estimates, with a symmetric trailing corner,
+    # whose two real roots a real block snaps (a complex block snaps both
+    # its roots)
     rng = np.random.default_rng(53)
     n = 14
     m = rng.standard_normal((n, n))
@@ -382,7 +384,7 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
         grade = 0.3 ** np.arange(n)
         m *= np.outer(grade, grade)
     elif case in ("split", "vector"):
-        m[6, 5] = m[7, 6] = 1e-9
+        m[6, 5] = m[7, 6] = 1e-10
     elif case == "hinted":
         m[12, 11] = m[11, 12]
     else:
@@ -394,10 +396,10 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
     estimates = None
     if case == "hinted":
         estimates = np.linspace(-2.0, 2.0, 9) + (0.25j if dtype is complex else 0.0)
+    sweep = linalg._francis_sweep
     if dtype is float:
-        sweep, reference = linalg._francis_sweep, _reference_francis_sweep
+        reference = _reference_francis_sweep
     else:
-        sweep = linalg._complex_francis_sweep
         reference = _reference_complex_francis_sweep
     ours, ref = m.copy(), m.copy()
     sweep(ours, 1, 12, stall, nz, estimates)
@@ -408,6 +410,7 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
         assert not np.array_equal(ours[:n], m[:n])
         assert not np.array_equal(ours[n:, 13], m[n:, 13])
     assert np.array_equal(ours, ref)
+    assert (ours[nz + 1, 1] == m[nz + 1, 1]) == (case in ("split", "vector"))
     if estimates is not None:
         # the estimates move the computed shifts, never the exceptional ones
         plain = m.copy()
@@ -415,16 +418,19 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
         assert np.array_equal(ours, plain) == (stall == 11)
 
 
-@pytest.mark.parametrize("nz", [0, 9], ids=["values", "vectors"])
+@pytest.mark.parametrize("nz, dtype", [(0, float), (9, float), (0, complex), (9, complex)],
+                         ids=["values", "vectors", "values-complex", "vectors-complex"])
 @pytest.mark.parametrize("d", [1, 2], ids=["0-y-0", "0-0-z"])
-def test_real_bulge_step_keeps_an_exact_signed_swap(d, nz):
-    # a bulge column [0, y, 0] or [0, 0, z], one nonzero d rows below its
-    # zero head, gives tau = 1 and u = (1, +-1) at rows k and k + d: the step
-    # is the signed swap of those rows and columns. Where the two rows, and
-    # the two columns, never hold two nonzeros in one place, rows -= U rows
-    # and cols -= cols U add a zero to each entry they subtract, so every
-    # zero stays an exact zero and every moved entry an exact signed copy;
-    # with Z = I stacked above H, Z becomes the signed swap itself
+def test_real_bulge_step_keeps_an_exact_signed_swap(d, nz, dtype):
+    # a bulge column [0, y, 0] or [0, 0, z] with a real nonzero y or z, d
+    # rows below its zero head, gives tau = 1 and u = (1, +-1) at rows k and
+    # k + d: the step is the signed swap of those rows and columns, on a real
+    # and on a complex block. Where the two rows, and the two columns, never
+    # hold two nonzeros in one place, the real step's rows -= U rows and
+    # cols -= cols U add a zero to each entry they subtract, and the complex
+    # step's products P^H rows and cols P add zeros to one exact signed copy,
+    # so every zero stays an exact zero and every moved entry an exact signed
+    # copy; with Z = I stacked above H, Z becomes the signed swap itself
     n, k = 9, 2
     rng = np.random.default_rng(290 + d)
     i, j = np.indices((n, n))
@@ -437,17 +443,18 @@ def test_real_bulge_step_keeps_an_exact_signed_swap(d, nz):
     # 49 (1 / 49) rounds below 1: a u[1:] formed with the reciprocal would
     # not swap exactly
     h[k + d, k - 1] = 49.0 * (-1) ** d
+    h = h.astype(dtype)
     col = h[k:k + 3, k - 1].tolist()
     assert col[0] == 0.0 and col[3 - d] == 0.0 and col[d] != 0.0
-    s = math.copysign(1.0, col[d])
+    s = math.copysign(1.0, col[d].real)
     perm = np.arange(n)
     perm[[k, k + d]] = k + d, k
     sign = np.ones(n)
     sign[[k, k + d]] = -s
     swapped = (sign[:, None] * h[perm])[:, perm] * sign
-    W = np.vstack([np.eye(n), h]) if nz else h.copy()
+    W = np.vstack([np.eye(n, dtype=dtype), h]) if nz else h.copy()
     R, C, top = linalg._slabs(W, nz, 0, n - 1)
-    assert linalg._real_bulge_step(R, C, top, k, col, n) == 1.0
+    assert linalg._bulge_step(R, C, top, k, col, n) == 1.0
     assert np.array_equal(W[nz:], swapped)
     assert W[nz:][k:k + 3, k - 1].tolist() == [-abs(col[d]), 0.0, 0.0]
     if nz:
@@ -671,11 +678,9 @@ def _real_spectrum_matrix(rng, n, complex_basis=False):
 
 def test_vector_mode_francis_start_below_the_block_top(monkeypatch):
     # a Francis sweep that starts below its block top must scale the entry
-    # left of its first reflector once it transforms H whole; without that
-    # this matrix's vector-mode values drift and its vectors miss the
-    # residual contract
-    m, _ = _real_spectrum_matrix(np.random.default_rng(0), 16)
-    sweeps = []
+    # left of its first reflector, by 1 - conj(tau), once it transforms H
+    # whole; without that these matrices' vector-mode values drift and their
+    # vectors miss the residual contract, on a real and on a complex basis
     sweep, slabs = linalg._francis_sweep, linalg._slabs
 
     def recorded_sweep(W, lo, hi, stall, nz, shifts):
@@ -688,12 +693,15 @@ def test_vector_mode_francis_start_below_the_block_top(monkeypatch):
 
     monkeypatch.setattr(linalg, "_francis_sweep", recorded_sweep)
     monkeypatch.setattr(linalg, "_slabs", recorded_slabs)
-    report = eig_dense(m, want_vectors=True)
-    assert any(nz and top > lo for nz, lo, top in sweeps)
-    values = eig_dense(m).values
-    bound = 64 * 16 * np.finfo(float).eps * norm2(m)
-    assert np.abs(report.values - values).max() <= bound
-    assert report.residuals.max() <= bound
+    for seed, complex_basis in ((0, False), (8, True)):
+        m, _ = _real_spectrum_matrix(np.random.default_rng(seed), 16, complex_basis)
+        sweeps = []
+        report = eig_dense(m, want_vectors=True)
+        assert any(nz and top > lo for nz, lo, top in sweeps)
+        values = eig_dense(m).values
+        bound = 64 * 16 * np.finfo(float).eps * norm2(m)
+        assert np.abs(report.values - values).max() <= bound
+        assert report.residuals.max() <= bound
 
 
 @settings(max_examples=100, deadline=None)

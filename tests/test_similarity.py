@@ -79,6 +79,19 @@ def test_similarity_error_is_scale_invariant():
     assert abs(scaled.similarity_error - base.similarity_error) < 1e-8
 
 
+def test_relative_errors_keep_their_bits_at_any_power_of_two_scale():
+    # spectrum_match and similarity_error are relative to ||M||_F, and QR and
+    # norm2 scale by powers of two exactly, so M at 2^-600, 1 and 2^600 gives
+    # the same bits: the absolute distance failed theorem1's 1e-8 on rounding
+    # at 2^600 and passed vacuously at 2^-600
+    m = np.array([[1.0, 2.0, 0.5], [0.3, 2.0, 1.0], [0.0, 0.7, 3.0]])
+    reports = [verify_similarity(np.ldexp(m, k)) for k in (-600, 0, 600)]
+    for name in ("spectrum_match", "similarity_error", "biorth_error"):
+        assert len({getattr(r, name).hex() for r in reports}) == 1
+    assert 0.0 < reports[1].spectrum_match < 1e-15
+    assert all(np.array_equal(r.transform, reports[1].transform) for r in reports)
+
+
 def test_spectrum_matches_adjoint():
     rng = np.random.default_rng(59)
     m = _random_real_spectrum_matrix(rng, 6)
