@@ -839,8 +839,9 @@ _REAL6[0, 2], _REAL6[1, 4], _REAL6[0, 5] = 0.125, -0.25, 0.0625
 _COMPLEX6 = (np.diag(np.arange(6) + 0.5) + np.diag([0.25 - 0.125j] * 5, -1)
              + np.diag([(0.5 + 0.25j) * (1 + i / 4) for i in range(5)], 1))
 
-# sha256 of the JSON and of the CSV stdout of each line; a change that moves
-# a reported value updates its digests and says so in CHANGES.md
+# sha256 of the JSON and of the CSV stdout of each line, under the kernel pin
+# of conftest.py; a change that moves a reported value updates its digests
+# and says so in CHANGES.md
 REPORT_DIGESTS = {
     ("spectrum",):
         ("614245098333b32b6d2eb2127f4b41ef5776161964aa4fa2375b4b0d5cdd88ec",
@@ -849,8 +850,8 @@ REPORT_DIGESTS = {
         ("51a04335defee1dc8f77d9be43e5e154448055324ee448feb2f018947fc92186",
          "2387e3792ac4301977855ef739e21cbffd7bdfb12a58dc02970e74af2fc6ab9b"),
     ("biorth",):
-        ("22ff4508d752378f1a27bd75d41b9ff36f6b321ca011a8b62166157e646f68cd",
-         "13a3d728f349effd47db843d298867fd77453ee0d53c69b85892c3b97096c4e7"),
+        ("705e028f2fc2e676a75350bc1f5c5ca48c1b45d4f89f81119822cb456044d9f4",
+         "02506ed3914d62672c156e94fc9daa8b6ad930f9967f7575583207f4d77b5488"),
     ("commutators",):
         ("d747437bc3fc336084392ffa41ac06ae2b140008b01ec864ef96daf36f37c47e",
          "f07b0081eeec0d97a720900f478238f71c6232aa723053f0d2c3dc70d064d7c0"),
@@ -869,17 +870,17 @@ REPORT_DIGESTS = {
         ("aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
          "7312daaa7ea166f3c6df74fa05360d67790e1b4f1b2adb56abb2f563276c8e66"),
     ("theorem1", "--input", "REAL6"):
-        ("3fae882485888512b9076d3b267439cdbe318da3ee20ae048402430395076958",
-         "56ddeb9856936637b73a052ccb423f91bff182296264502a7b121be303fa9cb5"),
+        ("fc0458404452244b729065bce49580e51d3cae5ab409faa8876498d9fd2f7099",
+         "35f375cc73f13088638d39367ea6ddf354177b6d14b94f05aece8c44da8ce606"),
     ("theorem1", "--input", "COMPLEX6"):
-        ("91ba20f1099c006f8cde35834e010a3c18de9b32589d13376a64fc3b08cb0cd7",
-         "358667eaac4435a6ff1551a591456d909177c5208d43b8d8bdd3df762485355d"),
+        ("9af19329f8fcb52740ed1237420919cb4cbd42a66c7fe885286b16aa7f689cd7",
+         "eadca5a1d7e6d941e99482a31573bd1a6701774eb8e25fb6c9e24b2db750d8ef"),
     ("verify-all",):
-        ("184c2a308739040a7498dcfeba854d06138b75dd8b917a88f65e41985b8ba63a",
-         "502791e21411cdc662b983f5abfbfc2bda2e30f6227aed269be659faf197dbef"),
+        ("b8f77edf17daf4fca7d4cf5aeeae7c77fbc8ff87e12e4aec5687b52c2a07dbad",
+         "3cc7e8eb58f74be2ddae2f6fa546633dcb8b358bd9cf9e9a02f15b7c5340dea1"),
     ("verify-all", "--gamma", "0.2", "--trunc", "24", "--depth", "32"):
-        ("ef724ff091eb1deb57fc09b8a3b1f5467c3c5f49f3eb9ba7ed73becf426e149e",
-         "7a31badc65c31fa1daf46c7aa9b14ca53f85d5dc3a04de09d58cd2f032b511ef"),
+        ("73005d5c687f397fbca7d3be870666457ea7e35c73021c5d92cd1c5963c9b7c1",
+         "b406b9213232e43bf5fad94f2e94f07be2aa34e98c387744f3d3ab1d513f2ecd"),
 }
 
 

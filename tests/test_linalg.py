@@ -43,8 +43,8 @@ TRIDIAG_SOLVE_CORPUS_SHA256 = (
 QL_CORPUS_SHA256 = (
     "4743fa0d21415b2a359d43394893cee6b8096fb5f12474d95ef5da7a7d49f5e5")
 DENSE_QR_CORPUS_SHA256 = {
-    "real": "82bebf7927c4f024404b2c66112e8da73603f9f537a77661f65d4ce067143e71",
-    "complex": "3ca238beba25a9e6ef8b806af0386eeb8baca97a8ed763c199f421dcdcb6676e",
+    "real": "e3481f6e18e11bf712c451781f565ba45eb7282a2d8522fa4bc51e69c5dc17fc",
+    "complex": "4bfefdd0ae5aacc70ef734ab2597f7f9d2d1c16438c424cca937925bd9399006",
 }
 
 
