@@ -18,43 +18,43 @@ At the sizes used here QR time goes to Python and numpy calls, not to flops,
 so each step makes few calls, and to the number of steps, so QR must deflate
 wherever the matrix decouples. The Hessenberg reduction and the Francis
 bulge steps share one reflector, LAPACK's P = I - tau u u^H with u[0] = 1
-(zlarfg), applied as the similarity P^H A P of zgehd2. u[1:] is x[1:]
-divided by x[0] - beta, so a column with one nonzero below its first entry
-gives an exact signed swap, and the reduction keeps the exact zeros of a
-matrix whose Krylov space from e_1 closes early. The Hamiltonian conserves
-m - n, so the Hessenberg form of its 121 x 121 box truncation splits into
-blocks of 11, 10, 2, 10, 8, 79 and 1 rows; the unit-vector form I - 2 v v^H
-leaks eps-sized entries there, which Arnoldi grows about tenfold per
-column, and QR then chases its bulges across all 121 rows. Real and
-complex QR run one double-shift sweep, `_francis_sweep`: a 3-row bulge
-with both roots of the trailing 2x2 as shifts, as LAPACK's dlaqr5 and
-zlaqr5 chase one shift pair. Two things follow the dtype: the bulge's
-first column, in dlaqr1's float form for real input and zlaqr1's form for
-complex input (one complex formula would move every real bit), and the
-form in which a step, `_bulge_step`, applies its reflector, built on Python
-scalars by `_reflector` as one 3x3 (or 2x2) array and taken as one product
-per side. A real step keeps the subtraction, rows -= U rows and
-cols -= cols U with U = tau u u^T, as the refsum update of dlaqr5 (Braman,
-Byers and Mathias, SIAM J. Matrix Anal. Appl. 23, 2002): 9 numpy calls,
-the read of the bulge column included, where two matrix-vector products
-and two rank-one updates took 15; on the trunc-10 H the product P rows had
-moved the full-versus-sector distance of verify-all from 2.64e-13 to
-3.30e-13. A complex step writes rows = P^H rows and cols = cols P back in
-place, 11 calls; there the refsum form made the backward error larger on
-most matrices. Array references of the same products pin both. The
-rank-one form serves the Hessenberg reduction, whose columns are long. The
-deflation scan of the driver and the start-row scan of the sweep read
-Python-scalar copies of the diagonals, so they make no numpy call per row.
-Complex double-shift QR takes 1,705 sweeps on the 45 complex-basis
-theorem1 matrices of the plane-sweep benchmark (n = 9 to 48), where a
-single-shift Givens sweep took 3,029. QR deflates 2x2 blocks, since a
-double-shift bulge needs 3 rows; with eigenvectors, complex QR rotates
-each deflated 2x2 block into triangular form at once, so its Schur form is
-upper triangular. The shift pair, the roots of a deflated 2x2 block and
-its rotation into triangular form take one 2x2 formula, `_eig2`: half the
-trace plus and minus sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det
-cancels for two close real roots, as at the double eigenvalues of the
-Hamiltonian at beta = 0.
+(zlarfg), built on Python scalars by `_reflector` and applied as the
+similarity P^H A P of zgehd2. u[1:] is x[1:] divided by x[0] - beta, so a
+column with one nonzero below its first entry gives an exact signed swap,
+and the reduction keeps the exact zeros of a matrix whose Krylov space from
+e_1 closes early. The Hamiltonian conserves m - n, so the Hessenberg form of
+its 121 x 121 box truncation splits into blocks of 11, 10, 2, 10, 8, 79 and
+1 rows; the unit-vector form I - 2 v v^H leaks eps-sized entries there,
+which Arnoldi grows about tenfold per column, and QR then chases its bulges
+across all 121 rows. Real and complex QR run one double-shift sweep,
+`_francis_sweep`: a 3-row bulge with both roots of the trailing 2x2 as
+shifts, as LAPACK's dlaqr5 and zlaqr5 chase one shift pair. Two things
+follow the dtype: the bulge's first column, in dlaqr1's float form for real
+input and zlaqr1's form for complex input (one complex formula would move
+every real bit), and the form in which a step, `_bulge_step`, applies its
+reflector, built as one 3x3 (or 2x2) array and taken as one product per
+side. A real step keeps the subtraction, rows -= U rows and cols -= cols U
+with U = tau u u^T, as the refsum update of dlaqr5 (Braman, Byers and
+Mathias, SIAM J. Matrix Anal. Appl. 23, 2002): 9 numpy calls, the read of
+the bulge column included, where two matrix-vector products and two rank-one
+updates took 15; on the trunc-10 H the product P rows had moved the
+full-versus-sector distance of verify-all from 2.64e-13 to 3.30e-13. A
+complex step writes rows = P^H rows and cols = cols P back in place, 11
+calls; there the refsum form made the backward error larger on most
+matrices. Array references of the same products pin both. The rank-one form
+serves the Hessenberg reduction, whose columns are long. The deflation scan
+of the driver and the start-row scan of the sweep read Python-scalar copies
+of the diagonals, so they make no numpy call per row. Complex double-shift
+QR takes 1,705 sweeps on the 45 complex-basis theorem1 matrices of the
+plane-sweep benchmark (n = 9 to 48), where a single-shift Givens sweep took
+3,029. QR deflates 2x2 blocks, since a double-shift bulge needs 3 rows, and
+leaves them in place for either dtype; with eigenvectors, one unitary
+rotation after QR, `_triangularize_2x2`, makes each block of the Schur form
+triangular. The shift pair, the roots of a deflated 2x2 block and its
+rotation into triangular form take one 2x2 formula, `_eig2`: half the trace
+plus and minus sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det cancels for
+two close real roots, as at the double eigenvalues of the Hamiltonian at
+beta = 0.
 
 Eigenvectors run the same sweeps on wider slabs. The Schur vectors Z are
 stacked above H in one array, so each column update transforms Z and H in
@@ -217,36 +217,21 @@ def norm2(x, axis=None):
     return float(norm[0]) if axis is None else norm
 
 
-def _householder(x: NDArray) -> tuple[NDArray, float | complex] | None:
-    """LAPACK's elementary reflector (zlarfg): (u, tau) with u[0] = 1 and
+def _reflector(col: list) -> tuple[list, float | complex] | None:
+    """LAPACK's elementary reflector (zlarfg) of a column x of Python floats
+    or Python complex scalars: (u[1:], tau), with u[0] = 1 and
     (I - tau u u^H)^H x = beta e_1, where beta = -sign(Re x[0]) ||x|| is real,
-    tau = (beta - x[0]) / beta and u[1:] = x[1:] / (x[0] - beta). Returns None
-    when x[1:] is zero and x[0] is real, where the reflector is I.
+    tau = (beta - x[0]) / beta and u[1:] = x[1:] / (x[0] - beta). Returns
+    None when x[1:] is zero and x[0] is real, where the reflector is I. The
+    Hessenberg reduction and every bulge step take it.
 
     u[1:] is a quotient, not a product with the reciprocal, so a column with
     one nonzero, below its first entry, gives u = (1, +-1) and tau = 1
     exactly: an exact signed swap, which keeps the exact zeros of a matrix
-    that decouples."""
-    alpha, tail = x[0].item(), x[1:]
-    if alpha.imag == 0 and not tail.any():
-        return None
-    beta = norm2(x)
-    if alpha.real >= 0.0:
-        beta = -beta
-    u = x / (alpha - beta)
-    u[0] = 1.0
-    return u, (beta - alpha) / beta
-
-
-def _reflector(col: list) -> tuple[list, float | complex] | None:
-    """`_householder`'s reflector of a bulge column of two or three Python
-    floats or Python complex scalars, on Python scalars: (u[1:], tau), u[1:]
-    a quotient as there, so a column with one nonzero below its first entry
-    still gives an exact signed swap; None where the reflector is I; the
-    bulge step of either dtype takes it. beta is the norm of the
-    column's real and imaginary parts, so a column whose parts are finite but
-    whose modulus overflows gives an infinite beta and a nan tau, and raises
-    nothing."""
+    that decouples. beta is the norm of the column's real and imaginary
+    parts, as zlarfg's dznrm2 takes it, so a column whose parts are finite
+    but whose modulus overflows gives an infinite beta and a nan tau, and
+    raises nothing."""
     alpha = col[0]
     tail = col[1:]
     if alpha.imag == 0.0 and not any(tail):
@@ -274,38 +259,29 @@ def _slabs(W: NDArray, nz: int, lo: int, hi: int):
     return W[nz + lo:nz + hi + 1, lo:], W[:nz + hi + 1, lo:hi + 1], nz + lo
 
 
-def _apply_reflector(R: NDArray, C: NDArray, top: int, k: int, col: NDArray, m: int):
-    """Apply, on rows and columns k .. k + len(col) - 1 of an m x m block, the
-    similarity P^H A P by the reflector P = I - tau u u^H of `_householder`
-    that maps col onto its first axis, as LAPACK's zgehd2 does; R and C are
-    the block's row and column views and top the rows of C above the block
-    (see `_slabs`). Returns tau, or None when P is I and nothing was applied.
-    The rows take rows -= conj(tau) u (u^H rows) and the columns
-    cols -= (cols u) (tau u^H): each side is one matrix-vector product and one
-    broadcast rank-one update, the cheap form for the long columns of the
-    Hessenberg reduction, the one caller. A real tau is a Python float, so it
-    adds no numpy call."""
-    reflector = _householder(col)
-    if reflector is None:
-        return None
-    u, tau = reflector
-    uc = u.conj() if isinstance(tau, complex) else u
-    w = len(u)
-    rows = R[k:k + w, max(k - 1, 0):]
-    rows -= u[:, None] * (tau.conjugate() * (uc @ rows))
-    cols = C[:top + min(k + w + 1, m), k:k + w]
-    cols -= (cols @ u)[:, None] * (tau * uc)
-    return tau
-
-
 def _hessenberg(W: NDArray, nz: int = 0) -> NDArray:
-    """In-place reduction of H = W[nz:] to upper Hessenberg form by Householder
-    reflectors, accumulated into the Z = W[:nz] stacked above it, if any."""
+    """In-place reduction of H = W[nz:] to upper Hessenberg form, accumulated
+    into the Z = W[:nz] stacked above it, if any: for each column, the
+    similarity P^H H P by the reflector P = I - tau u u^H of `_reflector` that
+    maps the column's part below the diagonal onto its first axis, as LAPACK's
+    zgehd2 does. Each side is one matrix-vector product and one broadcast
+    rank-one update, rows -= conj(tau) u (u^H rows) and
+    cols -= (cols u) (tau u^H), the cheap form for long columns. A real tau
+    is a Python float, so it adds no numpy call."""
     H = W[nz:]
     n = H.shape[0]
-    for k in range(n - 2):
-        if _apply_reflector(H, W, nz, k + 1, H[k + 1:, k], n) is not None:
-            H[k + 2:, k] = 0.0
+    for k in range(1, n - 1):
+        reflector = _reflector(H[k:, k - 1].tolist())
+        if reflector is None:
+            continue
+        tail, tau = reflector
+        u = np.array([1.0, *tail])
+        uc = u.conj() if isinstance(tau, complex) else u
+        rows = H[k:, k - 1:]
+        rows -= u[:, None] * (tau.conjugate() * (uc @ rows))
+        cols = W[:, k:]
+        cols -= (cols @ u)[:, None] * (tau * uc)
+        H[k + 1:, k - 1] = 0.0
     return W
 
 
@@ -358,7 +334,7 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
     """Eigenvalues of the upper Hessenberg H = W[nz:] by shifted QR, in place.
 
     Deflates 1x1 and 2x2 blocks from the bottom, the roots of a 2x2 block by
-    `_eig2`; otherwise one double-shift sweep, `_francis_sweep` for real and
+    `_eig2`, and leaves a 2x2 block in place; otherwise one double-shift sweep, `_francis_sweep` for real and
     complex W alike, runs on the unreduced block lo..hi as
     _francis_sweep(W, lo, hi, stall, nz, hint), stall counting sweeps since
     the last deflation. hint is shifts, an array of eigenvalue
@@ -368,10 +344,10 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
     costs sweeps but cannot stall QR.
     With nz = 0 a sweep transforms the block alone; with the n x n Z stacked
     above H (nz = n) it transforms H whole and Z with it, which leaves W[:nz]
-    the Schur vectors and H in Schur form: upper triangular for complex W,
-    whose deflated 2x2 blocks `_triangularize_2x2` rotates into triangular
-    form, and for real W upper triangular but for the 2x2 blocks of complex
-    or undeflated real pairs. Deflated subdiagonal entries are set to zero.
+    the Schur vectors and H in quasi-triangular Schur form, upper triangular
+    but for its deflated 2x2 blocks, which `_schur_eigenpairs` rotates into
+    triangular form for either dtype. Deflated subdiagonal entries are set to
+    zero.
     Raises RuntimeError when max_sweeps sweeps leave values undeflated.
 
     The deflation scan reads Python-scalar copies of the diagonal and
@@ -379,7 +355,6 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
     """
     H = W[nz:]
     n = H.shape[0]
-    is_complex = np.iscomplexobj(W)
     views = H.diagonal(), H.diagonal(-1)
     d, sub = views[0].tolist(), views[1].tolist()
     eigs: list[complex] = []
@@ -402,11 +377,7 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
             stall = 0
             continue
         if lo == hi - 1:
-            block = d[hi - 1], H[hi - 1, hi], sub[hi - 1], d[hi]
-            if nz and is_complex:
-                eigs.extend(_triangularize_2x2(W, nz, hi - 1, *block))
-            else:
-                eigs.extend(_eig2(*block))
+            eigs.extend(_eig2(d[hi - 1], H[hi - 1, hi], sub[hi - 1], d[hi]))
             hi -= 2
             stall = 0
             continue
@@ -499,8 +470,8 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
 def _bulge_step(R: NDArray, C: NDArray, top: int, k: int, col: list,
                 m: int) -> float | complex | None:
     """One bulge step of `_francis_sweep`: the similarity P^H A P on rows and
-    columns k .. k + len(col) - 1 of an m x m block, with R, C and top as in
-    `_apply_reflector`, by the reflector P = I - tau u u^H of the column col
+    columns k .. k + len(col) - 1 of an m x m block, with R, C and top the
+    row view, column view and rows above the block of `_slabs`, by the reflector P = I - tau u u^H of the column col
     of Python floats or Python complex scalars, from `_reflector`. Returns
     tau, or None when P is I.
 
@@ -670,14 +641,13 @@ def _start_vector(n: int) -> NDArray:
     return start / norm2(start)
 
 
-def _triangularize_2x2(W: NDArray, nz: int, i: int, a, b, c,
-                       d) -> tuple[complex, complex]:
+def _triangularize_2x2(W: NDArray, nz: int, i: int, a, b, c, d) -> None:
     """Make the 2x2 diagonal block [[a, b], [c, d]] at rows i, i + 1 of the
-    Schur form T = W[nz:] upper triangular by one unitary rotation, applied to
-    T and to the Schur vectors W[:nz] (LAPACK's rsf2csf step), and return
-    its roots. The entries are Python floats for a block of the real Schur
-    form, read before W was cast to complex, so that its roots take real
-    arithmetic, and complex for a block that complex QR deflates.
+    complex Schur form T = W[nz:] upper triangular by one unitary rotation,
+    applied to T and to the Schur vectors W[:nz] (LAPACK's rsf2csf step). The
+    entries are Python scalars read from the Schur form QR left, before a
+    real W was cast to complex, so that a real block's roots take real
+    arithmetic.
 
     The rotation's first column is the block's eigenvector (lambda - d, c)
     for the root lambda farther from the (2,2) entry d: the nearer root would
@@ -693,7 +663,6 @@ def _triangularize_2x2(W: NDArray, nz: int, i: int, a, b, c,
     cols = W[:nz + i + 2, i:i + 2]
     cols[:] = cols @ G
     T[i, i], T[i + 1, i], T[i + 1, i + 1] = far, 0.0, near
-    return far, near
 
 
 def _triangular_eigenvectors(T: NDArray) -> tuple[NDArray, bool]:
@@ -754,8 +723,9 @@ def _unit_pairs(A: NDArray, phi: NDArray, lam: NDArray) -> tuple[NDArray, NDArra
 def _schur_eigenpairs(A: NDArray, W: NDArray) -> tuple[NDArray, NDArray, NDArray]:
     """Eigenvalues, unit eigenvectors and residuals of A from its Schur
     factors: W stacks the Schur vectors Z above the quasi-triangular T that
-    QR left, with Z^H A Z = T. Values pair with vectors by their position on
-    T's diagonal.
+    QR left, with Z^H A Z = T. Each 2x2 block of T, real or complex, is first
+    rotated into triangular form by `_triangularize_2x2`. Values pair with
+    vectors by their position on T's diagonal.
 
     The vectors of T map back by Z to Phi = Z X, which then takes one first
     order step in its own eigenbasis (Dongarra, Moler and Wilkinson, SIAM J.
@@ -820,11 +790,10 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     stacked above H, and on wide slabs: each row update runs to the last
     column and each column update covers Z and H from their first rows, in
     one numpy call, so QR ends in the Schur form A = Z T Z^H (T upper
-    triangular once each 2x2 block is rotated into complex triangular form:
-    complex QR rotates its blocks as they deflate, and the real Schur form's
-    blocks are rotated after QR). The values are T's diagonal; they lie
-    within backward error of
-    the values-only ones but need not share their bits. The vectors are
+    triangular once each 2x2 block, real or complex, is rotated into
+    complex triangular form after QR). The values are T's diagonal; they lie
+    within backward error of the values-only ones but need not share their
+    bits. The vectors are
     those of T by back substitution, mapped back by Z and refined by one
     first-order step whose residual is formed in extended precision (see
     `_schur_eigenpairs`). A repeated eigenvalue of a diagonalizable matrix
@@ -851,11 +820,6 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     if n == 0:
         return EigenReport(values=np.zeros(0, complex))
     is_real = not np.iscomplexobj(A0) or not np.any(A0.imag)
-    if n == 1:
-        values = np.array([complex(A0[0, 0])])
-        vectors = np.ones((1, 1), complex) if want_vectors else None
-        res = np.zeros(1) if want_vectors else None
-        return EigenReport(values=values, vectors=vectors, residuals=res)
     max_sweeps = MAX_SWEEPS_PER_DIM * n
     # C order: matmul on Fortran-order slabs takes other kernels, whose bits
     # differ, so the input's layout would reach the values

@@ -873,8 +873,8 @@ REPORT_DIGESTS = {
         ("fc0458404452244b729065bce49580e51d3cae5ab409faa8876498d9fd2f7099",
          "35f375cc73f13088638d39367ea6ddf354177b6d14b94f05aece8c44da8ce606"),
     ("theorem1", "--input", "COMPLEX6"):
-        ("9af19329f8fcb52740ed1237420919cb4cbd42a66c7fe885286b16aa7f689cd7",
-         "eadca5a1d7e6d941e99482a31573bd1a6701774eb8e25fb6c9e24b2db750d8ef"),
+        ("9ffd8022d7b06c9079538e02ef2df0b44713871eda06eaeabeb9a3e64d6e121d",
+         "4b0f6265d6af3fe24c110a4856be8f804b6a3be50d35d2eaf92297b405346910"),
     ("verify-all",):
         ("b8f77edf17daf4fca7d4cf5aeeae7c77fbc8ff87e12e4aec5687b52c2a07dbad",
          "3cc7e8eb58f74be2ddae2f6fa546633dcb8b358bd9cf9e9a02f15b7c5340dea1"),

@@ -44,7 +44,7 @@ QL_CORPUS_SHA256 = (
     "4743fa0d21415b2a359d43394893cee6b8096fb5f12474d95ef5da7a7d49f5e5")
 DENSE_QR_CORPUS_SHA256 = {
     "real": "e3481f6e18e11bf712c451781f565ba45eb7282a2d8522fa4bc51e69c5dc17fc",
-    "complex": "4bfefdd0ae5aacc70ef734ab2597f7f9d2d1c16438c424cca937925bd9399006",
+    "complex": "80403c17740eecd68da4cbcffd281f6086b5836fc51d14498565cf2344d5ec67",
 }
 
 
@@ -463,10 +463,12 @@ def test_real_bulge_step_keeps_an_exact_signed_swap(d, nz, dtype):
 
 @pytest.mark.parametrize("n, graded", [(8, False), (24, True), (48, False)])
 def test_complex_schur_form_at_theorem1_sizes(n, graded):
-    # vector-mode complex QR on W = [I; A] leaves the Schur form A = Z T Z^H,
-    # triangular: a deflated 2x2 block is rotated into triangular form; the
-    # residue each reflector leaves where it annihilates its bulge entries
-    # stays below T's subdiagonal, which deflation zeroes
+    # vector-mode complex QR on W = [I; A] leaves the quasi-triangular Schur
+    # form A = Z T Z^H: each deflated 2x2 block stays in place, so T's nonzero
+    # subdiagonal entries stand apart, and the residue each reflector leaves
+    # where it annihilates its bulge entries stays below T's subdiagonal,
+    # which deflation zeroes; the finisher of `_schur_eigenpairs` then
+    # rotates each block into triangular form, on the roots QR reported
     rng = np.random.default_rng(71 + n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if graded:
@@ -477,10 +479,19 @@ def test_complex_schur_form_at_theorem1_sizes(n, graded):
     eigs, _ = linalg._qr_eigenvalues(W, linalg.MAX_SWEEPS_PER_DIM * n, nz=n)
     Z, T = W[:n], W[n:]
     eps = np.finfo(float).eps
-    assert norm2(Z.conj().T @ Z - np.eye(n)) <= 8 * n * eps
-    assert norm2(Z @ T @ Z.conj().T - a) <= 8 * n * eps * norm2(a)
+
+    def assert_schur_form():
+        assert norm2(Z.conj().T @ Z - np.eye(n)) <= 8 * n * eps
+        assert norm2(Z @ T @ Z.conj().T - a) <= 8 * n * eps * norm2(a)
+        assert norm2(np.tril(T, -2)) <= 8 * n * eps * norm2(a)
+
+    assert_schur_form()
+    blocks = np.flatnonzero(T.diagonal(-1))
+    assert blocks.size and not np.any(np.diff(blocks) == 1)
+    for i in blocks:
+        linalg._triangularize_2x2(W, n, i, *T[i:i + 2, i:i + 2].ravel().tolist())
+    assert_schur_form()
     assert not np.any(T.diagonal(-1))
-    assert norm2(np.tril(T, -2)) <= 8 * n * eps * norm2(a)
     assert np.array_equal(np.sort_complex(eigs), np.sort_complex(T.diagonal()))
 
 
@@ -994,22 +1005,32 @@ def test_hessenberg_keeps_the_zeros_of_a_decoupled_hamiltonian():
 
 
 def test_householder_is_lapacks_reflector():
-    # (u, tau) with u[0] = 1 and (I - tau u u^H)^H x = beta e_1, beta real
-    # with the sign opposite to Re x[0] (a zero counts as positive); an x
-    # already along e_1 with a real first entry gives None, and one with a
-    # complex first entry a phase
-    for x in (np.array([0.0, -2.5]), np.array([3.0, 4.0, 0.0]),
-              np.array([1j, 2.0, -1 + 1j]), np.array([-2j, 0, 0])):
-        u, tau = linalg._householder(x)
+    # (u[1:], tau) with u[0] = 1 and (I - tau u u^H)^H x = beta e_1, beta
+    # real with the sign opposite to Re x[0] (a zero counts as positive), on
+    # columns as short as a bulge's and as long as the Hessenberg
+    # reduction's; an x already along e_1 with a real first entry gives None,
+    # and one with a complex first entry a phase
+    rng = np.random.default_rng(5)
+    long_real = rng.standard_normal(40)
+    long_complex = long_real + 1j * rng.standard_normal(40)
+    eps = np.finfo(float).eps
+    for x in ([0.0, -2.5], [3.0, 4.0, 0.0], [1j, 2.0, -1 + 1j], [-2j, 0j, 0j],
+              long_real.tolist(), long_complex.tolist()):
+        tail, tau = linalg._reflector(x)
+        u = np.array([1.0, *tail])
         x = np.asarray(x, dtype=complex)
-        assert u[0] == 1.0
         image = x - np.conj(tau) * u * np.vdot(u, x)
         beta = np.linalg.norm(x) * (-1.0 if x[0].real >= 0.0 else 1.0)
-        assert np.allclose(image, beta * np.eye(len(x))[0], rtol=0, atol=1e-15)
-    u, tau = linalg._householder(np.array([0.0, -2.5]))
-    assert u.tolist() == [1.0, -1.0] and tau == 1.0
-    assert linalg._householder(np.array([-2.0, 0.0, 0.0])) is None
-    assert linalg._householder(np.array([3.0 + 0j, 0j])) is None
+        assert np.allclose(image, beta * np.eye(len(x))[0], rtol=0,
+                           atol=2 * eps * abs(beta))
+    # one nonzero below the first entry, short or long: an exact signed swap
+    assert linalg._reflector([0.0, -2.5]) == ([-1.0], 1.0)
+    column = [0.0] * 40
+    column[17] = 49.0
+    tail, tau = linalg._reflector(column)
+    assert tau == 1.0 and tail == [1.0 if i == 16 else 0.0 for i in range(39)]
+    assert linalg._reflector([-2.0, 0.0, 0.0]) is None
+    assert linalg._reflector([3.0 + 0j, 0j]) is None
 
 
 def test_tridiag_solve_keeps_its_bits_on_a_corpus():
