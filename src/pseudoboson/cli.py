@@ -403,7 +403,8 @@ def run_theorem1(args):
 
 def _similarity_report(args, matrix: np.ndarray):
     """The theorem1 report for one matrix; a violated precondition is a
-    failing check of its own."""
+    failing check of its own, and a solver failure (RuntimeError) reaches
+    `main` as the `solver` check."""
     try:
         report = verify_similarity(matrix, real_tol=args.real_tol)
     except ValueError as exc:

@@ -43,18 +43,18 @@ complex step writes rows = P^H rows and cols = cols P back in place, 11
 calls; there the refsum form made the backward error larger on most
 matrices. Array references of the same products pin both. The rank-one form
 serves the Hessenberg reduction, whose columns are long. The deflation scan
-of the driver and the start-row scan of the sweep read Python-scalar copies
-of the diagonals, so they make no numpy call per row. Complex double-shift
-QR takes 1,705 sweeps on the 45 complex-basis theorem1 matrices of the
-plane-sweep benchmark (n = 9 to 48), where a single-shift Givens sweep took
-3,029. QR deflates 2x2 blocks, since a double-shift bulge needs 3 rows, and
-leaves them in place for either dtype; with eigenvectors, one unitary
-rotation after QR, `_triangularize_2x2`, makes each block of the Schur form
-triangular. The shift pair, the roots of a deflated 2x2 block and its
-rotation into triangular form take one 2x2 formula, `_eig2`: half the trace
-plus and minus sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det cancels for
-two close real roots, as at the double eigenvalues of the Hamiltonian at
-beta = 0.
+of `_qr_eigenvalues` and the start-row scan of the sweep read Python-scalar
+copies of the diagonals, so they make no numpy call per row. Complex
+double-shift QR takes 1,705 sweeps on the 45 complex-basis theorem1 matrices
+of the plane-sweep benchmark (n = 9 to 48), where a single-shift Givens
+sweep took 3,029. QR deflates 2x2 blocks, since a double-shift bulge needs 3
+rows, and leaves them in place for either dtype; with eigenvectors, one
+unitary rotation after QR, `_triangularize_2x2`, makes each block of the
+Schur form triangular. The shift pair, the roots of a deflated 2x2 block and
+its rotation into triangular form take one 2x2 formula, `_eig2`: half the
+trace plus and minus sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det
+cancels for two close real roots, as at the double eigenvalues of the
+Hamiltonian at beta = 0.
 
 Eigenvectors run the same sweeps on wider slabs. The Schur vectors Z are
 stacked above H in one array, so each column update transforms Z and H in
@@ -334,14 +334,14 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
     """Eigenvalues of the upper Hessenberg H = W[nz:] by shifted QR, in place.
 
     Deflates 1x1 and 2x2 blocks from the bottom, the roots of a 2x2 block by
-    `_eig2`, and leaves a 2x2 block in place; otherwise one double-shift sweep, `_francis_sweep` for real and
-    complex W alike, runs on the unreduced block lo..hi as
-    _francis_sweep(W, lo, hi, stall, nz, hint), stall counting sweeps since
-    the last deflation. hint is shifts, an array of eigenvalue
-    estimates or None, on the first HINTED_SWEEPS sweeps after each
-    deflation, and the sweep snaps its computed shifts to those estimates;
-    later sweeps get None and take the computed shifts, so a wrong estimate
-    costs sweeps but cannot stall QR.
+    `_eig2`, and leaves a 2x2 block in place; otherwise one double-shift
+    sweep, `_francis_sweep` for real and complex W alike, runs on the
+    unreduced block lo..hi as _francis_sweep(W, lo, hi, stall, nz, hint),
+    stall counting sweeps since the last deflation. hint is shifts, an array
+    of eigenvalue estimates or None, on the first HINTED_SWEEPS sweeps after
+    each deflation, and the sweep snaps its computed shifts to those
+    estimates; later sweeps get None and take the computed shifts, so a
+    wrong estimate costs sweeps but cannot stall QR.
     With nz = 0 a sweep transforms the block alone; with the n x n Z stacked
     above H (nz = n) it transforms H whole and Z with it, which leaves W[:nz]
     the Schur vectors and H in quasi-triangular Schur form, upper triangular
@@ -471,9 +471,9 @@ def _bulge_step(R: NDArray, C: NDArray, top: int, k: int, col: list,
                 m: int) -> float | complex | None:
     """One bulge step of `_francis_sweep`: the similarity P^H A P on rows and
     columns k .. k + len(col) - 1 of an m x m block, with R, C and top the
-    row view, column view and rows above the block of `_slabs`, by the reflector P = I - tau u u^H of the column col
-    of Python floats or Python complex scalars, from `_reflector`. Returns
-    tau, or None when P is I.
+    row view, column view and rows above the block of `_slabs`, by the
+    reflector P = I - tau u u^H of the column col of Python floats or Python
+    complex scalars, from `_reflector`. Returns tau, or None when P is I.
 
     One 2x2 or 3x3 array is built from the same scalars, its entries
     written out for each size (a comprehension over them took about four
@@ -519,8 +519,9 @@ def solve_matrix(M, B) -> NDArray[np.complex128]:
     of M and one forward and one back substitution; each substitution step
     is one stacked row product (1, 1, k) @ (m, k, 1) over all m columns of B.
 
-    Raises ValueError when M is singular to working precision (zero, or with
-    a pivot of at most 8 n eps max|M|) or B has the wrong number of rows.
+    Raises RuntimeError when M is singular to working precision (zero, or
+    with a pivot of at most 8 n eps max|M|), and ValueError when B has the
+    wrong number of rows.
     """
     A = _as_square(M)
     b = np.asarray(B)
@@ -531,7 +532,7 @@ def solve_matrix(M, B) -> NDArray[np.complex128]:
     piv = np.arange(n)
     scale = np.abs(LU).max(initial=0.0)
     tiny = 8.0 * n * _EPS * scale
-    singular = ValueError("matrix is singular to working precision")
+    singular = RuntimeError("matrix is singular to working precision")
     if scale == 0.0:
         raise singular
     for k in range(n):
@@ -790,20 +791,19 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     stacked above H, and on wide slabs: each row update runs to the last
     column and each column update covers Z and H from their first rows, in
     one numpy call, so QR ends in the Schur form A = Z T Z^H (T upper
-    triangular once each 2x2 block, real or complex, is rotated into
-    complex triangular form after QR). The values are T's diagonal; they lie
-    within backward error of the values-only ones but need not share their
-    bits. The vectors are
-    those of T by back substitution, mapped back by Z and refined by one
-    first-order step whose residual is formed in extended precision (see
-    `_schur_eigenpairs`). A repeated eigenvalue of a diagonalizable matrix
-    gets independent vectors, a basis of its eigenspace. Every reported pair
-    satisfies the residual contract (relative residual <= 1e-8 times the
-    matrix norm). All of this runs on the input scaled by the module's
-    power-of-two rule, with the values, shifts and residuals scaled to match;
-    input whose largest part lies in [2^-500, 2^500] keeps its bits. The
-    input is copied to C order first, so the results do not depend on its
-    memory layout.
+    triangular once each 2x2 block, real or complex, is rotated into complex
+    triangular form after QR). The values are T's diagonal; they lie within
+    backward error of the values-only ones but need not share their bits.
+    The vectors are those of T by back substitution, mapped back by Z and
+    refined by one first-order step whose residual is formed in extended
+    precision (see `_schur_eigenpairs`). A repeated eigenvalue of a
+    diagonalizable matrix gets independent vectors, a basis of its
+    eigenspace. Every reported pair satisfies the residual contract
+    (relative residual <= 1e-8 times the matrix norm). All of this runs on
+    the input scaled by the module's power-of-two rule, with the values,
+    shifts and residuals scaled to match; input whose largest part lies in
+    [2^-500, 2^500] keeps its bits. The input is copied to C order first, so
+    the results do not depend on its memory layout.
 
     shifts, a sequence of eigenvalue estimates, steers QR: on the first
     HINTED_SWEEPS sweeps after each deflation a computed shift is replaced by
@@ -1131,8 +1131,9 @@ def biorthonormalize(Phi, Psi):
     column index. The inner product is antilinear in the left slot. Only Psi
     columns are rescaled (by 1/conj of the diagonal Gram entry), so a caller
     rescaling a Phi column sees the inverse-conjugate compensation in Psi.
-    Raises ValueError on a vanishing diagonal Gram entry, which signals an
-    eigenvalue collision or a defective pair.
+    Raises RuntimeError on a vanishing diagonal Gram entry, which signals an
+    eigenvalue collision or a defective pair, and ValueError on a shape
+    mismatch.
     """
     P = np.array(Phi, dtype=complex, copy=True)
     Q = np.array(Psi, dtype=complex, copy=True)
@@ -1142,7 +1143,7 @@ def biorthonormalize(Phi, Psi):
         g = np.vdot(Q[:, i], P[:, i])
         scale = norm2(Q[:, i]) * norm2(P[:, i])
         if abs(g) <= 1e-12 * max(scale, _EPS):
-            raise ValueError(
+            raise RuntimeError(
                 f"vanishing diagonal Gram entry at column {i}: "
                 "eigenvalue collision or defective pair")
         Q[:, i] = Q[:, i] / np.conj(g)

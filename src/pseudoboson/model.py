@@ -145,10 +145,15 @@ def build_hamiltonian(p: ModelParams, trunc: TruncationSpec) -> tuple[GridMap, G
     """H and its adjoint as maps: the finite section of the full-space
     H = (1+beta) a'a + (1-beta) b'b + 1 + gamma (a'b' - a b) (see the module
     docstring), each weight rounded as the entry of the ladder-matrix algebra
-    is, the number term as (1+beta) (sqrt(m) sqrt(m))."""
+    is, the number term as (1+beta) (sqrt(m) sqrt(m)). Raises ValueError,
+    naming beta, where that term overflows."""
     root_a = np.sqrt(np.arange(trunc.n_max_a + 1.0))[:, None]
     root_b = np.sqrt(np.arange(trunc.n_max_b + 1.0))
-    number = (1.0 + p.beta) * (root_a * root_a) + (1.0 - p.beta) * (root_b * root_b) + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        number = (1.0 + p.beta) * (root_a * root_a) + (1.0 - p.beta) * (root_b * root_b) + 1.0
+    if not np.all(np.isfinite(number)):
+        raise ValueError(f"beta = {p.beta:g} is too large: the number diagonal "
+                         f"(1 + beta) m + (1 - beta) n + 1 overflows")
     pair = p.gamma * (root_a[1:] * root_b[1:])
     H = GridMap(trunc, ((number, 0, 0), (pair, -1, -1), (-pair, 1, 1)))
     return H, H.adjoint()

@@ -56,7 +56,7 @@ def _largest_component_one(vectors: NDArray[np.complex128]) -> NDArray[np.comple
     """The columns of vectors, each divided by its largest-magnitude entry."""
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     if np.any(pivots == 0):
-        raise ValueError("eigenvector is numerically zero")
+        raise RuntimeError("eigenvector is numerically zero")
     return vectors / pivots
 
 
@@ -73,7 +73,9 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     two factorizations. Eigenvectors are scaled so the largest-magnitude
     component is exactly 1; the adjoint family is then divided by the
     conjugate of the mutual inner product, making the pairing exactly
-    biorthonormal. S = Psi Phi^-1 follows from one LU factorization.
+    biorthonormal. S = Psi Phi^-1 follows from one LU factorization. A
+    solver step that fails past the preconditions, a zero eigenvector, a
+    vanishing Gram entry or a singular LU, raises RuntimeError, as QR does.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

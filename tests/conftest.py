@@ -16,6 +16,8 @@ import warnings
 
 os.environ["OPENBLAS_CORETYPE"] = "Haswell"
 os.environ["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+# numpy refuses to load with both of its feature variables set
+os.environ.pop("NPY_ENABLE_CPU_FEATURES", None)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", ImportWarning)
     import numpy  # noqa: F401

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pseudoboson
-from pseudoboson import cli, linalg
+from pseudoboson import cli, linalg, similarity
 from pseudoboson.cli import main
 from pseudoboson.fock import Operator
 from pseudoboson.model import ModelParams
@@ -203,6 +204,29 @@ def test_theorem1_precondition_failure_is_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "theorem1", "--input", str(path))
     assert code == 1
     assert "first failing check: precondition" in err
+
+
+def _zero_first_vector(m, **kwargs):
+    report = linalg.eig_dense(m, **kwargs)
+    report.vectors[:, 0] = 0.0
+    return report
+
+
+@pytest.mark.parametrize("name, planted", [
+    ("solve_matrix", lambda a, b: linalg.solve_matrix(np.zeros_like(a), b)),
+    ("biorthonormalize", lambda phi, psi: linalg.biorthonormalize(phi, 0.0 * psi)),
+    ("eig_dense", _zero_first_vector),
+], ids=["singular-lu", "vanishing-gram", "zero-eigenvector"])
+def test_theorem1_solver_failure_is_exit_one(tmp_path, capsys, monkeypatch,
+                                             name, planted):
+    # a failure inside the construction, past its preconditions, is the
+    # solver's, not the input's: exit 1 naming the solver check
+    monkeypatch.setattr(similarity, name, planted)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 2, "re": [[1.0, 1.0], [0.0, 2.0]]}))
+    code, out, err = run(capsys, "theorem1", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("first failing check: solver (")
 
 
 @pytest.mark.parametrize("matrix, failure", [
@@ -492,6 +516,17 @@ def test_extreme_parameters_end_without_traceback(tmp_path, capsys, argv, code):
         assert (f"{bad[0]} must be finite" if bad else "gamma") in err
     if code == 1:
         assert re.match(r"first failing check: \w+ \(", err)
+
+
+@pytest.mark.parametrize("command", ["commutators", "verify-all"])
+def test_an_overflowing_hamiltonian_diagonal_is_a_usage_error(capsys, command):
+    # (1 + beta) m overflows for m >= 2 in the number diagonal of H
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--beta", "1.7e308")
+    assert (code, out) == (2, "")
+    assert err == ("pseudoboson: error: beta = 1.7e+308 is too large: the "
+                   "number diagonal (1 + beta) m + (1 - beta) n + 1 overflows\n")
 
 
 def test_overflowing_sector_ends_in_a_named_check(capsys):
@@ -882,6 +917,32 @@ REPORT_DIGESTS = {
         ("73005d5c687f397fbca7d3be870666457ea7e35c73021c5d92cd1c5963c9b7c1",
          "b406b9213232e43bf5fad94f2e94f07be2aa34e98c387744f3d3ab1d513f2ecd"),
 }
+
+
+def _benchmark_oracle():
+    """perfbench/oracle.py, imported by path: the checks the benchmark runs
+    on every report before it times the op."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--gamma", "0.2", "--trunc", "24", "--depth", "32"),
+    ("theorem1", "--input", "COMPLEX6"),
+], ids=["verify-all-benchmark", "theorem1-COMPLEX6"])
+def test_the_benchmark_oracle_accepts_the_reports(capsys, tmp_path, argv):
+    # a report the benchmark would refuse as incorrect fails here first
+    path = tmp_path / "COMPLEX6.json"
+    path.write_text(json.dumps({"n": 6, "re": _COMPLEX6.real.tolist(),
+                                "im": _COMPLEX6.imag.tolist()}))
+    argv = [str(path) if a == "COMPLEX6" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    expect = {"command": argv[0], "input": str(path)}
+    assert _benchmark_oracle().check(json.loads(out), expect) == []
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS),

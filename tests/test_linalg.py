@@ -495,6 +495,19 @@ def test_complex_schur_form_at_theorem1_sizes(n, graded):
     assert np.array_equal(np.sort_complex(eigs), np.sort_complex(T.diagonal()))
 
 
+@pytest.mark.parametrize("entry", [2.5, -3e-320, 1e300, 0.0, 1 + 2j, 7e-200j])
+def test_eig_dense_solves_a_1x1_exactly(entry):
+    # the general path, at any scale the power-of-two rule reaches: no sweep,
+    # the entry itself, the unit vector and a zero residual
+    m = np.array([[entry]])
+    values, pairs = eig_dense(m), eig_dense(m, want_vectors=True)
+    for report in (values, pairs):
+        assert report.values.tolist() == [complex(entry)]
+        assert report.iterations == 0
+    assert pairs.vectors.tolist() == [[1.0]]
+    assert pairs.residuals.tolist() == [0.0]
+
+
 def test_eig_dense_rejects_nonsquare():
     with pytest.raises(ValueError):
         eig_dense(np.zeros((2, 3)))
@@ -529,7 +542,7 @@ def test_solve_matrix_matches_lapack_on_a_wide_complex_block():
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve_matrix(m, rhs[:6])
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(RuntimeError, match="singular"):
         solve_matrix(singular, np.eye(2))
 
 
@@ -852,7 +865,7 @@ def test_tridiag_solve_at_an_eigenvalue_uses_tiny_pivot():
     # shifting by it leaves an exactly zero last pivot
     sub = sup = np.ones(2)
     shifted = np.zeros(3)
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(RuntimeError, match="singular"):
         solve_matrix(_dense_tridiag(sub, shifted, sup), np.ones(3))
     w = _tridiag_solve(sub, shifted, sup, np.ones(3) + 1e-3 * np.arange(3))
     assert np.all(np.isfinite(w))
@@ -1440,7 +1453,7 @@ def test_biorthonormalize_compensates_right_rescaling():
 def test_biorthonormalize_rejects_orthogonal_pair():
     phi = np.array([[1.0, 0.0], [0.0, 1.0]])
     psi = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="Gram"):
+    with pytest.raises(RuntimeError, match="Gram"):
         biorthonormalize(phi, psi)
 
 
