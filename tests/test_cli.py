@@ -934,7 +934,8 @@ def _benchmark_oracle():
     ("theorem1", "--input", "COMPLEX6"),
 ], ids=["verify-all-benchmark", "theorem1-COMPLEX6"])
 def test_the_benchmark_oracle_accepts_the_reports(capsys, tmp_path, argv):
-    # a report the benchmark would refuse as incorrect fails here first
+    # the benchmark's correctness checks, run on the kernels this test
+    # process pins; the benchmark itself runs on the host's own kernels
     path = tmp_path / "COMPLEX6.json"
     path.write_text(json.dumps({"n": 6, "re": _COMPLEX6.real.tolist(),
                                 "im": _COMPLEX6.imag.tolist()}))

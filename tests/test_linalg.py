@@ -508,6 +508,19 @@ def test_eig_dense_solves_a_1x1_exactly(entry):
     assert pairs.residuals.tolist() == [0.0]
 
 
+@pytest.mark.parametrize("entry", [np.inf, np.nan, complex(np.inf, 0.0)])
+def test_eig_dense_on_a_nonfinite_1x1_acts_as_on_larger_input(entry):
+    # values only, the entry comes back as it is; with vectors the residual
+    # is not finite, so the contract raises, as on a 2x2 with that entry
+    # (numpy's floating-point warnings on the way are not what is pinned)
+    with np.errstate(all="ignore"):
+        value = eig_dense(np.array([[entry]])).values[0]
+        assert value == entry or (np.isnan(entry) and np.isnan(value))
+        for m in (np.array([[entry]]), np.array([[entry, 0.0], [0.0, 1.0]])):
+            with pytest.raises(RuntimeError, match="residual contract"):
+                eig_dense(m, want_vectors=True)
+
+
 def test_eig_dense_rejects_nonsquare():
     with pytest.raises(ValueError):
         eig_dense(np.zeros((2, 3)))
@@ -1027,15 +1040,19 @@ def test_householder_is_lapacks_reflector():
     long_real = rng.standard_normal(40)
     long_complex = long_real + 1j * rng.standard_normal(40)
     eps = np.finfo(float).eps
-    for x in ([0.0, -2.5], [3.0, 4.0, 0.0], [1j, 2.0, -1 + 1j], [-2j, 0j, 0j],
-              long_real.tolist(), long_complex.tolist()):
+    # the short columns to 1e-15 absolute, the long ones (|beta| near 6 and 9)
+    # to 2 eps |beta|
+    for x, atol in (([0.0, -2.5], 1e-15), ([3.0, 4.0, 0.0], 1e-15),
+                    ([1j, 2.0, -1 + 1j], 1e-15), ([-2j, 0j, 0j], 1e-15),
+                    (long_real.tolist(), None), (long_complex.tolist(), None)):
         tail, tau = linalg._reflector(x)
         u = np.array([1.0, *tail])
         x = np.asarray(x, dtype=complex)
         image = x - np.conj(tau) * u * np.vdot(u, x)
         beta = np.linalg.norm(x) * (-1.0 if x[0].real >= 0.0 else 1.0)
-        assert np.allclose(image, beta * np.eye(len(x))[0], rtol=0,
-                           atol=2 * eps * abs(beta))
+        if atol is None:
+            atol = 2 * eps * abs(beta)
+        assert np.allclose(image, beta * np.eye(len(x))[0], rtol=0, atol=atol)
     # one nonzero below the first entry, short or long: an exact signed swap
     assert linalg._reflector([0.0, -2.5]) == ([-1.0], 1.0)
     column = [0.0] * 40
