@@ -4,8 +4,8 @@ machine-readable reports.
 Library calls give every solver result and model quantity in a report. The
 CLI forms only differences of them and the entrywise maxima that make one
 check's value (sector abs errors, emm residuals and weighted pairings,
-verify-all's hand case); only `_worst` forms a maximum over checks, the
-value of a verify-all suite. It assembles output and compares deviations
+verify-all's hand case); only `_worst` forms a maximum over a suite's
+values, the value of a `VERIFY_SUITES` suite. It assembles output and compares deviations
 against tolerances. Reports are deterministic: fixed key order, floats
 rounded to 15 significant digits by `_fmt`, no timestamps. JSON reports
 carry a top-level {"schema": "1"}; CSV column sets are documented in the
@@ -67,6 +67,8 @@ from .similarity import verify_similarity
 
 SCHEMA = "1"
 _VERIFY_SEED = 20230817
+# emm's closed-form, pairing and secular identities hold to rounding
+EMM_IDENTITY_TOL = 1e-12
 
 
 def _fmt(x) -> float:
@@ -170,20 +172,12 @@ def _render(args, payload: dict, csv_header, csv_rows, checks: list) -> int:
     return 0
 
 
-def _worst(name: str, checks: list) -> Check:
-    """The worst of several checks of one kind (for 'ge' checks, the
-    smallest), with their common tolerance and mode; raises ValueError when
-    they have none. The first non-finite value is the worst in either mode:
-    min and max would drop a NaN that does not come first."""
-    kinds = {(c.tol, c.mode) for c in checks}
-    if len(kinds) != 1:
-        raise ValueError(f"suite {name} collapses checks with tolerances and "
-                         f"modes {sorted(kinds)}")
-    ((tol, mode),) = kinds
-    values = [c.value for c in checks]
-    pick = min if mode == "ge" else max
-    return Check(name, next((v for v in values if not math.isfinite(v)),
-                            pick(values)), tol, mode)
+def _worst(values: list, mode: str) -> float:
+    """The worst of a suite's values: the largest, or for mode 'ge' the
+    smallest. The first non-finite value is the worst in either mode: min and
+    max would drop a NaN that does not come first."""
+    return next((v for v in values if not math.isfinite(v)),
+                (min if mode == "ge" else max)(values))
 
 
 def _params(args) -> ModelParams:
@@ -341,9 +335,9 @@ def run_emm(args):
                                 for val, vec in secular.pairs]))
     checks = [
         Check("emm_eigenvalue_multiset", dist, args.tol),
-        Check("emm_closed_form_residual", pair_res, 1e-12),
-        Check("emm_pairing_identity", pairing_dev, 1e-12),
-        Check("secular_residual", secular_res, 1e-12),
+        Check("emm_closed_form_residual", pair_res, EMM_IDENTITY_TOL),
+        Check("emm_pairing_identity", pairing_dev, EMM_IDENTITY_TOL),
+        Check("secular_residual", secular_res, EMM_IDENTITY_TOL),
     ]
     payload = {
         "beta": p.beta,
@@ -443,14 +437,54 @@ def _random_similarity_batch(count: int, size: int):
     return out
 
 
+# every verify-all suite in report order: name, tolerance source and mode; a
+# (subcommand, flag) source takes that flag's default, a number is the tolerance
+VERIFY_SUITES = (
+    ("emm_eigenvalue_multiset", ("emm", "--tol"), "le"),
+    ("emm_closed_form_residual", EMM_IDENTITY_TOL, "le"),
+    ("emm_pairing_identity", EMM_IDENTITY_TOL, "le"),
+    ("secular_residual", EMM_IDENTITY_TOL, "le"),
+    ("wh_commutators", ("commutators", "--tol"), "le"),
+    ("hamiltonian_action", ("commutators", "--action-tol"), "le"),
+    ("diagonal_form", ("commutators", "--tol"), "le"),
+    ("eigen_residuals", 1e-8, "le"),
+    ("adjoint_residuals", 1e-8, "le"),
+    ("biorthogonality", ("biorth", "--tol"), "le"),
+    ("phase_similarity", 1e-13, "le"),
+    ("sector_transpose_similarity", 1e-13, "le"),
+    ("sector_depth_step", ("sectors", "--step-tol"), "le"),
+    ("sector_closed_form", ("sectors", "--tol"), "le"),
+    ("sector_energy_cross_check", 1e-6, "le"),
+    ("full_vs_sector_union", 1e-8, "le"),
+    ("su11_commutators", 1e-10, "le"),
+    ("tilted_su11_commutators", 1e-10, "le"),
+    ("casimir_reduction", 1e-9, "le"),
+    ("lowest_weight", 1e-8, "le"),
+    ("stability_bounded", ("stability", "--tol"), "le"),
+    ("instability_witness", ("stability", "--drop"), "ge"),
+    ("similarity_hand_case", 1e-10, "le"),
+    ("similarity_hand_nonunitary", 1.0, "ge"),
+    ("similarity_random_batch", ("theorem1", "--sim-tol"), "le"),
+    ("similarity_random_biorth", ("theorem1", "--biorth-tol"), "le"),
+)
+
+
+def _tolerance(source) -> float:
+    """The tolerance of a `VERIFY_SUITES` source."""
+    if isinstance(source, float):
+        return source
+    subs = next(a for a in _parser()._actions if a.dest == "command").choices
+    return subs[source[0]].get_default(source[1][2:].replace("-", "_"))
+
+
 def run_verify_all(args):
-    """Every invariant suite, as one fold: each run files its checks by one
-    rule from check name to suite (the identity unless given; None drops a
-    check), and each suite is the `_worst` of its checks, in first-filed
-    order. Subcommand runs take their parser's defaults save verify-all's
-    --beta and --gamma and what it pins: sectors k -3..3 with --n-eigs 4 at
-    its --depth, biorth at its --trunc, and the unbounded stability run at
-    --lam 1.2 --depths 40 80."""
+    """The `VERIFY_SUITES` as one fold: each run files its values under suites
+    by one rule from check name to suite (the identity unless given; None
+    drops a check; a check judged unlike its suite raises ValueError), and a
+    suite is the `_worst` of its values. Subcommand runs take their parser's
+    defaults save verify-all's --beta and --gamma and what it pins: sectors
+    k -3..3 with --n-eigs 4 at its --depth, biorth at its --trunc, and the
+    unbounded stability run at --lam 1.2 --depths 40 80."""
     if args.depth < 16:
         raise UsageError("--depth must be at least 16: the sector suites keep "
                          "4 levels at depth // 4")
@@ -459,12 +493,15 @@ def run_verify_all(args):
     beta = f"--beta={args.beta!r}"
     point = [beta, f"--gamma={args.gamma!r}"]
     specs = [SectorSpec(k, 30) for k in range(-2, 3)]
-    grouped = {}
+    judged = {name: (_tolerance(source), mode) for name, source, mode in VERIFY_SUITES}
+    grouped = {name: [] for name in judged}
 
     def file(checks, rule=lambda name: name):
         for check in checks:
             if (suite := rule(check.name)) is not None:
-                grouped.setdefault(suite, []).append(check)
+                if (check.tol, check.mode) != judged[suite]:
+                    raise ValueError(f"check {check.name} disagrees with suite {suite}")
+                grouped[suite].append(check.value)
 
     # equation-of-motion layer
     file(run_emm(parse(["emm", *point]))[3])
@@ -476,16 +513,15 @@ def run_verify_all(args):
 
     # eigenvector families at deep truncation
     rows = eigen_residuals(p, TruncationSpec(args.trunc, args.trunc), 3, 3)
-    file(Check(suite, row[key], 1e-8) for row in rows
-         for suite, key in (("eigen_residuals", "residual"),
-                            ("adjoint_residuals", "adjoint_residual")))
+    grouped["eigen_residuals"] += [row["residual"] for row in rows]
+    grouped["adjoint_residuals"] += [row["adjoint_residual"] for row in rows]
     file(run_biorth(parse(["biorth", *point, f"--trunc={args.trunc}"]))[3],
          lambda name: "biorthogonality")
 
     # similarity layer
-    file([Check("phase_similarity", similarity_check(p, TruncationSpec(6, 6)), 1e-13)])
-    file(Check("sector_transpose_similarity", transpose_similarity_check(spec, p), 1e-13)
-         for spec in specs)
+    grouped["phase_similarity"].append(similarity_check(p, TruncationSpec(6, 6)))
+    grouped["sector_transpose_similarity"] += [transpose_similarity_check(spec, p)
+                                               for spec in specs]
 
     # sector spectra and the full-space cross-check
     sectors, _, _, sector_checks = _sector_report(parse(
@@ -494,21 +530,18 @@ def run_verify_all(args):
     file(sector_checks, lambda name: "sector_depth_step"
          if name.endswith("_depth_step") else "sector_closed_form")
     values = {sector["k"]: sector["values"] for sector in sectors["sectors"]}
-    file(Check("sector_energy_cross_check",
-               abs(energy(p, m, n) - values[m - n][min(m, n)]), 1e-6)
-         for m in range(4) for n in range(4))
-    file([Check("full_vs_sector_union",
-                full_vs_sector_check(p, TruncationSpec(10, 10)), 1e-8)])
+    grouped["sector_energy_cross_check"] += [
+        abs(energy(p, m, n) - values[m - n][min(m, n)]) for m in range(4) for n in range(4)]
+    grouped["full_vs_sector_union"].append(full_vs_sector_check(p, TruncationSpec(10, 10)))
 
     # su(1,1) structure; at gamma = 0 the tilted triple is the self-adjoint one
-    file(Check("su11_commutators", su11_commutation_check(su11_generators(spec, variant)),
-               1e-10) for spec in specs for variant in ("lowest", "highest"))
-    file(Check("tilted_su11_commutators",
-               su11_commutation_check(pseudo_su11_generators(spec, p)), 1e-10)
-         for spec in specs)
-    file(Check(suite, dev, tol) for spec in specs for suite, tol, devs in (
-        ("casimir_reduction", 1e-9, casimir_reduction_check(spec, p)),
-        ("lowest_weight", 1e-8, lowest_weight_residuals(spec, p))) for dev in devs)
+    grouped["su11_commutators"] += [su11_commutation_check(su11_generators(spec, variant))
+                                    for spec in specs for variant in ("lowest", "highest")]
+    grouped["tilted_su11_commutators"] += [
+        su11_commutation_check(pseudo_su11_generators(spec, p)) for spec in specs]
+    for spec in specs:
+        grouped["casimir_reduction"] += casimir_reduction_check(spec, p)
+        grouped["lowest_weight"] += lowest_weight_residuals(spec, p)
 
     # stability contrast
     file(run_stability(parse(["stability", beta]))[3], lambda name: "stability_bounded")
@@ -518,9 +551,8 @@ def run_verify_all(args):
     # similarity construction on general matrices
     hand = verify_similarity(np.array([[1.0, 1.0], [0.0, 2.0]]))
     target = np.array([[1.0, -1.0], [-1.0, 2.0]])
-    file([Check("similarity_hand_case",
-                float(np.abs(hand.transform - target).max()), 1e-10),
-          Check("similarity_hand_nonunitary", hand.unitarity_defect, 1.0, mode="ge")])
+    grouped["similarity_hand_case"].append(float(np.abs(hand.transform - target).max()))
+    grouped["similarity_hand_nonunitary"].append(hand.unitarity_defect)
     # the batch is built in memory: theorem1's required --input is never
     # read, and each matrix's spectrum_match reaches no suite
     flags = parse(["theorem1", "--input", "-"])
@@ -529,7 +561,8 @@ def run_verify_all(args):
          {"similarity_error": "similarity_random_batch",
           "biorth_error": "similarity_random_biorth"}.get)
 
-    suites = [_worst(name, checks) for name, checks in grouped.items()]
+    suites = [Check(name, _worst(grouped[name], mode), tol, mode)
+              for name, (tol, mode) in judged.items()]
     payload = {
         "beta": p.beta,
         "gamma": p.gamma,

@@ -613,7 +613,7 @@ def test_sector_layer_usage_errors_name_their_flag(capsys, argv, flags):
         assert flag in err
 
 
-def test_worst_takes_tolerance_and_mode_from_its_checks():
+def test_worst_keeps_the_first_non_finite_value():
     # min and max drop a NaN that does not come first; the suite keeps the
     # first non-finite value, so it fails in either mode
     for values, mode, expected in (([3.0, 2.0], "ge", 2.0),
@@ -622,16 +622,18 @@ def test_worst_takes_tolerance_and_mode_from_its_checks():
                                    ([3.0, math.nan], "ge", math.nan),
                                    ([3.0, math.inf, 2.0], "ge", math.inf),
                                    ([0.0, -math.inf, math.nan], "le", -math.inf)):
-        worst = cli._worst("drop", [cli.Check(f"c{i}", v, 1.0, mode)
-                                    for i, v in enumerate(values)])
-        assert (worst.name, worst.tol, worst.mode) == ("drop", 1.0, mode)
-        assert worst.value == expected or math.isnan(worst.value) and math.isnan(expected)
-        assert worst.passed == math.isfinite(expected)
-    for checks in ([cli.Check("a", 1.0, 1e-8), cli.Check("b", 1.0, 1e-9)],
-                   [cli.Check("a", 1.0, 1.0), cli.Check("b", 1.0, 1.0, "ge")],
-                   []):
-        with pytest.raises(ValueError, match="suite x collapses checks"):
-            cli._worst("x", checks)
+        worst = cli._worst(values, mode)
+        assert worst == expected or math.isnan(worst) and math.isnan(expected)
+
+
+@pytest.mark.parametrize("tol, mode", [(1e-10, "le"), (1e-12, "ge")])
+def test_verify_all_refuses_a_check_judged_unlike_its_suite(monkeypatch, tol, mode):
+    # the table judges secular_residual at 1e-12 in mode "le"
+    emm = cli.run_emm
+    monkeypatch.setattr(cli, "run_emm", lambda args: (
+        *emm(args)[:3], [cli.Check("secular_residual", 0.0, tol, mode)]))
+    with pytest.raises(ValueError, match="secular_residual disagrees with suite"):
+        cli.run_verify_all(cli._parser().parse_args(["verify-all"]))
 
 
 def test_verify_all_fails_a_nan_that_is_not_the_suites_first_check(capsys, monkeypatch):
@@ -692,11 +694,7 @@ def test_biorth_shallow_truncation_is_exit_two(capsys):
 def test_verify_all_reduced(capsys):
     code, out, _ = run(capsys, "verify-all", "--trunc", "34", "--depth", "48")
     assert code == 0
-    payload = json.loads(out)
-    names = [s["name"] for s in payload["suites"]]
-    assert "emm_eigenvalue_multiset" in names
-    assert "instability_witness" in names
-    assert all(s["passed"] for s in payload["suites"])
+    assert all(s["passed"] for s in json.loads(out)["suites"])
 
 
 @pytest.mark.parametrize("gamma", ["0.15", "0.2", "0.25"])
@@ -735,34 +733,31 @@ def test_verify_all_builds_no_deep_truncation_matrix(capsys, monkeypatch):
     assert dims == [121]
 
 
-# the verify-all suites whose tolerance is a subcommand's default flag;
-# theorem1's --real-tol gates a precondition and reaches no suite
-_SUITE_TOLERANCE_FLAGS = {
-    "emm_eigenvalue_multiset": ("emm", "--tol"),
-    "wh_commutators": ("commutators", "--tol"),
-    "diagonal_form": ("commutators", "--tol"),
-    "hamiltonian_action": ("commutators", "--action-tol"),
-    "biorthogonality": ("biorth", "--tol"),
-    "sector_depth_step": ("sectors", "--step-tol"),
-    "sector_closed_form": ("sectors", "--tol"),
-    "stability_bounded": ("stability", "--tol"),
-    "instability_witness": ("stability", "--drop"),
-    "similarity_random_batch": ("theorem1", "--sim-tol"),
-    "similarity_random_biorth": ("theorem1", "--biorth-tol"),
-}
-
-
 def test_verify_all_tolerances_are_the_subcommand_defaults(capsys):
-    assert set(_SUITE_TOLERANCE_FLAGS.values()) == {
+    # every tolerance flag reaches a suite but theorem1's --real-tol, which
+    # gates a precondition; the suites come in table order
+    assert {source for _, source, _ in cli.VERIFY_SUITES if isinstance(source, tuple)} == {
         (argv[0], flag) for argv, flag in TOLERANCE_FLAGS} - {("theorem1", "--real-tol")}
     subs = next(a for a in cli._parser()._actions if a.dest == "command").choices
     code, out, _ = run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
                        "--depth", "32")
     assert code == 0
-    tolerances = {s["name"]: s["tolerance"] for s in json.loads(out)["suites"]}
-    assert {name: tolerances[name] for name in _SUITE_TOLERANCE_FLAGS} == {
-        name: subs[command].get_default(flag[2:].replace("-", "_"))
-        for name, (command, flag) in _SUITE_TOLERANCE_FLAGS.items()}
+    assert [(s["name"], s["tolerance"], s["mode"]) for s in json.loads(out)["suites"]] == [
+        (name, source if isinstance(source, float)
+         else subs[source[0]].get_default(source[1][2:].replace("-", "_")), mode)
+        for name, source, mode in cli.VERIFY_SUITES]
+
+
+def test_verify_all_makes_each_run_once(capsys, monkeypatch):
+    calls = []
+    counts = {"run_emm": 1, "run_commutators": 1, "run_biorth": 1, "_sector_report": 1,
+              "full_vs_sector_check": 1, "run_stability": 2, "_similarity_report": 5}
+    for name in counts:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, f=getattr(cli, name):
+                            calls.append(name) or f(*args))
+    assert run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
+               "--depth", "32")[0] == 0
+    assert {name: calls.count(name) for name in counts} == counts
 
 
 def test_commutators_build_no_matrix(capsys, monkeypatch):
