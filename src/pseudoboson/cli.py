@@ -325,7 +325,9 @@ def run_emm(args):
     for i, (val_i, vec_i) in enumerate(solution.pairs):
         for j, (val_j, vec_j) in enumerate(solution.pairs):
             pairing = symplectic_pairing(vec_i, vec_j)
-            product = (val_i + val_j) * pairing
+            # halved values, exactly: val_i + val_j overflows at |beta| near
+            # the float maximum, and inf times an exact zero pairing is nan
+            product = 2.0 * ((0.5 * val_i + 0.5 * val_j) * pairing)
             weighted.append(abs(product))
             pairing_products.append({"i": i, "j": j,
                                      "pairing": pairing, "weighted": product})
@@ -741,7 +743,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, beta=False, gamma=False)
     sp.add_argument("--input", required=True, metavar="FILE",
                     help='JSON {"n", "re", "im"} or CSV of re,im pairs')
-    sp.add_argument("--real-tol", type=float, default=1e-8)
+    sp.add_argument("--real-tol", type=float, default=1e-8,
+                    help="largest |imag| of an eigenvalue, relative to the "
+                         "matrix's Frobenius norm, that counts as real "
+                         "(default 1e-8)")
     sp.add_argument("--sim-tol", type=float, default=1e-8)
     sp.add_argument("--biorth-tol", type=float, default=1e-10)
     sp.set_defaults(runner=run_theorem1)

@@ -65,7 +65,7 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
 
     Preconditions, checked in order on the values of M, with ValueError on
     failure and before the second QR runs, so a failing matrix costs one QR:
-    the spectrum must be real within real_tol (absolute imaginary parts),
+    the spectrum must be real, with every |imag| at most real_tol ||M||_F,
     and simple with minimum gap above 1e-8 ||M||_F. The QR of M^H takes M's
     real values, the conjugates of its own, as shift estimates (see
     `eig_dense`) and deflates in about half the sweeps; its values and
@@ -88,10 +88,11 @@ def verify_similarity(m: NDArray, real_tol: float = 1e-8) -> SimilarityReport:
     direct = eig_dense(m, want_vectors=True)
 
     max_imag = float(np.abs(direct.values.imag).max())
-    if max_imag > real_tol:
+    if max_imag > real_tol * norm:
         raise ValueError(
             f"precondition failed: spectrum not real (max |imag| = {max_imag:.3e} "
-            f"> {real_tol:.1e}); the similarity construction needs a real spectrum")
+            f"> {real_tol:.1e} relative to matrix norm {norm:.3e}); the similarity "
+            f"construction needs a real spectrum")
     if n > 1:
         # gaps between halved values, so the gap between two finite values
         # cannot overflow; compared with the norm itself, which no floor

@@ -25,6 +25,16 @@ from pseudoboson.model import ModelParams
 from pseudoboson.sectors import SectorSpec, hermitian_sector_tridiag, pseudo_jacobi
 
 
+# two fixed theorem1 inputs with exactly real spectra: a real tridiagonal
+# with positive off-diagonal products and three small entries above it, and
+# a complex tridiagonal whose off-diagonal products are real and positive
+_REAL6 = (np.diag(np.arange(1.0, 7.0)) + np.diag([0.5] * 5, 1)
+          + np.diag([0.25] * 5, -1))
+_REAL6[0, 2], _REAL6[1, 4], _REAL6[0, 5] = 0.125, -0.25, 0.0625
+_COMPLEX6 = (np.diag(np.arange(6) + 0.5) + np.diag([0.25 - 0.125j] * 5, -1)
+             + np.diag([(0.5 + 0.25j) * (1 + i / 4) for i in range(5)], 1))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -241,11 +251,16 @@ def test_theorem1_solver_failure_is_exit_one(tmp_path, capsys, monkeypatch,
     # spectrum_match is relative to the norm: the absolute distance failed
     # here with 2.76e+165
     (np.ldexp([[1.0, 2.0, 0.5], [0.3, 2.0, 1.0], [0.0, 0.7, 3.0]], 600).tolist(), None),
-], ids=["subnormal", "huge", "zero", "scaled-2^600"])
+    # the real-spectrum precondition is relative to the norm too: COMPLEX6's
+    # rounding-level max |imag| failed the absolute 1e-8 from 2^30 up
+    *[(_COMPLEX6 * 2.0 ** e, None) for e in (30, -30, 600, -600)],
+], ids=["subnormal", "huge", "zero", "scaled-2^600", "complex6-2^30", "complex6-2^-30",
+        "complex6-2^600", "complex6-2^-600"])
 def test_theorem1_extreme_input_ends_without_traceback(tmp_path, capsys, matrix,
                                                        failure):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"n": len(matrix), "re": matrix}))
+    path.write_text(json.dumps({"n": len(matrix), "re": np.real(matrix).tolist(),
+                                "im": np.imag(matrix).tolist()}))
     code, out, err = run(capsys, "theorem1", "--input", str(path))
     if failure is None:
         assert (code, err) == (0, "")
@@ -363,28 +378,18 @@ def test_stability_overflowing_coupling_is_exit_two(capsys):
     assert err.startswith("pseudoboson: error: lam = 1.7e+308 is too large")
 
 
-@pytest.mark.parametrize("argv, code", [(["--beta", "1.7e308"], 1),
-                                        (["--gamma", "2.2e-308"], 0)],
+@pytest.mark.parametrize("argv", [["--beta", "1.7e308"], ["--gamma", "2.2e-308"]],
                          ids=["beta-1.7e308", "gamma-2.2e-308"])
-def test_emm_residuals_scale_past_the_float_range(capsys, argv, code):
+def test_emm_residuals_scale_past_the_float_range(capsys, argv):
     # residual scales (M, lam) by one power of two and v by another, so under
     # the suite's error::RuntimeWarning filter no residual overflows or
     # underflows into a warning or a NaN: at beta 1.7e308 the 4 x 4 splits
     # exactly into two 2 x 2 blocks, whose values and residuals are exact,
-    # and at gamma 2.2e-308 the secular vectors reach 9.1e307
+    # and at gamma 2.2e-308 the secular vectors reach 9.1e307; the weighted
+    # pairing sums halved values, so no inf meets an exact zero pairing
     result, out, err = run(capsys, "emm", *argv)
-    checks = {c["name"]: c for c in _strict_json(out)["checks"]}
-    assert checks["emm_closed_form_residual"]["passed"]
-    assert checks["secular_residual"]["passed"]
-    assert result == code
-    if code == 0:
-        assert err == ""
-        return
-    # the weighted pairing still overflows to NaN: it fails by name, and the
-    # report writes it as null and stays strict JSON
-    assert err == "first failing check: emm_pairing_identity (value nan is not finite)\n"
-    failed = [c for c in checks.values() if not c["passed"]]
-    assert [(c["name"], c["value"]) for c in failed] == [("emm_pairing_identity", None)]
+    assert (result, err) == (0, "")
+    assert _strict_json(out)["all_passed"]
 
 
 def test_stability_overflowing_diagonal_is_exit_two(capsys):
@@ -428,7 +433,13 @@ def test_theorem1_json_size_must_be_an_integer(tmp_path, capsys, text):
     ('{"n": 1, "re": [[1]], "im": [[null]]}', '"im" must be an 1 x 1 grid of numbers'),
     ('{"n": 1, "re": [2]}', '"re" must be an 1 x 1 grid of numbers'),
     ('{"n": 1, "re": [[1' + "0" * 400 + ']]}', "matrix entries must be finite"),
-], ids=["string", "ragged", "bool", "null", "flat", "huge-integer"])
+    ('{"re": [[1]]}', 'JSON matrix needs "n" and "re" fields'),
+    ("[1, 2]", 'JSON matrix needs "n" and "re" fields'),
+    # text that is not JSON is read as CSV
+    (" \n\n", "empty matrix input"),
+    ("abc", "line 1: could not convert string to float: 'abc'"),
+], ids=["string", "ragged", "bool", "null", "flat", "huge-integer", "no-n", "list",
+        "blank-csv", "csv-token"])
 def test_theorem1_json_grid_must_hold_numbers(tmp_path, capsys, text, message):
     # numpy named no file for a string or a ragged row, read true as 1.0 and
     # raised an OverflowError for an integer beyond the float range
@@ -602,8 +613,9 @@ def test_negative_grid_sizes_are_usage_errors(capsys, argv):
     (["verify-all", "--depth", "12"], ["--depth", "16"]),
     (["stability", "--depths", "0", "5"], ["--depths"]),
     (["commutators", "--trunc", "0"], ["--trunc"]),
+    (["sectors", "--k-range", "2", "-2"], ["--k-range expects MIN <= MAX"]),
 ], ids=["sectors-depth", "sectors-n-eigs", "verify-all-depth",
-        "stability-depths", "commutators-trunc"])
+        "stability-depths", "commutators-trunc", "sectors-k-range"])
 def test_sector_layer_usage_errors_name_their_flag(capsys, argv, flags):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -748,6 +760,15 @@ def test_verify_all_tolerances_are_the_subcommand_defaults(capsys):
         for name, source, mode in cli.VERIFY_SUITES]
 
 
+def test_readme_suite_table_is_the_cli_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.+) \| (<=|>=) (\S+) \|$", readme, re.M)
+    assert rows == [
+        (name, f"`{source[0]} {source[1]}`" if isinstance(source, tuple) else "fixed",
+         "<=" if mode == "le" else ">=", f"{cli._tolerance(source):g}")
+        for name, source, mode in cli.VERIFY_SUITES]
+
+
 def test_verify_all_makes_each_run_once(capsys, monkeypatch):
     calls = []
     counts = {"run_emm": 1, "run_commutators": 1, "run_biorth": 1, "_sector_report": 1,
@@ -839,13 +860,12 @@ def test_report_writer_writes_non_finite_numbers_as_null():
 
 
 @pytest.mark.parametrize("argv, check", [
-    (["emm", "--gamma", "0.77", "--beta", "1.7e308"], "emm_pairing_identity"),
     (["commutators", "--gamma", "2.2e-308", "--beta", "-0.69", "--trunc", "8"],
      "[c_ddag,c_ddag]"),
 ])
 def test_non_finite_values_fail_by_name_in_strict_json(capsys, argv, check):
-    # the overflowing pairing and deviations are NaN: the report writes
-    # them as null, and the first of them fails as a non-finite value
+    # the overflowing deviations are NaN: the report writes them as null,
+    # and the first of them fails as a non-finite value
     with np.errstate(all="ignore"):
         code, out, err = run(capsys, *argv)
     assert code == 1
@@ -859,15 +879,6 @@ def test_non_finite_check_value_fails_in_either_mode():
         for value in (math.nan, math.inf, -math.inf):
             assert not cli.Check("x", value, 1.0, mode).passed
 
-
-# two fixed theorem1 inputs with exactly real spectra: a real tridiagonal
-# with positive off-diagonal products and three small entries above it, and
-# a complex tridiagonal whose off-diagonal products are real and positive
-_REAL6 = (np.diag(np.arange(1.0, 7.0)) + np.diag([0.5] * 5, 1)
-          + np.diag([0.25] * 5, -1))
-_REAL6[0, 2], _REAL6[1, 4], _REAL6[0, 5] = 0.125, -0.25, 0.0625
-_COMPLEX6 = (np.diag(np.arange(6) + 0.5) + np.diag([0.25 - 0.125j] * 5, -1)
-             + np.diag([(0.5 + 0.25j) * (1 + i / 4) for i in range(5)], 1))
 
 # sha256 of the JSON and of the CSV stdout of each line, under the kernel pin
 # of conftest.py; a change that moves a reported value updates its digests

@@ -362,7 +362,7 @@ def _reference_complex_francis_sweep(W, lo, hi, stall, nz=0, estimates=None):
 
 @pytest.mark.parametrize("stall", [1, 11])
 @pytest.mark.parametrize("case", ["graded", "1e+120", "1e-120", "split", "vector",
-                                  "hinted"])
+                                  "hinted", "one-estimate"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
     # one sweep on the unreduced block 1..12 of a seeded 14x14 Hessenberg
@@ -373,7 +373,8 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
     # and whose columns start at Z's first row; "hinted" is a vector-mode
     # sweep given eigenvalue estimates, with a symmetric trailing corner,
     # whose two real roots a real block snaps (a complex block snaps both
-    # its roots)
+    # its roots); "one-estimate" is hinted with one estimate, fewer than the
+    # two shifts, so it snaps neither
     rng = np.random.default_rng(53)
     n = 14
     m = rng.standard_normal((n, n))
@@ -385,17 +386,19 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
         m *= np.outer(grade, grade)
     elif case in ("split", "vector"):
         m[6, 5] = m[7, 6] = 1e-10
-    elif case == "hinted":
+    elif case in ("hinted", "one-estimate"):
         m[12, 11] = m[11, 12]
     else:
         m *= float(case)
     m[1, 0] = m[13, 12] = 0.0
-    nz = n if case in ("vector", "hinted") else 0
+    nz = n if case in ("vector", "hinted", "one-estimate") else 0
     if nz:
         m = np.vstack([np.eye(n, dtype=m.dtype), m])
     estimates = None
     if case == "hinted":
         estimates = np.linspace(-2.0, 2.0, 9) + (0.25j if dtype is complex else 0.0)
+    elif case == "one-estimate":
+        estimates = np.array([0.5])
     sweep = linalg._francis_sweep
     if dtype is float:
         reference = _reference_francis_sweep
@@ -415,7 +418,7 @@ def test_sweeps_match_the_reference_step_bit_for_bit(dtype, case, stall):
         # the estimates move the computed shifts, never the exceptional ones
         plain = m.copy()
         sweep(plain, 1, 12, stall, nz)
-        assert np.array_equal(ours, plain) == (stall == 11)
+        assert np.array_equal(ours, plain) == (stall == 11 or case == "one-estimate")
 
 
 @pytest.mark.parametrize("nz, dtype", [(0, float), (9, float), (0, complex), (9, complex)],
