@@ -17,11 +17,10 @@ def test_every_private_function_is_used_in_the_library():
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name) and not name.id.startswith("__"):
-                            defined[name.id] = f"{path.name}:{node.lineno}"
+                for name in ast.walk(node):
+                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                            and not name.id.startswith("__")):
+                        defined[name.id] = f"{path.name}:{node.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node.name.startswith("_") and not node.name.endswith("__"):
