@@ -56,8 +56,9 @@ from .sectors import (
     casimir_reduction_check,
     converged_sector_spectrum,
     full_vs_sector_check,
-    hermitian_variant_scan,
+    hermitian_lowest,
     lowest_weight_residuals,
+    predicted_hermitian_lowest,
     pseudo_su11_generators,
     su11_commutation_check,
     su11_generators,
@@ -365,25 +366,25 @@ def run_stability(args):
         raise UsageError("--depths needs at least two values")
     if min(args.depths) < 1:
         raise UsageError("--depths must all be at least 1")
-    scan = hermitian_variant_scan(args.k, args.beta, args.lam, args.depths)
-    checks = []
-    if scan.predicted is not None:
-        err = abs(scan.lowest[-1] - scan.predicted)
-        checks.append(Check("stability_converged", err, args.tol))
+    lowest = [hermitian_lowest(SectorSpec(k=args.k, depth=d), args.beta, args.lam)
+              for d in args.depths]
+    predicted = predicted_hermitian_lowest(args.k, args.beta, args.lam)
+    # the last decrease between consecutive depths, large when unbounded
+    final_drop = lowest[-2] - lowest[-1]
+    if predicted is not None:
+        checks = [Check("stability_converged", abs(lowest[-1] - predicted), args.tol)]
     else:
-        checks.append(Check("instability_witness", scan.final_drop,
-                            args.drop, mode="ge"))
+        checks = [Check("instability_witness", final_drop, args.drop, mode="ge")]
     payload = {
         "k": args.k,
         "beta": args.beta,
         "lam": args.lam,
-        "pairs": [{"depth": d, "lowest": v}
-                  for d, v in zip(scan.depths, scan.lowest)],
-        "predicted": scan.predicted,
-        "final_drop": scan.final_drop,
-        "bounded": scan.bounded,
+        "pairs": [{"depth": d, "lowest": v} for d, v in zip(args.depths, lowest)],
+        "predicted": predicted,
+        "final_drop": final_drop,
+        "bounded": predicted is not None,
     }
-    csv_rows = [[d, v] for d, v in zip(scan.depths, scan.lowest)]
+    csv_rows = [[d, v] for d, v in zip(args.depths, lowest)]
     return payload, ["depth", "lowest"], csv_rows, checks
 
 
@@ -537,8 +538,8 @@ def run_verify_all(args):
     grouped["full_vs_sector_union"].append(full_vs_sector_check(p, TruncationSpec(10, 10)))
 
     # su(1,1) structure; at gamma = 0 the tilted triple is the self-adjoint one
-    grouped["su11_commutators"] += [su11_commutation_check(su11_generators(spec, variant))
-                                    for spec in specs for variant in ("lowest", "highest")]
+    grouped["su11_commutators"] += [su11_commutation_check(su11_generators(spec))
+                                    for spec in specs]
     grouped["tilted_su11_commutators"] += [
         su11_commutation_check(pseudo_su11_generators(spec, p)) for spec in specs]
     for spec in specs:

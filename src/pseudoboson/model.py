@@ -203,10 +203,24 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     The ladder operators carry the normalization norm_scale, which grows like
     gamma^(-1/2) at small gamma, and the adjoint-action deviations grow with
     it; those four are divided by max(1, norm_scale), so they stay relative
-    to the operators they measure.
+    to the operators they measure. H's entries grow like |beta| and gamma,
+    and so does the rounding of every identity that holds H; those four and
+    "diagonal_form" are divided by max(1, |beta|, gamma) as well.
+
+    Products of two raising maps reach (1 + rho)^2 n N^2, about 2 n / gamma
+    at small gamma for cutoff n; a gamma for which that overflows raises
+    ValueError.
     """
     H = build_hamiltonian(p, trunc)[0]
     ops = build_pseudoboson_ops(p, trunc)
+    # the raising maps hold the largest ladder weights, and no product weight
+    # exceeds the square of the largest
+    top = max(float(np.abs(w).max()) for op in (ops.c_ddag, ops.d_ddag)
+              for w, _, _ in op.terms)
+    if not math.isfinite(top * top):
+        raise ValueError(f"gamma = {p.gamma:g} is too small: products of the "
+                         f"raising maps, of size 2 n / gamma, overflow at "
+                         f"cutoff n = {max(trunc.n_max_a, trunc.n_max_b)}")
     named = [(name, getattr(ops, name)) for name in ("c", "d", "c_ddag", "d_ddag")]
     unit_pairs = {("c", "c_ddag"), ("d", "d_ddag")}
     report = {}
@@ -219,13 +233,14 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     up = p.beta + p.rho
     down = p.rho - p.beta
     scale = 1.0 if p.gamma == 0 else max(1.0, p.norm_scale)
+    size = max(1.0, abs(p.beta), p.gamma)
     for name, coeff in [("c_ddag", up), ("d_ddag", down), ("c", -up), ("d", -down)]:
         op = getattr(ops, name)
         diff = H @ op - op @ H - coeff * op
-        report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale
+        report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale / size
     cc = ops.c_ddag @ ops.c
     expr = p.beta * (cc - ops.d_ddag @ ops.d) + p.rho * (cc + ops.d @ ops.d_ddag)
-    report["diagonal_form"] = interior_deviation(H - expr, margin=1)
+    report["diagonal_form"] = interior_deviation(H - expr, margin=1) / size
     return report
 
 

@@ -25,8 +25,9 @@ from pseudoboson.sectors import (
     SectorSpec,
     casimir_reduction_check,
     full_vs_sector_check,
-    hermitian_variant_scan,
+    hermitian_lowest,
     lowest_weight_residuals,
+    predicted_hermitian_lowest,
     pseudo_su11_generators,
     sector_spectrum,
     su11_commutation_check,
@@ -153,11 +154,12 @@ def test_criterion_09_hermitian_stability_contrast():
     """The Hermitian cousin at coupling 0.6 has lowest eigenvalue 0.8 within
     1e-6 by depth 60; at coupling 1.2 the lowest eigenvalue drops by more
     than 1.0 between depths 40 and 80 (no lower bound)."""
-    bounded = hermitian_variant_scan(0, 0.0, 0.6, [30, 60])
-    assert bounded.predicted == pytest.approx(0.8)
-    assert abs(bounded.lowest[-1] - 0.8) < 1e-6
-    unbounded = hermitian_variant_scan(0, 0.0, 1.2, [40, 80])
-    assert unbounded.final_drop > 1.0
+    assert predicted_hermitian_lowest(0, 0.0, 0.6) == pytest.approx(0.8)
+    assert abs(hermitian_lowest(SectorSpec(0, 60), 0.0, 0.6) - 0.8) < 1e-6
+    assert predicted_hermitian_lowest(0, 0.0, 1.2) is None
+    drop = (hermitian_lowest(SectorSpec(0, 40), 0.0, 1.2)
+            - hermitian_lowest(SectorSpec(0, 80), 0.0, 1.2))
+    assert drop > 1.0
 
 
 def test_criterion_10_similarity_construction():

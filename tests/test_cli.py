@@ -78,6 +78,18 @@ def test_commutators_passes_at_defaults(capsys):
     assert "[c,c_ddag]" in payload["deviations"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--beta", "1e6"], ["--beta", "1e20"], ["--beta=-1e200"], ["--gamma", "1e6"],
+    ["--gamma", "1e150"], ["--beta=-3", "--gamma", "1e50"],
+], ids=lambda argv: "".join(argv).replace("--", "-"))
+def test_commutators_deviations_do_not_grow_with_beta_or_gamma(capsys, argv):
+    # the [H, .] and diagonal-form deviations round like the entries of H,
+    # so they are judged relative to max(1, |beta|, gamma)
+    code, out, err = run(capsys, "commutators", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_passed"] is True
+
+
 def test_commutators_deterministic_output(capsys):
     _, first, _ = run(capsys, "commutators", "--trunc", "6")
     _, second, _ = run(capsys, "commutators", "--trunc", "6")
@@ -511,6 +523,15 @@ def test_bad_parameters_are_exit_two(capsys):
     # although gamma^2 does not
     (["emm", "--gamma", "1e154"], 2),
     (["verify-all", "--gamma", "1e154"], 2),
+    # products of two raising maps reach about 2 n / gamma at cutoff n, and
+    # overflow below gamma = 2 n / 1.8e308; at --trunc 1 they do not
+    *[(["commutators", "--beta", "-0.69", "--trunc", trunc, "--gamma", gamma], code)
+      for trunc, code in (("8", 2), ("1", 0))
+      for gamma in ("1.12e-308", "2.2e-308", "5e-308")],
+    *[(["commutators", "--beta", "-0.69", "--trunc", trunc, "--gamma", gamma], code)
+      for trunc, code in (("40", 2), ("1", 0)) for gamma in ("1e-307", "3e-307")],
+    (["commutators", "--beta", "-0.69", "--trunc", "40", "--gamma", "1e-306"], 0),
+    (["verify-all", "--gamma", "2.2e-308"], 2),
 ])
 def test_extreme_parameters_end_without_traceback(tmp_path, capsys, argv, code):
     path = tmp_path / "m.json"
@@ -769,6 +790,22 @@ def test_readme_suite_table_is_the_cli_table():
         for name, source, mode in cli.VERIFY_SUITES]
 
 
+def test_readme_examples_pass(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^Examples:\n\n```\n(.*?)^```$", readme, re.M | re.S).group(1)
+    # theorem1 reads the JSON example of README's input formats section
+    matrix = re.search(r"^JSON: `(\{.*\})`$", readme, re.M).group(1)
+    (tmp_path / "matrix.json").write_text(matrix)
+    lines = block.splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        prog, *argv = line.split()
+        assert prog == "pseudoboson"
+        argv = [str(tmp_path / a) if a == "matrix.json" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert (line, code, err) == (line, 0, "")
+
+
 def test_verify_all_makes_each_run_once(capsys, monkeypatch):
     calls = []
     counts = {"run_emm": 1, "run_commutators": 1, "run_biorth": 1, "_sector_report": 1,
@@ -860,14 +897,20 @@ def test_report_writer_writes_non_finite_numbers_as_null():
 
 
 @pytest.mark.parametrize("argv, check", [
-    (["commutators", "--gamma", "2.2e-308", "--beta", "-0.69", "--trunc", "8"],
-     "[c_ddag,c_ddag]"),
+    (["commutators", "--trunc", "8"], "[c_ddag,c_ddag]"),
 ])
-def test_non_finite_values_fail_by_name_in_strict_json(capsys, argv, check):
-    # the overflowing deviations are NaN: the report writes them as null,
-    # and the first of them fails as a non-finite value
-    with np.errstate(all="ignore"):
-        code, out, err = run(capsys, *argv)
+def test_non_finite_values_fail_by_name_in_strict_json(capsys, monkeypatch, argv, check):
+    # a NaN deviation, planted in the middle of the report: the report
+    # writes it as null, and it fails as a non-finite value
+    report = cli.commutation_report
+
+    def planted(p, trunc):
+        deviations = report(p, trunc)
+        deviations[check] = math.nan
+        return deviations
+
+    monkeypatch.setattr(cli, "commutation_report", planted)
+    code, out, err = run(capsys, *argv)
     assert code == 1
     assert err == f"first failing check: {check} (value nan is not finite)\n"
     failed = [c for c in _strict_json(out)["checks"] if not c["passed"]]
@@ -910,6 +953,9 @@ REPORT_DIGESTS = {
     ("stability",):
         ("aa4fe2f7bd803e0f87fff7f8b78449ebd8d8c7764d32ea305dc61bd2d90a8d5a",
          "7312daaa7ea166f3c6df74fa05360d67790e1b4f1b2adb56abb2f563276c8e66"),
+    ("stability", "--lam", "1.2", "--depths", "40", "80"):
+        ("5480a23b278dd95517378bd2e0257f07faa5c22647fcf7606bc309ee0e740b00",
+         "b1b49c919fea9c389ecec2504f75958c29307ca74a25b6393e404b61c433cd73"),
     ("theorem1", "--input", "REAL6"):
         ("fc0458404452244b729065bce49580e51d3cae5ab409faa8876498d9fd2f7099",
          "35f375cc73f13088638d39367ea6ddf354177b6d14b94f05aece8c44da8ce606"),

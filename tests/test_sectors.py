@@ -19,14 +19,11 @@ from pseudoboson.model import ModelParams, build_hamiltonian, energy
 from pseudoboson.sectors import (
     SectorSpec,
     Su11Generators,
-    casimir_check,
-    casimir_matrix,
     casimir_reduction_check,
     converged_sector_spectrum,
     full_vs_sector_check,
     hermitian_lowest,
     hermitian_sector_tridiag,
-    hermitian_variant_scan,
     lowest_weight_residuals,
     lowest_weight_vector,
     predicted_hermitian_lowest,
@@ -103,23 +100,6 @@ def test_su11_commutation_boundary_row_breaks():
     # so the unmasked deviation is large
     gens = su11_generators(SectorSpec(0, 6))
     assert su11_commutation_check(gens, margin=0) > 1.0
-
-
-def test_primed_variant_relations():
-    gens = su11_generators(SectorSpec(1, 8), variant="highest")
-    base = su11_generators(SectorSpec(1, 8))
-    assert np.array_equal(gens.plus, base.minus)
-    assert np.array_equal(gens.zero, -base.zero)
-    # the top of the primed ladder annihilates the first basis vector
-    e0 = np.zeros(8)
-    e0[0] = 1.0
-    assert np.abs(gens.plus @ e0).max() == 0.0
-    assert su11_commutation_check(gens, margin=1) < 1e-12
-
-
-def test_su11_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        su11_generators(SectorSpec(0, 4), variant="middle")
 
 
 def test_pseudo_jacobi_small_block():
@@ -222,10 +202,9 @@ def test_tilted_generators_at_zero_coupling_are_the_self_adjoint_triple():
 
 def test_casimir_values():
     for k in (-2, 0, 1, 3):
-        gens = su11_generators(SectorSpec(k, 12))
-        assert casimir_check(gens, k, margin=2) < 1e-12
-        c = casimir_matrix(gens)
-        assert c[0, 0] == pytest.approx(k * k - 1)
+        tilted_dev, plain_dev = casimir_reduction_check(SectorSpec(k, 12), P)
+        assert tilted_dev < 1e-9
+        assert plain_dev < 1e-12
     tilted_dev, plain_dev = casimir_reduction_check(SectorSpec(1, 30), P)
     assert tilted_dev < 1e-9
     assert plain_dev < 1e-12
@@ -298,6 +277,16 @@ def test_convergence_protocol():
     assert conv.converged
     assert conv.max_step < 1e-8
     assert np.abs(conv.values - conv.targets).max() < 1e-6
+
+
+def test_convergence_judges_the_step_as_its_check_does():
+    # the sectors report files max_step as a check, which passes at value
+    # == tolerance, so "converged" must hold there too
+    step = converged_sector_spectrum(1, P, n_eigs=3, start_depth=8).max_step
+    assert step > 0.0
+    conv = converged_sector_spectrum(1, P, n_eigs=3, start_depth=8, tol=step)
+    assert conv.max_step == step
+    assert conv.converged
 
 
 def test_sector_spectra_run_no_dense_qr(monkeypatch):
@@ -524,10 +513,10 @@ def test_hermitian_lowest_converges_below_unit_coupling():
 
 
 def test_hermitian_scan_flags_unbounded_regime():
-    scan = hermitian_variant_scan(0, 0.0, 1.2, [40, 80])
-    assert scan.predicted is None
-    assert not scan.bounded
-    assert scan.final_drop > 1.0
-    bounded = hermitian_variant_scan(0, 0.0, 0.6, [30, 60])
-    assert bounded.bounded
-    assert abs(bounded.lowest[-1] - bounded.predicted) < 1e-6
+    assert predicted_hermitian_lowest(0, 0.0, 1.2) is None
+    drop = (hermitian_lowest(SectorSpec(0, 40), 0.0, 1.2)
+            - hermitian_lowest(SectorSpec(0, 80), 0.0, 1.2))
+    assert drop > 1.0
+    predicted = predicted_hermitian_lowest(0, 0.0, 0.6)
+    assert predicted is not None
+    assert abs(hermitian_lowest(SectorSpec(0, 60), 0.0, 0.6) - predicted) < 1e-6
