@@ -62,7 +62,6 @@ from .sectors import (
     pseudo_su11_generators,
     su11_commutation_check,
     su11_generators,
-    transpose_similarity_check,
 )
 from .similarity import verify_similarity
 
@@ -214,11 +213,6 @@ def run_sectors(args):
     if not 1 <= args.n_eigs <= args.depth // 4:
         raise UsageError(f"--n-eigs must be between 1 and --depth // 4 = "
                          f"{args.depth // 4}, the levels of the start depth")
-    return _sector_report(args)
-
-
-def _sector_report(args):
-    """The sectors report without the flag checks of `run_sectors`."""
     p = _params(args)
     checks = []
     sectors_payload = []
@@ -486,8 +480,9 @@ def run_verify_all(args):
     drops a check; a check judged unlike its suite raises ValueError), and a
     suite is the `_worst` of its values. Subcommand runs take their parser's
     defaults save verify-all's --beta and --gamma and what it pins: sectors
-    k -3..3 with --n-eigs 4 at its --depth, biorth at its --trunc, and the
-    unbounded stability run at --lam 1.2 --depths 40 80."""
+    k -3..3 with --n-eigs 4 at the largest multiple of 4 up to its --depth,
+    biorth at its --trunc, and the unbounded stability run at --lam 1.2
+    --depths 40 80."""
     if args.depth < 16:
         raise UsageError("--depth must be at least 16: the sector suites keep "
                          "4 levels at depth // 4")
@@ -521,21 +516,22 @@ def run_verify_all(args):
     file(run_biorth(parse(["biorth", *point, f"--trunc={args.trunc}"]))[3],
          lambda name: "biorthogonality")
 
-    # similarity layer
+    # similarity layer; with phase_similarity, each sector block of H equal
+    # to its section makes the section similar to its transpose
     grouped["phase_similarity"].append(similarity_check(p, TruncationSpec(6, 6)))
-    grouped["sector_transpose_similarity"] += [transpose_similarity_check(spec, p)
-                                               for spec in specs]
 
     # sector spectra and the full-space cross-check
-    sectors, _, _, sector_checks = _sector_report(parse(
-        ["sectors", *point, "--k-range", "-3", "3", f"--depth={args.depth}",
+    sectors, _, _, sector_checks = run_sectors(parse(
+        ["sectors", *point, "--k-range", "-3", "3", f"--depth={4 * (args.depth // 4)}",
          "--n-eigs", "4"]))
     file(sector_checks, lambda name: "sector_depth_step"
          if name.endswith("_depth_step") else "sector_closed_form")
     values = {sector["k"]: sector["values"] for sector in sectors["sectors"]}
     grouped["sector_energy_cross_check"] += [
         abs(energy(p, m, n) - values[m - n][min(m, n)]) for m in range(4) for n in range(4)]
-    grouped["full_vs_sector_union"].append(full_vs_sector_check(p, TruncationSpec(10, 10)))
+    union, blocks = full_vs_sector_check(p, TruncationSpec(10, 10))
+    grouped["full_vs_sector_union"].append(union)
+    grouped["sector_transpose_similarity"].append(blocks)
 
     # su(1,1) structure; at gamma = 0 the tilted triple is the self-adjoint one
     grouped["su11_commutators"] += [su11_commutation_check(su11_generators(spec))

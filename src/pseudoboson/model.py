@@ -105,6 +105,12 @@ class ModelParams:
         return self.gamma / (1.0 + self.rho)
 
     @property
+    def entry_scale(self) -> float:
+        """max(1, |beta|, gamma): the rounding of an identity that holds the
+        entries of H grows with it, so deviations are divided by it."""
+        return max(1.0, abs(self.beta), self.gamma)
+
+    @property
     def norm_scale(self) -> float:
         if self.gamma == 0:
             raise ValueError("normalization undefined at gamma = 0 (degenerate case)")
@@ -205,7 +211,7 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     it; those four are divided by max(1, norm_scale), so they stay relative
     to the operators they measure. H's entries grow like |beta| and gamma,
     and so does the rounding of every identity that holds H; those four and
-    "diagonal_form" are divided by max(1, |beta|, gamma) as well.
+    "diagonal_form" are divided by `ModelParams.entry_scale` as well.
 
     Products of two raising maps reach (1 + rho)^2 n N^2, about 2 n / gamma
     at small gamma for cutoff n; a gamma for which that overflows raises
@@ -233,14 +239,13 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
     up = p.beta + p.rho
     down = p.rho - p.beta
     scale = 1.0 if p.gamma == 0 else max(1.0, p.norm_scale)
-    size = max(1.0, abs(p.beta), p.gamma)
     for name, coeff in [("c_ddag", up), ("d_ddag", down), ("c", -up), ("d", -down)]:
         op = getattr(ops, name)
         diff = H @ op - op @ H - coeff * op
-        report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale / size
+        report[f"[H,{name}]"] = interior_deviation(diff, margin=1) / scale / p.entry_scale
     cc = ops.c_ddag @ ops.c
     expr = p.beta * (cc - ops.d_ddag @ ops.d) + p.rho * (cc + ops.d @ ops.d_ddag)
-    report["diagonal_form"] = interior_deviation(H - expr, margin=1) / size
+    report["diagonal_form"] = interior_deviation(H - expr, margin=1) / p.entry_scale
     return report
 
 

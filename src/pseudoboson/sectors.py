@@ -56,7 +56,6 @@ __all__ = [
     "pseudo_jacobi_diagonals",
     "pseudo_jacobi",
     "sector_phase_vector",
-    "transpose_similarity_check",
     "pseudo_su11_generators",
     "lowest_weight_vector",
     "lowest_weight_residuals",
@@ -123,13 +122,10 @@ def _interior_max(x: NDArray, margin: int) -> float:
 def su11_generators(spec: SectorSpec) -> Su11Generators:
     """The self-adjoint sector su(1,1) triple: raising is the transpose of
     lowering, the diagonal is positive, and lowering annihilates the j = 0
-    state."""
-    j = np.arange(1, spec.depth, dtype=float)
-    coeff = np.sqrt(j * (abs(spec.k) + j))
-    raising = np.diag(coeff, -1)
-    lowering = raising.T.copy()
-    diagonal = np.diag(abs(spec.k) + 1.0 + 2.0 * np.arange(spec.depth, dtype=float))
-    return Su11Generators(plus=raising, minus=lowering, zero=diagonal)
+    state. Its entries are the Hermitian cousin's at beta = 0, lam = 1."""
+    diag, off = hermitian_sector_tridiag(spec, 0.0, 1.0)
+    raising = np.diag(off, -1)
+    return Su11Generators(plus=raising, minus=raising.T.copy(), zero=np.diag(diag))
 
 
 def su11_commutation_check(gens, margin: int = 1) -> float:
@@ -190,15 +186,6 @@ def sector_phase_vector(spec: SectorSpec) -> NDArray[np.complex128]:
     """Diagonal phases (-i)^(n_a + n_b) restricted to the sector: the sector
     slice of the full-space phase similarity."""
     return _occupation_phases(sector_basis(spec))
-
-
-def transpose_similarity_check(spec: SectorSpec, p: ModelParams) -> float:
-    """Max entrywise |J^T - D J D^-1| for the sector phase diagonal D; exact
-    at any depth since diagonal conjugation respects the finite section."""
-    m = pseudo_jacobi(spec, p)
-    phases = sector_phase_vector(spec)
-    conjugated = np.outer(phases, phases.conj()) * m
-    return float(np.abs(m.T - conjugated).max())
 
 
 def pseudo_su11_generators(spec: SectorSpec, p: ModelParams) -> Su11Generators:
@@ -447,17 +434,26 @@ def converged_sector_spectrum(k: int, p: ModelParams, n_eigs: int = 3,
                              continued=continued)
 
 
-def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> float:
+def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> tuple[float, float]:
     """Diagonalize the full truncated Hamiltonian and, independently, every
-    sector finite section it contains, and return the greedy matching
-    distance between the two eigenvalue multisets. They agree exactly (the box
-    truncation is permutation-similar to the direct sum of sector sections),
-    so the distance sits at solver accuracy.
+    sector finite section it contains. Returns the greedy matching distance
+    between the two eigenvalue multisets, and the largest entrywise distance
+    between a sector block of H, taken on `sector_basis`, and its section,
+    divided by `ModelParams.entry_scale`. The box truncation is
+    permutation-similar to the direct sum of the sections, so the distance
+    sits at solver accuracy and the blocks at a few ulps of the entries: H
+    forms each entry from sqrt(m) and sqrt(n), the section from m n.
     """
-    full_vals = eig_dense(build_hamiltonian(p, trunc)[0].dense().entries).values
-    pieces = [eig_dense(pseudo_jacobi(SectorSpec(k=k, depth=depth), p)).values
-              for k, depth in sorted(sector_sizes(trunc).items())]
-    return multiset_distance(full_vals, np.concatenate(pieces))
+    full = build_hamiltonian(p, trunc)[0].dense().entries
+    pieces, blocks = [], []
+    for k, depth in sorted(sector_sizes(trunc).items()):
+        spec = SectorSpec(k=k, depth=depth)
+        section = pseudo_jacobi(spec, p)
+        rows = [m * (trunc.n_max_b + 1) + n for m, n in sector_basis(spec)]
+        blocks.append(np.abs(full[np.ix_(rows, rows)] - section).max())
+        pieces.append(eig_dense(section).values)
+    distance = multiset_distance(eig_dense(full).values, np.concatenate(pieces))
+    return distance, float(np.max(blocks)) / p.entry_scale
 
 
 def hermitian_sector_tridiag(spec: SectorSpec, beta: float,

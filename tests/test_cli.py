@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pseudoboson
-from pseudoboson import cli, linalg, similarity
+from pseudoboson import cli, linalg, sectors, similarity
 from pseudoboson.cli import main
 from pseudoboson.fock import Operator
 from pseudoboson.model import ModelParams
@@ -808,7 +808,7 @@ def test_readme_examples_pass(capsys, tmp_path):
 
 def test_verify_all_makes_each_run_once(capsys, monkeypatch):
     calls = []
-    counts = {"run_emm": 1, "run_commutators": 1, "run_biorth": 1, "_sector_report": 1,
+    counts = {"run_emm": 1, "run_commutators": 1, "run_biorth": 1, "run_sectors": 1,
               "full_vs_sector_check": 1, "run_stability": 2, "_similarity_report": 5}
     for name in counts:
         monkeypatch.setattr(cli, name, lambda *args, name=name, f=getattr(cli, name):
@@ -816,6 +816,25 @@ def test_verify_all_makes_each_run_once(capsys, monkeypatch):
     assert run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
                "--depth", "32")[0] == 0
     assert {name: calls.count(name) for name in counts} == counts
+
+
+def test_sector_transpose_similarity_sees_a_section_fault(capsys, monkeypatch):
+    # the suite compares each section with its block of H, so a (1 + 1e-6)
+    # error in the sections' off-diagonals shows at that size
+    section = sectors.pseudo_jacobi
+
+    def faulty(spec, p):
+        m = section(spec, p)
+        return m + 1e-6 * (m - np.diag(np.diag(m)))
+
+    monkeypatch.setattr(sectors, "pseudo_jacobi", faulty)
+    code, out, _ = run(capsys, "verify-all", "--gamma", "0.2", "--trunc", "24",
+                       "--depth", "32")
+    suite, = (s for s in json.loads(out)["suites"]
+              if s["name"] == "sector_transpose_similarity")
+    assert code == 1 and not suite["passed"]
+    # the largest trunc-10 off-diagonal is 0.2 sqrt(10 10)
+    assert suite["value"] == pytest.approx(2e-6, rel=1e-3)
 
 
 def test_commutators_build_no_matrix(capsys, monkeypatch):
@@ -963,11 +982,11 @@ REPORT_DIGESTS = {
         ("9ffd8022d7b06c9079538e02ef2df0b44713871eda06eaeabeb9a3e64d6e121d",
          "4b0f6265d6af3fe24c110a4856be8f804b6a3be50d35d2eaf92297b405346910"),
     ("verify-all",):
-        ("b8f77edf17daf4fca7d4cf5aeeae7c77fbc8ff87e12e4aec5687b52c2a07dbad",
-         "3cc7e8eb58f74be2ddae2f6fa546633dcb8b358bd9cf9e9a02f15b7c5340dea1"),
+        ("5e233d02cc52358913ce87ecf85fef004cf8bcd3dfafc37b2b0a706ecea68fd6",
+         "981585f5e65362c31ddb947bd885503767024034adb41883e013385afb1d51e9"),
     ("verify-all", "--gamma", "0.2", "--trunc", "24", "--depth", "32"):
-        ("73005d5c687f397fbca7d3be870666457ea7e35c73021c5d92cd1c5963c9b7c1",
-         "b406b9213232e43bf5fad94f2e94f07be2aa34e98c387744f3d3ab1d513f2ecd"),
+        ("d92953c7faf7ca476d861a0a272ef75f32d8b1184529f97cd2c6736c718f254b",
+         "5c0fe287728e6552552abab0152eb6f069e6f019748b80d0b4d35973f764275a"),
 }
 
 

@@ -36,7 +36,6 @@ from pseudoboson.sectors import (
     sector_spectrum,
     su11_commutation_check,
     su11_generators,
-    transpose_similarity_check,
 )
 
 P = ModelParams(beta=0.5, gamma=0.75)
@@ -130,10 +129,17 @@ def test_pseudo_jacobi_symmetric_without_coupling():
     assert np.array_equal(m, np.diag(np.diag(m)))
 
 
+def _transpose_similarity(spec, p):
+    """Max entrywise |J^T - D J D^-1| for the sector phase diagonal D."""
+    m = pseudo_jacobi(spec, p)
+    phases = sector_phase_vector(spec)
+    return np.abs(m.T - np.outer(phases, phases.conj()) * m).max()
+
+
 def test_transpose_similarity_per_sector():
     for k in (1, -3):
-        assert transpose_similarity_check(SectorSpec(k, 20), P) < 1e-13
-    assert transpose_similarity_check(SectorSpec(2, 10), ModelParams(0.5, 0.0)) == 0.0
+        assert _transpose_similarity(SectorSpec(k, 20), P) < 1e-13
+    assert _transpose_similarity(SectorSpec(2, 10), ModelParams(0.5, 0.0)) == 0.0
 
 
 def test_sector_spectrum_symmetric_under_transpose():
@@ -456,7 +462,17 @@ def test_continuation_falls_back_on_complex_shifts():
 
 
 def test_full_space_decomposes_into_sectors():
-    assert full_vs_sector_check(P, TruncationSpec(10, 10)) < 1e-8
+    distance, blocks = full_vs_sector_check(P, TruncationSpec(10, 10))
+    assert distance < 1e-8
+    assert blocks <= 16 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("beta, gamma", [(-1.2, 0.2), (0.0, 1e-300), (1e300, 0.75),
+                                         (0.5, 1e150)])
+def test_sector_blocks_of_h_are_the_sections_to_a_few_ulps(beta, gamma):
+    # relative to max(1, |beta|, gamma), far from the eigenvalue routes
+    blocks = full_vs_sector_check(ModelParams(beta, gamma), TruncationSpec(10, 10))[1]
+    assert blocks <= 64 * np.finfo(float).eps
     assert sum(sector_sizes(TruncationSpec(10, 10)).values()) == 121
 
 
