@@ -330,11 +330,15 @@ def run_emm(args):
     secular = su11_secular(p)
     secular_res = float(np.max([residual(secular.matrix, val, vec)
                                 for val, vec in secular.pairs]))
+    # rounding grows with the entries, so each deviation is relative to them;
+    # the secular matrix holds gamma but not beta
+    scale = p.entry_scale
     checks = [
-        Check("emm_eigenvalue_multiset", dist, args.tol),
-        Check("emm_closed_form_residual", pair_res, EMM_IDENTITY_TOL),
-        Check("emm_pairing_identity", pairing_dev, EMM_IDENTITY_TOL),
-        Check("secular_residual", secular_res, EMM_IDENTITY_TOL),
+        Check("emm_eigenvalue_multiset", dist / scale, args.tol),
+        Check("emm_closed_form_residual", pair_res / scale, EMM_IDENTITY_TOL),
+        Check("emm_pairing_identity", pairing_dev / scale, EMM_IDENTITY_TOL),
+        Check("secular_residual", secular_res / ModelParams(0.0, p.gamma).entry_scale,
+              EMM_IDENTITY_TOL),
     ]
     payload = {
         "beta": p.beta,

@@ -114,7 +114,11 @@ class ModelParams:
     def norm_scale(self) -> float:
         if self.gamma == 0:
             raise ValueError("normalization undefined at gamma = 0 (degenerate case)")
-        return (2.0 * self.gamma * self.rho) ** -0.5
+        product = 2.0 * self.gamma * self.rho
+        if math.isinf(product):
+            # gamma near sqrt of the float maximum: 2 gamma rho overflows
+            return (2.0 * self.gamma) ** -0.5 * self.rho ** -0.5
+        return product ** -0.5
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,8 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
 
     Products of two raising maps reach (1 + rho)^2 n N^2, about 2 n / gamma
     at small gamma for cutoff n; a gamma for which that overflows raises
-    ValueError.
+    ValueError. So does a beta for which H's largest weight, about |beta| n,
+    times the largest ladder weight overflows.
     """
     H = build_hamiltonian(p, trunc)[0]
     ops = build_pseudoboson_ops(p, trunc)
@@ -227,6 +232,11 @@ def commutation_report(p: ModelParams, trunc: TruncationSpec) -> dict:
         raise ValueError(f"gamma = {p.gamma:g} is too small: products of the "
                          f"raising maps, of size 2 n / gamma, overflow at "
                          f"cutoff n = {max(trunc.n_max_a, trunc.n_max_b)}")
+    # nor does a product with H exceed H's largest weight times that one
+    if not math.isfinite(max(float(np.abs(w).max()) for w, _, _ in H.terms) * top):
+        raise ValueError(f"beta = {p.beta:g} is too large at gamma = {p.gamma:g}: "
+                         f"products of H, of size |beta| n, with the ladder "
+                         f"maps overflow at cutoff n = {max(trunc.n_max_a, trunc.n_max_b)}")
     named = [(name, getattr(ops, name)) for name in ("c", "d", "c_ddag", "d_ddag")]
     unit_pairs = {("c", "c_ddag"), ("d", "d_ddag")}
     report = {}

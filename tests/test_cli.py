@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -476,6 +478,26 @@ def test_bad_parameters_are_exit_two(capsys):
     assert run(capsys, "no-such-command")[0] == 2
 
 
+# commutators and emm lines at the edges of the float range, with the exit
+# each must give
+_EDGE_LINES = [
+    # 2 gamma rho overflows, but the ladder normalization does not
+    *((["commutators", "--gamma", gamma], 0)
+      for gamma in ("9.5e153", "1e154", "1.3e154", "1.34e154")),
+    # H's largest weight, about |beta| n, times the largest ladder weight
+    # overflows; it does not at the lines that pass
+    *((["commutators", "--beta", beta, "--gamma", gamma], code)
+      for beta, gammas, code in (("1e307", ("0", "1e-300", "1e-100", "1e-10", "0.75"), 2),
+                                 ("1e306", ("1e-300", "1e-100", "1e-10"), 2),
+                                 ("1e300", ("1e-300", "1e-100"), 2),
+                                 ("1e306", ("0.75",), 0), ("1e300", ("1e-10", "0.75"), 0))
+      for gamma in gammas),
+    # emm's deviations are relative to the entries of its matrices
+    *((["emm", "--beta", beta, "--gamma", gamma], 0)
+      for beta, gamma in (("1e6", "10"), ("1e6", "1e6"), ("1e20", "1e6"))),
+]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["spectrum", "--beta", "nan"], 2),
     (["spectrum", "--gamma", "1e300"], 2),
@@ -532,6 +554,7 @@ def test_bad_parameters_are_exit_two(capsys):
       for trunc, code in (("40", 2), ("1", 0)) for gamma in ("1e-307", "3e-307")],
     (["commutators", "--beta", "-0.69", "--trunc", "40", "--gamma", "1e-306"], 0),
     (["verify-all", "--gamma", "2.2e-308"], 2),
+    *_EDGE_LINES,
 ])
 def test_extreme_parameters_end_without_traceback(tmp_path, capsys, argv, code):
     path = tmp_path / "m.json"
@@ -548,6 +571,47 @@ def test_extreme_parameters_end_without_traceback(tmp_path, capsys, argv, code):
         assert (f"{bad[0]} must be finite" if bad else "gamma") in err
     if code == 1:
         assert re.match(r"first failing check: \w+ \(", err)
+
+
+def _decades(low: float, high: float):
+    """Floats m 10^e, m in [1, 10), for every decade e from low's to high's,
+    held to [low, high]."""
+    return st.builds(lambda e, m: min(max(m * 10.0 ** e, low), high),
+                     st.integers(math.floor(math.log10(low)), math.floor(math.log10(high))),
+                     st.floats(1.0, 10.0, exclude_max=True))
+
+
+_BETAS = st.just(0.0) | st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]),
+                                  _decades(1e-300, 1.79e308))
+_GAMMAS = st.just(0.0) | _decades(1.2e-308, 1.34e154)
+
+
+def _with_edge_lines(test):
+    """test with each line of _EDGE_LINES as an explicit example."""
+    for argv, _ in _EDGE_LINES:
+        test = example(argv=argv)(test)
+    return test
+
+
+@_with_edge_lines
+@settings(max_examples=500)
+@given(argv=st.one_of(
+    st.builds(lambda b, g, t: ["commutators", f"--beta={b!r}", f"--gamma={g!r}",
+                               f"--trunc={t}"], _BETAS, _GAMMAS, st.integers(1, 12)),
+    st.builds(lambda b, g: ["emm", f"--beta={b!r}", f"--gamma={g!r}"], _BETAS, _GAMMAS)))
+def test_commutators_and_emm_keep_the_exit_contract(argv):
+    # each line passes, or is a usage error that names beta or gamma; no
+    # line warns or fails a check, and every report is strict JSON
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 0:
+        _strict_json(out.getvalue())
+    else:
+        assert (code, out.getvalue()) == (2, "")
+        assert re.search(r"\b(beta|gamma) = ", err.getvalue())
 
 
 @pytest.mark.parametrize("command", ["commutators", "verify-all"])
