@@ -520,8 +520,7 @@ def run_verify_all(args):
     file(run_biorth(parse(["biorth", *point, f"--trunc={args.trunc}"]))[3],
          lambda name: "biorthogonality")
 
-    # similarity layer; with phase_similarity, each sector block of H equal
-    # to its section makes the section similar to its transpose
+    # similarity layer
     grouped["phase_similarity"].append(similarity_check(p, TruncationSpec(6, 6)))
 
     # sector spectra and the full-space cross-check
@@ -535,6 +534,8 @@ def run_verify_all(args):
         abs(energy(p, m, n) - values[m - n][min(m, n)]) for m in range(4) for n in range(4)]
     union, blocks = full_vs_sector_check(p, TruncationSpec(10, 10))
     grouped["full_vs_sector_union"].append(union)
+    # with phase_similarity, a section equal to its block of H is similar to
+    # its transpose
     grouped["sector_transpose_similarity"].append(blocks)
 
     # su(1,1) structure; at gamma = 0 the tilted triple is the self-adjoint one

@@ -442,7 +442,7 @@ def full_vs_sector_check(p: ModelParams, trunc: TruncationSpec) -> tuple[float, 
     divided by `ModelParams.entry_scale`. The box truncation is
     permutation-similar to the direct sum of the sections, so the distance
     sits at solver accuracy and the blocks at a few ulps of the entries: H
-    forms each entry from sqrt(m) and sqrt(n), the section from m n.
+    forms its entries from sqrt(m) and sqrt(n), the sections from k and j.
     """
     full = build_hamiltonian(p, trunc)[0].dense().entries
     pieces, blocks = [], []

@@ -470,7 +470,8 @@ def test_full_space_decomposes_into_sectors():
 @pytest.mark.parametrize("beta, gamma", [(-1.2, 0.2), (0.0, 1e-300), (1e300, 0.75),
                                          (0.5, 1e150)])
 def test_sector_blocks_of_h_are_the_sections_to_a_few_ulps(beta, gamma):
-    # relative to max(1, |beta|, gamma), far from the eigenvalue routes
+    # the distance is relative to max(1, |beta|, gamma), so it stays at a few
+    # ulps at any scale
     blocks = full_vs_sector_check(ModelParams(beta, gamma), TruncationSpec(10, 10))[1]
     assert blocks <= 64 * np.finfo(float).eps
     assert sum(sector_sizes(TruncationSpec(10, 10)).values()) == 121
