@@ -45,7 +45,7 @@ matrices. Array references of the same products pin both. The rank-one form
 serves the Hessenberg reduction, whose columns are long. The deflation scan
 of `_qr_eigenvalues` and the start-row scan of the sweep read Python-scalar
 copies of the diagonals, so they make no numpy call per row. Complex
-double-shift QR takes 1,705 sweeps on the 45 complex-basis theorem1 matrices
+double-shift QR takes 1,706 sweeps on the 45 complex-basis theorem1 matrices
 of the plane-sweep benchmark (n = 9 to 48), where a single-shift Givens
 sweep took 3,029. QR deflates 2x2 blocks, since a double-shift bulge needs 3
 rows, and leaves them in place for either dtype; with eigenvectors, one
@@ -56,15 +56,16 @@ trace plus and minus sqrt(((a - d)/2)^2 + bc). The form (tr/2)^2 - det
 cancels for two close real roots, as at the double eigenvalues of the
 Hamiltonian at beta = 0.
 
-Eigenvectors run the same sweeps on wider slabs. The Schur vectors Z are
-stacked above H in one array, so each column update transforms Z and H in
-the same numpy call, and each row update runs to the last column; QR then
-ends in the Schur form A = Z T Z^H, with no more numpy calls per step. The
-eigenvectors of the triangular T come from one back substitution over rows
-for all values at once, map back by Z, and take one first-order refinement
-step whose residual is formed in numpy's extended precision (Dongarra,
-Moler and Wilkinson, SIAM J. Numer. Anal. 20, 1983). Values-only calls keep
-the block-local slabs and their bits.
+Every sweep transforms H whole: each row update runs to the last column
+and each column update from the first row, as LAPACK's dlahqr does with
+wantt, so a sweep that starts below the top of its block is a similarity
+on H. Eigenvectors run the same sweeps with the Schur vectors Z stacked
+above H in one array, so each column update transforms Z and H in the same
+numpy call; QR then ends in the Schur form A = Z T Z^H, with no more numpy
+calls per step. The eigenvectors of the triangular T come from one back
+substitution over rows for all values at once, map back by Z, and take one
+first-order refinement step whose residual is formed in numpy's extended
+precision (Dongarra, Moler and Wilkinson, SIAM J. Numer. Anal. 20, 1983).
 
 A caller that knows estimates of the eigenvalues, as theorem1 knows those of
 M^H from the QR of M, passes them as `shifts`. The first HINTED_SWEEPS
@@ -248,14 +249,11 @@ def _reflector(col: list) -> tuple[list, float | complex] | None:
 
 def _slabs(W: NDArray, nz: int, lo: int, hi: int):
     """Row view, column view and the column view's rows above the block, for
-    the QR block lo..hi of H = W[nz:]. Values only (nz = 0), both views are
-    the block itself. With the n x n Z stacked above H (nz = n), the rows run
-    to the last column of H and the columns from the first row of Z, so one
-    update transforms H whole and accumulates into Z (LAPACK's wantt and
-    wantz)."""
-    if not nz:
-        B = W[lo:hi + 1, lo:hi + 1]
-        return B, B, 0
+    the QR block lo..hi of H = W[nz:], with nz = n for the n x n Z stacked
+    above H and nz = 0 without it. The rows run to the last column of H and
+    the columns from the first row of W, so one update transforms H whole
+    and accumulates into Z if there is one (LAPACK's wantt, and wantz with
+    Z)."""
     return W[nz + lo:nz + hi + 1, lo:], W[:nz + hi + 1, lo:hi + 1], nz + lo
 
 
@@ -342,12 +340,11 @@ def _qr_eigenvalues(W: NDArray, max_sweeps: int, nz: int = 0,
     each deflation, and the sweep snaps its computed shifts to those
     estimates; later sweeps get None and take the computed shifts, so a
     wrong estimate costs sweeps but cannot stall QR.
-    With nz = 0 a sweep transforms the block alone; with the n x n Z stacked
-    above H (nz = n) it transforms H whole and Z with it, which leaves W[:nz]
-    the Schur vectors and H in quasi-triangular Schur form, upper triangular
-    but for its deflated 2x2 blocks, which `_schur_eigenpairs` rotates into
-    triangular form for either dtype. Deflated subdiagonal entries are set to
-    zero.
+    A sweep transforms H whole; with the n x n Z stacked above H (nz = n) it
+    transforms Z with it, which leaves W[:nz] the Schur vectors and H in
+    quasi-triangular Schur form, upper triangular but for its deflated 2x2
+    blocks, which `_schur_eigenpairs` rotates into triangular form for
+    either dtype. Deflated subdiagonal entries are set to zero.
     Raises RuntimeError when max_sweeps sweeps leave values undeflated.
 
     The deflation scan reads Python-scalar copies of the diagonal and
@@ -426,10 +423,9 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
     The shift and start-row scans read Python-scalar copies of the block's
     three diagonals, and each bulge step reads its column as Python scalars.
     A sweep that starts below the block top leaves H[start, start - 1] out
-    of its first reflector; with Z stacked above H that entry takes the
-    reflector's factor 1 - conj(tau), as in LAPACK's dlahqr, so that the
-    transform applied to H whole is a similarity. The values-only sweep
-    leaves it as it is."""
+    of its first reflector; that entry takes the reflector's factor
+    1 - conj(tau), as in LAPACK's dlahqr, so that the transform applied to
+    H whole is a similarity."""
     B = W[nz + lo:nz + hi + 1, lo:hi + 1]
     d, sub, sup = (B.diagonal(i).tolist() for i in (0, -1, 1))
     b = hi - lo
@@ -461,7 +457,7 @@ def _francis_sweep(W: NDArray, lo: int, hi: int, stall: int, nz: int = 0,
     # the bulge column is three long until the last step, which takes two
     col = _first_column(d, sub, sup, start, s1, s2)
     tau = _bulge_step(R, C, above, 0, col, m)
-    if nz and start and tau is not None:
+    if start and tau is not None:
         W[nz + top, top - 1] *= 1.0 - tau.conjugate()
     for k in range(1, m - 1):
         _bulge_step(R, C, above, k, R[k:k + 3, k - 1].tolist(), m)
@@ -784,15 +780,15 @@ def eig_dense(M, want_vectors: bool = False, shifts=None) -> EigenReport:
     with a real or a conjugate shift pair for real input (complex pairs come
     out of irreducible 2x2 blocks of the real Schur form) and two complex
     shifts for complex input, each step a few numpy calls (see the module
-    docstring). QR deflates 2x2 blocks by `_eig2`. Values only, each sweep
-    transforms its block alone.
+    docstring). QR deflates 2x2 blocks by `_eig2`. Each sweep transforms H
+    whole: each row update runs to the last column and each column update
+    from the first row.
 
     With want_vectors the same sweeps run on W = [Z; H], the Schur vectors Z
-    stacked above H, and on wide slabs: each row update runs to the last
-    column and each column update covers Z and H from their first rows, in
-    one numpy call, so QR ends in the Schur form A = Z T Z^H (T upper
-    triangular once each 2x2 block, real or complex, is rotated into complex
-    triangular form after QR). The values are T's diagonal; they lie within
+    stacked above H, each column update covering Z and H in one numpy call,
+    so QR ends in the Schur form A = Z T Z^H (T upper triangular once each
+    2x2 block, real or complex, is rotated into complex triangular form
+    after QR). The values are T's diagonal; they lie within
     backward error of the values-only ones but need not share their bits.
     The vectors are those of T by back substitution, mapped back by Z and
     refined by one first-order step whose residual is formed in extended
